@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedDimError,
 )
 from .expressions import Const, Coord, Expr, add, div, evaluate, func, mul, neg, parse, powc, sub
-from .geometry import Chart, MetricSpec, metric_values
+from .geometry import Chart, MetricSpec, evaluation_scope, metric_values
 
 
 # --- built-in metrics -------------------------------------------------------
@@ -199,6 +199,12 @@ class ScenarioReport:
             "measured": {k: self.measured[k] for k in sorted(self.measured)},
             "notes": list(self.notes),
         }
+
+
+def _require_tolerance(name: str, value: float) -> None:
+    # a nan or non-positive tolerance would fail every check and read as a verdict
+    if not (math.isfinite(value) and value > 0):
+        raise BadParameterError(f"{name} must be a finite positive number, got {value}")
 
 
 def _dim(params: dict, key: str) -> int:
@@ -558,6 +564,8 @@ def run_scenario(name: str, params: Optional[dict] = None,
                  plan: Optional[SamplePlan] = None, tolerance: float = 1e-8,
                  fit_tolerance: float = 1e-6) -> ScenarioReport:
     sc = get_scenario(name)
+    _require_tolerance("tolerance", tolerance)
+    _require_tolerance("fit tolerance", fit_tolerance)
     plan = plan or SamplePlan()
     values = sc.parameters()
     for k, v in (params or {}).items():
@@ -568,11 +576,12 @@ def run_scenario(name: str, params: Optional[dict] = None,
             )
         values[k] = float(v)
     inst, expected = sc.build(values)
-    if isinstance(inst, TwistedInstance):
-        checks, measured, notes, ok = _run_twisted(inst, plan, tolerance)
-    else:
-        checks, measured, notes, ok = _run_product_conformal(inst, plan, tolerance,
-                                                             fit_tolerance)
+    with evaluation_scope():
+        if isinstance(inst, TwistedInstance):
+            checks, measured, notes, ok = _run_twisted(inst, plan, tolerance)
+        else:
+            checks, measured, notes, ok = _run_product_conformal(inst, plan, tolerance,
+                                                                 fit_tolerance)
     rows = []
     for c in expected:
         got = measured.get(c.name)
@@ -618,14 +627,17 @@ def run_inline(g1: MetricSpec, g2: MetricSpec, phi1: Optional[Expr] = None,
         raise BadParameterError(
             f"expected verdict must be 'pass' or 'fail', got '{expected_verdict}'"
         )
+    _require_tolerance("tolerance", tolerance)
+    _require_tolerance("fit tolerance", fit_tolerance)
     if (phi is None) == (phi1 is None and phi2 is None):
         raise BadParameterError("provide either phi or both phi1 and phi2")
     if phi is None and (phi1 is None or phi2 is None):
         raise BadParameterError("provide either phi or both phi1 and phi2")
     inst = ProductConformalInstance(g1, g2, phi1, phi2, phi, labels)
     plan = plan or SamplePlan()
-    checks, measured, notes, ok = _run_product_conformal(inst, plan, tolerance,
-                                                         fit_tolerance)
+    with evaluation_scope():
+        checks, measured, notes, ok = _run_product_conformal(inst, plan, tolerance,
+                                                             fit_tolerance)
     verdict = "pass" if ok else "fail"
     return ScenarioReport(
         name=name,

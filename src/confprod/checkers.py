@@ -531,7 +531,7 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
     f = expr_values(w.warp, w.base.chart, pts)
     if (f <= 0.0).any():
         k = int(np.argmin(f))
-        raise NonPositiveConformalFactorError(tuple(float(v) for v in pts[k]), float(f[k]))
+        raise NonPositiveConformalFactorError(pts[k], f[k])
     lap = laplacian_batch(w.warp, w.base, pts)
     gns = grad_norm_sq_batch(w.warp, w.base, pts)
     scalar_eq = f * lap - (p - 1) * gns + lambda_fiber - lambda_bar * f**2

@@ -79,6 +79,14 @@ def _parse_params(pairs: list[str]) -> dict[str, float]:
     return out
 
 
+def _config_number(config: dict, key: str, default, kind=float):
+    value = config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise BadParameterError(f"config '{key}' needs a number, got {value!r}") from None
+
+
 def _metric_from_config(obj: dict, which: str) -> MetricSpec:
     try:
         coords = tuple(str(c) for c in obj["coords"])
@@ -148,9 +156,9 @@ def _cmd_check(args) -> int:
         if not isinstance(loaded, dict):
             raise BadParameterError("config must be a JSON object")
         config = loaded
-    samples = args.samples if args.samples is not None else int(config.get("samples", 200))
-    margin = args.margin if args.margin is not None else float(config.get("margin", 0.0))
-    tolerance = args.tol if args.tol is not None else float(config.get("tol", 1e-8))
+    samples = _config_number(config, "samples", 200, int) if args.samples is None else args.samples
+    margin = _config_number(config, "margin", 0.0) if args.margin is None else args.margin
+    tolerance = _config_number(config, "tol", 1e-8) if args.tol is None else args.tol
     plan = SamplePlan(count=samples, margin=margin)
     report_path = args.report or config.get("report")
 
@@ -186,7 +194,11 @@ def _cmd_check(args) -> int:
             "all_matched": matched == len(reports),
             "scenarios": [r.to_dict() for r in reports],
         }
-        Path(report_path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        try:
+            text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise EngineError(f"report not written: {exc}") from None
+        Path(report_path).write_text(text + "\n")
     return 0 if matched == len(reports) else 1
 
 

@@ -173,7 +173,7 @@ def conformal_ricci_formula(c: ConformalSpec, points) -> np.ndarray:
     phi = require_positive_factor(c, pts)
     batch = curvature_batch(base, pts)
     hess = hessian_lc_batch(c.phi, base, pts)
-    lap = -np.einsum("nij,nij->n", np.linalg.inv(batch.g), hess)
+    lap = -np.einsum("nij,nij->n", batch.ginv, hess)
     gns = grad_norm_sq_batch(c.phi, base, pts)
     coef = (lap / phi + (n - 1) * gns / phi**2)[:, None, None]
     return batch.ricci + (n - 2) * hess / phi[:, None, None] - coef * batch.g

@@ -44,25 +44,28 @@ class OutsideDomainError(EngineError):
     """A point fell outside the open box of a chart."""
 
 
+def _plain_point(point) -> tuple[float, ...]:
+    # plain floats, so messages read (0.1, 0.2) rather than numpy scalar reprs
+    return tuple(float(v) for v in point)
+
+
 class SingularMetricError(EngineError):
     """Metric not positive definite (eigenvalue test) at a sampled point."""
 
     def __init__(self, point, min_eigenvalue: float):
+        self.point = _plain_point(point)
+        self.min_eigenvalue = float(min_eigenvalue)
         super().__init__(
-            f"metric not positive definite at {tuple(point)} "
-            f"(min eigenvalue {min_eigenvalue:.3e})"
+            f"metric not positive definite at {self.point} "
+            f"(min eigenvalue {self.min_eigenvalue:.3e})"
         )
-        self.point = tuple(point)
-        self.min_eigenvalue = min_eigenvalue
 
 
 class NonPositiveConformalFactorError(EngineError):
     def __init__(self, point, value: float):
-        super().__init__(
-            f"conformal factor is {value:.6g} <= 0 at {tuple(point)}"
-        )
-        self.point = tuple(point)
-        self.value = value
+        self.point = _plain_point(point)
+        self.value = float(value)
+        super().__init__(f"conformal factor is {self.value:.6g} <= 0 at {self.point}")
 
 
 class EmptyDomainError(EngineError):

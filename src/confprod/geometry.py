@@ -3,6 +3,8 @@
 Derivatives of metric entries are symbolic (expressions.differentiate); the
 pointwise assembly into Christoffel symbols, Riemann and Ricci tensors is
 plain dense linear algebra.  No finite differences anywhere in this path.
+Batches contract Ricci straight from the metric jets; the full Riemann
+tensor is built only for single-point queries (curvature()).
 
 Index conventions, fixed here once:
 
@@ -18,12 +20,16 @@ so phi = |x|^2 / 2 on flat R^n has Hess = identity and lap(phi) = -n.
 
 Everything is immutable; sampling and evaluation are pure, so checks over
 sample points can run concurrently or vectorized (they are vectorized here).
+Inside an evaluation_scope() the checks of one run share each curvature
+batch instead of recomputing it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -67,9 +73,8 @@ class Chart:
 
     def require_interior(self, point: Sequence[float]):
         if not self.contains(point):
-            raise OutsideDomainError(
-                f"point {tuple(point)} outside open box {self.domain}"
-            )
+            shown = tuple(float(x) for x in point)
+            raise OutsideDomainError(f"point {shown} outside open box {self.domain}")
 
 
 @dataclass(frozen=True)
@@ -116,27 +121,38 @@ class CurvatureData:
 # --- cached compiled jets ---------------------------------------------------
 
 class _ExprJets:
-    """Compiled value / gradient / hessian evaluators for one expression."""
+    """Compiled value / gradient / hessian evaluators for one expression.
+
+    The derivative evaluators are compiled on the first call that needs
+    them, so callers that only read values never differentiate.
+    """
 
     def __init__(self, e: Expr, coords: tuple[str, ...]):
+        self.expr = e
         self.coords = coords
         self.value_fn = compile_expr(e, coords)
-        firsts = [differentiate(e, c) for c in coords]
-        self.grad_fns = [compile_expr(d, coords) for d in firsts]
-        self.hess_fns = {}
+
+    @cached_property
+    def derivative_fns(self):
+        coords = self.coords
+        firsts = [differentiate(self.expr, c) for c in coords]
+        grad_fns = [compile_expr(d, coords) for d in firsts]
+        hess_fns = {}
         for i, di in enumerate(firsts):
             for j in range(i, len(coords)):
-                self.hess_fns[(i, j)] = compile_expr(differentiate(di, coords[j]), coords)
+                hess_fns[(i, j)] = compile_expr(differentiate(di, coords[j]), coords)
+        return grad_fns, hess_fns
 
     def evaluate(self, points: np.ndarray):
+        grad_fns, hess_fns = self.derivative_fns
         n = len(self.coords)
         count = points.shape[0]
         value = self.value_fn(points)
         grad = np.empty((count, n))
         hess = np.empty((count, n, n))
         for i in range(n):
-            grad[:, i] = self.grad_fns[i](points)
-        for (i, j), fn in self.hess_fns.items():
+            grad[:, i] = grad_fns[i](points)
+        for (i, j), fn in hess_fns.items():
             hess[:, i, j] = hess[:, j, i] = fn(points)
         return value, grad, hess
 
@@ -154,6 +170,14 @@ class _MetricJets:
         for i in range(self.dim):
             for j in range(i, self.dim):
                 self.jets[(i, j)] = _expr_jets(metric.entries[i][j], coords)
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """Return g alone, from the entries' value evaluators."""
+        n = self.dim
+        g = np.empty((points.shape[0], n, n))
+        for (i, j), jets in self.jets.items():
+            g[:, i, j] = g[:, j, i] = jets.value_fn(points)
+        return g
 
     def evaluate(self, points: np.ndarray):
         """Return (g, dg, d2g); dg[n,i,j,k] = d_k g_ij, d2g[n,i,j,k,l] = d_k d_l g_ij."""
@@ -187,8 +211,8 @@ def _as_points(chart: Chart, points) -> np.ndarray:
     hi = np.array([d[1] for d in chart.domain])
     inside = (array > lo).all(axis=1) & (array < hi).all(axis=1)
     if not inside.all():
-        bad = array[int(np.argmin(inside))]
-        raise OutsideDomainError(f"point {tuple(bad)} outside open box {chart.domain}")
+        bad = tuple(float(v) for v in array[int(np.argmin(inside))])
+        raise OutsideDomainError(f"point {bad} outside open box {chart.domain}")
     return array
 
 
@@ -204,7 +228,7 @@ def _check_positive_definite(g: np.ndarray, points: np.ndarray):
 
 def metric_values(metric: MetricSpec, points, check: bool = True) -> np.ndarray:
     pts = _as_points(metric.chart, points)
-    g, _, _ = _metric_jets(metric).evaluate(pts)
+    g = _metric_jets(metric).values(pts)
     if check:
         _check_positive_definite(g, pts)
     return g
@@ -218,8 +242,6 @@ class CurvatureBatch:
     g: np.ndarray
     ginv: np.ndarray
     gamma: np.ndarray     # [n, k, i, j]
-    dgamma: np.ndarray    # [n, k, i, j, m] = d_m Gamma^k_ij
-    riemann: np.ndarray   # [n, a, b, c, d]
     ricci: np.ndarray
     scalar: np.ndarray
 
@@ -230,28 +252,107 @@ class CurvatureBatch:
         return self.scalar / (n * (n - 1))
 
 
-def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
-    pts = _as_points(metric.chart, points)
+# (metric, points.shape, points bytes) -> CurvatureBatch, while a scope is open
+_SCOPE: ContextVar[dict | None] = ContextVar("confprod_evaluation_scope", default=None)
+
+
+@contextmanager
+def evaluation_scope():
+    """Share curvature batches between the checks of one run.
+
+    Inside the scope, curvature_batch returns the batch it already computed
+    for the same metric at the same points, and the field helpers take the
+    inverse metric from it.  The key is the metric itself, so the direct
+    route (rescaled metric) and the formula route (base metric) never read
+    each other's entries.  A scope opened inside another one shares the
+    outer one's batches; the outermost scope drops them when it closes.
+    Kept arrays are read-only.  Yields the mapping from keys to batches.
+    """
+    kept = _SCOPE.get()
+    if kept is not None:
+        yield kept
+        return
+    token = _SCOPE.set({})
+    try:
+        yield _SCOPE.get()
+    finally:
+        _SCOPE.reset(token)
+
+
+def _scope_key(metric: MetricSpec, pts: np.ndarray) -> tuple:
+    return (metric, pts.shape, pts.tobytes())
+
+
+def _connection(metric: MetricSpec, pts: np.ndarray):
+    """Metric jets, inverse metric, W and Gamma at checked points.
+
+    W[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, so Gamma = ginv W / 2.
+    """
     g, dg, d2g = _metric_jets(metric).evaluate(pts)
     _check_positive_definite(g, pts)
     ginv = np.linalg.inv(g)
-
-    # W[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij
     w = np.einsum("njli->nlij", dg) + np.einsum("nilj->nlij", dg) - np.einsum("nijl->nlij", dg)
     gamma = 0.5 * np.einsum("nal,nlij->naij", ginv, w)
+    return g, dg, d2g, ginv, w, gamma
 
+
+def _ricci(ginv, dg, d2g, w, gamma) -> np.ndarray:
+    """R_bd = d_a Gamma^a_db - d_d Gamma^a_ab + Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab.
+
+    The two derivative terms are expanded through d ginv = -ginv dg ginv
+    and Gamma^a_ab = g^al d_b g_al / 2, so d Gamma (count n^4) and the
+    Riemann tensor (count n^4) are never formed; every contraction is
+    O(count n^4) in time and O(count n^3) in memory beyond d2g itself.
+    """
+    # m[n,k] = ginv @ d_k g
+    m = np.matmul(ginv[:, None], np.moveaxis(dg, 3, 1))
+    trace = 0.5 * np.einsum("nkpp->nk", m)                                 # Gamma^a_ak
+    div_ginv = -np.einsum("ns,nsl->nl", np.einsum("naas->ns", m), ginv)    # d_a g^al
+    # d_a Gamma^a_db = (d_a g^al) W_ldb / 2
+    #                 + g^al (d_a d_d g_bl + d_a d_b g_dl - d_a d_l g_db) / 2
+    cross = np.einsum("nal,nblda->nbd", ginv, d2g)
+    d_first = 0.5 * (np.einsum("nl,nldb->nbd", div_ginv, w) + cross + np.swapaxes(cross, 1, 2)
+                     - np.einsum("nal,nbdla->nbd", ginv, d2g))
+    # d_d Gamma^a_ab = (d_d g^al d_b g_al + g^al d_b d_d g_al) / 2
+    d_trace = 0.5 * (np.einsum("nal,nalbd->nbd", ginv, d2g) - np.einsum("ndpq,nbqp->nbd", m, m))
+    return (d_first - d_trace + np.einsum("ne,nedb->nbd", trace, gamma)
+            - np.einsum("nade,neab->nbd", gamma, gamma))
+
+
+def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
+    g, dg, d2g, ginv, w, gamma = _connection(metric, pts)
+    ricci = _ricci(ginv, dg, d2g, w, gamma)
+    scalar = np.einsum("nbd,nbd->n", ginv, ricci)
+    return CurvatureBatch(pts, g, ginv, gamma, ricci, scalar)
+
+
+def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
+    pts = _as_points(metric.chart, points)
+    kept = _SCOPE.get()
+    if kept is None:
+        return _compute_batch(metric, pts)
+    key = _scope_key(metric, pts)
+    batch = kept.get(key)
+    if batch is None:
+        batch = kept[key] = _compute_batch(metric, pts)
+        for array in (batch.g, batch.ginv, batch.gamma, batch.ricci, batch.scalar):
+            array.flags.writeable = False
+    return batch
+
+
+def _riemann(metric: MetricSpec, points) -> np.ndarray:
+    """Full (1,3) tensor riemann[n, a, b, c, d] = R^a_bcd, for single-point queries."""
+    pts = _as_points(metric.chart, points)
+    g, dg, d2g, ginv, w, gamma = _connection(metric, pts)
     dginv = -np.einsum("nac,ncdm,ndb->nabm", ginv, dg, ginv)
     dw = (np.einsum("njlim->nlijm", d2g) + np.einsum("niljm->nlijm", d2g)
           - np.einsum("nijlm->nlijm", d2g))
+    # dgamma[n, k, i, j, m] = d_m Gamma^k_ij
     dgamma = 0.5 * (np.einsum("nalm,nlij->naijm", dginv, w)
                     + np.einsum("nal,nlijm->naijm", ginv, dw))
-
-    riemann = (np.einsum("nadbc->nabcd", dgamma) - np.einsum("nacbd->nabcd", dgamma)
-               + np.einsum("nace,nedb->nabcd", gamma, gamma)
-               - np.einsum("nade,necb->nabcd", gamma, gamma))
-    ricci = np.einsum("nabad->nbd", riemann)
-    scalar = np.einsum("nbd,nbd->n", ginv, ricci)
-    return CurvatureBatch(pts, g, ginv, gamma, dgamma, riemann, ricci, scalar)
+    return (np.einsum("nadbc->nabcd", dgamma) - np.einsum("nacbd->nabcd", dgamma)
+            + np.einsum("nace,nedb->nabcd", gamma, gamma)
+            - np.einsum("nade,necb->nabcd", gamma, gamma))
 
 
 def christoffel(metric: MetricSpec, point) -> np.ndarray:
@@ -267,7 +368,7 @@ def curvature(metric: MetricSpec, point) -> CurvatureData:
         metric=batch.g[0],
         inverse_metric=batch.ginv[0],
         christoffel=batch.gamma[0],
-        riemann=batch.riemann[0],
+        riemann=_riemann(metric, batch.points)[0],
         ricci=batch.ricci[0],
         scalar=float(batch.scalar[0]),
         normalized_scalar=float(batch.normalized_scalar()[0]),
@@ -288,6 +389,15 @@ def coordinate_hessian_batch(e: Expr, chart: Chart, points) -> np.ndarray:
     return hess
 
 
+def _inverse_metric(metric: MetricSpec, pts: np.ndarray) -> np.ndarray:
+    """g^ij at the points: from the kept curvature batch when a scope holds one."""
+    kept = _SCOPE.get()
+    batch = None if kept is None else kept.get(_scope_key(metric, pts))
+    if batch is not None:
+        return batch.ginv
+    return np.linalg.inv(metric_values(metric, pts))
+
+
 def hessian_lc_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     """Covariant hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
     pts = _as_points(metric.chart, points)
@@ -296,16 +406,11 @@ def hessian_lc_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     return hess - np.einsum("nkij,nk->nij", gamma, grad)
 
 
-def hessian_lc(phi: Expr, metric: MetricSpec, point) -> np.ndarray:
-    return hessian_lc_batch(phi, metric, [point])[0]
-
-
 def laplacian_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     """Geometer's Laplacian: minus the metric trace of the covariant hessian."""
     pts = _as_points(metric.chart, points)
     hess = hessian_lc_batch(phi, metric, pts)
-    ginv = np.linalg.inv(metric_values(metric, pts))
-    return -np.einsum("nij,nij->n", ginv, hess)
+    return -np.einsum("nij,nij->n", _inverse_metric(metric, pts), hess)
 
 
 def laplacian(phi: Expr, metric: MetricSpec, point) -> float:
@@ -315,20 +420,14 @@ def laplacian(phi: Expr, metric: MetricSpec, point) -> float:
 def grad_norm_sq_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     pts = _as_points(metric.chart, points)
     _, grad, _ = _expr_jets(phi, metric.chart.coords).evaluate(pts)
-    ginv = np.linalg.inv(metric_values(metric, pts))
-    return np.einsum("nij,ni,nj->n", ginv, grad, grad)
-
-
-def grad_norm_sq(phi: Expr, metric: MetricSpec, point) -> float:
-    return float(grad_norm_sq_batch(phi, metric, [point])[0])
+    return np.einsum("nij,ni,nj->n", _inverse_metric(metric, pts), grad, grad)
 
 
 def gradient_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     """Raised gradient vector field g^ij d_j phi."""
     pts = _as_points(metric.chart, points)
     _, grad, _ = _expr_jets(phi, metric.chart.coords).evaluate(pts)
-    ginv = np.linalg.inv(metric_values(metric, pts))
-    return np.einsum("nij,nj->ni", ginv, grad)
+    return np.einsum("nij,nj->ni", _inverse_metric(metric, pts), grad)
 
 
 def gradient(phi: Expr, metric: MetricSpec, point) -> np.ndarray:

@@ -84,6 +84,32 @@ def test_check_error_paths(capsys):
     assert code == 2 and "needs a number" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_check_rejects_bad_tolerance(tol, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "check", "--tol", tol, "--report", str(report), *FAST)
+    assert code == 2 and "tolerance must be a finite positive number" in err
+    assert out == "" and not report.exists()
+
+
+def test_report_rejects_non_finite_values(tmp_path, capsys, monkeypatch):
+    from confprod import cli
+
+    real = cli.run_scenario
+
+    def with_nan(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.measured["lambda_bar"] = float("nan")
+        return rep
+
+    monkeypatch.setattr(cli, "run_scenario", with_nan)
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "check", "--scenario", "warped_sphere",
+                       "--report", str(report), *FAST)
+    assert code == 2 and "report not written" in err
+    assert not report.exists()
+
+
 def test_bad_flags_exit_through_argparse(capsys):
     with pytest.raises(SystemExit) as err:
         main(["check", "--bogus"])
@@ -189,6 +215,22 @@ def test_config_errors(tmp_path, capsys):
 
     code, _, err = run(capsys, "check", "--config", str(tmp_path / "missing.json"))
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("tol,message", [
+    (float("nan"), "tolerance must be a finite positive number, got nan"),
+    (-1.0, "tolerance must be a finite positive number, got -1.0"),
+    (1e400, "tolerance must be a finite positive number, got inf"),
+    ("tight", "config 'tol' needs a number, got 'tight'"),
+], ids=["nan", "negative", "infinite", "text"])
+def test_config_rejects_bad_tolerance(tol, message, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    path = _write(tmp_path, "tol.json", {
+        "scenario": "flat_quadratic", "tol": tol, "samples": 60, "report": str(report),
+    })
+    code, out, err = run(capsys, "check", "--config", path)
+    assert code == 2 and message in err
+    assert out == "" and not report.exists()
 
 
 # --- curvature ---------------------------------------------------------------

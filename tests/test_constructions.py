@@ -24,7 +24,7 @@ from confprod.constructions import (
 )
 from confprod.errors import NonPositiveConformalFactorError, UnsupportedDimError
 from confprod.expressions import parse, rename_coords
-from confprod.geometry import curvature_batch, metric_values
+from confprod.geometry import _riemann, curvature_batch, metric_values
 
 PLAN = SamplePlan(count=40)
 
@@ -105,6 +105,9 @@ def test_positive_factor_guard():
     with pytest.raises(NonPositiveConformalFactorError) as err:
         require_positive_factor(spec, np.array([[0.5, 0.0], [-0.25, 0.1]]))
     assert "<= 0" in str(err.value)
+    # plain floats, not numpy scalar reprs
+    assert "at (-0.25, 0.1)" in str(err.value) and "np.float64" not in str(err.value)
+    assert err.value.point == (-0.25, 0.1) and type(err.value.value) is float
     values = require_positive_factor(spec, np.array([[0.5, 0.0], [0.25, 0.1]]))
     assert np.allclose(values, [0.5, 0.25])
 
@@ -189,7 +192,7 @@ def test_constant_rescale_is_exact_and_homothety_invariant():
     b1 = curvature_batch(scaled, pts)
     # connection and (1,3) curvature are scale free; scalar drops by 1/k^2
     assert float(np.abs(b1.gamma - b0.gamma).max()) < 1e-12
-    assert float(np.abs(b1.riemann - b0.riemann).max()) < 1e-12
+    assert float(np.abs(_riemann(scaled, pts) - _riemann(m, pts)).max()) < 1e-12
     assert float(np.abs(b1.scalar - b0.scalar / k2).max()) < 1e-12
 
 

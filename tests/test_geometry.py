@@ -7,6 +7,7 @@ from confprod.expressions import parse
 from confprod.geometry import (
     Chart,
     MetricSpec,
+    _riemann,
     curvature,
     curvature_batch,
     gradient_batch,
@@ -113,7 +114,7 @@ def test_hyperbolic3_matches_finite_differences():
 def test_riemann_symmetries(metric):
     pts = _space_form_points(metric, count=8)
     batch = curvature_batch(metric, pts)
-    r = batch.riemann
+    r = _riemann(metric, pts)
     first_bianchi = r + np.einsum("nacdb->nabcd", r) + np.einsum("nadbc->nabcd", r)
     assert float(np.abs(first_bianchi).max()) < 1e-10
     assert float(np.abs(r + np.einsum("nabdc->nabcd", r)).max()) < 1e-12
@@ -199,8 +200,12 @@ def test_points_outside_domain_are_rejected():
     with pytest.raises(OutsideDomainError) as err:
         curvature(SPHERE2, (3.5, 0.7))
     assert "outside open box" in str(err.value)
-    with pytest.raises(OutsideDomainError):
+    with pytest.raises(OutsideDomainError) as err:
         metric_values(SKEW, np.array([[0.0, 1.5]]))
+    assert "point (0.0, 1.5) outside" in str(err.value)
+    with pytest.raises(OutsideDomainError) as err:
+        curvature(SPHERE2, np.array([3.5, 0.7]))
+    assert "point (3.5, 0.7) outside" in str(err.value)
     with pytest.raises(OutsideDomainError):
         curvature(SPHERE2, (0.9,))
 
@@ -210,6 +215,8 @@ def test_indefinite_metric_is_reported():
     with pytest.raises(SingularMetricError) as err:
         metric_values(m, np.array([[-0.5]]))
     assert err.value.min_eigenvalue < 0.0
+    message = str(err.value)
+    assert "at (-0.5,)" in message and "np.float64" not in message
     # check=False skips the guard for diagnostic use
     vals = metric_values(m, np.array([[-0.5]]), check=False)
     assert vals[0, 0, 0] == pytest.approx(-0.5)

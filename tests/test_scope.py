@@ -1,0 +1,186 @@
+"""The per-run evaluation scope and the contracted Ricci tensor.
+
+Inside `evaluation_scope()` each (metric, points) pair is evaluated once;
+the direct route (rescaled metric) and the formula route (base metric)
+must still never read each other's batches, and a run's report must not
+depend on whether the scope shares anything.
+"""
+
+import contextlib
+import json
+
+import numpy as np
+import pytest
+
+from confprod import catalog, geometry
+from confprod.catalog import builtin_metric, run_inline, run_scenario, scenarios
+from confprod.checkers import SamplePlan, conformally_einstein_check, sample
+from confprod.constructions import (
+    ConformalSpec,
+    conformal_metric,
+    conformal_ricci_formula,
+    product,
+)
+from confprod.expressions import Const, Coord, add, mul, parse
+from confprod.geometry import (
+    Chart,
+    MetricSpec,
+    _riemann,
+    curvature_batch,
+    evaluation_scope,
+    grad_norm_sq_batch,
+    gradient_batch,
+    laplacian_batch,
+)
+
+PLAN = SamplePlan(count=24)
+
+
+def _flat_conformal():
+    block = product(builtin_metric("euclidean", 2), builtin_metric("euclidean", 1))
+    phi = parse("2 + 0.3 * sin(f0.x1) * cos(f1.x1)", block.metric.chart.coords)
+    return ConformalSpec(block, phi)
+
+
+def _catalog_batches():
+    """Every (metric, points) batch the catalog scenarios evaluate."""
+    with evaluation_scope() as kept:
+        for name in scenarios():
+            run_scenario(name, plan=SamplePlan(count=6))
+        return dict(kept)
+
+
+def _assert_ricci_is_riemann_trace(metric, points):
+    batch = curvature_batch(metric, points)
+    traced = np.einsum("nabad->nbd", _riemann(metric, points))
+    scale = max(1.0, float(np.abs(traced).max()))
+    assert float(np.abs(batch.ricci - traced).max()) <= 1e-12 * scale
+
+
+# --- the contracted Ricci tensor ---------------------------------------------
+
+def test_ricci_matches_riemann_trace_on_catalog_metrics():
+    batches = _catalog_batches()
+    assert len({key[0] for key in batches}) >= 10
+    for (metric, _, _), batch in batches.items():
+        _assert_ricci_is_riemann_trace(metric, batch.points)
+
+
+def test_ricci_matches_riemann_trace_on_random_jets():
+    # quadratic entries with random coefficients: at a point, g, dg and d2g
+    # are generic (d2g symmetric only where second partials must be)
+    rng = np.random.default_rng(3)
+    n = 5
+    coords = tuple(f"x{i}" for i in range(n))
+    x = [Coord(c) for c in coords]
+    lin = rng.normal(size=(n, n, n)) * 0.2
+    quad = rng.normal(size=(n, n, n, n)) * 0.1
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            e = Const(float(i == j) * 2.0)
+            for k in range(n):
+                e = add(e, mul(Const(float(lin[i, j, k])), x[k]))
+                for m in range(k, n):
+                    e = add(e, mul(Const(float(quad[i, j, k, m])), mul(x[k], x[m])))
+            rows[i][j] = rows[j][i] = e
+    chart = Chart(coords, tuple((-0.5, 0.5) for _ in coords), singular_margin=0.0)
+    metric = MetricSpec(chart, tuple(tuple(row) for row in rows))
+    _assert_ricci_is_riemann_trace(metric, rng.uniform(-0.4, 0.4, size=(40, n)))
+
+
+# --- the scope itself --------------------------------------------------------
+
+def test_outside_a_scope_every_call_computes():
+    m = builtin_metric("sphere", 3)
+    pts = sample(m.chart, PLAN)
+    first, second = curvature_batch(m, pts), curvature_batch(m, pts)
+    assert first is not second
+    assert first.ricci.flags.writeable
+
+
+def test_scope_keeps_one_batch_per_metric_and_points():
+    m = builtin_metric("sphere", 3)
+    pts = sample(m.chart, PLAN)
+    with evaluation_scope() as kept:
+        first = curvature_batch(m, pts)
+        assert curvature_batch(m, pts.copy()) is first
+        assert curvature_batch(m, pts[:10]) is not first
+        with evaluation_scope() as inner:
+            assert inner is kept
+            assert curvature_batch(m, pts) is first
+        assert len(kept) == 2
+        assert not first.ricci.flags.writeable
+        assert {"points", "g", "ginv", "gamma", "ricci", "scalar"} == set(vars(first))
+    assert geometry._SCOPE.get() is None
+    assert curvature_batch(m, pts) is not first
+
+
+def test_field_helpers_agree_inside_and_outside_a_scope():
+    m = builtin_metric("hyperbolic", 3)
+    pts = sample(m.chart, PLAN)
+    phi = parse("cosh(t) + 0.2 * sin(v1)", m.chart.coords)
+    helpers = (laplacian_batch, grad_norm_sq_batch, gradient_batch)
+    plain = [h(phi, m, pts) for h in helpers]
+    with evaluation_scope():
+        curvature_batch(m, pts)
+        for h, want in zip(helpers, plain):
+            assert np.array_equal(h(phi, m, pts), want)
+
+
+# --- route isolation ---------------------------------------------------------
+
+def test_formula_route_reads_only_the_base_metric():
+    spec = _flat_conformal()
+    base = spec.base.metric
+    pts = sample(base.chart, PLAN)
+    with evaluation_scope() as kept:
+        conformal_ricci_formula(spec, pts)
+        assert {key[0] for key in kept} == {base}
+    with evaluation_scope() as kept:
+        conformally_einstein_check(spec, PLAN, lambda_bar=1.0)
+        assert {key[0] for key in kept} == {base}
+    with evaluation_scope() as kept:
+        # without lambda_bar the direct route runs too, on its own key
+        conformally_einstein_check(spec, PLAN)
+        assert {key[0] for key in kept} == {base, conformal_metric(spec)}
+
+
+def test_formula_route_ignores_a_poisoned_rescaled_batch():
+    spec = _flat_conformal()
+    rescaled = conformal_metric(spec)
+    pts = sample(spec.base.metric.chart, PLAN)
+    want = conformal_ricci_formula(spec, pts)
+    with evaluation_scope() as kept:
+        real = curvature_batch(rescaled, pts)
+        nan = np.full_like(real.ricci, np.nan)
+        kept[geometry._scope_key(rescaled, pts)] = geometry.CurvatureBatch(
+            real.points, real.g, real.ginv, np.full_like(real.gamma, np.nan), nan,
+            np.full_like(real.scalar, np.nan))
+        assert np.array_equal(conformal_ricci_formula(spec, pts), want)
+
+
+# --- reports do not depend on the scope --------------------------------------
+
+def _report_text(rep) -> str:
+    return json.dumps(rep.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(scenarios()))
+def test_scenario_report_is_identical_without_the_scope(name, monkeypatch):
+    shared = _report_text(run_scenario(name, plan=PLAN))
+    monkeypatch.setattr(catalog, "evaluation_scope", contextlib.nullcontext)
+    assert _report_text(run_scenario(name, plan=PLAN)) == shared
+
+
+def test_inline_report_is_identical_without_the_scope(monkeypatch):
+    g1, g2 = builtin_metric("euclidean", 1), builtin_metric("euclidean", 2)
+
+    def run():
+        return _report_text(run_inline(
+            g1, g2, phi1=parse("0.5 * x1^2 + 0.25", g1.chart.coords),
+            phi2=parse("0.5 * (x1^2 + x2^2) + 0.25", g2.chart.coords), plan=PLAN))
+
+    shared = run()
+    monkeypatch.setattr(catalog, "evaluation_scope", contextlib.nullcontext)
+    assert run() == shared
