@@ -66,16 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # --- check ------------------------------------------------------------------
 
-def _parse_params(pairs: list[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
+def _parse_params(pairs: list[str]) -> dict[str, str]:
+    # values stay text; run_scenario converts them and rejects non-finite ones
+    out: dict[str, str] = {}
     for item in pairs:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise BadParameterError(f"--param expects K=V, got '{item}'")
-        try:
-            out[key] = float(value)
-        except ValueError:
-            raise BadParameterError(f"parameter '{key}' needs a number, got '{value}'") from None
+        out[key] = value
     return out
 
 
@@ -162,7 +160,10 @@ def _cmd_check(args) -> int:
     plan = SamplePlan(count=samples, margin=margin)
     report_path = args.report or config.get("report")
 
-    params = dict(config.get("params", {}))
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise BadParameterError(f"config 'params' must be an object, got {params!r}")
+    params = dict(params)
     params.update(_parse_params(args.param))
     scenario = args.scenario or config.get("scenario")
 

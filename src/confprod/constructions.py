@@ -40,7 +40,7 @@ from .geometry import (
     hessian_lc_batch,
     laplacian_batch,
     _as_points,
-    _expr_jets,
+    _field_plan,
 )
 
 ZERO = Const(0.0)
@@ -201,7 +201,7 @@ def conformal_connection(c: ConformalSpec, i: int, j: int, points) -> np.ndarray
     pts = _as_points(base.chart, points)
     phi = require_positive_factor(c, pts)
     batch = curvature_batch(base, pts)
-    _, dphi, _ = _expr_jets(c.phi, base.chart.coords).evaluate(pts)
+    _, dphi, _ = _field_plan(c.phi, base.chart.coords).jets(pts)
     grad = gradient_batch(c.phi, base, pts)
     out = batch.gamma[:, :, i, j].copy()
     out[:, j] -= dphi[:, i] / phi

@@ -22,7 +22,12 @@ and 0/1 identities only, applied by the smart constructors.
 
 The canonical printer (format_expr) emits text this parser accepts;
 parsing the printed form reproduces an expression that evaluates
-identically.
+identically.  (A constant that overflowed prints as inf or nan, which no
+tape accepts: compile_expr rejects it.)
+
+compile_expr turns an expression, or a list of them, into one
+straight-line tape of numpy calls over an array of points; a subtree that
+several expressions share is computed once.
 """
 
 from __future__ import annotations
@@ -41,30 +46,57 @@ GRAMMAR_VERSION = "1"
 
 # --- nodes ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Frozen dataclass that computes its structural hash once.
+
+    Nodes are dict keys throughout (differentiation memos, tapes, jet-plan
+    caches), and the generated hash recurses through the whole tree on every
+    call.  Each node keeps its hash after the first call instead.  The kept
+    hash is left out of the pickled state, because str hashes differ
+    between processes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    fields = tuple(cls.__dataclass_fields__)
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash(tuple(self.__dict__[f] for f in fields))
+            return value
+
+    def __getstate__(self):
+        return {f: self.__dict__[f] for f in fields}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_node
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Coord:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Unary:
     op: str  # neg sin cos tan sinh cosh tanh exp log sqrt
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Binary:
     op: str  # add sub mul div
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@_node
 class Pow:
     base: "Expr"
     exponent: float  # constant real exponent, by construction
@@ -378,6 +410,8 @@ def _precedence(e: Expr) -> int:
 
 
 def _format_number(value: float) -> str:
+    if not math.isfinite(value):
+        return repr(value)  # no grammar form; shows up in domain errors only
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
@@ -461,16 +495,31 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 
 # --- differentiation --------------------------------------------------------
 
-def differentiate(e: Expr, coord: str) -> Expr:
-    """Exact symbolic derivative, closed over the node set."""
+def differentiate(e: Expr, coord: str, memo: dict | None = None) -> Expr:
+    """Exact symbolic derivative, closed over the node set.
+
+    With a memo (a dict the caller owns, keyed by (node, coord)) each
+    distinct subtree is differentiated once and equal subtrees get the same
+    derivative object; the result equals the memo-less one.
+    """
+    if memo is None:
+        return _derivative(e, coord, None)
+    key = (e, coord)
+    d = memo.get(key)
+    if d is None:
+        d = memo[key] = _derivative(e, coord, memo)
+    return d
+
+
+def _derivative(e: Expr, coord: str, memo: dict | None) -> Expr:
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Coord):
         return ONE if e.name == coord else ZERO
     if isinstance(e, Unary):
         if e.op == "neg":
-            return neg(differentiate(e.arg, coord))
-        inner = differentiate(e.arg, coord)
+            return neg(differentiate(e.arg, coord, memo))
+        inner = differentiate(e.arg, coord, memo)
         if _is_const(inner, 0.0):
             return ZERO
         u = e.arg
@@ -487,8 +536,8 @@ def differentiate(e: Expr, coord: str) -> Expr:
         }[e.op]()
         return mul(outer, inner)
     if isinstance(e, Binary):
-        da = differentiate(e.left, coord)
-        db = differentiate(e.right, coord)
+        da = differentiate(e.left, coord, memo)
+        db = differentiate(e.right, coord, memo)
         if e.op == "add":
             return add(da, db)
         if e.op == "sub":
@@ -496,78 +545,95 @@ def differentiate(e: Expr, coord: str) -> Expr:
         if e.op == "mul":
             return add(mul(da, e.right), mul(e.left, db))
         return div(sub(mul(da, e.right), mul(e.left, db)), powc(e.right, 2.0))
-    dbase = differentiate(e.base, coord)
+    dbase = differentiate(e.base, coord, memo)
     return mul(mul(Const(e.exponent), powc(e.base, e.exponent - 1.0)), dbase)
-
-
-# --- second-order jet -------------------------------------------------------
-
-@dataclass(frozen=True)
-class Jet2:
-    """Value, gradient and symmetric coordinate hessian of a scalar expression."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
-def jet2(e: Expr, coords: Sequence[str], point: Sequence[float]) -> Jet2:
-    """Second-order jet at a point, from symbolic derivatives only."""
-    env = dict(zip(coords, point))
-    n = len(coords)
-    gradient = np.zeros(n)
-    hessian = np.zeros((n, n))
-    first = [differentiate(e, c) for c in coords]
-    for i, di in enumerate(first):
-        gradient[i] = evaluate(di, env)
-        for j in range(i, n):
-            hessian[i, j] = hessian[j, i] = evaluate(differentiate(di, coords[j]), env)
-    return Jet2(evaluate(e, env), gradient, hessian)
 
 
 # --- vectorized evaluation over sample arrays -------------------------------
 
-def compile_expr(e: Expr, coords: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile to a callable mapping an (N, dim) point array to (N,) values.
+_BINARY_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
 
-    Built once, evaluated per sample set; falls back to the scalar evaluator
-    to produce a precise DomainError when a non-finite value shows up.
+
+def _tape(exprs: Sequence[Expr], coords: Sequence[str]):
+    """Straight-line program computing every expression in exprs.
+
+    Registers 0..dim-1 hold the point columns; each distinct constant and
+    each distinct operation node gets one more, so a subtree shared by
+    several expressions is visited and computed once.  Returns (template,
+    program, outputs): the register list before a run (constants filled
+    in), steps (ufunc, argument registers, result register, registers read
+    for the last time), and each expression's register.
     """
-    index = {name: k for k, name in enumerate(coords)}
+    registers: dict = {}
+    template: list = [None] * len(coords)
+    program: list = []
+    column = {name: k for k, name in enumerate(coords)}
 
-    def build(node: Expr):
-        if isinstance(node, Const):
-            value = node.value
-            return lambda cols: value
+    def visit(node: Expr, parent: Expr) -> int:
         if isinstance(node, Coord):
-            k = index[node.name]
-            return lambda cols: cols[k]
-        if isinstance(node, Unary):
-            inner = build(node.arg)
-            op = _NUMPY_FUNCTIONS[node.op]
-            return lambda cols: op(inner(cols))
-        if isinstance(node, Binary):
-            left = build(node.left)
-            right = build(node.right)
-            op = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}[node.op]
-            return lambda cols: op(left(cols), right(cols))
-        base = build(node.base)
-        exponent = node.exponent
-        return lambda cols: np.power(base(cols), exponent)
+            return column[node.name]
+        reg = registers.get(node)
+        if reg is not None:
+            return reg
+        if isinstance(node, Const):
+            if not math.isfinite(node.value):
+                raise DomainError(f"non-finite constant {node.value!r} (overflow)",
+                                  format_expr(parent))
+            step = None
+        elif isinstance(node, Unary):
+            step = [_NUMPY_FUNCTIONS[node.op], (visit(node.arg, node),)]
+        elif isinstance(node, Binary):
+            step = [_BINARY_UFUNCS[node.op], (visit(node.left, node), visit(node.right, node))]
+        else:
+            step = [np.power, (visit(node.base, node), visit(Const(node.exponent), node))]
+        reg = registers[node] = len(template)
+        template.append(node.value if step is None else None)
+        if step is not None:
+            program.append(step + [reg])
+        return reg
 
-    fn = build(e)
+    outputs = [visit(e, e) for e in exprs]
+    # free each intermediate after its last reader; columns, constants and outputs stay
+    read = set(outputs) | {r for r, v in enumerate(template) if r < len(coords) or v is not None}
+    for step in reversed(program):
+        step.append(tuple(a for a in dict.fromkeys(step[1]) if a not in read))
+        read.update(step[1])
+    return template, [tuple(step) for step in program], outputs
+
+
+def compile_expr(e: Expr | Sequence[Expr], coords: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile to a callable over an (N, dim) point array.
+
+    A single expression gives its (N,) values.  A sequence of expressions
+    is compiled onto one shared tape and gives a (len(e), N) array whose
+    rows are the expressions' values.  A non-finite constant is a
+    DomainError at compile time.  When a computed value is non-finite, the
+    first such row is re-evaluated by the scalar evaluator at its first bad
+    point, to raise a DomainError naming the offending node.
+    """
+    single = isinstance(e, Expr)
+    exprs = (e,) if single else tuple(e)
+    template, program, outputs = _tape(exprs, coords)
     names = list(coords)
 
     def evaluate_batch(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        cols = tuple(points[:, k] for k in range(points.shape[1]))
+        regs = template.copy()
+        regs[:len(names)] = [points[:, k] for k in range(len(names))]
+        out = np.empty((len(exprs), points.shape[0]))
         with np.errstate(all="ignore"):
-            values = np.broadcast_to(np.asarray(fn(cols), dtype=float), (points.shape[0],))
-        bad = ~np.isfinite(values)
+            for op, args, reg, last in program:
+                regs[reg] = op(*[regs[a] for a in args])
+                for a in last:
+                    regs[a] = None
+            for row, reg in enumerate(outputs):
+                out[row] = regs[reg]
+        bad = ~np.isfinite(out)
         if bad.any():
-            where = int(np.argmax(bad))
-            evaluate(e, dict(zip(names, points[where])))  # raises with the node named
-            raise DomainError("non-finite value", format_expr(e))
-        return values.copy()
+            row = int(np.argmax(bad.any(axis=1)))
+            where = int(np.argmax(bad[row]))
+            evaluate(exprs[row], dict(zip(names, points[where])))  # raises with the node named
+            raise DomainError("non-finite value", format_expr(exprs[row]))
+        return out[0] if single else out
 
     return evaluate_batch

@@ -26,16 +26,17 @@ batch instead of recomputing it.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import OutsideDomainError, SingularMetricError, UnsupportedDimError
-from .expressions import Expr, compile_expr, differentiate, free_coords
+from .expressions import Const, Expr, compile_expr, differentiate, free_coords
 
 _PD_EIGENVALUE_TOL = 1e-12
 
@@ -118,85 +119,119 @@ class CurvatureData:
     normalized_scalar: float
 
 
-# --- cached compiled jets ---------------------------------------------------
+# --- jet plans --------------------------------------------------------------
 
-class _ExprJets:
-    """Compiled value / gradient / hessian evaluators for one expression.
+class _Program(NamedTuple):
+    tape: tuple[Expr, ...]   # the slots computed on the tape, in slot order
+    fn: Optional[Callable]   # the compiled tape, None when every slot is constant
+    scatter: tuple           # per output array: (tape rows, columns, constant columns, values)
 
-    The derivative evaluators are compiled on the first call that needs
-    them, so callers that only read values never differentiate.
+
+class _JetPlan:
+    """Values and first and second coordinate derivatives of a set of expressions.
+
+    Each expression fills one or more places of an output array of shape
+    `shape`, given as flat indices: a metric's upper-triangle entry fills
+    (i, j) and (j, i), a scalar field fills the single place of shape ().
+    A slot (one value or derivative of one expression) whose expression is
+    a finite constant is written directly, and a constant expression is
+    never differentiated; every other slot goes on one shared tape
+    (expressions.compile_expr).  The value tape is built on first use and
+    the derivative tape on the first call that needs derivatives, so
+    value-only callers never differentiate.  The differentiation memo and
+    both tapes belong to this plan alone.
     """
 
-    def __init__(self, e: Expr, coords: tuple[str, ...]):
-        self.expr = e
+    def __init__(self, shape: tuple[int, ...], entries, coords: tuple[str, ...]):
+        self.shape = shape
+        self.entries = entries  # ((expr, flat places), ...)
         self.coords = coords
-        self.value_fn = compile_expr(e, coords)
 
     @cached_property
-    def derivative_fns(self):
-        coords = self.coords
-        firsts = [differentiate(self.expr, c) for c in coords]
-        grad_fns = [compile_expr(d, coords) for d in firsts]
-        hess_fns = {}
-        for i, di in enumerate(firsts):
-            for j in range(i, len(coords)):
-                hess_fns[(i, j)] = compile_expr(differentiate(di, coords[j]), coords)
-        return grad_fns, hess_fns
+    def value_program(self) -> _Program:
+        return self._program(0)
 
-    def evaluate(self, points: np.ndarray):
-        grad_fns, hess_fns = self.derivative_fns
+    @cached_property
+    def jet_program(self) -> _Program:
+        return self._program(2)
+
+    def _program(self, order: int) -> _Program:
+        """Slots are laid out entry by entry: the value, the n first
+        derivatives, then the second derivatives (k, l >= k), so the tape
+        raises the first DomainError in that order."""
         n = len(self.coords)
-        count = points.shape[0]
-        value = self.value_fn(points)
-        grad = np.empty((count, n))
-        hess = np.empty((count, n, n))
-        for i in range(n):
-            grad[:, i] = grad_fns[i](points)
-        for (i, j), fn in hess_fns.items():
-            hess[:, i, j] = hess[:, j, i] = fn(points)
-        return value, grad, hess
+        tape: list[Expr] = []
+        taped = [([], []) for _ in range(order + 1)]   # per output: tape rows, columns
+        fixed = [([], []) for _ in range(order + 1)]   # per output: columns, constant values
+
+        def put(out: int, e: Expr, columns: list[int]):
+            if isinstance(e, Const) and math.isfinite(e.value):
+                if e.value != 0.0 or math.copysign(1.0, e.value) < 0:  # zeros are preset
+                    fixed[out][0].extend(columns)
+                    fixed[out][1].extend([e.value] * len(columns))
+                return
+            taped[out][0].extend([len(tape)] * len(columns))
+            taped[out][1].extend(columns)
+            tape.append(e)
+
+        memo: dict = {}
+        for e, places in self.entries:
+            put(0, e, list(places))
+            if order == 0 or isinstance(e, Const):
+                continue
+            firsts = [differentiate(e, c, memo) for c in self.coords]
+            for k, d in enumerate(firsts):
+                put(1, d, [p * n + k for p in places])
+            for k, d in enumerate(firsts):
+                if isinstance(d, Const):
+                    continue
+                for l in range(k, n):
+                    columns = [p * n * n + k * n + l for p in places]
+                    if l != k:
+                        columns += [p * n * n + l * n + k for p in places]
+                    put(2, differentiate(d, self.coords[l], memo), columns)
+        scatter = tuple(
+            (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+             np.array(ccols, dtype=np.intp), np.array(values, dtype=float))
+            for (rows, cols), (ccols, values) in zip(taped, fixed))
+        return _Program(tuple(tape), compile_expr(tape, self.coords) if tape else None, scatter)
+
+    def _run(self, program: _Program, points: np.ndarray) -> list[np.ndarray]:
+        count, n = points.shape[0], len(self.coords)
+        rows = None if program.fn is None else program.fn(points)
+        outs = []
+        for order, (tape_rows, cols, ccols, values) in enumerate(program.scatter):
+            out = np.zeros((count,) + self.shape + (n,) * order)
+            flat = out.reshape(count, -1)
+            if len(cols):
+                flat[:, cols] = rows[tape_rows].T
+            flat[:, ccols] = values
+            outs.append(out)
+        return outs
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """The expressions' values, shape (count,) + shape."""
+        return self._run(self.value_program, points)[0]
+
+    def jets(self, points: np.ndarray):
+        """(value, gradient, hessian); gradient[..., k] = d_k, hessian[..., k, l] = d_k d_l."""
+        return tuple(self._run(self.jet_program, points))
 
 
 @lru_cache(maxsize=512)
-def _expr_jets(e: Expr, coords: tuple[str, ...]) -> _ExprJets:
-    return _ExprJets(e, coords)
-
-
-class _MetricJets:
-    def __init__(self, metric: MetricSpec):
-        coords = metric.chart.coords
-        self.dim = metric.dim
-        self.jets = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                self.jets[(i, j)] = _expr_jets(metric.entries[i][j], coords)
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Return g alone, from the entries' value evaluators."""
-        n = self.dim
-        g = np.empty((points.shape[0], n, n))
-        for (i, j), jets in self.jets.items():
-            g[:, i, j] = g[:, j, i] = jets.value_fn(points)
-        return g
-
-    def evaluate(self, points: np.ndarray):
-        """Return (g, dg, d2g); dg[n,i,j,k] = d_k g_ij, d2g[n,i,j,k,l] = d_k d_l g_ij."""
-        n = self.dim
-        count = points.shape[0]
-        g = np.empty((count, n, n))
-        dg = np.empty((count, n, n, n))
-        d2g = np.empty((count, n, n, n, n))
-        for (i, j), jets in self.jets.items():
-            value, grad, hess = jets.evaluate(points)
-            g[:, i, j] = g[:, j, i] = value
-            dg[:, i, j, :] = dg[:, j, i, :] = grad
-            d2g[:, i, j, :, :] = d2g[:, j, i, :, :] = hess
-        return g, dg, d2g
+def _field_plan(e: Expr, coords: tuple[str, ...]) -> _JetPlan:
+    return _JetPlan((), ((e, (0,)),), coords)
 
 
 @lru_cache(maxsize=128)
-def _metric_jets(metric: MetricSpec) -> _MetricJets:
-    return _MetricJets(metric)
+def _metric_plan(metric: MetricSpec) -> _JetPlan:
+    """Plan over the upper-triangle entries; gradient[n,i,j,k] = d_k g_ij."""
+    n = metric.dim
+    entries = tuple(
+        (metric.entries[i][j], (i * n + j,) if i == j else (i * n + j, j * n + i))
+        for i in range(n) for j in range(i, n)
+    )
+    return _JetPlan((n, n), entries, metric.chart.coords)
 
 
 def _as_points(chart: Chart, points) -> np.ndarray:
@@ -228,7 +263,7 @@ def _check_positive_definite(g: np.ndarray, points: np.ndarray):
 
 def metric_values(metric: MetricSpec, points, check: bool = True) -> np.ndarray:
     pts = _as_points(metric.chart, points)
-    g = _metric_jets(metric).values(pts)
+    g = _metric_plan(metric).values(pts)
     if check:
         _check_positive_definite(g, pts)
     return g
@@ -288,7 +323,7 @@ def _connection(metric: MetricSpec, pts: np.ndarray):
 
     W[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, so Gamma = ginv W / 2.
     """
-    g, dg, d2g = _metric_jets(metric).evaluate(pts)
+    g, dg, d2g = _metric_plan(metric).jets(pts)
     _check_positive_definite(g, pts)
     ginv = np.linalg.inv(g)
     w = np.einsum("njli->nlij", dg) + np.einsum("nilj->nlij", dg) - np.einsum("nijl->nlij", dg)
@@ -379,13 +414,13 @@ def curvature(metric: MetricSpec, point) -> CurvatureData:
 
 def expr_values(e: Expr, chart: Chart, points) -> np.ndarray:
     pts = _as_points(chart, points)
-    return _expr_jets(e, chart.coords).value_fn(pts)
+    return _field_plan(e, chart.coords).values(pts)
 
 
 def coordinate_hessian_batch(e: Expr, chart: Chart, points) -> np.ndarray:
     """Plain second partials d_i d_j e, shape (count, dim, dim); no connection."""
     pts = _as_points(chart, points)
-    _, _, hess = _expr_jets(e, chart.coords).evaluate(pts)
+    _, _, hess = _field_plan(e, chart.coords).jets(pts)
     return hess
 
 
@@ -401,7 +436,7 @@ def _inverse_metric(metric: MetricSpec, pts: np.ndarray) -> np.ndarray:
 def hessian_lc_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     """Covariant hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
     pts = _as_points(metric.chart, points)
-    _, grad, hess = _expr_jets(phi, metric.chart.coords).evaluate(pts)
+    _, grad, hess = _field_plan(phi, metric.chart.coords).jets(pts)
     gamma = curvature_batch(metric, pts).gamma
     return hess - np.einsum("nkij,nk->nij", gamma, grad)
 
@@ -419,14 +454,14 @@ def laplacian(phi: Expr, metric: MetricSpec, point) -> float:
 
 def grad_norm_sq_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     pts = _as_points(metric.chart, points)
-    _, grad, _ = _expr_jets(phi, metric.chart.coords).evaluate(pts)
+    _, grad, _ = _field_plan(phi, metric.chart.coords).jets(pts)
     return np.einsum("nij,ni,nj->n", _inverse_metric(metric, pts), grad, grad)
 
 
 def gradient_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     """Raised gradient vector field g^ij d_j phi."""
     pts = _as_points(metric.chart, points)
-    _, grad, _ = _expr_jets(phi, metric.chart.coords).evaluate(pts)
+    _, grad, _ = _field_plan(phi, metric.chart.coords).jets(pts)
     return np.einsum("nij,nj->ni", _inverse_metric(metric, pts), grad)
 
 

@@ -92,6 +92,40 @@ def test_check_rejects_bad_tolerance(tol, tmp_path, capsys):
     assert out == "" and not report.exists()
 
 
+@pytest.mark.parametrize("param,message", [
+    ("R=nan", "parameter 'R' must be a finite number, got nan"),
+    ("R=inf", "parameter 'R' must be a finite number, got inf"),
+    ("R=1e200", "non-finite constant inf (overflow)"),
+    ("n1=nan", "parameter 'n1' must be a finite number, got nan"),
+], ids=["R-nan", "R-inf", "R-overflow", "n1-nan"])
+def test_check_rejects_non_finite_parameters(param, message, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "check", "--scenario", "flat_quadratic",
+                         "--param", param, "--report", str(report), *FAST)
+    assert code == 2 and message in err
+    assert out == "" and not report.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--samples", "1", "samples must be at least 3, the affine-fit minimum, got 1"),
+    ("--samples", "2", "samples must be at least 3, the affine-fit minimum, got 2"),
+    ("--margin", "nan", "margin must be a finite number >= 0, got nan"),
+    ("--margin", "-1", "margin must be a finite number >= 0, got -1.0"),
+    ("--margin", "inf", "margin must be a finite number >= 0, got inf"),
+], ids=["samples-1", "samples-2", "margin-nan", "margin-negative", "margin-inf"])
+def test_check_rejects_bad_sample_plan(flag, value, message, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "check", flag, value, "--report", str(report))
+    assert code == 2 and message in err
+    assert out == "" and not report.exists()
+
+
+def test_three_samples_match_expectations(capsys):
+    code, out, _ = run(capsys, "check", "--samples", "3")
+    assert code == 0
+    assert "7/7 scenario verdicts matched expectations" in out
+
+
 def test_report_rejects_non_finite_values(tmp_path, capsys, monkeypatch):
     from confprod import cli
 
@@ -231,6 +265,31 @@ def test_config_rejects_bad_tolerance(tol, message, tmp_path, capsys):
     code, out, err = run(capsys, "check", "--config", path)
     assert code == 2 and message in err
     assert out == "" and not report.exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("samples", 2, "samples must be at least 3"),
+    ("margin", -1.0, "margin must be a finite number >= 0, got -1.0"),
+    ("margin", float("nan"), "margin must be a finite number >= 0, got nan"),
+    ("params", {"R": float("nan")}, "parameter 'R' must be a finite number, got nan"),
+    ("params", {"R": "wide"}, "parameter 'R' needs a number, got 'wide'"),
+    ("params", [1, 2], "config 'params' must be an object, got [1, 2]"),
+], ids=["samples", "margin-negative", "margin-nan", "param-nan", "param-text", "params-list"])
+def test_config_rejects_bad_plan_and_parameters(key, value, message, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    config = {"scenario": "flat_quadratic", "samples": 60, "report": str(report)}
+    config[key] = value
+    code, out, err = run(capsys, "check", "--config", _write(tmp_path, "bad.json", config))
+    assert code == 2 and message in err
+    assert out == "" and not report.exists()
+
+
+def test_config_inline_rejects_too_few_samples(tmp_path, capsys):
+    path = _write(tmp_path, "inline.json", {
+        "factors": INLINE_FACTORS, "phi1": "x1", "phi2": "x1", "samples": 2,
+    })
+    code, out, err = run(capsys, "check", "--config", path)
+    assert code == 2 and "samples must be at least 3" in err and out == ""
 
 
 # --- curvature ---------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from confprod.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from confprod.expressions import (
@@ -17,7 +17,6 @@ from confprod.expressions import (
     format_expr,
     free_coords,
     func,
-    jet2,
     mul,
     neg,
     parse,
@@ -27,6 +26,7 @@ from confprod.expressions import (
     sub,
     substitute,
 )
+from confprod.geometry import _field_plan
 from fd_reference import grad_fd
 
 XY = ("x", "y")
@@ -152,17 +152,18 @@ def test_substitute_and_rename():
 
 
 def test_jet2_matches_symbolic_derivatives():
+    # the second-order jet of a field comes from its jet plan's shared tape
     e = parse("exp(x) * sin(y) + x^2 * y", XY)
     p = (0.4, -0.8)
-    jet = jet2(e, XY, p)
+    value, gradient, hessian = _field_plan(e, XY).jets(np.array([p]))
     env = dict(zip(XY, p))
-    assert jet.value == pytest.approx(evaluate(e, env), rel=1e-12)
+    assert value[0] == pytest.approx(evaluate(e, env), rel=1e-12)
     for k, c in enumerate(XY):
-        assert jet.gradient[k] == pytest.approx(
+        assert gradient[0, k] == pytest.approx(
             evaluate(differentiate(e, c), env), rel=1e-12)
         for l, c2 in enumerate(XY):
             want = evaluate(differentiate(differentiate(e, c), c2), env)
-            assert jet.hessian[k, l] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert hessian[0, k, l] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_compile_matches_scalar_evaluator():
@@ -241,3 +242,60 @@ def test_simplify_is_idempotent_and_value_preserving(e):
     assert simplify(s) == s
     env = {"x": 0.37, "y": -0.81}
     assert evaluate(s, env) == pytest.approx(evaluate(e, env), rel=1e-12, abs=1e-12)
+
+
+_PTS = np.array([[0.3, -0.7], [-0.9, 0.1], [0.55, 0.45], [0.0, -0.2]])
+
+
+def _finite_everywhere(exprs):
+    try:
+        values = [evaluate(e, dict(zip(XY, p))) for e in exprs for p in _PTS]
+    except (DomainError, OverflowError):
+        return False
+    return all(math.isfinite(v) and abs(v) < 1e100 for v in values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_trees, _trees)
+def test_shared_tape_matches_each_tree_alone(a, b):
+    # several trees with shared subtrees on one tape: each row is bit-equal
+    # to the tree compiled alone and matches the scalar evaluator
+    exprs = [a, b, add(a, b), mul(a, func("sin", b)), powc(sub(a, b), 2.0), a,
+             differentiate(mul(a, b), "x")]
+    assume(_finite_everywhere(exprs))
+    rows = compile_expr(exprs, XY)(_PTS)
+    assert rows.shape == (len(exprs), len(_PTS))
+    for e, row in zip(exprs, rows):
+        assert np.array_equal(row, compile_expr(e, XY)(_PTS))
+        want = np.array([evaluate(e, dict(zip(XY, p))) for p in _PTS])
+        assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_trees)
+def test_memoised_differentiate_equals_memo_less(e):
+    memo: dict = {}
+    for c in XY:
+        first = differentiate(e, c, memo)
+        assert first == differentiate(e, c)
+        for c2 in XY:
+            assert differentiate(first, c2, memo) == differentiate(differentiate(e, c), c2)
+
+
+def test_non_finite_constant_is_a_compile_time_domain_error():
+    with pytest.raises(DomainError) as err:
+        compile_expr(parse("1e400 * x + 1", XY), XY)
+    assert err.value.node_text == "inf*x"
+    assert "non-finite constant inf" in str(err.value)
+
+
+def test_nodes_keep_their_hash_but_do_not_pickle_it():
+    import pickle
+
+    e = parse("sin(x) * y + x^2", XY)
+    h = hash(e)
+    assert e.__dict__["_hash"] == h and hash(e) == h
+    clone = pickle.loads(pickle.dumps(e))
+    assert "_hash" not in clone.__dict__
+    assert clone == e and hash(clone) == h
+    assert "_hash" not in pickle.loads(pickle.dumps(e.left)).__dict__
