@@ -207,22 +207,11 @@ def _require_tolerance(name: str, value: float) -> None:
         raise BadParameterError(f"{name} must be a finite positive number, got {value}")
 
 
-MIN_SAMPLES = 3
-
-
-def _require_plan(plan: SamplePlan) -> None:
-    # below three points the affine fits are exact (or the spreads zero) and
-    # the checks pass or fail vacuously, which would read as a verdict
-    if plan.count < MIN_SAMPLES:
-        raise BadParameterError(
-            f"samples must be at least {MIN_SAMPLES}, the affine-fit minimum, got {plan.count}")
-    if not (math.isfinite(plan.margin) and plan.margin >= 0):
-        raise BadParameterError(f"margin must be a finite number >= 0, got {plan.margin}")
-
-
 def _param_value(key: str, value) -> float:
     try:
         number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
     except (TypeError, ValueError):
         raise BadParameterError(f"parameter '{key}' needs a number, got {value!r}") from None
     if not math.isfinite(number):
@@ -590,7 +579,6 @@ def run_scenario(name: str, params: Optional[dict] = None,
     _require_tolerance("tolerance", tolerance)
     _require_tolerance("fit tolerance", fit_tolerance)
     plan = plan or SamplePlan()
-    _require_plan(plan)
     values = sc.parameters()
     for k, v in (params or {}).items():
         if k not in values:
@@ -659,7 +647,6 @@ def run_inline(g1: MetricSpec, g2: MetricSpec, phi1: Optional[Expr] = None,
         raise BadParameterError("provide either phi or both phi1 and phi2")
     inst = ProductConformalInstance(g1, g2, phi1, phi2, phi, labels)
     plan = plan or SamplePlan()
-    _require_plan(plan)
     with evaluation_scope():
         checks, measured, notes, ok = _run_product_conformal(inst, plan, tolerance,
                                                              fit_tolerance)

@@ -11,6 +11,7 @@ Sampling uses an additive-recurrence low-discrepancy sequence, so a given
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,16 +74,24 @@ class SamplePlan:
     seed: int = 0
 
 
+MIN_SAMPLES = 3
+
+
 def sample(chart: Chart, plan: SamplePlan) -> np.ndarray:
     """Deterministic interior points, shape (count, dim).
 
     The effective boundary stand-off is the larger of the plan margin and
-    the chart's own singular margin.
+    the chart's own singular margin.  A plan needs at least MIN_SAMPLES
+    points: with fewer, the affine fits are exact (or the spreads zero) and
+    the checks pass or fail vacuously, which would read as a verdict.
     """
     if plan.rule != "kronecker":
         raise EmptyDomainError(f"unknown sampling rule '{plan.rule}'")
-    if plan.count < 1:
-        raise EmptyDomainError("sample count must be at least 1")
+    if plan.count < MIN_SAMPLES:
+        raise EmptyDomainError(
+            f"samples must be at least {MIN_SAMPLES}, the affine-fit minimum, got {plan.count}")
+    if not (math.isfinite(plan.margin) and plan.margin >= 0):
+        raise EmptyDomainError(f"margin must be a finite number >= 0, got {plan.margin}")
     margin = max(plan.margin, chart.singular_margin)
     lo = np.array([d[0] + margin for d in chart.domain])
     hi = np.array([d[1] - margin for d in chart.domain])

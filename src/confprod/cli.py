@@ -81,7 +81,7 @@ def _config_number(config: dict, key: str, default, kind=float):
     value = config.get(key, default)
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise BadParameterError(f"config '{key}' needs a number, got {value!r}") from None
 
 
@@ -91,7 +91,7 @@ def _metric_from_config(obj: dict, which: str) -> MetricSpec:
         domain = tuple((float(lo), float(hi)) for lo, hi in obj["domain"])
         margin = float(obj.get("margin", 0.0))
         rows = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadParameterError(f"bad {which} factor: {exc}") from None
     chart = Chart(coords=coords, domain=domain, singular_margin=margin)
     entries = tuple(
@@ -167,15 +167,16 @@ def _cmd_check(args) -> int:
     params.update(_parse_params(args.param))
     scenario = args.scenario or config.get("scenario")
 
+    if "factors" in config and scenario:
+        raise BadParameterError("config cannot name a scenario and define factors")
+    if params and not scenario:
+        # an inline instance and the whole catalog take no parameters
+        raise BadParameterError("--param needs --scenario")
     if "factors" in config:
-        if scenario:
-            raise BadParameterError("config cannot name a scenario and define factors")
         reports = [_inline_report(config, plan, tolerance)]
     elif scenario:
         reports = [run_scenario(scenario, params, plan, tolerance)]
     else:
-        if params:
-            raise BadParameterError("--param needs --scenario")
         reports = [run_scenario(name, None, plan, tolerance) for name in scenarios()]
 
     for rep in reports:

@@ -68,8 +68,12 @@ class NonPositiveConformalFactorError(EngineError):
         super().__init__(f"conformal factor is {self.value:.6g} <= 0 at {self.point}")
 
 
-class EmptyDomainError(EngineError):
-    """Margin shrink left an empty sampling box."""
+class BadParameterError(EngineError):
+    pass
+
+
+class EmptyDomainError(BadParameterError):
+    """The sample plan is unusable, or its margin leaves an empty box."""
 
 
 class ConstantSummandError(EngineError):
@@ -91,10 +95,6 @@ class UnknownScenarioError(EngineError):
     def __init__(self, name: str):
         super().__init__(f"unknown scenario '{name}'")
         self.name = name
-
-
-class BadParameterError(EngineError):
-    pass
 
 
 class UnsupportedDimError(EngineError):

@@ -498,55 +498,57 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 def differentiate(e: Expr, coord: str, memo: dict | None = None) -> Expr:
     """Exact symbolic derivative, closed over the node set.
 
-    With a memo (a dict the caller owns, keyed by (node, coord)) each
-    distinct subtree is differentiated once and equal subtrees get the same
-    derivative object; the result equals the memo-less one.
+    Each distinct subtree is differentiated once and equal subtrees get the
+    same derivative object.  A caller that differentiates related trees can
+    pass its own memo (a dict keyed by (node, coord)) to share that work
+    across calls; without one, each call starts a fresh memo.
     """
     if memo is None:
-        return _derivative(e, coord, None)
+        memo = {}
     key = (e, coord)
     d = memo.get(key)
-    if d is None:
-        d = memo[key] = _derivative(e, coord, memo)
-    return d
-
-
-def _derivative(e: Expr, coord: str, memo: dict | None) -> Expr:
+    if d is not None:
+        return d
     if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Coord):
-        return ONE if e.name == coord else ZERO
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return neg(differentiate(e.arg, coord, memo))
+        d = ZERO
+    elif isinstance(e, Coord):
+        d = ONE if e.name == coord else ZERO
+    elif isinstance(e, Unary):
         inner = differentiate(e.arg, coord, memo)
-        if _is_const(inner, 0.0):
-            return ZERO
-        u = e.arg
-        outer = {
-            "sin": lambda: func("cos", u),
-            "cos": lambda: neg(func("sin", u)),
-            "tan": lambda: add(ONE, powc(func("tan", u), 2.0)),
-            "sinh": lambda: func("cosh", u),
-            "cosh": lambda: func("sinh", u),
-            "tanh": lambda: sub(ONE, powc(func("tanh", u), 2.0)),
-            "exp": lambda: func("exp", u),
-            "log": lambda: div(ONE, u),
-            "sqrt": lambda: div(ONE, mul(Const(2.0), func("sqrt", u))),
-        }[e.op]()
-        return mul(outer, inner)
-    if isinstance(e, Binary):
+        if e.op == "neg":
+            d = neg(inner)
+        elif _is_const(inner, 0.0):
+            d = ZERO
+        else:
+            u = e.arg
+            outer = {
+                "sin": lambda: func("cos", u),
+                "cos": lambda: neg(func("sin", u)),
+                "tan": lambda: add(ONE, powc(func("tan", u), 2.0)),
+                "sinh": lambda: func("cosh", u),
+                "cosh": lambda: func("sinh", u),
+                "tanh": lambda: sub(ONE, powc(func("tanh", u), 2.0)),
+                "exp": lambda: func("exp", u),
+                "log": lambda: div(ONE, u),
+                "sqrt": lambda: div(ONE, mul(Const(2.0), func("sqrt", u))),
+            }[e.op]()
+            d = mul(outer, inner)
+    elif isinstance(e, Binary):
         da = differentiate(e.left, coord, memo)
         db = differentiate(e.right, coord, memo)
         if e.op == "add":
-            return add(da, db)
-        if e.op == "sub":
-            return sub(da, db)
-        if e.op == "mul":
-            return add(mul(da, e.right), mul(e.left, db))
-        return div(sub(mul(da, e.right), mul(e.left, db)), powc(e.right, 2.0))
-    dbase = differentiate(e.base, coord, memo)
-    return mul(mul(Const(e.exponent), powc(e.base, e.exponent - 1.0)), dbase)
+            d = add(da, db)
+        elif e.op == "sub":
+            d = sub(da, db)
+        elif e.op == "mul":
+            d = add(mul(da, e.right), mul(e.left, db))
+        else:
+            d = div(sub(mul(da, e.right), mul(e.left, db)), powc(e.right, 2.0))
+    else:
+        dbase = differentiate(e.base, coord, memo)
+        d = mul(mul(Const(e.exponent), powc(e.base, e.exponent - 1.0)), dbase)
+    memo[key] = d
+    return d
 
 
 # --- vectorized evaluation over sample arrays -------------------------------

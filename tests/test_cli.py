@@ -274,7 +274,10 @@ def test_config_rejects_bad_tolerance(tol, message, tmp_path, capsys):
     ("params", {"R": float("nan")}, "parameter 'R' must be a finite number, got nan"),
     ("params", {"R": "wide"}, "parameter 'R' needs a number, got 'wide'"),
     ("params", [1, 2], "config 'params' must be an object, got [1, 2]"),
-], ids=["samples", "margin-negative", "margin-nan", "param-nan", "param-text", "params-list"])
+    ("params", {"R": 10 ** 400}, "parameter 'R' must be a finite number, got inf"),
+    ("samples", 1e400, "config 'samples' needs a number"),
+], ids=["samples", "margin-negative", "margin-nan", "param-nan", "param-text", "params-list",
+        "param-huge-integer", "samples-infinite"])
 def test_config_rejects_bad_plan_and_parameters(key, value, message, tmp_path, capsys):
     report = tmp_path / "report.json"
     config = {"scenario": "flat_quadratic", "samples": 60, "report": str(report)}
@@ -290,6 +293,21 @@ def test_config_inline_rejects_too_few_samples(tmp_path, capsys):
     })
     code, out, err = run(capsys, "check", "--config", path)
     assert code == 2 and "samples must be at least 3" in err and out == ""
+
+
+@pytest.mark.parametrize("extra,cli", [
+    ({}, ["--param", "R=abc"]),
+    ({"params": {"R": "abc"}}, []),
+], ids=["cli-param", "config-params"])
+def test_inline_config_takes_no_parameters(extra, cli, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    path = _write(tmp_path, "inline.json", {
+        "factors": INLINE_FACTORS, "phi1": "x1", "phi2": "x1", "samples": 60,
+        "report": str(report), **extra,
+    })
+    code, out, err = run(capsys, "check", "--config", path, *cli)
+    assert code == 2 and "--param needs --scenario" in err
+    assert out == "" and not report.exists()
 
 
 # --- curvature ---------------------------------------------------------------
