@@ -40,6 +40,7 @@ from .constructions import (
     joint_sum,
     product,
     reciprocal,
+    require_positive_factor,
     twisted_metric,
     doubly_twisted_metric,
 )
@@ -57,6 +58,11 @@ from .geometry import Chart, MetricSpec, evaluation_scope, metric_values
 
 # --- built-in metrics -------------------------------------------------------
 
+# largest factor dimension a scenario or a built-in metric accepts; curvature
+# arrays grow as samples x n^4 and compile work as n^4
+MAX_DIM = 32
+
+
 def builtin_metric(kind: str, dim: int, radius: float = 1.0,
                    box: Optional[dict[str, tuple[float, float]]] = None) -> MetricSpec:
     """Euclidean box, round sphere, or hyperbolic space in polar coordinates.
@@ -64,8 +70,8 @@ def builtin_metric(kind: str, dim: int, radius: float = 1.0,
     `box` overrides the default coordinate intervals by name; the charts keep
     their singular margins, so overrides only need to avoid the closures.
     """
-    if dim < 1:
-        raise UnsupportedDimError(f"dimension must be at least 1, got {dim}")
+    if not 1 <= dim <= MAX_DIM:
+        raise UnsupportedDimError(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
     if radius <= 0:
         raise BadParameterError(f"radius must be positive, got {radius}")
     r2 = Const(radius * radius)
@@ -223,6 +229,8 @@ def _dim(params: dict, key: str) -> int:
     v = params[key]
     if v != int(v) or int(v) < 1:
         raise BadParameterError(f"{key} must be a positive integer, got {v}")
+    if v > MAX_DIM:
+        raise BadParameterError(f"{key} must be at most {MAX_DIM}, got {v:g}")
     return int(v)
 
 
@@ -243,6 +251,7 @@ def _run_product_conformal(inst: ProductConformalInstance, plan: SamplePlan,
     spec = ConformalSpec(block, phi)
     n = block.dim
 
+    require_positive_factor(spec, sample(block.metric.chart, plan))
     direct = einstein_check(conformal_metric(spec), plan, tolerance)
     checks["direct_einstein"] = direct.to_dict()
     measured["lambda_bar"] = direct.lambda_hat

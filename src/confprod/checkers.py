@@ -75,6 +75,9 @@ class SamplePlan:
 
 
 MIN_SAMPLES = 3
+# 50 times the largest plan the benchmarks run; curvature arrays hold
+# count x n^3 values, so a larger count is a memory error, not a check
+MAX_SAMPLES = 1_000_000
 
 
 def sample(chart: Chart, plan: SamplePlan) -> np.ndarray:
@@ -83,13 +86,16 @@ def sample(chart: Chart, plan: SamplePlan) -> np.ndarray:
     The effective boundary stand-off is the larger of the plan margin and
     the chart's own singular margin.  A plan needs at least MIN_SAMPLES
     points: with fewer, the affine fits are exact (or the spreads zero) and
-    the checks pass or fail vacuously, which would read as a verdict.
+    the checks pass or fail vacuously, which would read as a verdict.  It
+    may have at most MAX_SAMPLES points.
     """
     if plan.rule != "kronecker":
         raise EmptyDomainError(f"unknown sampling rule '{plan.rule}'")
     if plan.count < MIN_SAMPLES:
         raise EmptyDomainError(
             f"samples must be at least {MIN_SAMPLES}, the affine-fit minimum, got {plan.count}")
+    if plan.count > MAX_SAMPLES:
+        raise EmptyDomainError(f"samples must be at most {MAX_SAMPLES}, got {plan.count}")
     if not (math.isfinite(plan.margin) and plan.margin >= 0):
         raise EmptyDomainError(f"margin must be a finite number >= 0, got {plan.margin}")
     margin = max(plan.margin, chart.singular_margin)

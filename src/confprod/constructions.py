@@ -19,12 +19,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NonPositiveConformalFactorError, UnsupportedDimError
+from .errors import DomainError, NonPositiveConformalFactorError, UnsupportedDimError
 from .expressions import (
     Const,
     Expr,
     add,
     div,
+    format_expr,
     free_coords,
     mul,
     powc,
@@ -44,6 +45,7 @@ from .geometry import (
 )
 
 ZERO = Const(0.0)
+_FLOAT = np.finfo(float)
 
 
 @dataclass(frozen=True)
@@ -151,13 +153,24 @@ def conformal_metric(c: ConformalSpec) -> MetricSpec:
 
 
 def require_positive_factor(c: ConformalSpec, points) -> np.ndarray:
-    """Values of phi at the points; raises if any is not strictly positive."""
+    """Values of phi at the points; raises if any is not strictly positive,
+    or if phi^-2, the scale of every rescaled entry, underflows or overflows
+    (leaves the normal float range) at one of them."""
     base = as_metric(c.base)
     values = expr_values(c.phi, base.chart, points)
+    pts = _as_points(base.chart, points)
     if (values <= 0.0).any():
         where = int(np.argmax(values <= 0.0))
-        pts = _as_points(base.chart, points)
         raise NonPositiveConformalFactorError(pts[where], float(values[where]))
+    with np.errstate(over="ignore", under="ignore"):
+        scale = values ** -2.0
+    bad = ~((scale >= _FLOAT.tiny) & (scale <= _FLOAT.max))
+    if bad.any():
+        where = int(np.argmax(bad))
+        kind = "underflow" if scale[where] < _FLOAT.tiny else "overflow"
+        raise DomainError(
+            f"conformal factor {values[where]:.6g} at {tuple(float(x) for x in pts[where])}: "
+            f"phi^-2 = {scale[where]:.3g} ({kind})", format_expr(c.phi))
     return values
 
 

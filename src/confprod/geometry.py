@@ -39,6 +39,10 @@ from .errors import OutsideDomainError, SingularMetricError, UnsupportedDimError
 from .expressions import Const, Expr, compile_expr, differentiate, free_coords
 
 _PD_EIGENVALUE_TOL = 1e-12
+# a curvature batch is computed in slices of sample points whose d2g
+# (8 n^4 bytes per point) fits this budget, so its working memory does not
+# grow with the sample count
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -322,12 +326,17 @@ def _connection(metric: MetricSpec, pts: np.ndarray):
     """Metric jets, inverse metric, W and Gamma at checked points.
 
     W[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, so Gamma = ginv W / 2.
+    The jet plan writes each entry's derivatives into both (i, j) and
+    (j, i), and each second derivative into both (k, l) and (l, k), so dg
+    and d2g are exactly symmetric in those slots; the contractions here and
+    in _ricci read whichever orientation is contiguous.
     """
     g, dg, d2g = _metric_plan(metric).jets(pts)
     _check_positive_definite(g, pts)
+    count, n = g.shape[0], g.shape[1]
     ginv = np.linalg.inv(g)
-    w = np.einsum("njli->nlij", dg) + np.einsum("nilj->nlij", dg) - np.einsum("nijl->nlij", dg)
-    gamma = 0.5 * np.einsum("nal,nlij->naij", ginv, w)
+    w = dg + dg.swapaxes(2, 3) - dg.transpose(0, 3, 1, 2)
+    gamma = 0.5 * np.matmul(ginv, w.reshape(count, n, n * n)).reshape(count, n, n, n)
     return g, dg, d2g, ginv, w, gamma
 
 
@@ -336,27 +345,45 @@ def _ricci(ginv, dg, d2g, w, gamma) -> np.ndarray:
 
     The two derivative terms are expanded through d ginv = -ginv dg ginv
     and Gamma^a_ab = g^al d_b g_al / 2, so d Gamma (count n^4) and the
-    Riemann tensor (count n^4) are never formed; every contraction is
-    O(count n^4) in time and O(count n^3) in memory beyond d2g itself.
+    Riemann tensor (count n^4) are never formed.  Every count n^4
+    contraction is a batched matmul over a contiguous reshape of d2g, m or
+    gamma; vec(ginv^T)[l n + a] = g^al keeps each term's ginv orientation.
     """
+    count, n = ginv.shape[0], ginv.shape[1]
+    nn = n * n
     # m[n,k] = ginv @ d_k g
     m = np.matmul(ginv[:, None], np.moveaxis(dg, 3, 1))
     trace = 0.5 * np.einsum("nkpp->nk", m)                                 # Gamma^a_ak
     div_ginv = -np.einsum("ns,nsl->nl", np.einsum("naas->ns", m), ginv)    # d_a g^al
+    ginv_t = ginv.swapaxes(1, 2).reshape(count, nn)
+    d2 = d2g.reshape(count, nn, nn)
     # d_a Gamma^a_db = (d_a g^al) W_ldb / 2
     #                 + g^al (d_a d_d g_bl + d_a d_b g_dl - d_a d_l g_db) / 2
-    cross = np.einsum("nal,nblda->nbd", ginv, d2g)
+    # cross[b,d] = g^al d_a d_d g_bl, read as d2g[b, (l, a), d]
+    cross = np.matmul(ginv_t[:, None, None], d2g.reshape(count, n, nn, n))[:, :, 0]
     d_first = 0.5 * (np.einsum("nl,nldb->nbd", div_ginv, w) + cross + np.swapaxes(cross, 1, 2)
-                     - np.einsum("nal,nbdla->nbd", ginv, d2g))
+                     - np.matmul(d2, ginv_t[:, :, None]).reshape(count, n, n))
     # d_d Gamma^a_ab = (d_d g^al d_b g_al + g^al d_b d_d g_al) / 2
-    d_trace = 0.5 * (np.einsum("nal,nalbd->nbd", ginv, d2g) - np.einsum("ndpq,nbqp->nbd", m, m))
+    mm = np.matmul(m.swapaxes(2, 3).reshape(count, n, nn), m.reshape(count, n, nn).swapaxes(1, 2))
+    d_trace = 0.5 * (np.matmul(ginv.reshape(count, 1, nn), d2).reshape(count, n, n) - mm)
+    # Gamma^a_de Gamma^e_ab = (t[d, (a, e)] @ t[(a, e), b]) with t[x, y, z] = gamma[y, x, z]
+    t = np.ascontiguousarray(gamma.transpose(0, 2, 1, 3))
+    gg = np.matmul(t.reshape(count, n, nn), t.reshape(count, nn, n))
     return (d_first - d_trace + np.einsum("ne,nedb->nbd", trace, gamma)
-            - np.einsum("nade,neab->nbd", gamma, gamma))
+            - np.swapaxes(gg, 1, 2))
 
 
 def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
-    g, dg, d2g, ginv, w, gamma = _connection(metric, pts)
-    ricci = _ricci(ginv, dg, d2g, w, gamma)
+    """The batch, computed slice by slice so that one slice's d2g stays
+    within _CHUNK_BYTES; every point's values depend on that point alone."""
+    count, n = pts.shape[0], metric.dim
+    g, ginv, ricci = (np.empty((count, n, n)) for _ in range(3))
+    gamma = np.empty((count, n, n, n))
+    step = max(1, _CHUNK_BYTES // (8 * n**4))
+    for start in range(0, count, step):
+        part = slice(start, start + step)
+        g[part], dg, d2g, ginv[part], w, gamma[part] = _connection(metric, pts[part])
+        ricci[part] = _ricci(ginv[part], dg, d2g, w, gamma[part])
     scalar = np.einsum("nbd,nbd->n", ginv, ricci)
     return CurvatureBatch(pts, g, ginv, gamma, ricci, scalar)
 

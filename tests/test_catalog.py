@@ -3,6 +3,7 @@ import json
 import pytest
 
 from confprod.catalog import (
+    MAX_DIM,
     ExpectedConstant,
     builtin_metric,
     conformal_route_pairs,
@@ -59,6 +60,8 @@ def test_builtin_parameter_validation():
         builtin_metric("torus", 2)
     with pytest.raises(UnsupportedDimError):
         builtin_metric("euclidean", 0)
+    with pytest.raises(UnsupportedDimError):
+        builtin_metric("euclidean", MAX_DIM + 1)
 
 
 # --- registry -----------------------------------------------------------------

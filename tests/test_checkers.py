@@ -3,6 +3,7 @@ import pytest
 
 from confprod.catalog import builtin_metric, splitting_instances
 from confprod.checkers import (
+    MAX_SAMPLES,
     SamplePlan,
     conformally_einstein_check,
     constancy,
@@ -71,6 +72,8 @@ def test_sample_rejects_bad_plans():
         sample(chart, SamplePlan(rule="sobol"))
     with pytest.raises(EmptyDomainError):
         sample(chart, SamplePlan(margin=0.6))
+    with pytest.raises(EmptyDomainError, match="samples must be at most 1000000"):
+        sample(chart, SamplePlan(count=MAX_SAMPLES + 1))
 
 
 def test_constancy_scale_invariance():

@@ -120,6 +120,20 @@ def test_check_rejects_bad_sample_plan(flag, value, message, tmp_path, capsys):
     assert out == "" and not report.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--param", "n1=1e9"], "n1 must be at most 32, got 1e+09"),
+    (["--param", "n2=33"], "n2 must be at most 32, got 33"),
+    (["--samples", "1000001"], "samples must be at most 1000000, got 1000001"),
+    (["--param", "R=1e100"], "phi^-2 = 0 (underflow)"),
+], ids=["dim-1e9", "dim-33", "samples-above-max", "factor-underflow"])
+def test_check_rejects_out_of_range_inputs(argv, message, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "check", "--scenario", "flat_quadratic", "--samples", "20",
+                         *argv, "--report", str(report))
+    assert code == 2 and message in err
+    assert out == "" and not report.exists()
+
+
 def test_three_samples_match_expectations(capsys):
     code, out, _ = run(capsys, "check", "--samples", "3")
     assert code == 0
@@ -276,8 +290,10 @@ def test_config_rejects_bad_tolerance(tol, message, tmp_path, capsys):
     ("params", [1, 2], "config 'params' must be an object, got [1, 2]"),
     ("params", {"R": 10 ** 400}, "parameter 'R' must be a finite number, got inf"),
     ("samples", 1e400, "config 'samples' needs a number"),
+    ("samples", 10 ** 400, "samples must be at most 1000000"),
+    ("params", {"n1": 10 ** 9}, "n1 must be at most 32"),
 ], ids=["samples", "margin-negative", "margin-nan", "param-nan", "param-text", "params-list",
-        "param-huge-integer", "samples-infinite"])
+        "param-huge-integer", "samples-infinite", "samples-huge-integer", "dim-huge"])
 def test_config_rejects_bad_plan_and_parameters(key, value, message, tmp_path, capsys):
     report = tmp_path / "report.json"
     config = {"scenario": "flat_quadratic", "samples": 60, "report": str(report)}
@@ -341,3 +357,6 @@ def test_curvature_rejects_bad_points(capsys):
     code, _, err = run(capsys, "curvature", "--kind", "euclidean", "--dim", "2",
                        "--point", "0")
     assert code == 2
+    code, out, err = run(capsys, "curvature", "--kind", "sphere", "--dim", "33",
+                         "--point", "1")
+    assert code == 2 and "dimension must be between 1 and 32, got 33" in err and out == ""

@@ -22,7 +22,7 @@ from confprod.constructions import (
     twisted_metric,
     warped_metric,
 )
-from confprod.errors import NonPositiveConformalFactorError, UnsupportedDimError
+from confprod.errors import DomainError, NonPositiveConformalFactorError, UnsupportedDimError
 from confprod.expressions import parse, rename_coords
 from confprod.geometry import _riemann, curvature_batch, metric_values
 
@@ -110,6 +110,17 @@ def test_positive_factor_guard():
     assert err.value.point == (-0.25, 0.1) and type(err.value.value) is float
     values = require_positive_factor(spec, np.array([[0.5, 0.0], [0.25, 0.1]]))
     assert np.allclose(values, [0.5, 0.25])
+
+
+@pytest.mark.parametrize("text,kind,where", [("1e200 + x1^2", "underflow", "(0.5, 0.0)"),
+                                             ("1e-200 + x1^2", "overflow", "(0.0, 0.1)")])
+def test_positive_factor_guard_names_a_scale_outside_the_float_range(text, kind, where):
+    g = builtin_metric("euclidean", 2)
+    spec = ConformalSpec(g, parse(text, g.chart.coords))
+    with pytest.raises(DomainError) as err:
+        require_positive_factor(spec, np.array([[0.5, 0.0], [0.0, 0.1]]))
+    message = str(err.value)
+    assert f"at {where}: phi^-2 = " in message and f"({kind}) in '" in message
 
 
 def test_conformal_spec_rejects_off_chart_factor():
