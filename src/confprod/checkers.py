@@ -75,8 +75,8 @@ class SamplePlan:
 
 
 MIN_SAMPLES = 3
-# 50 times the largest plan the benchmarks run; curvature arrays hold
-# count x n^3 values, so a larger count is a memory error, not a check
+# 50 times the largest catalog plan measured (20 000 samples); curvature
+# arrays hold count x n^3 values, so a larger count is a memory error, not a check
 MAX_SAMPLES = 1_000_000
 
 
