@@ -554,7 +554,7 @@ _SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="twisted_split",
-            summary="genuinely doubly twisted product, neither Einstein nor warped",
+            summary="Riemannian product whose doubly twisted form is not warped; not Einstein",
             defaults=(("rate", 0.3), ("amplitude", 0.25)),
             expected_verdict="pass",
             build=_twisted_split,

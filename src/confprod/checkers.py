@@ -176,8 +176,13 @@ def constancy(values: np.ndarray, tolerance: float) -> tuple[bool, float, float]
 
 
 def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least squares y ~ a x + b; returns (a, b, sup residual)."""
-    design = np.stack([x, np.ones_like(x)], axis=1)
+    """Least squares y ~ a x + b; returns (a, b, sup residual).
+
+    The fit runs against x - mean(x), so an offset much larger than the
+    variation of x (phi = R^2/4 + |x|^2/2 at large R) leaves it well
+    conditioned; b is shifted back afterwards."""
+    centre = float(x.mean())
+    design = np.stack([x - centre, np.ones_like(x)], axis=1)
     solution, _, rank, sv = np.linalg.lstsq(design, y, rcond=None)
     if rank < 2 or not np.isfinite(solution).all():
         raise FitFailureError("degenerate least-squares system")
@@ -186,7 +191,7 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
             f"fit condition number {sv[0] / sv[-1]:.3e} exceeds {_FIT_CONDITION_LIMIT:.0e}"
         )
     a, b = float(solution[0]), float(solution[1])
-    return a, b, float(np.abs(design @ solution - y).max())
+    return a, b - a * centre, float(np.abs(design @ solution - y).max())
 
 
 # --- Einstein checks --------------------------------------------------------

@@ -3,8 +3,9 @@
 Derivatives of metric entries are symbolic (expressions.differentiate); the
 pointwise assembly into Christoffel symbols, Riemann and Ricci tensors is
 plain dense linear algebra.  No finite differences anywhere in this path.
-Batches contract Ricci straight from the metric jets; the full Riemann
-tensor is built only for single-point queries (curvature()).
+Batches contract Ricci straight from the metric jets, one product factor
+at a time when the metric splits into factors; the full Riemann tensor is
+built only for single-point queries (curvature()).
 
 Index conventions, fixed here once:
 
@@ -322,8 +323,8 @@ def _scope_key(metric: MetricSpec, pts: np.ndarray) -> tuple:
     return (metric, pts.shape, pts.tobytes())
 
 
-def _connection(metric: MetricSpec, pts: np.ndarray):
-    """Metric jets, inverse metric, W and Gamma at checked points.
+def _connection(g: np.ndarray, dg: np.ndarray):
+    """Inverse metric, W and Gamma from checked metric jets.
 
     W[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, so Gamma = ginv W / 2.
     The jet plan writes each entry's derivatives into both (i, j) and
@@ -331,13 +332,11 @@ def _connection(metric: MetricSpec, pts: np.ndarray):
     and d2g are exactly symmetric in those slots; the contractions here and
     in _ricci read whichever orientation is contiguous.
     """
-    g, dg, d2g = _metric_plan(metric).jets(pts)
-    _check_positive_definite(g, pts)
     count, n = g.shape[0], g.shape[1]
     ginv = np.linalg.inv(g)
     w = dg + dg.swapaxes(2, 3) - dg.transpose(0, 3, 1, 2)
     gamma = 0.5 * np.matmul(ginv, w.reshape(count, n, n * n)).reshape(count, n, n, n)
-    return g, dg, d2g, ginv, w, gamma
+    return ginv, w, gamma
 
 
 def _ricci(ginv, dg, d2g, w, gamma) -> np.ndarray:
@@ -373,17 +372,77 @@ def _ricci(ginv, dg, d2g, w, gamma) -> np.ndarray:
             - np.swapaxes(gg, 1, 2))
 
 
+@lru_cache(maxsize=128)
+def _factors(metric: MetricSpec) -> tuple[tuple[tuple[int, ...], MetricSpec], ...]:
+    """The finest split of the chart's coordinates that no entry couples.
+
+    Coordinates i and j share a part when entry (i, j) is not a constant
+    zero or an entry in row i depends on coordinate j.  Each part comes as
+    (its coordinate indices, its metric on the sub-chart), in chart order;
+    a metric that does not split is its own single part.  The connection
+    and Ricci tensor of the whole are the direct sums of the parts'.
+    """
+    n, coords = metric.dim, metric.chart.coords
+    index = {c: k for k, c in enumerate(coords)}
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, row in enumerate(metric.entries):
+        for j, e in enumerate(row):
+            joined = [index[c] for c in free_coords(e)]
+            if not (isinstance(e, Const) and e.value == 0.0):
+                joined.append(j)
+            for k in joined:
+                root[find(k)] = find(i)
+    parts: dict[int, list[int]] = {}
+    for i in range(n):
+        parts.setdefault(find(i), []).append(i)
+    if len(parts) == 1:
+        return ((tuple(range(n)), metric),)
+    chart = metric.chart
+    return tuple(
+        (tuple(idx), MetricSpec(
+            Chart(tuple(coords[i] for i in idx), tuple(chart.domain[i] for i in idx),
+                  chart.singular_margin),
+            tuple(tuple(metric.entries[i][j] for j in idx) for i in idx)))
+        for idx in parts.values())
+
+
+def _block(idx: tuple[int, ...], axes: int) -> tuple:
+    """Index of the block idx x ... x idx over `axes` axes: slices when idx is
+    a run of coordinates, which numpy copies several times faster."""
+    if idx[-1] - idx[0] == len(idx) - 1:
+        return (slice(idx[0], idx[-1] + 1),) * axes
+    return np.ix_(*[idx] * axes)
+
+
 def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
-    """The batch, computed slice by slice so that one slice's d2g stays
-    within _CHUNK_BYTES; every point's values depend on that point alone."""
+    """The batch, computed slice by slice and, within a slice, product factor
+    by product factor (_factors); cross-factor slots of ginv, gamma and ricci
+    are exact zeros.  One slice's d2g of all factors stays within
+    _CHUNK_BYTES; every point's values depend on that point alone."""
     count, n = pts.shape[0], metric.dim
-    g, ginv, ricci = (np.empty((count, n, n)) for _ in range(3))
-    gamma = np.empty((count, n, n, n))
-    step = max(1, _CHUNK_BYTES // (8 * n**4))
+    parts = [(part, _block(idx, 1), _block(idx, 2), _block(idx, 3))
+             for idx, part in _factors(metric)]
+    g, ginv, ricci = (np.zeros((count, n, n)) for _ in range(3))
+    gamma = np.zeros((count, n, n, n))
+    step = max(1, _CHUNK_BYTES // (8 * sum(part.dim ** 4 for part, *_ in parts)))
     for start in range(0, count, step):
-        part = slice(start, start + step)
-        g[part], dg, d2g, ginv[part], w, gamma[part] = _connection(metric, pts[part])
-        ricci[part] = _ricci(ginv[part], dg, d2g, w, gamma[part])
+        rows = (slice(start, start + step),)
+        jets = []
+        for part, line, square, _ in parts:
+            jets.append(_metric_plan(part).jets(pts[rows + line]))
+            g[rows + square] = jets[-1][0]
+        _check_positive_definite(g[rows], pts[rows])
+        for (_, _, square, cube), (g_part, dg, d2g) in zip(parts, jets):
+            ginv_part, w, gamma_part = _connection(g_part, dg)
+            ginv[rows + square] = ginv_part
+            gamma[rows + cube] = gamma_part
+            ricci[rows + square] = _ricci(ginv_part, dg, d2g, w, gamma_part)
     scalar = np.einsum("nbd,nbd->n", ginv, ricci)
     return CurvatureBatch(pts, g, ginv, gamma, ricci, scalar)
 
@@ -405,7 +464,9 @@ def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
 def _riemann(metric: MetricSpec, points) -> np.ndarray:
     """Full (1,3) tensor riemann[n, a, b, c, d] = R^a_bcd, for single-point queries."""
     pts = _as_points(metric.chart, points)
-    g, dg, d2g, ginv, w, gamma = _connection(metric, pts)
+    g, dg, d2g = _metric_plan(metric).jets(pts)
+    _check_positive_definite(g, pts)
+    ginv, w, gamma = _connection(g, dg)
     dginv = -np.einsum("nac,ncdm,ndb->nabm", ginv, dg, ginv)
     dw = (np.einsum("njlim->nlijm", d2g) + np.einsum("niljm->nlijm", d2g)
           - np.einsum("nijlm->nlijm", d2g))

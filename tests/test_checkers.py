@@ -17,6 +17,7 @@ from confprod.checkers import (
     summand_spread,
     warped_einstein_check,
     warped_presentation_check,
+    _affine_fit,
 )
 from confprod.constructions import (
     ConformalSpec,
@@ -232,12 +233,21 @@ def test_summand_fit_requires_constant_factor_scalars():
 
 
 def test_summand_fit_reports_ill_conditioning():
-    g1 = builtin_metric("euclidean", 1)
-    g2 = builtin_metric("euclidean", 2)
-    phi1 = parse("1000 + 1e-7 * x1", g1.chart.coords)
-    phi2 = parse("0.5 * (x1^2 + x2^2)", g2.chart.coords)
+    # centring removes an offset, not a spread this small next to the intercept
+    x = np.linspace(0.0, 1e-12, 20)
     with pytest.raises(IllConditionedFitError):
-        summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
+        _affine_fit(x, 2.0 * x + 1.0)
+
+
+def test_affine_fit_centres_a_large_offset():
+    # phi = R^2/4 + |x|^2/2 at R = 1e3: without centring the design is
+    # [1, 2.5e5 + O(1)], condition number above 1e10
+    x = 2.5e5 + np.linspace(0.0, 2.0, 20)
+    a, b, residual = _affine_fit(x, -3.0 * x + 7.0)
+    # y is about 7.5e5, so its round-off is about 1e-10
+    assert a == pytest.approx(-3.0, rel=1e-9)
+    assert b == pytest.approx(7.0, abs=1e-4)
+    assert residual < 1e-8
 
 
 # --- warped route -------------------------------------------------------------

@@ -134,6 +134,14 @@ def test_check_rejects_out_of_range_inputs(argv, message, tmp_path, capsys):
     assert out == "" and not report.exists()
 
 
+def test_large_offset_conformal_factor_fits(capsys):
+    # phi = R^2/4 + |x|^2/2 is about 2.5e5 plus an O(1) variation at R = 1e3
+    code, out, err = run(capsys, "check", "--scenario", "flat_quadratic", "--samples", "20",
+                         "--param", "R=1e3")
+    assert code == 0, err
+    assert "1/1 scenario verdicts matched expectations" in out
+
+
 def test_three_samples_match_expectations(capsys):
     code, out, _ = run(capsys, "check", "--samples", "3")
     assert code == 0
