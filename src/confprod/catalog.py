@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .checkers import (
     NONCONSTANT_SPREAD,
-    ResidualReport,
     SamplePlan,
+    _entry_sup,
+    _residual_report,
     conformally_einstein_check,
     einstein_check,
     factor_hessian_check,
@@ -36,13 +35,13 @@ from .constructions import (
     DoublyTwistedSpec,
     WarpedSpec,
     conformal_metric,
-    function_rescaled_metric,
+    doubly_twisted_metric,
     joint_sum,
     product,
     reciprocal,
     require_positive_factor,
+    scaled,
     twisted_metric,
-    doubly_twisted_metric,
 )
 from .errors import (
     BadParameterError,
@@ -162,9 +161,6 @@ class TwistedInstance:
     spec: DoublyTwistedSpec
     expect_einstein: bool
     expect_warped_form: bool
-
-
-Instance = "ProductConformalInstance | TwistedInstance"
 
 
 @dataclass(frozen=True)
@@ -319,16 +315,13 @@ def _warped_fallback(inst: ProductConformalInstance, phi1: Expr, phi2: Expr,
     the reciprocal of the whole factor; the other factor is the fiber.
     """
     if summand_spread(phi1, inst.g1, plan) > NONCONSTANT_SPREAD:
-        carrier, varying = inst.g1, phi1
-        fiber, constant, constant_m = inst.g2, phi2, inst.g2
+        carrier, varying, fiber, constant = inst.g1, phi1, inst.g2, phi2
     else:
-        carrier, varying = inst.g2, phi2
-        fiber, constant, constant_m = inst.g1, phi1, inst.g1
-    anchor = sample(constant_m.chart, plan)[0]
-    shift = evaluate(constant, dict(zip(constant_m.chart.coords, anchor)))
-    total = add(varying, Const(shift))
-    warp = reciprocal(total)
-    w = WarpedSpec(base=function_rescaled_metric(carrier, warp), fiber=fiber, warp=warp)
+        carrier, varying, fiber, constant = inst.g2, phi2, inst.g1, phi1
+    anchor = sample(fiber.chart, plan)[0]
+    shift = evaluate(constant, dict(zip(fiber.chart.coords, anchor)))
+    warp = reciprocal(add(varying, Const(shift)))
+    w = WarpedSpec(base=scaled(carrier, powc(warp, 2.0)), fiber=fiber, warp=warp)
     wrep = warped_einstein_check(w, plan, tolerance)
     checks["warped_route"] = wrep.to_dict()
     measured["lambda_fiber"] = wrep.lambda_fiber
@@ -345,21 +338,12 @@ def _run_twisted(inst: TwistedInstance, plan: SamplePlan, tolerance: float,
     g = doubly_twisted_metric(d)
     pts = sample(g.chart, plan)
 
-    rebuilt = function_rescaled_metric(
+    rebuilt = scaled(
         twisted_metric(d.base, div(d.fiber_scale, d.base_scale), d.fiber, d.labels),
-        d.base_scale,
+        powc(d.base_scale, 2.0),
     )
     delta = metric_values(g, pts) - metric_values(rebuilt, pts, check=False)
-    per_point = np.abs(delta).reshape(delta.shape[0], -1).max(axis=1)
-    where = int(np.argmax(per_point))
-    identity = ResidualReport(
-        name="twisted_identity",
-        sup=float(per_point.max()),
-        mean=float(per_point.mean()),
-        argmax_point=tuple(float(v) for v in pts[where]),
-        tolerance=identity_tolerance,
-        samples=int(per_point.shape[0]),
-    )
+    identity = _residual_report("twisted_identity", _entry_sup(delta), pts, identity_tolerance)
     checks["twisted_identity"] = identity.to_dict()
 
     est = einstein_check(g, plan, tolerance)
@@ -379,6 +363,14 @@ def _run_twisted(inst: TwistedInstance, plan: SamplePlan, tolerance: float,
 
 # --- the scenarios ----------------------------------------------------------
 
+def _half_square(m: MetricSpec, R: float) -> Expr:
+    """|x|^2 / 2 + R^2 / 4 on a Euclidean chart."""
+    e: Expr = Const(0.0)
+    for c in m.chart.coords:
+        e = add(e, powc(Coord(c), 2.0))
+    return add(mul(Const(0.5), e), Const(R * R / 4))
+
+
 def _flat_quadratic(params: dict):
     n1, n2 = _dim(params, "n1"), _dim(params, "n2")
     R = float(params["R"])
@@ -386,14 +378,7 @@ def _flat_quadratic(params: dict):
         raise BadParameterError(f"R must be positive, got {R}")
     g1 = builtin_metric("euclidean", n1)
     g2 = builtin_metric("euclidean", n2)
-
-    def half_square(m: MetricSpec) -> Expr:
-        e: Expr = Const(0.0)
-        for c in m.chart.coords:
-            e = add(e, powc(Coord(c), 2.0))
-        return add(mul(Const(0.5), e), Const(R * R / 4))
-
-    inst = ProductConformalInstance(g1, g2, half_square(g1), half_square(g2))
+    inst = ProductConformalInstance(g1, g2, _half_square(g1, R), _half_square(g2, R))
     n = n1 + n2
     expected = (
         ExpectedConstant("lambda_bar", (n - 1) * R * R, 1e-6, "literature", relative=True),
@@ -498,14 +483,7 @@ def _doubly_twisted_einstein(params: dict):
     base = builtin_metric("euclidean", 2)
     fib = builtin_metric("euclidean", 2)
     block = product(base, fib)
-
-    def half_square(m: MetricSpec) -> Expr:
-        e: Expr = Const(0.0)
-        for c in m.chart.coords:
-            e = add(e, powc(Coord(c), 2.0))
-        return add(mul(Const(0.5), e), Const(R * R / 4))
-
-    scale = reciprocal(joint_sum(block, half_square(base), half_square(fib)))
+    scale = reciprocal(joint_sum(block, _half_square(base, R), _half_square(fib, R)))
     spec = DoublyTwistedSpec(base=base, fiber=fib, base_scale=scale, fiber_scale=scale)
     inst = TwistedInstance(spec, expect_einstein=True, expect_warped_form=False)
     expected = (
@@ -581,22 +559,11 @@ def get_scenario(name: str) -> Scenario:
         raise UnknownScenarioError(name) from None
 
 
-def run_scenario(name: str, params: Optional[dict] = None,
-                 plan: Optional[SamplePlan] = None, tolerance: float = 1e-8,
-                 fit_tolerance: float = 1e-6) -> ScenarioReport:
-    sc = get_scenario(name)
-    _require_tolerance("tolerance", tolerance)
-    _require_tolerance("fit tolerance", fit_tolerance)
-    plan = plan or SamplePlan()
-    values = sc.parameters()
-    for k, v in (params or {}).items():
-        if k not in values:
-            raise BadParameterError(
-                f"scenario '{name}' has no parameter '{k}' "
-                f"(accepts {sorted(values) or 'none'})"
-            )
-        values[k] = _param_value(k, v)
-    inst, expected = sc.build(values)
+def _report(name: str, summary: str, params: dict, expected_verdict: str,
+            inst: ProductConformalInstance | TwistedInstance,
+            expected: tuple[ExpectedConstant, ...], plan: SamplePlan, tolerance: float,
+            fit_tolerance: float) -> ScenarioReport:
+    """Run the battery that fits the instance and judge it, expected constants included."""
     with evaluation_scope():
         if isinstance(inst, TwistedInstance):
             checks, measured, notes, ok = _run_twisted(inst, plan, tolerance)
@@ -619,17 +586,36 @@ def run_scenario(name: str, params: Optional[dict] = None,
         ok = ok and row_ok
     verdict = "pass" if ok else "fail"
     return ScenarioReport(
-        name=sc.name,
-        summary=sc.summary,
-        params=values,
-        expected_verdict=sc.expected_verdict,
+        name=name,
+        summary=summary,
+        params=params,
+        expected_verdict=expected_verdict,
         verdict=verdict,
-        matched=verdict == sc.expected_verdict,
+        matched=verdict == expected_verdict,
         checks=checks,
         constants=rows,
         measured={k: float(v) for k, v in measured.items()},
         notes=notes,
     )
+
+
+def run_scenario(name: str, params: Optional[dict] = None,
+                 plan: Optional[SamplePlan] = None, tolerance: float = 1e-8,
+                 fit_tolerance: float = 1e-6) -> ScenarioReport:
+    sc = get_scenario(name)
+    _require_tolerance("tolerance", tolerance)
+    _require_tolerance("fit tolerance", fit_tolerance)
+    values = sc.parameters()
+    for k, v in (params or {}).items():
+        if k not in values:
+            raise BadParameterError(
+                f"scenario '{name}' has no parameter '{k}' "
+                f"(accepts {sorted(values) or 'none'})"
+            )
+        values[k] = _param_value(k, v)
+    inst, expected = sc.build(values)
+    return _report(sc.name, sc.summary, values, sc.expected_verdict, inst, expected,
+                   plan or SamplePlan(), tolerance, fit_tolerance)
 
 
 def run_inline(g1: MetricSpec, g2: MetricSpec, phi1: Optional[Expr] = None,
@@ -650,81 +636,9 @@ def run_inline(g1: MetricSpec, g2: MetricSpec, phi1: Optional[Expr] = None,
         )
     _require_tolerance("tolerance", tolerance)
     _require_tolerance("fit tolerance", fit_tolerance)
-    if (phi is None) == (phi1 is None and phi2 is None):
-        raise BadParameterError("provide either phi or both phi1 and phi2")
-    if phi is None and (phi1 is None or phi2 is None):
+    if (phi is None, phi1 is None, phi2 is None) not in ((True, False, False),
+                                                         (False, True, True)):
         raise BadParameterError("provide either phi or both phi1 and phi2")
     inst = ProductConformalInstance(g1, g2, phi1, phi2, phi, labels)
-    plan = plan or SamplePlan()
-    with evaluation_scope():
-        checks, measured, notes, ok = _run_product_conformal(inst, plan, tolerance,
-                                                             fit_tolerance)
-    verdict = "pass" if ok else "fail"
-    return ScenarioReport(
-        name=name,
-        summary="user-supplied product instance",
-        params={},
-        expected_verdict=expected_verdict,
-        verdict=verdict,
-        matched=verdict == expected_verdict,
-        checks=checks,
-        constants=[],
-        measured={k: float(v) for k, v in measured.items()},
-        notes=notes,
-    )
-
-
-# --- fixed instance sets for cross-validation -------------------------------
-
-def conformal_route_pairs() -> list[tuple[str, ConformalSpec]]:
-    """Metric and factor pairs on which the two conformal curvature routes
-    (direct curvature of the rescaled metric, curvature-plus-correction
-    formula) must agree.  Factors are positive on the sampled boxes."""
-    pairs: list[tuple[str, ConformalSpec]] = []
-
-    def named(tag: str, base, text: str):
-        m = base.metric if hasattr(base, "metric") else base
-        pairs.append((tag, ConformalSpec(base, parse(text, m.chart.coords))))
-
-    named("plane", builtin_metric("euclidean", 2), "2 + 0.3 * sin(x1) * cos(x2)")
-    named("space", builtin_metric("euclidean", 3), "exp(0.2 * (x1 + x2 + x3))")
-    named("line", builtin_metric("euclidean", 1), "2 + sin(x1)")
-    named("sphere2", builtin_metric("sphere", 2), "2 + 0.5 * cos(u1)")
-    named("sphere3", builtin_metric("sphere", 3, radius=2.0),
-          "1.5 + 0.2 * sin(u1) * sin(u2)")
-    named("hyperbolic2", builtin_metric("hyperbolic", 2), "cosh(t) + 0.3")
-    named("hyperbolic3", builtin_metric("hyperbolic", 3), "1 + exp(0.3 * t)")
-    named("line_x_sphere",
-          product(builtin_metric("euclidean", 1), builtin_metric("sphere", 2)),
-          "2 + 0.2 * f0.x1 * cos(f1.u1)")
-    named("sphere_x_hyperbolic",
-          product(builtin_metric("sphere", 2), builtin_metric("hyperbolic", 2)),
-          "cosh(f1.t) - cos(f0.u1)")
-
-    skew = Chart(coords=("x", "y"), domain=((-1.5, 1.5), (-1.5, 1.5)), singular_margin=0.0)
-    g = MetricSpec(skew, (
-        (parse("1 + 0.1 * x^2", skew.coords), parse("0.2 * x * y", skew.coords)),
-        (parse("0.2 * x * y", skew.coords), parse("1 + 0.1 * y^2", skew.coords)),
-    ))
-    pairs.append(("skew", ConformalSpec(g, parse("2 + 0.4 * tanh(x + y)", skew.coords))))
-    return pairs
-
-
-def splitting_instances():
-    """Joint factors on a flat 2x2 product, tagged by whether they split
-    into a sum of single-factor terms."""
-    block = product(builtin_metric("euclidean", 2), builtin_metric("euclidean", 2))
-    coords = block.metric.chart.coords
-    cases = [
-        ("linear", "f0.x1 + f1.x1", True),
-        ("quadratic", "f0.x1^2 + f1.x2^2 + 3", True),
-        ("mixed_transcendental", "sin(f0.x1) + cosh(f1.x1)", True),
-        ("exponentials", "exp(f0.x1) + exp(f1.x2)", True),
-        ("in_factor_products", "f0.x1 * f0.x2 + f1.x1 * f1.x2", True),
-        ("log_and_cubic", "log(2 + f0.x1) + f1.x1^3", True),
-        ("exp_of_sum", "exp(f0.x1 + f1.x1)", False),
-        ("cross_product", "f0.x1 * f1.x1", False),
-        ("sin_of_product", "sin(f0.x1 * f1.x2)", False),
-        ("square_of_sum", "(f0.x1 + f1.x1)^2", False),
-    ]
-    return block, [(tag, parse(text, coords), splits) for tag, text, splits in cases]
+    return _report(name, "user-supplied product instance", {}, expected_verdict, inst, (),
+                   plan or SamplePlan(), tolerance, fit_tolerance)

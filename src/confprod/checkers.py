@@ -25,6 +25,7 @@ from .constructions import (
     WarpedSpec,
     as_metric,
     conformal_metric,
+    conformal_ricci_formula,
     joint_sum,
     product,
     require_positive_factor,
@@ -43,7 +44,6 @@ from .expressions import (
     Expr,
     differentiate,
     evaluate,
-    free_coords,
     rename_coords,
     sub,
     substitute,
@@ -256,25 +256,18 @@ def conformally_einstein_check(c: ConformalSpec, plan: SamplePlan,
     when not supplied; the detail fields record the estimate and whether the
     direct Einstein verdict agrees with this residual's verdict.
     """
-    base = as_metric(c.base)
-    n = base.dim
-    pts = sample(base.chart, plan)
-    phi = require_positive_factor(c, pts)
+    pts = sample(as_metric(c.base).chart, plan)
     details: dict[str, float] = {}
+    direct_verdict = None
     if lambda_bar is None:
+        # a non-positive factor is reported before the direct route runs into it
+        require_positive_factor(c, pts)
         direct = einstein_check(conformal_metric(c), plan, tolerance)
         lambda_bar = direct.lambda_hat
         details["direct_residual_sup"] = direct.residual.sup
         details["direct_lambda_spread"] = direct.lambda_spread
         direct_verdict = direct.verdict
-    else:
-        direct_verdict = None
-    batch = curvature_batch(base, pts)
-    hess = hessian_lc_batch(c.phi, base, pts)
-    lap = -np.einsum("nij,nij->n", batch.ginv, hess)
-    gns = grad_norm_sq_batch(c.phi, base, pts)
-    coef = lambda_bar / phi**2 + lap / phi + (n - 1) * gns / phi**2
-    residual = batch.ricci + (n - 2) * hess / phi[:, None, None] - coef[:, None, None] * batch.g
+    residual = conformal_ricci_formula(c, pts, lambda_bar)
     report = _residual_report(
         "conformally_einstein", _entry_sup(residual), pts, tolerance,
         lambda_bar=lambda_bar, **details,
@@ -300,7 +293,7 @@ def mixed_ricci_flat_check(b: BlockMetricSpec, phi: Expr, plan: SamplePlan,
     i0 = list(b.blocks[0])
     i1 = list(b.blocks[1])
     cross = hess[:, i0][:, :, i1]
-    per_point = np.abs(cross).reshape(cross.shape[0], -1).max(axis=1)
+    per_point = _entry_sup(cross)
     details: dict[str, float] = {}
     n = joint.dim
     if n >= 3:
@@ -847,12 +840,6 @@ def warped_presentation_check(d: DoublyTwistedSpec, plan: SamplePlan,
     for both orientations; either one below tolerance passes.
     """
     chart = d.chart()
-    for label, e in (("base", d.base_scale), ("fiber", d.fiber_scale)):
-        extra = free_coords(e) - set(chart.coords)
-        if extra:
-            raise UnsupportedDimError(
-                f"{label} scale uses coordinates {sorted(extra)} not on the joint chart"
-            )
     pts = sample(chart, plan)
     n1 = d.base.dim
     base_coords = chart.coords[:n1]

@@ -22,6 +22,7 @@ from typing import Optional
 from . import GRAMMAR_VERSION, REPORT_SCHEMA_VERSION, __version__
 from .catalog import ScenarioReport, builtin_metric, run_inline, run_scenario, scenarios
 from .checkers import SamplePlan
+from .constructions import joint_chart
 from .errors import BadParameterError, EngineError
 from .expressions import parse
 from .geometry import Chart, MetricSpec, curvature
@@ -86,18 +87,21 @@ def _config_number(config: dict, key: str, default, kind=float):
 
 
 def _metric_from_config(obj: dict, which: str) -> MetricSpec:
+    key = "coords"
     try:
-        coords = tuple(str(c) for c in obj["coords"])
-        domain = tuple((float(lo), float(hi)) for lo, hi in obj["domain"])
-        margin = float(obj.get("margin", 0.0))
-        rows = obj["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise BadParameterError(f"bad {which} factor: {exc}") from None
+        coords = tuple(str(c) for c in obj[key])
+        key = "domain"
+        domain = tuple((float(lo), float(hi)) for lo, hi in obj[key])
+        key = "margin"
+        margin = float(obj.get(key, 0.0))
+        key = "entries"
+        rows = tuple(tuple(str(text) for text in row) for row in obj[key])
+    except KeyError:
+        raise BadParameterError(f"{which} factor has no '{key}'") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameterError(f"bad {which} factor '{key}': {exc}") from None
     chart = Chart(coords=coords, domain=domain, singular_margin=margin)
-    entries = tuple(
-        tuple(parse(str(text), coords) for text in row) for row in rows
-    )
-    return MetricSpec(chart, entries)
+    return MetricSpec(chart, tuple(tuple(parse(text, coords) for text in row) for row in rows))
 
 
 def _inline_report(config: dict, plan: SamplePlan, tolerance: float) -> ScenarioReport:
@@ -106,19 +110,15 @@ def _inline_report(config: dict, plan: SamplePlan, tolerance: float) -> Scenario
         raise BadParameterError("inline config needs exactly two factors")
     g1 = _metric_from_config(factors[0], "first")
     g2 = _metric_from_config(factors[1], "second")
-    labels = tuple(config.get("labels", ("f0", "f1")))
-    if len(labels) != 2:
-        raise BadParameterError("labels must be a pair")
-    kwargs = {}
-    if "phi" in config:
-        joint = tuple(f"{labels[0]}.{c}" for c in g1.chart.coords) + tuple(
-            f"{labels[1]}.{c}" for c in g2.chart.coords)
-        kwargs["phi"] = parse(str(config["phi"]), joint)
-    if "phi1" in config or "phi2" in config:
-        if "phi1" not in config or "phi2" not in config:
-            raise BadParameterError("provide both phi1 and phi2 or neither")
-        kwargs["phi1"] = parse(str(config["phi1"]), g1.chart.coords)
-        kwargs["phi2"] = parse(str(config["phi2"]), g2.chart.coords)
+    labels = config.get("labels", ["f0", "f1"])
+    if not (isinstance(labels, list) and len(labels) == 2
+            and all(isinstance(label, str) for label in labels)):
+        raise BadParameterError(f"config 'labels' must be a pair of names, got {labels!r}")
+    labels = tuple(labels)
+    # run_inline rejects any other combination of phi, phi1 and phi2
+    charts = {"phi": joint_chart(g1, g2, labels), "phi1": g1.chart, "phi2": g2.chart}
+    kwargs = {key: parse(str(config[key]), chart.coords)
+              for key, chart in charts.items() if key in config}
     return run_inline(
         g1, g2, labels=labels,
         expected_verdict=str(config.get("expect", "pass")),
@@ -249,10 +249,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "list":
             return _cmd_list(args)
         return _cmd_curvature(args)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (EngineError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

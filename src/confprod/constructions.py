@@ -1,5 +1,8 @@
 """Builders for product, conformally rescaled, warped and twisted metrics.
 
+block_metric assembles every product, warped and twisted metric, and scaled
+rescales every metric's entries.
+
 Two deliberately independent routes to the curvature of a rescaled metric
 live here side by side:
 
@@ -21,12 +24,13 @@ import numpy as np
 
 from .errors import DomainError, NonPositiveConformalFactorError, UnsupportedDimError
 from .expressions import (
+    ONE,
+    ZERO,
     Const,
     Expr,
     add,
     div,
     format_expr,
-    free_coords,
     mul,
     powc,
     rename_coords,
@@ -40,11 +44,11 @@ from .geometry import (
     gradient_batch,
     hessian_lc_batch,
     laplacian_batch,
+    require_on_chart,
     _as_points,
     _field_plan,
 )
 
-ZERO = Const(0.0)
 _FLOAT = np.finfo(float)
 
 
@@ -97,30 +101,41 @@ def joint_chart(g1: AnyMetric, g2: AnyMetric, labels: tuple[str, str] = ("f0", "
     )
 
 
-def _lifted_entries(m: MetricSpec, chart: Chart, offset: int):
-    mapping = {
-        name: chart.coords[offset + i] for i, name in enumerate(m.chart.coords)
-    }
-    return [[rename_coords(e, mapping) for e in row] for row in m.entries]
+def _scaled_rows(s: Expr, rows) -> tuple[tuple[Expr, ...], ...]:
+    return tuple(tuple(mul(s, e) for e in row) for row in rows)
+
+
+def scaled(m: MetricSpec, s: Expr) -> MetricSpec:
+    """s g on the same chart: every entry multiplied by the expression s."""
+    return MetricSpec(m.chart, _scaled_rows(s, m.entries))
+
+
+def block_metric(m1: MetricSpec, s1: Expr, m2: MetricSpec, s2: Expr,
+                 labels: tuple[str, str] = ("f0", "f1")) -> MetricSpec:
+    """s1 g1 + s2 g2, block-diagonal on the joint chart.
+
+    Each factor's entries are renamed onto the joint chart, then multiplied
+    by its scale, a joint-chart expression (ONE leaves the block unscaled).
+    """
+    chart = joint_chart(m1, m2, labels)
+    n = chart.dim
+    entries = [[ZERO] * n for _ in range(n)]
+    for offset, m, s in ((0, m1, s1), (m1.dim, m2, s2)):
+        mapping = dict(zip(m.chart.coords, chart.coords[offset:]))
+        lifted = [[rename_coords(e, mapping) for e in row] for row in m.entries]
+        for i, row in enumerate(_scaled_rows(s, lifted)):
+            entries[offset + i][offset:offset + m.dim] = row
+    return MetricSpec(chart, tuple(tuple(row) for row in entries))
 
 
 def product(g1: AnyMetric, g2: AnyMetric, labels: tuple[str, str] = ("f0", "f1")) -> BlockMetricSpec:
     """Block-diagonal product metric on the joined chart."""
     m1, m2 = as_metric(g1), as_metric(g2)
-    chart = joint_chart(m1, m2, labels)
-    n1, n2 = m1.dim, m2.dim
-    n = n1 + n2
-    entries = [[ZERO for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(_lifted_entries(m1, chart, 0)):
-        for j, e in enumerate(row):
-            entries[i][j] = e
-    for i, row in enumerate(_lifted_entries(m2, chart, n1)):
-        for j, e in enumerate(row):
-            entries[n1 + i][n1 + j] = e
+    n1, n = m1.dim, m1.dim + m2.dim
     return BlockMetricSpec(
         factors=(m1, m2),
         labels=labels,
-        metric=MetricSpec(chart, tuple(tuple(row) for row in entries)),
+        metric=block_metric(m1, ONE, m2, ONE, labels),
         blocks=(tuple(range(n1)), tuple(range(n1, n))),
     )
 
@@ -135,21 +150,11 @@ class ConformalSpec:
     phi: Expr
 
     def __post_init__(self):
-        chart = as_metric(self.base).chart
-        extra = free_coords(self.phi) - set(chart.coords)
-        if extra:
-            raise UnsupportedDimError(
-                f"conformal factor uses coordinates {sorted(extra)} not on the chart"
-            )
+        require_on_chart(self.phi, as_metric(self.base).chart, "conformal factor")
 
 
 def conformal_metric(c: ConformalSpec) -> MetricSpec:
-    base = as_metric(c.base)
-    scale = powc(c.phi, -2.0)
-    entries = tuple(
-        tuple(mul(scale, e) for e in row) for row in base.entries
-    )
-    return MetricSpec(base.chart, entries)
+    return scaled(as_metric(c.base), powc(c.phi, -2.0))
 
 
 def require_positive_factor(c: ConformalSpec, points) -> np.ndarray:
@@ -174,11 +179,14 @@ def require_positive_factor(c: ConformalSpec, points) -> np.ndarray:
     return values
 
 
-def conformal_ricci_formula(c: ConformalSpec, points) -> np.ndarray:
-    """Ricci of phi^-2 g from base curvature and jets of phi only.
+def conformal_ricci_formula(c: ConformalSpec, points, lambda_bar: float = 0.0) -> np.ndarray:
+    """Ricci of phi^-2 g minus lambda_bar phi^-2 g, from base curvature and
+    jets of phi only:
 
-    ric + (n-2) Hess(phi)/phi - (lap(phi)/phi + (n-1) |dphi|^2/phi^2) g,
-    with the geometer's Laplacian lap = -trace Hess.
+    ric + (n-2) Hess(phi)/phi - (lambda_bar/phi^2 + lap(phi)/phi + (n-1) |dphi|^2/phi^2) g,
+    with the geometer's Laplacian lap = -trace Hess.  At lambda_bar = 0 this
+    is the rescaled Ricci tensor; it vanishes where phi^-2 g is Einstein with
+    constant lambda_bar.
     """
     base = as_metric(c.base)
     n = base.dim
@@ -188,8 +196,8 @@ def conformal_ricci_formula(c: ConformalSpec, points) -> np.ndarray:
     hess = hessian_lc_batch(c.phi, base, pts)
     lap = -np.einsum("nij,nij->n", batch.ginv, hess)
     gns = grad_norm_sq_batch(c.phi, base, pts)
-    coef = (lap / phi + (n - 1) * gns / phi**2)[:, None, None]
-    return batch.ricci + (n - 2) * hess / phi[:, None, None] - coef * batch.g
+    coef = lambda_bar / phi**2 + lap / phi + (n - 1) * gns / phi**2
+    return batch.ricci + (n - 2) * hess / phi[:, None, None] - coef[:, None, None] * batch.g
 
 
 def conformal_scalar_formula(c: ConformalSpec, points) -> np.ndarray:
@@ -236,49 +244,20 @@ class WarpedSpec:
     lambda_bar: float | None = None
 
     def __post_init__(self):
-        extra = free_coords(self.warp) - set(self.base.chart.coords)
-        if extra:
-            raise UnsupportedDimError(
-                f"warping function uses coordinates {sorted(extra)} not on the base chart"
-            )
+        require_on_chart(self.warp, self.base.chart, "warping function", "base chart")
 
 
 def warped_metric(w: WarpedSpec, labels: tuple[str, str] = ("f0", "f1")) -> MetricSpec:
     chart = joint_chart(w.base, w.fiber, labels)
-    n1 = w.base.dim
-    mapping = {name: chart.coords[i] for i, name in enumerate(w.base.chart.coords)}
-    f2 = powc(rename_coords(w.warp, mapping), 2.0)
-    n = n1 + w.fiber.dim
-    entries = [[ZERO for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(_lifted_entries(w.base, chart, 0)):
-        for j, e in enumerate(row):
-            entries[i][j] = e
-    for i, row in enumerate(_lifted_entries(w.fiber, chart, n1)):
-        for j, e in enumerate(row):
-            entries[n1 + i][n1 + j] = mul(f2, e)
-    return MetricSpec(chart, tuple(tuple(row) for row in entries))
+    f = rename_coords(w.warp, dict(zip(w.base.chart.coords, chart.coords)))
+    return block_metric(w.base, ONE, w.fiber, powc(f, 2.0), labels)
 
 
 def twisted_metric(g_base: MetricSpec, f: Expr, g_fiber: MetricSpec,
                    labels: tuple[str, str] = ("f0", "f1")) -> MetricSpec:
     """g_B + f^2 g_F with f on the joint chart (use joint_chart for its names)."""
-    chart = joint_chart(g_base, g_fiber, labels)
-    extra = free_coords(f) - set(chart.coords)
-    if extra:
-        raise UnsupportedDimError(
-            f"twisting function uses coordinates {sorted(extra)} not on the joint chart"
-        )
-    n1 = g_base.dim
-    n = n1 + g_fiber.dim
-    f2 = powc(f, 2.0)
-    entries = [[ZERO for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(_lifted_entries(g_base, chart, 0)):
-        for j, e in enumerate(row):
-            entries[i][j] = e
-    for i, row in enumerate(_lifted_entries(g_fiber, chart, n1)):
-        for j, e in enumerate(row):
-            entries[n1 + i][n1 + j] = mul(f2, e)
-    return MetricSpec(chart, tuple(tuple(row) for row in entries))
+    require_on_chart(f, joint_chart(g_base, g_fiber, labels), "twisting function", "joint chart")
+    return block_metric(g_base, ONE, g_fiber, powc(f, 2.0), labels)
 
 
 @dataclass(frozen=True)
@@ -292,46 +271,17 @@ class DoublyTwistedSpec:
     labels: tuple[str, str] = ("f0", "f1")
 
     def chart(self) -> Chart:
-        return joint_chart(self.base, self.fiber, self.labels)
+        """The joint chart; raises if a scale uses a coordinate not on it."""
+        chart = joint_chart(self.base, self.fiber, self.labels)
+        require_on_chart(self.base_scale, chart, "base scale", "joint chart")
+        require_on_chart(self.fiber_scale, chart, "fiber scale", "joint chart")
+        return chart
 
 
 def doubly_twisted_metric(d: DoublyTwistedSpec) -> MetricSpec:
-    chart = d.chart()
-    for name, e in (("base", d.base_scale), ("fiber", d.fiber_scale)):
-        extra = free_coords(e) - set(chart.coords)
-        if extra:
-            raise UnsupportedDimError(
-                f"{name} scale uses coordinates {sorted(extra)} not on the joint chart"
-            )
-    n1 = d.base.dim
-    n = n1 + d.fiber.dim
-    b2 = powc(d.base_scale, 2.0)
-    f2 = powc(d.fiber_scale, 2.0)
-    entries = [[ZERO for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(_lifted_entries(d.base, chart, 0)):
-        for j, e in enumerate(row):
-            entries[i][j] = mul(b2, e)
-    for i, row in enumerate(_lifted_entries(d.fiber, chart, n1)):
-        for j, e in enumerate(row):
-            entries[n1 + i][n1 + j] = mul(f2, e)
-    return MetricSpec(chart, tuple(tuple(row) for row in entries))
-
-
-def function_rescaled_metric(m: MetricSpec, factor: Expr) -> MetricSpec:
-    """factor^2 g on the same chart (factor may vary over the chart)."""
-    extra = free_coords(factor) - set(m.chart.coords)
-    if extra:
-        raise UnsupportedDimError(
-            f"scale factor uses coordinates {sorted(extra)} not on the chart"
-        )
-    f2 = powc(factor, 2.0)
-    return MetricSpec(m.chart, tuple(tuple(mul(f2, e) for e in row) for row in m.entries))
-
-
-def constant_rescale(m: MetricSpec, k_squared: float) -> MetricSpec:
-    """k^2 g, exact homothety (entries multiplied by the constant)."""
-    c = Const(float(k_squared))
-    return MetricSpec(m.chart, tuple(tuple(mul(c, e) for e in row) for row in m.entries))
+    d.chart()  # rejects a scale that is off the joint chart
+    return block_metric(d.base, powc(d.base_scale, 2.0), d.fiber, powc(d.fiber_scale, 2.0),
+                        d.labels)
 
 
 def joint_sum(b: BlockMetricSpec, phi1: Expr, phi2: Expr) -> Expr:

@@ -247,7 +247,8 @@ def free_coords(e: Expr) -> frozenset[str]:
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace coordinates by expressions, re-running the smart constructors."""
+    """Replace coordinates by expressions, re-running the smart constructors
+    (with an empty mapping this rebuilds the tree, idempotently)."""
     if isinstance(e, Const):
         return e
     if isinstance(e, Coord):
@@ -262,11 +263,6 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 def rename_coords(e: Expr, mapping: Mapping[str, str]) -> Expr:
     return substitute(e, {old: Coord(new) for old, new in mapping.items()})
-
-
-def simplify(e: Expr) -> Expr:
-    """Rebuild the tree through the smart constructors (idempotent)."""
-    return substitute(e, {})
 
 
 # --- parsing ----------------------------------------------------------------

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,28 +59,28 @@ class Chart:
             raise UnsupportedDimError("coordinate and domain lists differ in length")
         if len(self.coords) != len(set(self.coords)):
             raise UnsupportedDimError("duplicate coordinate names")
-        for lo, hi in self.domain:
+        for name, (lo, hi) in zip(self.coords, self.domain):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise UnsupportedDimError(
+                    f"interval ({lo}, {hi}) of '{name}' needs finite bounds")
             if not lo < hi:
                 raise UnsupportedDimError(f"empty coordinate interval ({lo}, {hi})")
-        if self.singular_margin < 0:
-            raise UnsupportedDimError("negative singular margin")
+        if not (math.isfinite(self.singular_margin) and self.singular_margin >= 0):
+            raise UnsupportedDimError(
+                f"singular margin must be a finite number >= 0, got {self.singular_margin}")
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
-    def env(self, point: Sequence[float]) -> dict[str, float]:
-        return dict(zip(self.coords, point))
 
-    def contains(self, point: Sequence[float]) -> bool:
-        return len(point) == self.dim and all(
-            lo < x < hi for x, (lo, hi) in zip(point, self.domain)
-        )
-
-    def require_interior(self, point: Sequence[float]):
-        if not self.contains(point):
-            shown = tuple(float(x) for x in point)
-            raise OutsideDomainError(f"point {shown} outside open box {self.domain}")
+def require_on_chart(e: Expr, chart: Chart, role: str, chart_name: str = "chart") -> None:
+    """Raise UnsupportedDimError if e uses a coordinate the chart lacks;
+    `role` names e in the message ("conformal factor", "entry", ...)."""
+    extra = free_coords(e) - set(chart.coords)
+    if extra:
+        raise UnsupportedDimError(
+            f"{role} uses coordinates {sorted(extra)} not on the {chart_name}")
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,9 @@ class MetricSpec:
             for j in range(i + 1, n):
                 if self.entries[i][j] != self.entries[j][i]:
                     raise UnsupportedDimError(f"entries ({i},{j}) and ({j},{i}) differ")
-        names = set(self.chart.coords)
         for row in self.entries:
             for e in row:
-                extra = free_coords(e) - names
-                if extra:
-                    raise UnsupportedDimError(
-                        f"entry uses coordinates {sorted(extra)} not on the chart"
-                    )
+                require_on_chart(e, self.chart, "entry")
 
     @property
     def dim(self) -> int:
@@ -478,13 +473,7 @@ def _riemann(metric: MetricSpec, points) -> np.ndarray:
             - np.einsum("nade,necb->nabcd", gamma, gamma))
 
 
-def christoffel(metric: MetricSpec, point) -> np.ndarray:
-    metric.chart.require_interior(point)
-    return curvature_batch(metric, [point]).gamma[0]
-
-
 def curvature(metric: MetricSpec, point) -> CurvatureData:
-    metric.chart.require_interior(point)
     batch = curvature_batch(metric, [point])
     return CurvatureData(
         point=tuple(float(x) for x in point),
@@ -536,10 +525,6 @@ def laplacian_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     return -np.einsum("nij,nij->n", _inverse_metric(metric, pts), hess)
 
 
-def laplacian(phi: Expr, metric: MetricSpec, point) -> float:
-    return float(laplacian_batch(phi, metric, [point])[0])
-
-
 def grad_norm_sq_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     pts = _as_points(metric.chart, points)
     _, grad, _ = _field_plan(phi, metric.chart.coords).jets(pts)
@@ -551,7 +536,3 @@ def gradient_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     pts = _as_points(metric.chart, points)
     _, grad, _ = _field_plan(phi, metric.chart.coords).jets(pts)
     return np.einsum("nij,nj->ni", _inverse_metric(metric, pts), grad)
-
-
-def gradient(phi: Expr, metric: MetricSpec, point) -> np.ndarray:
-    return gradient_batch(phi, metric, [point])[0]

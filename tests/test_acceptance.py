@@ -13,10 +13,8 @@ import pytest
 
 from confprod.catalog import (
     builtin_metric,
-    conformal_route_pairs,
     run_scenario,
     scenarios,
-    splitting_instances,
 )
 from confprod.checkers import (
     SamplePlan,
@@ -27,6 +25,7 @@ from confprod.checkers import (
 from confprod.cli import main
 from confprod.constructions import conformal_metric
 from confprod.geometry import curvature_batch
+from instances import conformal_route_pairs, splitting_instances
 
 PLAN = SamplePlan()  # 200 samples, kronecker rule, seed 0
 

@@ -6,12 +6,10 @@ from confprod.catalog import (
     MAX_DIM,
     ExpectedConstant,
     builtin_metric,
-    conformal_route_pairs,
     get_scenario,
     run_inline,
     run_scenario,
     scenarios,
-    splitting_instances,
 )
 from confprod.checkers import SamplePlan, sample
 from confprod.constructions import as_metric, require_positive_factor
@@ -22,6 +20,7 @@ from confprod.errors import (
 )
 from confprod.expressions import parse
 from confprod.geometry import curvature
+from instances import conformal_route_pairs, splitting_instances
 
 PLAN = SamplePlan(count=60)
 
@@ -158,7 +157,23 @@ def test_run_inline_validation():
     with pytest.raises(BadParameterError):
         run_inline(g, g, phi1=phi1, plan=PLAN)
     with pytest.raises(BadParameterError):
+        run_inline(g, g, plan=PLAN)
+    with pytest.raises(BadParameterError):
+        run_inline(g, g, phi2=phi1, phi=parse("f0.x1", ("f0.x1", "f1.x1")), plan=PLAN)
+    with pytest.raises(BadParameterError):
         run_inline(g, g, phi1=phi1, phi2=phi1, expected_verdict="maybe", plan=PLAN)
+
+
+@pytest.mark.parametrize("name", ["cosh_cylinder", "flat_quadratic", "non_splitting",
+                                  "sphere_hyperbolic", "warped_sphere"])
+def test_inline_run_of_a_scenario_instance_matches_the_scenario(name):
+    sc = get_scenario(name)
+    inst, _ = sc.build(sc.parameters())
+    inline = run_inline(inst.g1, inst.g2, phi1=inst.phi1, phi2=inst.phi2, phi=inst.phi,
+                        labels=inst.labels, plan=PLAN).to_dict()
+    scenario = run_scenario(name, plan=PLAN).to_dict()
+    for key in ("checks", "measured", "notes", "verdict"):
+        assert json.dumps(inline[key], sort_keys=True) == json.dumps(scenario[key], sort_keys=True)
 
 
 # --- fixed instance sets ------------------------------------------------------

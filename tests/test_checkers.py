@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confprod.catalog import builtin_metric, splitting_instances
+from confprod.catalog import builtin_metric
 from confprod.checkers import (
     MAX_SAMPLES,
     SamplePlan,
@@ -23,9 +23,9 @@ from confprod.constructions import (
     ConformalSpec,
     DoublyTwistedSpec,
     WarpedSpec,
-    constant_rescale,
     joint_chart,
     product,
+    scaled,
 )
 from confprod.errors import (
     ConstantSummandError,
@@ -37,6 +37,7 @@ from confprod.errors import (
 )
 from confprod.expressions import Const, mul, parse
 from confprod.geometry import Chart, MetricSpec
+from instances import splitting_instances
 
 PLAN = SamplePlan(count=120)
 
@@ -120,9 +121,9 @@ def test_einstein_check_low_dim_content_is_in_the_spread():
 def test_einstein_check_is_homothety_invariant():
     m = builtin_metric("sphere", 3)
     est = einstein_check(m, PLAN)
-    scaled = einstein_check(constant_rescale(m, 49.0), PLAN)
-    assert scaled.verdict == est.verdict == True
-    assert scaled.lambda_hat == pytest.approx(est.lambda_hat / 49.0, rel=1e-12)
+    big = einstein_check(scaled(m, Const(49.0)), PLAN)
+    assert big.verdict == est.verdict == True
+    assert big.lambda_hat == pytest.approx(est.lambda_hat / 49.0, rel=1e-12)
 
 
 # --- conformally Einstein residual -------------------------------------------
@@ -395,9 +396,9 @@ def test_conformal_verdicts_survive_homothety():
     base_report = conformally_einstein_check(ConformalSpec(b, phi), PLAN)
 
     k2 = 49.0
-    scaled = constant_rescale(b.metric, k2)
+    homothetic = scaled(b.metric, Const(k2))
     scaled_phi = mul(Const(7.0), phi)
-    scaled_report = conformally_einstein_check(ConformalSpec(scaled, scaled_phi), PLAN)
+    scaled_report = conformally_einstein_check(ConformalSpec(homothetic, scaled_phi), PLAN)
     assert scaled_report.verdict == base_report.verdict == True
     assert scaled_report.details["lambda_bar"] == pytest.approx(
         base_report.details["lambda_bar"], abs=1e-9)

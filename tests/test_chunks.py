@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from confprod import geometry
-from confprod.catalog import builtin_metric, conformal_route_pairs, run_scenario, scenarios
+from confprod.catalog import builtin_metric, run_scenario, scenarios
 from confprod.checkers import SamplePlan, sample
 from confprod.constructions import ConformalSpec, as_metric, conformal_metric, product
 from confprod.errors import SingularMetricError
 from confprod.expressions import parse
 from confprod.geometry import Chart, MetricSpec, curvature_batch
+from instances import conformal_route_pairs
 
 FIELDS = ("g", "ginv", "gamma", "ricci", "scalar")
 

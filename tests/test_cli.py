@@ -272,6 +272,20 @@ def test_config_errors(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--config", str(tmp_path / "missing.json"))
     assert code == 2 and "error:" in err
 
+    one = INLINE_FACTORS[0]
+    for extra, factor, message in [
+        ({"labels": 5}, one, "config 'labels' must be a pair of names, got 5"),
+        ({}, {**one, "entries": 5}, "bad first factor 'entries': 'int' object is not iterable"),
+        ({}, {**one, "margin": "nan"}, "singular margin must be a finite number >= 0, got nan"),
+        ({}, {**one, "domain": [[-1.5, "inf"]]}, "interval (-1.5, inf) of 'x1' needs finite bounds"),
+        ({}, {"domain": one["domain"], "entries": one["entries"]}, "first factor has no 'coords'"),
+    ]:
+        path = _write(tmp_path, "factor.json", {
+            "factors": [factor, INLINE_FACTORS[1]], "phi1": "x1", "phi2": "x1", **extra,
+        })
+        code, out, err = run(capsys, "check", "--config", path)
+        assert code == 2 and message in err and out == "", message
+
 
 @pytest.mark.parametrize("tol,message", [
     (float("nan"), "tolerance must be a finite positive number, got nan"),

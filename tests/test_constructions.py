@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confprod.catalog import builtin_metric, conformal_route_pairs
+from confprod.catalog import builtin_metric
 from confprod.checkers import SamplePlan, sample
 from confprod.constructions import (
     ConformalSpec,
@@ -11,20 +11,20 @@ from confprod.constructions import (
     conformal_metric,
     conformal_ricci_formula,
     conformal_scalar_formula,
-    constant_rescale,
     doubly_twisted_metric,
-    function_rescaled_metric,
     joint_chart,
     joint_sum,
     product,
     require_positive_factor,
     reciprocal,
+    scaled,
     twisted_metric,
     warped_metric,
 )
 from confprod.errors import DomainError, NonPositiveConformalFactorError, UnsupportedDimError
-from confprod.expressions import parse, rename_coords
+from confprod.expressions import Const, parse, powc, rename_coords
 from confprod.geometry import _riemann, curvature_batch, metric_values
+from instances import conformal_route_pairs
 
 PLAN = SamplePlan(count=40)
 
@@ -138,7 +138,7 @@ def test_warped_metric_is_a_conformal_product():
     f = parse("cosh(x1)", base.chart.coords)
     warped = warped_metric(WarpedSpec(base, fiber, f))
 
-    shrunk = function_rescaled_metric(base, reciprocal(f))
+    shrunk = scaled(base, powc(reciprocal(f), 2.0))
     prod = product(shrunk, fiber)
     phi = reciprocal(rename_coords(f, {"x1": "f0.x1"}))
     alt = conformal_metric(ConformalSpec(prod, phi))
@@ -158,7 +158,7 @@ def test_doubly_twisted_metric_factors_through_a_single_twist():
     direct = doubly_twisted_metric(d)
 
     ratio = parse("(1 + 0.25 * cos(f1.u1)) / exp(0.3 * f0.x1)", chart.coords)
-    alt = function_rescaled_metric(twisted_metric(g1, ratio, g2), b)
+    alt = scaled(twisted_metric(g1, ratio, g2), powc(b, 2.0))
 
     pts = sample(chart, SamplePlan(count=30))
     assert float(np.abs(metric_values(direct, pts) - metric_values(alt, pts)).max()) < 1e-12
@@ -191,27 +191,27 @@ def test_warp_must_live_on_the_base_chart():
 
 # --- rescaling ---------------------------------------------------------------
 
-def test_constant_rescale_is_exact_and_homothety_invariant():
+def test_scaled_by_a_constant_is_exact_and_homothety_invariant():
     m = builtin_metric("sphere", 2)
     k2 = 49.0
-    scaled = constant_rescale(m, k2)
+    homothetic = scaled(m, Const(k2))
     pts = _pts(m)
     g0 = metric_values(m, pts)
-    g1 = metric_values(scaled, pts)
+    g1 = metric_values(homothetic, pts)
     assert np.array_equal(g1, k2 * g0)
     b0 = curvature_batch(m, pts)
-    b1 = curvature_batch(scaled, pts)
+    b1 = curvature_batch(homothetic, pts)
     # connection and (1,3) curvature are scale free; scalar drops by 1/k^2
     assert float(np.abs(b1.gamma - b0.gamma).max()) < 1e-12
-    assert float(np.abs(_riemann(scaled, pts) - _riemann(m, pts)).max()) < 1e-12
+    assert float(np.abs(_riemann(homothetic, pts) - _riemann(m, pts)).max()) < 1e-12
     assert float(np.abs(b1.scalar - b0.scalar / k2).max()) < 1e-12
 
 
-def test_function_rescaled_metric_values():
+def test_scaled_by_a_function_values():
     m = builtin_metric("euclidean", 2)
     factor = parse("exp(x1)", m.chart.coords)
-    scaled = function_rescaled_metric(m, factor)  # factor^2 g
+    rescaled = scaled(m, powc(factor, 2.0))  # factor^2 g
     pts = _pts(m)
-    got = metric_values(scaled, pts)
+    got = metric_values(rescaled, pts)
     want = np.exp(2.0 * pts[:, 0])[:, None, None] * metric_values(m, pts)
     assert float(np.abs(got - want).max()) < 1e-12

@@ -14,7 +14,6 @@ import pytest
 from confprod import geometry
 from confprod.catalog import (
     ProductConformalInstance,
-    conformal_route_pairs,
     get_scenario,
     run_scenario,
     scenarios,
@@ -31,6 +30,7 @@ from confprod.constructions import (
 from confprod.errors import SingularMetricError
 from confprod.expressions import Const, parse
 from confprod.geometry import Chart, MetricSpec, _factors, curvature_batch
+from instances import conformal_route_pairs
 
 
 def _parts(metric):

@@ -183,6 +183,18 @@ def test_chart_validation():
         Chart(("x",), ((0.0, 1.0),), singular_margin=-0.5)
 
 
+@pytest.mark.parametrize("domain,margin,message", [
+    (((0.0, 1.0), (-np.inf, 1.0)), 0.0, "interval (-inf, 1.0) of 'y' needs finite bounds"),
+    (((0.0, np.nan), (0.0, 1.0)), 0.0, "interval (0.0, nan) of 'x' needs finite bounds"),
+    (((0.0, 1.0), (0.0, 1.0)), np.nan, "singular margin must be a finite number >= 0, got nan"),
+    (((0.0, 1.0), (0.0, 1.0)), np.inf, "singular margin must be a finite number >= 0, got inf"),
+], ids=["infinite-bound", "nan-bound", "nan-margin", "infinite-margin"])
+def test_chart_rejects_non_finite_bounds_and_margin(domain, margin, message):
+    with pytest.raises(UnsupportedDimError) as err:
+        Chart(("x", "y"), domain, singular_margin=margin)
+    assert str(err.value) == message
+
+
 def test_metric_spec_validation():
     coords = ("x", "y")
     chart = Chart(coords, ((-1.0, 1.0), (-1.0, 1.0)))
