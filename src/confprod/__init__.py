@@ -9,4 +9,4 @@ residuals over deterministically sampled charts.
 __version__ = "0.1.0"
 
 GRAMMAR_VERSION = "1"
-REPORT_SCHEMA_VERSION = "1"
+REPORT_SCHEMA_VERSION = "2"

@@ -15,9 +15,10 @@ from typing import Callable, Optional
 
 from .checkers import (
     NONCONSTANT_SPREAD,
+    Check,
     SamplePlan,
     _entry_sup,
-    _residual_report,
+    _residual,
     conformally_einstein_check,
     einstein_check,
     factor_hessian_check,
@@ -183,7 +184,7 @@ class ScenarioReport:
     expected_verdict: str
     verdict: str
     matched: bool
-    checks: dict
+    checks: dict[str, Check]
     constants: list[dict]
     measured: dict[str, float]
     notes: list[str]
@@ -196,7 +197,7 @@ class ScenarioReport:
             "expected_verdict": self.expected_verdict,
             "verdict": self.verdict,
             "matched": self.matched,
-            "checks": {k: v for k, v in self.checks.items()},
+            "checks": {k: v.to_dict() for k, v in self.checks.items()},
             "constants": list(self.constants),
             "measured": {k: self.measured[k] for k in sorted(self.measured)},
             "notes": list(self.notes),
@@ -211,6 +212,8 @@ def _require_tolerance(name: str, value: float) -> None:
 
 def _param_value(key: str, value) -> float:
     try:
+        if isinstance(value, bool):  # JSON true would read as 1
+            raise TypeError
         number = float(value)
     except OverflowError:  # an integer too large for a float
         number = math.inf
@@ -231,10 +234,15 @@ def _dim(params: dict, key: str) -> int:
 
 
 # --- batteries --------------------------------------------------------------
+#
+# A battery returns its checks as records named for the report, the
+# measured constants, the notes and whether a summand route failed to run.
+# The scenario's checks pass by the record rule: each one that carries an
+# expectation matches it.
 
 def _run_product_conformal(inst: ProductConformalInstance, plan: SamplePlan,
                            tolerance: float, fit_tolerance: float):
-    checks: dict = {}
+    checks: list[Check] = []
     measured: dict[str, float] = {}
     notes: list[str] = []
     block = product(inst.g1, inst.g2, inst.labels)
@@ -249,66 +257,58 @@ def _run_product_conformal(inst: ProductConformalInstance, plan: SamplePlan,
 
     require_positive_factor(spec, sample(block.metric.chart, plan))
     direct = einstein_check(conformal_metric(spec), plan, tolerance)
-    checks["direct_einstein"] = direct.to_dict()
-    measured["lambda_bar"] = direct.lambda_hat
+    lambda_bar = direct.details["lambda_hat"]
+    checks.append(direct.named("direct_einstein"))
+    measured["lambda_bar"] = lambda_bar
     if n > 1:
-        measured["rho_bar"] = direct.lambda_hat / (n - 1)
+        measured["rho_bar"] = lambda_bar / (n - 1)
 
-    residual = conformally_einstein_check(spec, plan, lambda_bar=direct.lambda_hat,
+    residual = conformally_einstein_check(spec, plan, lambda_bar=lambda_bar,
                                           tolerance=tolerance)
-    checks["conformal_residual"] = residual.to_dict()
-    mixed = mixed_ricci_flat_check(block, phi, plan, tolerance)
-    checks["mixed_ricci"] = mixed.to_dict()
-    split = split_factor(phi, block, plan, tolerance=tolerance)
-    checks["split"] = split.to_dict()
+    checks.append(residual.named("conformal_residual"))
+    checks.append(mixed_ricci_flat_check(block, phi, plan, tolerance).named("mixed_ricci"))
+    split, split1, split2 = split_factor(phi, block, plan, tolerance=tolerance)
+    checks.append(split.named("split"))
     if phi1 is None:
-        phi1, phi2 = split.phi1, split.phi2
+        phi1, phi2 = split1, split2
         notes.append("summands taken from the split candidates")
 
-    route_ok = False
+    route_failed = False
     try:
         fit = summand_laplacian_fit(inst.g1, inst.g2, phi1, phi2, plan,
                                     fit_tolerance, tolerance)
         hrep = summand_hessian_check(inst.g1, inst.g2, phi1, phi2, plan,
                                      fit_tolerance, tolerance, fit=fit)
-        checks["laplacian_fit"] = fit.to_dict()
-        checks["summand_hessian"] = hrep.to_dict()
-        measured.update(a1=fit.a1, b1=fit.b1, a2=fit.a2, b2=fit.b2)
-        c = hrep.constants
-        measured.update(a_bar=c.a_bar, b_bar=c.b_bar, c_bar_1=c.c_bar_1,
-                        c_bar_2=c.c_bar_2, lambda_1=c.lambda_1, lambda_2=c.lambda_2)
-        route_ok = fit.verdict and hrep.verdict
+        checks += [fit, hrep]
+        measured.update({k: fit.details[k] for k in ("a1", "b1", "a2", "b2")})
+        measured.update({k: hrep.details[k] for k in (
+            "a_bar", "b_bar", "c_bar_1", "c_bar_2", "lambda_1", "lambda_2")})
     except ConstantSummandError as exc:
         notes.append(f"{exc}")
-        route_ok = _warped_fallback(inst, phi1, phi2, plan, tolerance, checks,
-                                    measured, notes)
+        checks.append(_warped_fallback(inst, phi1, phi2, plan, tolerance, measured, notes))
     except (IllConditionedFitError, FitFailureError) as exc:
         notes.append(f"summand fit failed: {exc}")
+        route_failed = True
 
-    factor_ok = True
     if n >= 3:
         try:
             if summand_spread(phi2, inst.g2, plan) > NONCONSTANT_SPREAD:
                 frep = factor_hessian_check(inst.g1, inst.g2, phi1, phi2, plan,
-                                            tolerance, lambda_bar=direct.lambda_hat)
+                                            tolerance, lambda_bar=lambda_bar)
             else:
                 frep = factor_hessian_check(inst.g2, inst.g1, phi2, phi1, plan,
-                                            tolerance, lambda_bar=direct.lambda_hat)
-            checks["factor_hessian"] = frep.to_dict()
-            factor_ok = frep.verdict
+                                            tolerance, lambda_bar=lambda_bar)
+            checks.append(frep)
         except ConstantSummandError:
             notes.append("both summands constant; factor identity is vacuous")
     else:
         notes.append("joint dimension below 3; factor identity skipped")
-
-    ok = (direct.verdict and residual.verdict and mixed.verdict
-          and split.residual.verdict and route_ok and factor_ok)
-    return checks, measured, notes, ok
+    return checks, measured, notes, route_failed
 
 
 def _warped_fallback(inst: ProductConformalInstance, phi1: Expr, phi2: Expr,
-                     plan: SamplePlan, tolerance: float, checks: dict,
-                     measured: dict, notes: list[str]) -> bool:
+                     plan: SamplePlan, tolerance: float,
+                     measured: dict, notes: list[str]) -> Check:
     """One summand is constant: recheck as a warped product.
 
     The factor carrying the varying summand becomes the base, rescaled by
@@ -323,15 +323,13 @@ def _warped_fallback(inst: ProductConformalInstance, phi1: Expr, phi2: Expr,
     warp = reciprocal(add(varying, Const(shift)))
     w = WarpedSpec(base=scaled(carrier, powc(warp, 2.0)), fiber=fiber, warp=warp)
     wrep = warped_einstein_check(w, plan, tolerance)
-    checks["warped_route"] = wrep.to_dict()
-    measured["lambda_fiber"] = wrep.lambda_fiber
+    measured["lambda_fiber"] = wrep.details["lambda_fiber"]
     notes.append("warped route used for the constant summand")
-    return wrep.verdict
+    return wrep.named("warped_route")
 
 
 def _run_twisted(inst: TwistedInstance, plan: SamplePlan, tolerance: float,
                  identity_tolerance: float = 1e-12):
-    checks: dict = {}
     measured: dict[str, float] = {}
     notes: list[str] = []
     d = inst.spec
@@ -343,22 +341,18 @@ def _run_twisted(inst: TwistedInstance, plan: SamplePlan, tolerance: float,
         powc(d.base_scale, 2.0),
     )
     delta = metric_values(g, pts) - metric_values(rebuilt, pts, check=False)
-    identity = _residual_report("twisted_identity", _entry_sup(delta), pts, identity_tolerance)
-    checks["twisted_identity"] = identity.to_dict()
+    identity = _residual("twisted_identity", _entry_sup(delta), pts, identity_tolerance)
 
-    est = einstein_check(g, plan, tolerance)
-    checks["direct_einstein"] = est.to_dict()
-    measured["lambda_bar"] = est.lambda_hat
-    pres = warped_presentation_check(d, plan, tolerance)
-    checks["warped_presentation"] = pres.to_dict()
+    est = einstein_check(g, plan, tolerance).named("direct_einstein", inst.expect_einstein)
+    measured["lambda_bar"] = est.details["lambda_hat"]
+    pres = warped_presentation_check(d, plan, tolerance).named(
+        "warped_presentation", inst.expect_warped_form)
 
     if est.verdict != inst.expect_einstein:
         notes.append("Einstein verdict differs from the scenario claim")
     if pres.verdict != inst.expect_warped_form:
         notes.append("warped-presentation verdict differs from the scenario claim")
-    ok = (identity.verdict and est.verdict == inst.expect_einstein
-          and pres.verdict == inst.expect_warped_form)
-    return checks, measured, notes, ok
+    return [identity, est, pres], measured, notes, False
 
 
 # --- the scenarios ----------------------------------------------------------
@@ -566,10 +560,11 @@ def _report(name: str, summary: str, params: dict, expected_verdict: str,
     """Run the battery that fits the instance and judge it, expected constants included."""
     with evaluation_scope():
         if isinstance(inst, TwistedInstance):
-            checks, measured, notes, ok = _run_twisted(inst, plan, tolerance)
+            checks, measured, notes, route_failed = _run_twisted(inst, plan, tolerance)
         else:
-            checks, measured, notes, ok = _run_product_conformal(inst, plan, tolerance,
-                                                                 fit_tolerance)
+            checks, measured, notes, route_failed = _run_product_conformal(
+                inst, plan, tolerance, fit_tolerance)
+    ok = Check("battery", parts=checks).verdict and not route_failed
     rows = []
     for c in expected:
         got = measured.get(c.name)
@@ -592,7 +587,7 @@ def _report(name: str, summary: str, params: dict, expected_verdict: str,
         expected_verdict=expected_verdict,
         verdict=verdict,
         matched=verdict == expected_verdict,
-        checks=checks,
+        checks={c.name: c for c in checks},
         constants=rows,
         measured={k: float(v) for k, v in measured.items()},
         notes=notes,

@@ -1,8 +1,10 @@
 """Pointwise residual checks over deterministically sampled charts.
 
-Every check reports a sup/mean residual with the witness point and the
-tolerance it was judged against; verdicts are always accompanied by the
-residual that produced them.  Constancy of a sampled quantity always means
+Every check returns one `Check` record: a leaf carries a sup (and, over
+sample points, the mean and the witness point) with the tolerance it was
+judged against; a compound check is a node whose parts are such records.
+Verdicts are always accompanied by the residuals that produced them.
+Constancy of a sampled quantity always means
 (max - min) <= tolerance * (1 + |mean|).
 
 Sampling uses an additive-recurrence low-discrepancy sequence, so a given
@@ -44,6 +46,7 @@ from .expressions import (
     Expr,
     differentiate,
     evaluate,
+    format_expr,
     rename_coords,
     sub,
     substitute,
@@ -117,48 +120,82 @@ def sample(chart: Chart, plan: SamplePlan) -> np.ndarray:
     return lo + u * (hi - lo)
 
 
-# --- residual bookkeeping ---------------------------------------------------
+# --- the check record -------------------------------------------------------
 
 @dataclass
-class ResidualReport:
+class Check:
+    """One check's outcome, a leaf judged on one residual or a node over parts.
+
+    A leaf passes when sup <= tolerance.  A node passes when every part that
+    carries an expectation matches it: `expected` is True for a condition
+    that must hold, False for one that must fail, and None for an estimate
+    that is reported but not judged.  A leaf's `witness` is the sample point
+    where its residual peaks (None for a leaf judged on one number);
+    `details` holds named numbers, points and formatted expressions.
+    """
+
     name: str
-    sup: float
-    mean: float
-    argmax_point: tuple[float, ...]
-    tolerance: float
-    samples: int
-    details: dict[str, float] = field(default_factory=dict)
+    sup: Optional[float] = None
+    tolerance: Optional[float] = None
+    mean: Optional[float] = None
+    witness: Optional[list[float]] = None
+    samples: Optional[int] = None
+    details: dict = field(default_factory=dict)
+    parts: list[Check] = field(default_factory=list)
+    expected: Optional[bool] = True
 
     @property
     def verdict(self) -> bool:
-        return self.sup <= self.tolerance
+        if not self.parts:
+            return self.sup <= self.tolerance
+        return all(p.verdict == p.expected for p in self.parts if p.expected is not None)
+
+    def __getitem__(self, name: str) -> Check:
+        """The part called `name`."""
+        for part in self.parts:
+            if part.name == name:
+                return part
+        raise KeyError(name)
+
+    def named(self, name: str, expected: Optional[bool] = True) -> Check:
+        """This record under the name and expectation its parent gives it."""
+        self.name, self.expected = name, expected
+        return self
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "sup_residual": self.sup,
-            "mean_residual": self.mean,
-            "argmax_point": list(self.argmax_point),
-            "tolerance": self.tolerance,
-            "samples": self.samples,
             "verdict": self.verdict,
-            "details": dict(sorted(self.details.items())),
+            "expected": self.expected,
+            "sup": self.sup,
+            "tolerance": self.tolerance,
+            "mean": self.mean,
+            "witness": self.witness,
+            "samples": self.samples,
+            "details": dict(self.details),
+            "parts": [p.to_dict() for p in self.parts],
         }
 
 
-def _residual_report(name: str, per_point: np.ndarray, points: np.ndarray,
-                     tolerance: float, **details: float) -> ResidualReport:
+def _residual(name: str, per_point: np.ndarray, points: np.ndarray,
+              tolerance: float, **details: float) -> Check:
+    """Leaf over a per-point residual: its sup, mean and the sup's sample point."""
     per_point = np.abs(np.asarray(per_point, dtype=float))
     where = int(np.argmax(per_point))
-    return ResidualReport(
-        name=name,
+    return Check(
+        name,
         sup=float(per_point.max()),
-        mean=float(per_point.mean()),
-        argmax_point=tuple(float(v) for v in points[where]),
         tolerance=tolerance,
+        mean=float(per_point.mean()),
+        witness=[float(v) for v in points[where]],
         samples=int(per_point.shape[0]),
         details={k: float(v) for k, v in details.items()},
     )
+
+
+def _bound(name: str, value: float, tolerance: float) -> Check:
+    """Leaf judged on one number: a spread, a fit residual, a relation of constants."""
+    return Check(name, sup=float(value), tolerance=tolerance)
 
 
 def _entry_sup(per_point_matrices: np.ndarray) -> np.ndarray:
@@ -173,6 +210,12 @@ def constancy(values: np.ndarray, tolerance: float) -> tuple[bool, float, float]
     spread = float(values.max() - values.min())
     mean = float(values.mean())
     return spread <= tolerance * (1.0 + abs(mean)), spread, mean
+
+
+def _spread(name: str, values: np.ndarray, tolerance: float) -> tuple[Check, float]:
+    """Constancy leaf, judged against tolerance * (1 + |mean|), and the mean."""
+    _, spread, mean = constancy(values, tolerance)
+    return _bound(name, spread, tolerance * (1.0 + abs(mean))), mean
 
 
 def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -196,35 +239,14 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 # --- Einstein checks --------------------------------------------------------
 
-@dataclass
-class EinsteinEstimate:
-    lambda_hat: float
-    lambda_spread: float
-    spread_tolerance: float
-    residual: ResidualReport
-    low_dim_warning: bool
-
-    @property
-    def verdict(self) -> bool:
-        return self.residual.verdict and self.lambda_spread <= self.spread_tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_hat": self.lambda_hat,
-            "lambda_spread": self.lambda_spread,
-            "spread_tolerance": self.spread_tolerance,
-            "residual": self.residual.to_dict(),
-            "low_dim_warning": self.low_dim_warning,
-            "verdict": self.verdict,
-        }
-
-
 def einstein_check(g: AnyMetric, plan: SamplePlan, tolerance: float = 1e-8,
-                   spread_tolerance: Optional[float] = None) -> EinsteinEstimate:
+                   spread_tolerance: Optional[float] = None) -> Check:
     """Pointwise ric - lambda_hat g with lambda_hat the mean of scalar/dim.
 
-    Dimensions 1 and 2 are allowed but flagged: there the residual is
-    trivially small and the lambda spread carries the content.
+    Parts: the `residual` and the `lambda_spread` (max - min of scalar/dim,
+    judged against spread_tolerance, by default the tolerance).  Dimensions
+    1 and 2 are allowed but flagged (`low_dim_warning`): there the residual
+    is trivially small and the lambda spread carries the content.
     """
     m = as_metric(g)
     n = m.dim
@@ -235,18 +257,14 @@ def einstein_check(g: AnyMetric, plan: SamplePlan, tolerance: float = 1e-8,
     per_point = _entry_sup(batch.ricci - lambda_hat * batch.g)
     if spread_tolerance is None:
         spread_tolerance = tolerance
-    return EinsteinEstimate(
-        lambda_hat=lambda_hat,
-        lambda_spread=float(lam.max() - lam.min()),
-        spread_tolerance=spread_tolerance,
-        residual=_residual_report("einstein", per_point, pts, tolerance),
-        low_dim_warning=n <= 2,
-    )
+    return Check("einstein", details={"lambda_hat": lambda_hat, "low_dim_warning": n <= 2},
+                 parts=[_residual("residual", per_point, pts, tolerance),
+                        _bound("lambda_spread", lam.max() - lam.min(), spread_tolerance)])
 
 
 def conformally_einstein_check(c: ConformalSpec, plan: SamplePlan,
                                lambda_bar: Optional[float] = None,
-                               tolerance: float = 1e-8) -> ResidualReport:
+                               tolerance: float = 1e-8) -> Check:
     """Residual of the conformally-Einstein equation on the base metric.
 
     ric(g) + (n-2) Hess(phi)/phi
@@ -263,12 +281,12 @@ def conformally_einstein_check(c: ConformalSpec, plan: SamplePlan,
         # a non-positive factor is reported before the direct route runs into it
         require_positive_factor(c, pts)
         direct = einstein_check(conformal_metric(c), plan, tolerance)
-        lambda_bar = direct.lambda_hat
-        details["direct_residual_sup"] = direct.residual.sup
-        details["direct_lambda_spread"] = direct.lambda_spread
+        lambda_bar = direct.details["lambda_hat"]
+        details["direct_residual_sup"] = direct["residual"].sup
+        details["direct_lambda_spread"] = direct["lambda_spread"].sup
         direct_verdict = direct.verdict
     residual = conformal_ricci_formula(c, pts, lambda_bar)
-    report = _residual_report(
+    report = _residual(
         "conformally_einstein", _entry_sup(residual), pts, tolerance,
         lambda_bar=lambda_bar, **details,
     )
@@ -280,7 +298,7 @@ def conformally_einstein_check(c: ConformalSpec, plan: SamplePlan,
 # --- product structure checks -----------------------------------------------
 
 def mixed_ricci_flat_check(b: BlockMetricSpec, phi: Expr, plan: SamplePlan,
-                           tolerance: float = 1e-8) -> ResidualReport:
+                           tolerance: float = 1e-8) -> Check:
     """Sup of cross-block second partials of phi.
 
     For a product base the cross-block Ricci of the rescaled metric equals
@@ -310,37 +328,19 @@ def mixed_ricci_flat_check(b: BlockMetricSpec, phi: Expr, plan: SamplePlan,
             identity = direct_cross - (n - 2) * cross / phival[:, None, None]
             details["direct_cross_sup"] = float(np.abs(direct_cross).max())
             details["identity_residual_sup"] = float(np.abs(identity).max())
-    return _residual_report("mixed_ricci_flat", per_point, pts, tolerance, **details)
-
-
-@dataclass
-class SplitResult:
-    phi1: Expr
-    phi2: Expr
-    anchor: tuple[float, ...]
-    probe: tuple[float, ...]
-    residual: ResidualReport
-
-    def to_dict(self) -> dict:
-        from .expressions import format_expr
-
-        return {
-            "phi1": format_expr(self.phi1),
-            "phi2": format_expr(self.phi2),
-            "anchor": list(self.anchor),
-            "probe": list(self.probe),
-            "residual": self.residual.to_dict(),
-        }
+    return _residual("mixed_ricci_flat", per_point, pts, tolerance, **details)
 
 
 def split_factor(phi: Expr, b: BlockMetricSpec, plan: SamplePlan,
                  anchor: Optional[tuple[float, ...]] = None,
-                 tolerance: float = 1e-8) -> SplitResult:
+                 tolerance: float = 1e-8) -> tuple[Check, Expr, Expr]:
     """Candidate summands phi1(x) = phi(x, y0) - phi(x0, y0), phi2(y) = phi(x0, y).
 
     phi1 is normalized to vanish at the anchor x0.  The residual measures
     sup |phi - phi1 - phi2| over the joint samples; it vanishes exactly when
-    phi splits as a sum across the factors.
+    phi splits as a sum across the factors.  Returns the check, whose
+    details carry the anchor, the probe y0 and both candidates as text,
+    and the two candidates.
     """
     joint = b.metric
     pts = sample(joint.chart, plan)
@@ -366,8 +366,10 @@ def split_factor(phi: Expr, b: BlockMetricSpec, plan: SamplePlan,
         expr_values(phi1, b.factors[0].chart, parts[0])
         + expr_values(phi2, b.factors[1].chart, parts[1])
     )
-    report = _residual_report("split_factor", joint_vals - split_vals, pts, tolerance)
-    return SplitResult(phi1=phi1, phi2=phi2, anchor=anchor, probe=probe, residual=report)
+    check = _residual("split_factor", joint_vals - split_vals, pts, tolerance)
+    check.details.update(phi1=format_expr(phi1), phi2=format_expr(phi2),
+                         anchor=list(anchor), probe=list(probe))
+    return check, phi1, phi2
 
 
 # --- summand fits -----------------------------------------------------------
@@ -386,65 +388,18 @@ def require_nonconstant(phi: Expr, m: MetricSpec, plan: SamplePlan, label: str) 
         )
 
 
-@dataclass
-class SummandLaplacianFit:
+def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
+                          plan: SamplePlan, tolerance: float = 1e-6,
+                          s_tolerance: float = 1e-8) -> Check:
     """Affine fits lap(phi_i) = a_i phi_i + b_i plus the induced constants.
 
     c1 and c2 are the factor-wise combinations
         c1 = (a2 - a1) phi1^2 - 2 (b1 + b2) phi1 - n |dphi1|^2
         c2 = (a1 - a2) phi2^2 - 2 (b1 + b2) phi2 - n |dphi2|^2
     which must be constant, with s = (n-1)(a1 + a2) for the product scalar
-    curvature and sbar = (n-1)(c1 + c2) for the rescaled one.
+    curvature and sbar = (n-1)(c1 + c2) for the rescaled one.  Parts: the
+    two fit residuals, the two spreads, and the s and sbar relations.
     """
-
-    a1: float
-    b1: float
-    a2: float
-    b2: float
-    fit_residual_1: float
-    fit_residual_2: float
-    c1: float
-    c2: float
-    c1_spread: float
-    c2_spread: float
-    constancy_ok: bool
-    s_value: float
-    s_residual: float
-    sbar_mean: float
-    sbar_spread: float
-    sbar_residual: float
-    tolerance: float
-    s_tolerance: float
-
-    @property
-    def verdict(self) -> bool:
-        return (
-            max(self.fit_residual_1, self.fit_residual_2) <= self.tolerance
-            and self.constancy_ok
-            and self.s_residual <= self.s_tolerance
-            and self.sbar_residual <= self.tolerance
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "a1": self.a1, "b1": self.b1, "a2": self.a2, "b2": self.b2,
-            "fit_residual_1": self.fit_residual_1,
-            "fit_residual_2": self.fit_residual_2,
-            "c1": self.c1, "c2": self.c2,
-            "c1_spread": self.c1_spread, "c2_spread": self.c2_spread,
-            "constancy_ok": self.constancy_ok,
-            "s_value": self.s_value, "s_residual": self.s_residual,
-            "sbar_mean": self.sbar_mean, "sbar_spread": self.sbar_spread,
-            "sbar_residual": self.sbar_residual,
-            "tolerance": self.tolerance, "s_tolerance": self.s_tolerance,
-            "verdict": self.verdict,
-        }
-
-
-def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
-                          plan: SamplePlan, tolerance: float = 1e-6,
-                          s_tolerance: float = 1e-8) -> SummandLaplacianFit:
-    """Fit the affine Laplacian relations of the two summands and their constants."""
     n = g1.dim + g2.dim
     scalars = []
     for k, g in enumerate((g1, g2)):
@@ -467,63 +422,37 @@ def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
 
     gns1 = grad_norm_sq_batch(phi1, g1, pts1)
     gns2 = grad_norm_sq_batch(phi2, g2, pts2)
-    c1_vals = (a2 - a1) * v1**2 - 2 * (b1 + b2) * v1 - n * gns1
-    c2_vals = (a1 - a2) * v2**2 - 2 * (b1 + b2) * v2 - n * gns2
-    ok1, c1_spread, c1 = constancy(c1_vals, tolerance)
-    ok2, c2_spread, c2 = constancy(c2_vals, tolerance)
+    c1_spread, c1 = _spread(
+        "c1_spread", (a2 - a1) * v1**2 - 2 * (b1 + b2) * v1 - n * gns1, tolerance)
+    c2_spread, c2 = _spread(
+        "c2_spread", (a1 - a2) * v2**2 - 2 * (b1 + b2) * v2 - n * gns2, tolerance)
 
     s_value = scalars[0] + scalars[1]
-    s_residual = abs(s_value - (n - 1) * (a1 + a2))
-
     block = product(g1, g2)
     rescaled = conformal_metric(ConformalSpec(block, joint_sum(block, phi1, phi2)))
     sbar_vals = curvature_batch(rescaled, sample(rescaled.chart, plan)).scalar
     sbar_mean = float(sbar_vals.mean())
-    sbar_spread = float(sbar_vals.max() - sbar_vals.min())
-    sbar_residual = abs(sbar_mean - (n - 1) * (c1 + c2))
 
-    return SummandLaplacianFit(
-        a1=a1, b1=b1, a2=a2, b2=b2,
-        fit_residual_1=res1, fit_residual_2=res2,
-        c1=c1, c2=c2, c1_spread=c1_spread, c2_spread=c2_spread,
-        constancy_ok=ok1 and ok2,
-        s_value=s_value, s_residual=s_residual,
-        sbar_mean=sbar_mean, sbar_spread=sbar_spread, sbar_residual=sbar_residual,
-        tolerance=tolerance, s_tolerance=s_tolerance,
+    return Check(
+        "laplacian_fit",
+        details={"a1": a1, "b1": b1, "a2": a2, "b2": b2, "c1": c1, "c2": c2,
+                 "s_value": s_value, "sbar_mean": sbar_mean,
+                 "sbar_spread": float(sbar_vals.max() - sbar_vals.min())},
+        parts=[
+            _bound("fit_residual_1", res1, tolerance),
+            _bound("fit_residual_2", res2, tolerance),
+            c1_spread,
+            c2_spread,
+            _bound("s_residual", abs(s_value - (n - 1) * (a1 + a2)), s_tolerance),
+            _bound("sbar_residual", abs(sbar_mean - (n - 1) * (c1 + c2)), tolerance),
+        ],
     )
 
 
 # --- warped route -----------------------------------------------------------
 
-@dataclass
-class WarpedEinsteinReport:
-    lambda_fiber: float
-    lambda_bar: float
-    fiber: EinsteinEstimate
-    scalar_eq: ResidualReport
-    base_eq: ResidualReport
-    direct: EinsteinEstimate
-    verdicts_agree: bool
-
-    @property
-    def verdict(self) -> bool:
-        return self.fiber.verdict and self.scalar_eq.verdict and self.base_eq.verdict
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_fiber": self.lambda_fiber,
-            "lambda_bar": self.lambda_bar,
-            "fiber": self.fiber.to_dict(),
-            "scalar_eq": self.scalar_eq.to_dict(),
-            "base_eq": self.base_eq.to_dict(),
-            "direct": self.direct.to_dict(),
-            "verdict": self.verdict,
-            "verdicts_agree": self.verdicts_agree,
-        }
-
-
 def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
-                          tolerance: float = 1e-8) -> WarpedEinsteinReport:
+                          tolerance: float = 1e-8) -> Check:
     """The three conditions for g_B + f^2 g_F to be Einstein.
 
     (a) the fiber is Einstein with constant lambda_F;
@@ -531,14 +460,16 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
     (c) f^2 ric(g_B) = p f Hess(f) + lambda_bar f^2 g_B.
 
     Both constants come from `w` when set there, otherwise from the
-    sampled Einstein estimates; the direct Einstein verdict of the joint
-    warped metric is computed independently and compared.
+    sampled Einstein estimates; the direct Einstein estimate of the joint
+    warped metric is computed independently, reported unjudged, and
+    compared (`verdicts_agree`).
     """
     p = w.fiber.dim
     fiber_est = einstein_check(w.fiber, plan, tolerance)
-    lambda_fiber = w.lambda_fiber if w.lambda_fiber is not None else fiber_est.lambda_hat
+    lambda_fiber = (w.lambda_fiber if w.lambda_fiber is not None
+                    else fiber_est.details["lambda_hat"])
     direct = einstein_check(warped_metric(w), plan, tolerance)
-    lambda_bar = w.lambda_bar if w.lambda_bar is not None else direct.lambda_hat
+    lambda_bar = w.lambda_bar if w.lambda_bar is not None else direct.details["lambda_hat"]
 
     pts = sample(w.base.chart, plan)
     f = expr_values(w.warp, w.base.chart, pts)
@@ -548,114 +479,31 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
     lap = laplacian_batch(w.warp, w.base, pts)
     gns = grad_norm_sq_batch(w.warp, w.base, pts)
     scalar_eq = f * lap - (p - 1) * gns + lambda_fiber - lambda_bar * f**2
-    scalar_report = _residual_report(
-        "warped_scalar_eq", scalar_eq, pts, tolerance,
-        lambda_fiber=lambda_fiber, lambda_bar=lambda_bar,
-    )
 
     base_batch = curvature_batch(w.base, pts)
     hess = hessian_lc_batch(w.warp, w.base, pts)
     fcol = f[:, None, None]
     base_eq = fcol**2 * base_batch.ricci - p * fcol * hess - lambda_bar * fcol**2 * base_batch.g
-    base_report = _residual_report("warped_base_eq", _entry_sup(base_eq), pts, tolerance)
 
-    report = WarpedEinsteinReport(
-        lambda_fiber=lambda_fiber,
-        lambda_bar=lambda_bar,
-        fiber=fiber_est,
-        scalar_eq=scalar_report,
-        base_eq=base_report,
-        direct=direct,
-        verdicts_agree=False,
-    )
-    report.verdicts_agree = report.verdict == direct.verdict
+    report = Check("warped_einstein",
+                   details={"lambda_fiber": lambda_fiber, "lambda_bar": lambda_bar},
+                   parts=[
+                       fiber_est.named("fiber"),
+                       _residual("scalar_eq", scalar_eq, pts, tolerance,
+                                 lambda_fiber=lambda_fiber, lambda_bar=lambda_bar),
+                       _residual("base_eq", _entry_sup(base_eq), pts, tolerance),
+                       direct.named("direct", expected=None),
+                   ])
+    report.details["verdicts_agree"] = report.verdict == direct.verdict
     return report
 
 
 # --- split summand route ----------------------------------------------------
 
-@dataclass
-class SummandConstants:
-    a_bar: float
-    b_bar: float
-    c_bar_1: float
-    c_bar_2: float
-    rho_bar: float
-    lambda_1: float
-    lambda_2: float
-
-    def to_dict(self) -> dict:
-        return {
-            "a_bar": self.a_bar, "b_bar": self.b_bar,
-            "c_bar_1": self.c_bar_1, "c_bar_2": self.c_bar_2,
-            "rho_bar": self.rho_bar,
-            "lambda_1": self.lambda_1, "lambda_2": self.lambda_2,
-        }
-
-
-@dataclass
-class SummandHessianReport:
-    constants: SummandConstants
-    proportionality_1: ResidualReport
-    hessian_2: ResidualReport
-    lambda_relation_1: float
-    lambda_relation_2: float
-    c_bar_1_spread: float
-    c_bar_2_spread: float
-    closure_residual: float
-    b_ratio_residual: float
-    a_combination_residual: float
-    fit: SummandLaplacianFit
-    factor_1: EinsteinEstimate
-    factor_2: EinsteinEstimate
-    direct: EinsteinEstimate
-    tolerance: float
-    equality_tolerance: float
-    verdicts_agree: bool
-
-    @property
-    def verdict(self) -> bool:
-        return (
-            self.proportionality_1.verdict
-            and self.hessian_2.verdict
-            and self.lambda_relation_1 <= self.tolerance
-            and self.lambda_relation_2 <= self.tolerance
-            and self.c_bar_1_spread <= self.tolerance * (1 + abs(self.constants.c_bar_1))
-            and self.c_bar_2_spread <= self.tolerance * (1 + abs(self.constants.c_bar_2))
-            and self.closure_residual <= self.tolerance
-            and self.b_ratio_residual <= self.equality_tolerance
-            and self.a_combination_residual <= self.equality_tolerance
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "constants": self.constants.to_dict(),
-            "proportionality_1": self.proportionality_1.to_dict(),
-            "hessian_2": self.hessian_2.to_dict(),
-            "lambda_relation_1": self.lambda_relation_1,
-            "lambda_relation_2": self.lambda_relation_2,
-            "c_bar_1_spread": self.c_bar_1_spread,
-            "c_bar_2_spread": self.c_bar_2_spread,
-            "closure_residual": self.closure_residual,
-            "b_ratio_residual": self.b_ratio_residual,
-            "a_combination_residual": self.a_combination_residual,
-            "c_sum_fit": self.fit.c1 + self.fit.c2,
-            "c_bar_sum": self.constants.c_bar_1 + self.constants.c_bar_2,
-            "fit": self.fit.to_dict(),
-            "factor_1": self.factor_1.to_dict(),
-            "factor_2": self.factor_2.to_dict(),
-            "direct": self.direct.to_dict(),
-            "tolerance": self.tolerance,
-            "equality_tolerance": self.equality_tolerance,
-            "verdict": self.verdict,
-            "verdicts_agree": self.verdicts_agree,
-        }
-
-
 def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
                           plan: SamplePlan, tolerance: float = 1e-6,
                           equality_tolerance: float = 1e-8,
-                          fit: Optional[SummandLaplacianFit] = None) -> SummandHessianReport:
+                          fit: Optional[Check] = None) -> Check:
     """Hessian route for two non-constant summands.
 
     Fits a_bar, b_bar from Hess(phi1) = -(a_bar phi1 + b_bar) g1, then checks
@@ -665,13 +513,16 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
         c_bar_1 = -(|dphi1|^2 + a_bar phi1^2 + 2 b_bar phi1)
         c_bar_2 = -(|dphi2|^2 - a_bar phi2^2 + 2 b_bar phi2)
     against the normalized scalar curvature rho_bar of the rescaled product,
-    and the summand-fit constraints b1/n1 = b2/n2, n2 a1 + n1 a2 = 0.
+    and the summand-fit constraints b1/n1 = b2/n2, n2 a1 + n1 a2 = 0, read
+    from `fit` (summand_laplacian_fit's record, computed when not given).
+    The factor and direct Einstein estimates are reported unjudged.
     """
     n1, n2 = g1.dim, g2.dim
     require_nonconstant(phi1, g1, plan, "first summand")
     require_nonconstant(phi2, g2, plan, "second summand")
     if fit is None:
         fit = summand_laplacian_fit(g1, g2, phi1, phi2, plan, tolerance, equality_tolerance)
+    a1, b1, a2, b2 = (fit.details[k] for k in ("a1", "b1", "a2", "b2"))
 
     pts1 = sample(g1.chart, plan)
     pts2 = sample(g2.chart, plan)
@@ -683,92 +534,62 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
     h2 = hessian_lc_batch(phi2, g2, pts2)
 
     trace1 = np.einsum("nij,nij->n", np.linalg.inv(g1v), h1) / n1
-    prop1 = _residual_report(
-        "hessian_proportionality_1",
-        _entry_sup(h1 - trace1[:, None, None] * g1v),
-        pts1, equality_tolerance,
-    )
+    prop1 = _residual("proportionality_1", _entry_sup(h1 - trace1[:, None, None] * g1v),
+                      pts1, equality_tolerance)
     slope, intercept, _ = _affine_fit(v1, trace1)
     a_bar, b_bar = -slope, -intercept
 
-    hess2 = _residual_report(
-        "hessian_relation_2",
-        _entry_sup(h2 - (a_bar * v2 - b_bar)[:, None, None] * g2v),
-        pts2, equality_tolerance,
-        a_bar=a_bar, b_bar=b_bar,
-    )
+    hess2 = _residual("hessian_2", _entry_sup(h2 - (a_bar * v2 - b_bar)[:, None, None] * g2v),
+                      pts2, equality_tolerance, a_bar=a_bar, b_bar=b_bar)
 
     factor_1 = einstein_check(g1, plan, equality_tolerance)
     factor_2 = einstein_check(g2, plan, equality_tolerance)
-    lambda_relation_1 = abs(factor_1.lambda_hat - (n1 - 1) * a_bar)
-    lambda_relation_2 = abs(factor_2.lambda_hat + (n2 - 1) * a_bar)
+    lambda_1 = factor_1.details["lambda_hat"]
+    lambda_2 = factor_2.details["lambda_hat"]
 
     gns1 = grad_norm_sq_batch(phi1, g1, pts1)
     gns2 = grad_norm_sq_batch(phi2, g2, pts2)
-    _, c1_spread, c_bar_1 = constancy(-(gns1 + a_bar * v1**2 + 2 * b_bar * v1), tolerance)
-    _, c2_spread, c_bar_2 = constancy(-(gns2 - a_bar * v2**2 + 2 * b_bar * v2), tolerance)
+    c1_spread, c_bar_1 = _spread(
+        "c_bar_1_spread", -(gns1 + a_bar * v1**2 + 2 * b_bar * v1), tolerance)
+    c2_spread, c_bar_2 = _spread(
+        "c_bar_2_spread", -(gns2 - a_bar * v2**2 + 2 * b_bar * v2), tolerance)
 
     block = product(g1, g2)
     spec = ConformalSpec(block, joint_sum(block, phi1, phi2))
     direct = einstein_check(conformal_metric(spec), plan, tolerance)
     rho_vals = curvature_batch(conformal_metric(spec), sample(block.metric.chart, plan))
     rho_bar = float(rho_vals.normalized_scalar().mean())
-    closure = abs(c_bar_1 + c_bar_2 - rho_bar)
 
-    b_ratio = abs(fit.b1 / n1 - fit.b2 / n2)
-    a_combo = abs(n2 * fit.a1 + n1 * fit.a2)
-
-    constants = SummandConstants(
-        a_bar=a_bar, b_bar=b_bar, c_bar_1=c_bar_1, c_bar_2=c_bar_2,
-        rho_bar=rho_bar, lambda_1=factor_1.lambda_hat, lambda_2=factor_2.lambda_hat,
+    report = Check(
+        "summand_hessian",
+        details={"a_bar": a_bar, "b_bar": b_bar, "c_bar_1": c_bar_1, "c_bar_2": c_bar_2,
+                 "rho_bar": rho_bar, "lambda_1": lambda_1, "lambda_2": lambda_2,
+                 "c_sum_fit": fit.details["c1"] + fit.details["c2"],
+                 "c_bar_sum": c_bar_1 + c_bar_2},
+        parts=[
+            prop1,
+            hess2,
+            _bound("lambda_relation_1", abs(lambda_1 - (n1 - 1) * a_bar), tolerance),
+            _bound("lambda_relation_2", abs(lambda_2 + (n2 - 1) * a_bar), tolerance),
+            c1_spread,
+            c2_spread,
+            _bound("closure_residual", abs(c_bar_1 + c_bar_2 - rho_bar), tolerance),
+            _bound("b_ratio_residual", abs(b1 / n1 - b2 / n2), equality_tolerance),
+            _bound("a_combination_residual", abs(n2 * a1 + n1 * a2), equality_tolerance),
+            factor_1.named("factor_1", expected=None),
+            factor_2.named("factor_2", expected=None),
+            direct.named("direct", expected=None),
+        ],
     )
-    report = SummandHessianReport(
-        constants=constants,
-        proportionality_1=prop1,
-        hessian_2=hess2,
-        lambda_relation_1=lambda_relation_1,
-        lambda_relation_2=lambda_relation_2,
-        c_bar_1_spread=c1_spread,
-        c_bar_2_spread=c2_spread,
-        closure_residual=closure,
-        b_ratio_residual=b_ratio,
-        a_combination_residual=a_combo,
-        fit=fit,
-        factor_1=factor_1,
-        factor_2=factor_2,
-        direct=direct,
-        tolerance=tolerance,
-        equality_tolerance=equality_tolerance,
-        verdicts_agree=False,
-    )
-    report.verdicts_agree = report.verdict == direct.verdict
+    report.details["verdicts_agree"] = report.verdict == direct.verdict
     return report
 
 
 # --- factor identity for a conformally Einstein product ---------------------
 
-@dataclass
-class FactorHessianReport:
-    factor_1: EinsteinEstimate
-    identity: ResidualReport
-    lambda_bar: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.factor_1.verdict and self.identity.verdict
-
-    def to_dict(self) -> dict:
-        return {
-            "factor_1": self.factor_1.to_dict(),
-            "identity": self.identity.to_dict(),
-            "lambda_bar": self.lambda_bar,
-            "verdict": self.verdict,
-        }
-
-
 def factor_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
                          plan: SamplePlan, tolerance: float = 1e-8,
-                         lambda_bar: Optional[float] = None) -> FactorHessianReport:
+                         lambda_bar: Optional[float] = None) -> Check:
     """With the second summand non-constant, the first factor must be Einstein and
 
     Hess(phi1) = (lambda_bar/phi - lambda_1 phi + lap(phi) + (n-1)|dphi|^2/phi) g1 / (n-2)
@@ -786,8 +607,9 @@ def factor_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
     phi = joint_sum(block, phi1, phi2)
     spec = ConformalSpec(block, phi)
     if lambda_bar is None:
-        lambda_bar = einstein_check(conformal_metric(spec), plan, tolerance).lambda_hat
+        lambda_bar = einstein_check(conformal_metric(spec), plan, tolerance).details["lambda_hat"]
     factor_1 = einstein_check(g1, plan, tolerance)
+    lambda_1 = factor_1.details["lambda_hat"]
 
     pts = sample(block.metric.chart, plan)
     parts = block.split_points(pts)
@@ -796,48 +618,25 @@ def factor_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
     gns = grad_norm_sq_batch(phi, block.metric, pts)
     h1 = hessian_lc_batch(phi1, g1, parts[0])
     g1v = metric_values(g1, parts[0])
-    coef = (lambda_bar / phival - factor_1.lambda_hat * phival + lap
+    coef = (lambda_bar / phival - lambda_1 * phival + lap
             + (n - 1) * gns / phival) / (n - 2)
-    residual = _residual_report(
-        "factor_hessian_identity",
-        _entry_sup(h1 - coef[:, None, None] * g1v),
-        pts, tolerance,
-        lambda_bar=lambda_bar, lambda_1=factor_1.lambda_hat,
-    )
-    return FactorHessianReport(factor_1=factor_1, identity=residual, lambda_bar=lambda_bar)
+    identity = _residual("identity", _entry_sup(h1 - coef[:, None, None] * g1v), pts,
+                         tolerance, lambda_bar=lambda_bar, lambda_1=lambda_1)
+    return Check("factor_hessian", details={"lambda_bar": lambda_bar},
+                 parts=[factor_1.named("factor_1"), identity])
 
 
 # --- warped presentation of a doubly twisted metric -------------------------
 
-@dataclass
-class WarpedPresentationReport:
-    base_oriented: float
-    fiber_oriented: float
-    tolerance: float
-    samples: int
-
-    @property
-    def verdict(self) -> bool:
-        return min(self.base_oriented, self.fiber_oriented) <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "base_oriented": self.base_oriented,
-            "fiber_oriented": self.fiber_oriented,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "verdict": self.verdict,
-        }
-
-
 def warped_presentation_check(d: DoublyTwistedSpec, plan: SamplePlan,
-                              tolerance: float = 1e-8) -> WarpedPresentationReport:
+                              tolerance: float = 1e-8) -> Check:
     """Is the doubly twisted presentation b^2 g_B + f^2 g_F actually warped?
 
     Warped over the base needs both scales independent of the fiber
     coordinates; warped over the fiber needs them independent of the base
-    coordinates.  The report carries the sup of the offending derivatives
-    for both orientations; either one below tolerance passes.
+    coordinates.  The details carry the sup of the offending derivatives
+    for both orientations; the check's sup is the smaller one, so either
+    one below tolerance passes.
     """
     chart = d.chart()
     pts = sample(chart, plan)
@@ -853,9 +652,8 @@ def warped_presentation_check(d: DoublyTwistedSpec, plan: SamplePlan,
                 worst = max(worst, float(np.abs(values).max()))
         return worst
 
-    return WarpedPresentationReport(
-        base_oriented=derivative_sup((d.base_scale, d.fiber_scale), fiber_coords),
-        fiber_oriented=derivative_sup((d.base_scale, d.fiber_scale), base_coords),
-        tolerance=tolerance,
-        samples=plan.count,
-    )
+    base_oriented = derivative_sup((d.base_scale, d.fiber_scale), fiber_coords)
+    fiber_oriented = derivative_sup((d.base_scale, d.fiber_scale), base_coords)
+    return Check("warped_presentation", sup=min(base_oriented, fiber_oriented),
+                 tolerance=tolerance, samples=plan.count,
+                 details={"base_oriented": base_oriented, "fiber_oriented": fiber_oriented})

@@ -17,11 +17,11 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import GRAMMAR_VERSION, REPORT_SCHEMA_VERSION, __version__
 from .catalog import ScenarioReport, builtin_metric, run_inline, run_scenario, scenarios
-from .checkers import SamplePlan
+from .checkers import Check, SamplePlan
 from .constructions import joint_chart
 from .errors import BadParameterError, EngineError
 from .expressions import parse
@@ -81,9 +81,14 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
 def _config_number(config: dict, key: str, default, kind=float):
     value = config.get(key, default)
     try:
-        return kind(value)
+        if isinstance(value, bool):  # JSON true would read as 1
+            raise TypeError
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise BadParameterError(f"config '{key}' needs a number, got {value!r}") from None
+    if kind is int and isinstance(value, float) and number != value:  # int() truncates
+        raise BadParameterError(f"config '{key}' needs a whole number, got {value!r}")
+    return number
 
 
 def _metric_from_config(obj: dict, which: str) -> MetricSpec:
@@ -126,18 +131,32 @@ def _inline_report(config: dict, plan: SamplePlan, tolerance: float) -> Scenario
     )
 
 
+# (verdict, expected) -> status; an expectation of None marks an estimate
+# that is reported but not judged
+_STATUS = {
+    (True, True): "ok", (False, True): "failed",
+    (True, False): "ok (expected to fail)", (False, False): "failed (expected)",
+    (True, None): "ok (not judged)", (False, None): "failed (not judged)",
+}
+
+
+def _check_lines(check: Check, depth: int = 1) -> Iterator[str]:
+    """One line per record, its parts indented below it."""
+    label = "check " if depth == 1 else ""
+    bound = "" if check.sup is None else f" sup={check.sup:.3e} tol={check.tolerance:.1e}"
+    yield f"{'  ' * depth}{label}{check.name}: {_STATUS[check.verdict, check.expected]}{bound}"
+    for part in check.parts:
+        yield from _check_lines(part, depth + 1)
+
+
 def _print_scenario(rep: ScenarioReport, verbose: bool) -> None:
     status = "PASS" if rep.matched else "FAIL"
     print(f"{status} {rep.name} (verdict {rep.verdict}, expected {rep.expected_verdict})")
     if not verbose:
         return
-    for key, chk in rep.checks.items():
-        inner = chk.get("residual", {})
-        verdict = chk.get("verdict", inner.get("verdict"))
-        sup = chk.get("sup_residual", inner.get("sup_residual"))
-        tol = chk.get("tolerance", inner.get("tolerance"))
-        detail = "" if sup is None else f" sup={sup:.3e} tol={tol:.1e}"
-        print(f"  check {key}: {'ok' if verdict else 'failed'}{detail}")
+    for chk in rep.checks.values():
+        for line in _check_lines(chk):
+            print(line)
     for row in rep.constants:
         measured = "missing" if row["measured"] is None else f"{row['measured']:.12g}"
         print(f"  constant {row['name']}: measured {measured}, "

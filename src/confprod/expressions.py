@@ -53,16 +53,18 @@ def _node(cls):
     caches), and the generated hash recurses through the whole tree on every
     call.  Each node keeps its hash after the first call instead.  The kept
     hash is left out of the pickled state, because str hashes differ
-    between processes.
+    between processes.  A class may define `_key`, the tuple its equality
+    compares, to hash by that instead of its fields.
     """
     cls = dataclass(frozen=True)(cls)
     fields = tuple(cls.__dataclass_fields__)
+    key = getattr(cls, "_key", lambda self: tuple(self.__dict__[f] for f in fields))
 
     def __hash__(self):
         try:
             return self.__dict__["_hash"]
         except KeyError:
-            value = self.__dict__["_hash"] = hash(tuple(self.__dict__[f] for f in fields))
+            value = self.__dict__["_hash"] = hash(key(self))
             return value
 
     def __getstate__(self):
@@ -76,6 +78,16 @@ def _node(cls):
 @_node
 class Const:
     value: float
+
+    def _key(self) -> tuple[float, float]:
+        # 0.0 and -0.0 compare equal as floats but are different constants: a
+        # metric entry keeps its own zero's sign, and so its own cache slots
+        return self.value, math.copysign(1.0, self.value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Const:
+            return NotImplemented
+        return self._key() == other._key()
 
 
 @_node
@@ -400,7 +412,7 @@ def _precedence(e: Expr) -> int:
         return _PREC_NEG if e.op == "neg" else _PREC_ATOM
     if isinstance(e, Pow):
         return _PREC_POW
-    if isinstance(e, Const) and e.value < 0:
+    if isinstance(e, Const) and math.copysign(1.0, e.value) < 0:
         return _PREC_NEG
     return _PREC_ATOM
 
@@ -409,7 +421,8 @@ def _format_number(value: float) -> str:
     if not math.isfinite(value):
         return repr(value)  # no grammar form; shows up in domain errors only
     if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
+        # int() drops the sign of -0.0; the parser reads "-0" back as -0.0
+        return "-0" if math.copysign(1.0, value) < 0 and value == 0 else str(int(value))
     return repr(value)
 
 

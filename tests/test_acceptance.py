@@ -90,7 +90,7 @@ def test_criterion_3_flat_quadratic_family():
             worst_rel = max(worst_rel,
                             abs(rep.measured["lambda_bar"] - want) / want)
             worst_spread = max(worst_spread,
-                               rep.checks["direct_einstein"]["lambda_spread"])
+                               rep.checks["direct_einstein"]["lambda_spread"].sup)
             worst_ab = max(worst_ab, abs(rep.measured["a_bar"]),
                            abs(rep.measured["b_bar"] + 1.0))
     ok = all_pass and worst_rel < 1e-6 and worst_spread < 1e-8 and worst_ab < 1e-6
@@ -107,8 +107,8 @@ def test_criterion_4_splitting_detection():
     agreed = True
     for tag, phi, splits in cases:
         mixed = mixed_ricci_flat_check(block, phi, PLAN)
-        split = split_factor(phi, block, PLAN)
-        agreed = agreed and mixed.verdict == splits and split.residual.verdict == splits
+        split, _, _ = split_factor(phi, block, PLAN)
+        agreed = agreed and mixed.verdict == splits and split.verdict == splits
     _line(4, agreed, f"{len(cases)} joint factors classified by both signals")
     assert agreed
 
@@ -130,8 +130,8 @@ def test_criterion_5_sphere_hyperbolic_constants():
             abs(rep.measured["b2"] - n2 * b_bar),
         )
         fit = rep.checks["laplacian_fit"]
-        worst_s = max(worst_s, fit["s_residual"])
-        worst_sbar = max(worst_sbar, fit["sbar_residual"])
+        worst_s = max(worst_s, fit["s_residual"].sup)
+        worst_sbar = max(worst_sbar, fit["sbar_residual"].sup)
     ok = worst < 1e-6 and worst_s < 1e-8 and worst_sbar < 1e-6
     _line(5, ok, f"three offsets, fit constants off by {worst:.3e}, "
                  f"scalar residuals {worst_s:.3e}/{worst_sbar:.3e}")
@@ -148,12 +148,12 @@ def test_criterion_6_route_agreement(catalog_reports):
             chk = rep.checks.get(key)
             if chk is not None:
                 routes += 1
-                agreed = agreed and chk["verdicts_agree"]
+                agreed = agreed and chk.details["verdicts_agree"]
     worst_eq = 0.0
     for name in ("flat_quadratic", "sphere_hyperbolic"):
         chk = catalog_reports[name].checks["summand_hessian"]
-        worst_eq = max(worst_eq, chk["b_ratio_residual"],
-                       chk["a_combination_residual"])
+        worst_eq = max(worst_eq, chk["b_ratio_residual"].sup,
+                       chk["a_combination_residual"].sup)
     ok = agreed and routes >= 4 and worst_eq < 1e-8
     _line(6, ok, f"{routes} route runs agree with the direct verdict, "
                  f"worst linkage residual {worst_eq:.3e}")
@@ -180,9 +180,9 @@ def test_criterion_7_warped_constants(catalog_reports):
 def test_criterion_8_twisted_presentations(catalog_reports):
     split = catalog_reports["twisted_split"]
     einstein = catalog_reports["doubly_twisted_einstein"]
-    identity_sup = split.checks["twisted_identity"]["sup_residual"]
-    direct_ok = einstein.checks["direct_einstein"]["verdict"]
-    not_warped = not einstein.checks["warped_presentation"]["verdict"]
+    identity_sup = split.checks["twisted_identity"].sup
+    direct_ok = einstein.checks["direct_einstein"].verdict
+    not_warped = not einstein.checks["warped_presentation"].verdict
     ok = identity_sup < 1e-12 and direct_ok and not_warped
     _line(8, ok, f"twist identity sup {identity_sup:.3e}, "
                  f"Einstein-but-not-warped case held")

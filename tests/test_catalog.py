@@ -128,9 +128,47 @@ def test_warped_sphere_p3_and_recovery_notes():
 def test_non_splitting_report_shape():
     report = run_scenario("non_splitting", plan=PLAN)
     assert report.verdict == "fail" and report.matched
-    assert not report.checks["mixed_ricci"]["verdict"]
-    assert not report.checks["split"]["residual"]["verdict"]
+    assert not report.checks["mixed_ricci"].verdict
+    assert not report.checks["split"].verdict
     assert any("split candidates" in note for note in report.notes)
+
+
+def _check_dicts(check: dict):
+    yield check
+    for part in check["parts"]:
+        yield from _check_dicts(part)
+
+
+def test_every_check_record_has_one_shape():
+    keys = {"name", "verdict", "expected", "sup", "tolerance", "mean", "witness",
+            "samples", "details", "parts"}
+    for name in scenarios():
+        document = run_scenario(name, plan=PLAN).to_dict()
+        records = [r for c in document["checks"].values() for r in _check_dicts(c)]
+        assert len(records) > len(document["checks"]), name
+        for record in records:
+            assert set(record) == keys, (name, record["name"])
+            # a leaf carries its bound, a node none
+            assert (record["sup"] is None) == bool(record["parts"]), (name, record["name"])
+
+
+def test_a_failed_summand_route_fails_the_scenario(monkeypatch):
+    from confprod import catalog
+    from confprod.errors import FitFailureError
+
+    def failing(*args, **kwargs):
+        raise FitFailureError("degenerate least-squares system")
+
+    monkeypatch.setattr(catalog, "summand_laplacian_fit", failing)
+    sc = get_scenario("flat_quadratic")
+    inst, _ = sc.build(sc.parameters())
+    # the inline run has no expected constants, so only the route can fail it
+    for report in (run_scenario("flat_quadratic", plan=PLAN),
+                   run_inline(inst.g1, inst.g2, phi1=inst.phi1, phi2=inst.phi2, plan=PLAN)):
+        assert report.verdict == "fail" and not report.matched
+        assert "summand fit failed: degenerate least-squares system" in report.notes
+        assert "laplacian_fit" not in report.checks
+        assert all(c.verdict for c in report.checks.values())
 
 
 def test_run_inline_with_joint_factor():

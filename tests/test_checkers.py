@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from confprod import checkers
 from confprod.catalog import builtin_metric
 from confprod.checkers import (
     MAX_SAMPLES,
@@ -89,21 +90,21 @@ def test_constancy_scale_invariance():
 
 def test_einstein_check_spheres_and_hyperbolic():
     est = einstein_check(builtin_metric("sphere", 3, radius=2.0), PLAN)
-    assert est.verdict and not est.low_dim_warning
-    assert est.lambda_hat == pytest.approx(0.5, abs=1e-10)
+    assert est.verdict and not est.details["low_dim_warning"]
+    assert est.details["lambda_hat"] == pytest.approx(0.5, abs=1e-10)
     est = einstein_check(builtin_metric("hyperbolic", 2), PLAN)
-    assert est.verdict and est.low_dim_warning
-    assert est.lambda_hat == pytest.approx(-1.0, abs=1e-10)
+    assert est.verdict and est.details["low_dim_warning"]
+    assert est.details["lambda_hat"] == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_einstein_check_flags_a_product_that_is_not_einstein():
     b = product(builtin_metric("sphere", 2), builtin_metric("euclidean", 1))
     est = einstein_check(b, PLAN)
     assert not est.verdict
-    assert est.lambda_hat == pytest.approx(2.0 / 3.0, abs=1e-10)
+    assert est.details["lambda_hat"] == pytest.approx(2.0 / 3.0, abs=1e-10)
     # worst entry is the flat direction: |0 - (2/3) * 1|
-    assert est.residual.sup == pytest.approx(2.0 / 3.0, abs=1e-9)
-    assert est.lambda_spread < 1e-10
+    assert est["residual"].sup == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert est["lambda_spread"].sup < 1e-10
 
 
 def test_einstein_check_low_dim_content_is_in_the_spread():
@@ -114,8 +115,8 @@ def test_einstein_check_low_dim_content_is_in_the_spread():
         for row in [["1", "0"], ["0", "1 + 0.1 * x^2"]]
     )
     est = einstein_check(MetricSpec(chart, entries), PLAN)
-    assert est.low_dim_warning and not est.verdict
-    assert est.lambda_spread > 1e-3
+    assert est.details["low_dim_warning"] and not est.verdict
+    assert est["lambda_spread"].sup > 1e-3
 
 
 def test_einstein_check_is_homothety_invariant():
@@ -123,7 +124,8 @@ def test_einstein_check_is_homothety_invariant():
     est = einstein_check(m, PLAN)
     big = einstein_check(scaled(m, Const(49.0)), PLAN)
     assert big.verdict == est.verdict == True
-    assert big.lambda_hat == pytest.approx(est.lambda_hat / 49.0, rel=1e-12)
+    assert big.details["lambda_hat"] == pytest.approx(est.details["lambda_hat"] / 49.0,
+                                                     rel=1e-12)
 
 
 # --- conformally Einstein residual -------------------------------------------
@@ -163,23 +165,24 @@ def test_splitting_instances_mixed_partials_and_reassembly():
     block, cases = splitting_instances()
     for tag, phi, splits in cases:
         mixed = mixed_ricci_flat_check(block, phi, PLAN)
-        result = split_factor(phi, block, PLAN)
+        result, _, _ = split_factor(phi, block, PLAN)
         assert mixed.verdict == splits, tag
-        assert result.residual.verdict == splits, tag
+        assert result.verdict == splits, tag
         if splits:
-            assert result.residual.sup < 1e-10, tag
+            assert result.sup < 1e-10, tag
         else:
-            assert result.residual.sup > 1e-3, tag
+            assert result.sup > 1e-3, tag
 
 
 def test_split_factor_normalizes_at_the_anchor():
     block, cases = splitting_instances()
     phi = dict((t, e) for t, e, _ in cases)["quadratic"]
-    result = split_factor(phi, block, PLAN)
-    from confprod.expressions import evaluate
+    result, phi1, _ = split_factor(phi, block, PLAN)
+    from confprod.expressions import evaluate, format_expr
 
-    anchor_env = dict(zip(block.factors[0].chart.coords, result.anchor))
-    assert evaluate(result.phi1, anchor_env) == pytest.approx(0.0, abs=1e-12)
+    anchor_env = dict(zip(block.factors[0].chart.coords, result.details["anchor"]))
+    assert evaluate(phi1, anchor_env) == pytest.approx(0.0, abs=1e-12)
+    assert result.details["phi1"] == format_expr(phi1)
 
 
 def test_mixed_ricci_identity_cross_check_runs_when_factor_is_positive():
@@ -201,14 +204,15 @@ def test_summand_laplacian_fit_recovers_frozen_constants():
     g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(b_bar)
     fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
     assert fit.verdict
-    assert fit.a1 == pytest.approx(2.0, abs=1e-9)
-    assert fit.b1 == pytest.approx(2 * b_bar, abs=1e-9)
-    assert fit.a2 == pytest.approx(-2.0, abs=1e-9)
-    assert fit.b2 == pytest.approx(2 * b_bar, abs=1e-9)
-    assert fit.c1 == pytest.approx(4 * (b_bar**2 - 1), abs=1e-8)
-    assert fit.c2 == pytest.approx(4 * (1 - b_bar**2), abs=1e-8)
-    assert fit.s_value == pytest.approx(0.0, abs=1e-9)
-    assert fit.sbar_mean == pytest.approx(0.0, abs=1e-8)
+    k = fit.details
+    assert k["a1"] == pytest.approx(2.0, abs=1e-9)
+    assert k["b1"] == pytest.approx(2 * b_bar, abs=1e-9)
+    assert k["a2"] == pytest.approx(-2.0, abs=1e-9)
+    assert k["b2"] == pytest.approx(2 * b_bar, abs=1e-9)
+    assert k["c1"] == pytest.approx(4 * (b_bar**2 - 1), abs=1e-8)
+    assert k["c2"] == pytest.approx(4 * (1 - b_bar**2), abs=1e-8)
+    assert k["s_value"] == pytest.approx(0.0, abs=1e-9)
+    assert k["sbar_mean"] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_summand_fit_requires_nonconstant_summands():
@@ -258,10 +262,10 @@ def test_warped_einstein_check_accepts_a_round_sphere_presentation():
     fiber = builtin_metric("sphere", 2)
     w = WarpedSpec(base, fiber, parse("sin(x1)", base.chart.coords))
     report = warped_einstein_check(w, PLAN)
-    assert report.verdict and report.verdicts_agree
-    assert report.lambda_fiber == pytest.approx(1.0, abs=1e-9)
-    assert report.lambda_bar == pytest.approx(2.0, rel=1e-9)
-    assert report.direct.verdict
+    assert report.verdict and report.details["verdicts_agree"]
+    assert report.details["lambda_fiber"] == pytest.approx(1.0, abs=1e-9)
+    assert report.details["lambda_bar"] == pytest.approx(2.0, rel=1e-9)
+    assert report["direct"].verdict
 
 
 def test_warped_einstein_check_rejects_a_cosh_warp():
@@ -270,8 +274,8 @@ def test_warped_einstein_check_rejects_a_cosh_warp():
     w = WarpedSpec(base, fiber, parse("cosh(x1)", base.chart.coords))
     report = warped_einstein_check(w, PLAN)
     assert not report.verdict
-    assert not report.direct.verdict
-    assert report.verdicts_agree
+    assert not report["direct"].verdict
+    assert report.details["verdicts_agree"]
 
 
 def test_warped_einstein_check_uses_supplied_constants():
@@ -281,7 +285,7 @@ def test_warped_einstein_check_uses_supplied_constants():
                    lambda_fiber=1.0, lambda_bar=2.0)
     report = warped_einstein_check(w, PLAN)
     assert report.verdict
-    assert report.lambda_fiber == 1.0 and report.lambda_bar == 2.0
+    assert report.details["lambda_fiber"] == 1.0 and report.details["lambda_bar"] == 2.0
 
 
 def test_warped_einstein_check_rejects_nonpositive_warp():
@@ -299,18 +303,18 @@ def test_summand_hessian_check_frozen_constants():
     b_bar = 0.3
     g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(b_bar)
     report = summand_hessian_check(g1, g2, phi1, phi2, PLAN)
-    assert report.verdict and report.verdicts_agree and report.direct.verdict
-    k = report.constants
-    assert k.a_bar == pytest.approx(1.0, abs=1e-9)
-    assert k.b_bar == pytest.approx(b_bar, abs=1e-9)
-    assert k.c_bar_1 == pytest.approx(b_bar**2 - 1, abs=1e-8)
-    assert k.c_bar_2 == pytest.approx(1 - b_bar**2, abs=1e-8)
-    assert abs(k.rho_bar) < 1e-8
-    assert k.lambda_1 == pytest.approx(1.0, abs=1e-9)
-    assert k.lambda_2 == pytest.approx(-1.0, abs=1e-9)
-    assert report.b_ratio_residual < 1e-9
-    assert report.a_combination_residual < 1e-9
-    assert report.closure_residual < 1e-8
+    assert report.verdict and report.details["verdicts_agree"] and report["direct"].verdict
+    k = report.details
+    assert k["a_bar"] == pytest.approx(1.0, abs=1e-9)
+    assert k["b_bar"] == pytest.approx(b_bar, abs=1e-9)
+    assert k["c_bar_1"] == pytest.approx(b_bar**2 - 1, abs=1e-8)
+    assert k["c_bar_2"] == pytest.approx(1 - b_bar**2, abs=1e-8)
+    assert abs(k["rho_bar"]) < 1e-8
+    assert k["lambda_1"] == pytest.approx(1.0, abs=1e-9)
+    assert k["lambda_2"] == pytest.approx(-1.0, abs=1e-9)
+    assert report["b_ratio_residual"].sup < 1e-9
+    assert report["a_combination_residual"].sup < 1e-9
+    assert report["closure_residual"].sup < 1e-8
 
 
 def test_summand_hessian_check_rejects_a_perturbed_summand():
@@ -318,16 +322,21 @@ def test_summand_hessian_check_rejects_a_perturbed_summand():
     phi2 = parse("cosh(t) + 0.3 + 0.05 * t", g2.chart.coords)
     report = summand_hessian_check(g1, g2, phi1, phi2, PLAN)
     assert not report.verdict
-    assert not report.hessian_2.verdict
-    assert not report.direct.verdict
-    assert report.verdicts_agree
+    assert not report["hessian_2"].verdict
+    assert not report["direct"].verdict
+    assert report.details["verdicts_agree"]
 
 
-def test_summand_hessian_accepts_a_precomputed_fit():
+def test_summand_hessian_accepts_a_precomputed_fit(monkeypatch):
     g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(0.0)
     fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
+
+    def refit(*args, **kwargs):
+        raise AssertionError("a given fit is not recomputed")
+
+    monkeypatch.setattr(checkers, "summand_laplacian_fit", refit)
     report = summand_hessian_check(g1, g2, phi1, phi2, PLAN, fit=fit)
-    assert report.fit is fit
+    assert report.details["c_sum_fit"] == fit.details["c1"] + fit.details["c2"]
     assert report.verdict
 
 
@@ -340,10 +349,10 @@ def test_factor_hessian_identity_on_flat_quadratics():
     phi2 = parse("0.5 * (x1^2 + x2^2) + 0.25", g2.chart.coords)
     report = factor_hessian_check(g1, g2, phi1, phi2, PLAN)
     assert report.verdict
-    assert report.identity.sup < 1e-8
-    assert report.lambda_bar == pytest.approx(2.0, rel=1e-8)
+    assert report["identity"].sup < 1e-8
+    assert report.details["lambda_bar"] == pytest.approx(2.0, rel=1e-8)
     pinned = factor_hessian_check(g1, g2, phi1, phi2, PLAN, lambda_bar=2.0)
-    assert pinned.verdict and pinned.lambda_bar == 2.0
+    assert pinned.verdict and pinned.details["lambda_bar"] == 2.0
 
 
 def test_factor_hessian_requires_joint_dimension_three():
@@ -371,7 +380,7 @@ def test_warped_presentation_classifies_scales():
 
     warped = DoublyTwistedSpec(g1, g2, one, parse("2 + sin(f0.x1)", chart.coords))
     report = warped_presentation_check(warped, PLAN)
-    assert report.verdict and report.base_oriented == 0.0
+    assert report.verdict and report.details["base_oriented"] == 0.0
 
     twisted = DoublyTwistedSpec(
         g1, g2,
@@ -380,7 +389,7 @@ def test_warped_presentation_classifies_scales():
     )
     report = warped_presentation_check(twisted, PLAN)
     assert not report.verdict
-    assert report.base_oriented > 0.01 and report.fiber_oriented > 0.01
+    assert report.details["base_oriented"] > 0.01 and report.details["fiber_oriented"] > 0.01
 
     with pytest.raises(UnsupportedDimError):
         warped_presentation_check(

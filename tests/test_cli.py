@@ -44,7 +44,16 @@ def test_check_whole_catalog(capsys):
     assert out.count("PASS ") == 7
 
 
+def _records(check):
+    yield check
+    for part in check.parts:
+        yield from _records(part)
+
+
 def test_check_verbose_details(capsys):
+    from confprod.catalog import run_scenario
+    from confprod.checkers import SamplePlan
+
     code, out, _ = run(capsys, "check", "--scenario", "sphere_hyperbolic",
                        "--verbose", *FAST)
     assert code == 0
@@ -52,6 +61,28 @@ def test_check_verbose_details(capsys):
     assert "check summand_hessian: ok" in out
     assert "constant a_bar: measured" in out
     assert "[literature]" in out and "[derived]" in out
+
+    # one line per record at every depth, then the constants and the notes
+    rep = run_scenario("sphere_hyperbolic", plan=SamplePlan(count=60))
+    records = [r for c in rep.checks.values() for r in _records(c)]
+    lines = out.splitlines()
+    assert len(lines) == 1 + len(records) + len(rep.constants) + len(rep.notes) + 1
+    for line, record in zip(lines[1:], records):
+        assert line.strip().removeprefix("check ").startswith(f"{record.name}: "), line
+        if record.sup is None:
+            assert "sup=" not in line, line
+        else:
+            assert line.endswith(f" sup={record.sup:.3e} tol={record.tolerance:.1e}"), line
+    # the compound criteria of the summand route are leaves with their own bounds
+    leaves = [part for name in ("laplacian_fit", "summand_hessian")
+              for part in rep.checks[name].parts if not part.parts]
+    assert len(leaves) == 15 and all(part.sup is not None for part in leaves)
+
+    # a check the scenario claims fails is marked as such inside a PASS
+    code, out, _ = run(capsys, "check", "--scenario", "twisted_split", "--verbose", *FAST)
+    assert code == 0 and "PASS twisted_split" in out
+    assert "check direct_einstein: failed (expected)" in out
+    assert "check warped_presentation: failed (expected) sup=" in out
 
 
 def test_check_parameter_override(capsys):
@@ -190,7 +221,7 @@ def test_report_is_deterministic(tmp_path, capsys):
     assert document["all_matched"] is True
     assert document["plan"] == {"count": 60, "margin": 0.0,
                                 "rule": "kronecker", "seed": 0}
-    assert document["report_schema"] == "1"
+    assert document["report_schema"] == "2"
     assert document["scenarios"][0]["name"] == "flat_quadratic"
     for row in document["scenarios"][0]["constants"]:
         assert row["tolerance"] > 0
@@ -314,8 +345,13 @@ def test_config_rejects_bad_tolerance(tol, message, tmp_path, capsys):
     ("samples", 1e400, "config 'samples' needs a number"),
     ("samples", 10 ** 400, "samples must be at most 1000000"),
     ("params", {"n1": 10 ** 9}, "n1 must be at most 32"),
+    ("samples", 60.9, "config 'samples' needs a whole number, got 60.9"),
+    ("tol", True, "config 'tol' needs a number, got True"),
+    ("params", {"R": True}, "parameter 'R' needs a number, got True"),
+    ("samples", True, "config 'samples' needs a number, got True"),
 ], ids=["samples", "margin-negative", "margin-nan", "param-nan", "param-text", "params-list",
-        "param-huge-integer", "samples-infinite", "samples-huge-integer", "dim-huge"])
+        "param-huge-integer", "samples-infinite", "samples-huge-integer", "dim-huge",
+        "samples-fraction", "tol-boolean", "param-boolean", "samples-boolean"])
 def test_config_rejects_bad_plan_and_parameters(key, value, message, tmp_path, capsys):
     report = tmp_path / "report.json"
     config = {"scenario": "flat_quadratic", "samples": 60, "report": str(report)}

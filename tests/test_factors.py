@@ -8,6 +8,8 @@ factors', so the split must agree with the whole-metric computation, and
 the positive-definite check still sees the whole metric at the whole point.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,13 +31,12 @@ from confprod.constructions import (
 )
 from confprod.errors import SingularMetricError
 from confprod.expressions import Const, parse
-from confprod.geometry import Chart, MetricSpec, _factors, curvature_batch
+from confprod.geometry import Chart, MetricSpec, _factors, curvature_batch, metric_values
 from instances import conformal_route_pairs
 
 
 def _parts(metric):
-    # uncached: Const(-0.0) == Const(0.0), so cached equal metrics would share a split
-    return [idx for idx, _ in _factors.__wrapped__(metric)]
+    return [idx for idx, _ in _factors(metric)]
 
 
 def _metric(coords, rows, margin=0.1):
@@ -108,6 +109,21 @@ def test_constant_off_diagonal_entry_joins_its_coordinates():
     assert _parts(_metric(("x", "y", "z"), rows)) == [(0,), (1,), (2,)]
     rows[0][1] = rows[1][0] = Const(0.3)
     assert _parts(_metric(("x", "y", "z"), rows)) == [(0, 1), (2,)]
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0], ids=["plus-first", "minus-first"])
+def test_metrics_differing_in_a_zero_sign_keep_their_own_zero(first):
+    # fresh coordinate names per order, so neither metric is cached yet
+    x, y = ("p", "q") if math.copysign(1.0, first) > 0 else ("r", "s")
+    pts = sample(Chart((x, y), ((-1.5, 1.5),) * 2), SamplePlan(count=5))
+    built = [(zero, _metric((x, y), ((f"1 + 0.1 * {x}^2", Const(zero)),
+                                     (Const(zero), f"1 + 0.1 * {y}^2")), margin=0.0))
+             for zero in (first, -first)]
+    assert built[0][1] != built[1][1]
+    for zero, metric in built:    # in build order, so `first` is evaluated first
+        g = metric_values(metric, pts)
+        assert np.signbit(g[:, 0, 1]).all() == (math.copysign(1.0, zero) < 0), zero
+        assert _parts(metric) == [(0,), (1,)]
 
 
 def test_entry_dependence_joins_coordinates_out_of_order():
