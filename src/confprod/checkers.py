@@ -61,6 +61,7 @@ from .geometry import (
     hessian_lc_batch,
     laplacian_batch,
     metric_values,
+    scoped_points,
 )
 
 NONCONSTANT_SPREAD = 1e-8
@@ -90,7 +91,9 @@ def sample(chart: Chart, plan: SamplePlan) -> np.ndarray:
     the chart's own singular margin.  A plan needs at least MIN_SAMPLES
     points: with fewer, the affine fits are exact (or the spreads zero) and
     the checks pass or fail vacuously, which would read as a verdict.  It
-    may have at most MAX_SAMPLES points.
+    may have at most MAX_SAMPLES points.  The plan is validated on every
+    call; inside an evaluation_scope the points of one (chart, plan) are
+    computed once and returned read-only.
     """
     if plan.rule != "kronecker":
         raise EmptyDomainError(f"unknown sampling rule '{plan.rule}'")
@@ -109,7 +112,11 @@ def sample(chart: Chart, plan: SamplePlan) -> np.ndarray:
         raise EmptyDomainError(
             f"margin {margin} empties interval {chart.domain[k]} of '{chart.coords[k]}'"
         )
-    d = chart.dim
+    return scoped_points((chart, plan), lambda: _kronecker(lo, hi, plan))
+
+
+def _kronecker(lo: np.ndarray, hi: np.ndarray, plan: SamplePlan) -> np.ndarray:
+    d = len(lo)
     # generalized golden ratio: the positive root of x^(d+1) = x + 1
     x = 1.5
     for _ in range(64):
@@ -556,7 +563,7 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
 
     block = product(g1, g2)
     spec = ConformalSpec(block, joint_sum(block, phi1, phi2))
-    direct = einstein_check(conformal_metric(spec), plan, tolerance)
+    direct = einstein_check(conformal_metric(spec), plan, equality_tolerance)
     rho_vals = curvature_batch(conformal_metric(spec), sample(block.metric.chart, plan))
     rho_bar = float(rho_vals.normalized_scalar().mean())
 

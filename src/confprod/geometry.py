@@ -1,11 +1,15 @@
 """Charts, coordinate metrics and exact curvature.
 
-Derivatives of metric entries are symbolic (expressions.differentiate); the
-pointwise assembly into Christoffel symbols, Riemann and Ricci tensors is
-plain dense linear algebra.  No finite differences anywhere in this path.
-Batches contract Ricci straight from the metric jets, one product factor
-at a time when the metric splits into factors; the full Riemann tensor is
-built only for single-point queries (curvature()).
+Derivatives of metric entries are symbolic (expressions.differentiate).
+No finite differences anywhere in this path.  Batches contract Ricci
+straight from the metric jets, one product factor at a time when the
+metric splits into factors, and only over the slots that can be non-zero:
+a jet plan hands over its tape rows and a slot-to-row map, a symbolic
+phase cached per sparsity pattern works out which products each
+contraction forms, and a numeric phase forms them slice by slice on a
+slot-major table (see "structural-sparse contraction" below).  The full
+Riemann tensor is dense algebra, built only for single-point queries
+(curvature()).
 
 Index conventions, fixed here once:
 
@@ -22,7 +26,7 @@ so phi = |x|^2 / 2 on flat R^n has Hess = identity and lap(phi) = -n.
 Everything is immutable; sampling and evaluation are pure, so checks over
 sample points can run concurrently or vectorized (they are vectorized here).
 Inside an evaluation_scope() the checks of one run share each curvature
-batch instead of recomputing it.
+batch and each set of sample points instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ from .errors import OutsideDomainError, SingularMetricError, UnsupportedDimError
 from .expressions import Const, Expr, compile_expr, differentiate, free_coords
 
 _PD_EIGENVALUE_TOL = 1e-12
-# a curvature batch is computed in slices of sample points whose d2g
-# (8 n^4 bytes per point) fits this budget, so its working memory does not
-# grow with the sample count
+# a curvature batch is computed in slices of sample points whose tape rows
+# and slot-major tables fit this budget, and each slice's products in
+# narrower slices that fit it too, so its working memory does not grow with
+# the sample count
 _CHUNK_BYTES = 1 << 20
 
 
@@ -127,6 +132,18 @@ class _Program(NamedTuple):
     scatter: tuple           # per output array: (tape rows, columns, constant columns, values)
 
 
+def _scatter(program: _Program, order: int, rows: Optional[np.ndarray], flat: np.ndarray,
+             columns: Optional[np.ndarray] = None) -> None:
+    """Write one output's slots, given the tape rows, into flat[:, columns[slot]]
+    (columns: the identity by default); zero slots are left as they are."""
+    tape_rows, cols, ccols, values = program.scatter[order]
+    if columns is not None:
+        cols, ccols = columns[cols], columns[ccols]
+    if len(cols):
+        flat[:, cols] = rows[tape_rows].T
+    flat[:, ccols] = values
+
+
 class _JetPlan:
     """Values and first and second coordinate derivatives of a set of expressions.
 
@@ -200,12 +217,9 @@ class _JetPlan:
         count, n = points.shape[0], len(self.coords)
         rows = None if program.fn is None else program.fn(points)
         outs = []
-        for order, (tape_rows, cols, ccols, values) in enumerate(program.scatter):
+        for order in range(len(program.scatter)):
             out = np.zeros((count,) + self.shape + (n,) * order)
-            flat = out.reshape(count, -1)
-            if len(cols):
-                flat[:, cols] = rows[tape_rows].T
-            flat[:, ccols] = values
+            _scatter(program, order, rows, out.reshape(count, -1))
             outs.append(out)
         return outs
 
@@ -216,6 +230,32 @@ class _JetPlan:
     def jets(self, points: np.ndarray):
         """(value, gradient, hessian); gradient[..., k] = d_k, hessian[..., k, l] = d_k d_l."""
         return tuple(self._run(self.jet_program, points))
+
+    def tape_rows(self, points: np.ndarray) -> Optional[np.ndarray]:
+        """The jet tape's rows at the points, shape (len(tape), count); None
+        when every slot is constant.  Raises the tape's first DomainError."""
+        fn = self.jet_program.fn
+        return None if fn is None else fn(points)
+
+    @cached_property
+    def slot_rows(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Where each jet slot's value lives: per output (value, gradient,
+        hessian), the flat slot's row of [tape rows; constants], -1 for a zero
+        slot (a constant zero of either sign); and the constants.  Slots that
+        the plan writes from one tape row (paired entries, paired derivatives)
+        read the same row."""
+        program = self.jet_program
+        maps, constants = [], []
+        first = len(program.tape)
+        for order, (tape_rows, cols, ccols, values) in enumerate(program.scatter):
+            rows = np.full(math.prod(self.shape) * len(self.coords) ** order, -1, dtype=np.intp)
+            rows[cols] = tape_rows
+            nonzero = values != 0.0
+            rows[ccols[nonzero]] = first + np.arange(int(nonzero.sum()))
+            first += int(nonzero.sum())
+            constants.append(values[nonzero])
+            maps.append(rows)
+        return tuple(maps), np.concatenate(constants)
 
 
 @lru_cache(maxsize=512)
@@ -251,11 +291,63 @@ def _as_points(chart: Chart, points) -> np.ndarray:
     return array
 
 
-def _check_positive_definite(g: np.ndarray, points: np.ndarray):
-    # symmetric eigenvalue test at sample time
+def _is_zero(e: Expr) -> bool:
+    """A constant zero of either sign: a slot that is structurally zero."""
+    return isinstance(e, Const) and e.value == 0.0
+
+
+def _partition(n: int, links) -> tuple[tuple[int, ...], ...]:
+    """The connected components of range(n) under the (i, j) links, each
+    sorted, in the order of their smallest members."""
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in links:
+        root[find(int(j))] = find(int(i))
+    parts: dict[int, list[int]] = {}
+    for i in range(n):
+        parts.setdefault(find(i), []).append(i)
+    return tuple(tuple(part) for part in parts.values())
+
+
+@lru_cache(maxsize=128)
+def _components(metric: MetricSpec) -> tuple[tuple[int, ...], ...]:
+    """The diagonal blocks of g's pattern: coordinates no non-zero entry couples."""
+    return _partition(metric.dim, ((i, j) for i, row in enumerate(metric.entries)
+                                   for j, e in enumerate(row) if not _is_zero(e)))
+
+
+def _check_positive_definite(g: np.ndarray, points: np.ndarray,
+                             components: tuple[tuple[int, ...], ...]) -> None:
+    """Raise SingularMetricError unless every point's smallest eigenvalue
+    exceeds tau = 1e-12 max(1, max|g|).
+
+    g is block diagonal over `components`, so a 1x1 component is its own
+    eigenvalue and a larger one passes when a Cholesky factorisation of
+    block - tau I exists.  Only when some component fails are the
+    eigenvalues of the whole g computed, to name the first bad point and
+    its smallest eigenvalue.
+    """
+    count = g.shape[0]
+    tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(g).reshape(count, -1).max(axis=1))
+
+    def holds(c: tuple[int, ...]) -> bool:
+        if len(c) == 1:
+            return bool((g[:, c[0], c[0]] > tau).all())
+        try:
+            np.linalg.cholesky(g[:, c][:, :, c] - tau[:, None, None] * np.eye(len(c)))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    if all(holds(c) for c in components):
+        return
     eigenvalues = np.linalg.eigvalsh(g)
-    scale = np.maximum(1.0, np.abs(g).reshape(g.shape[0], -1).max(axis=1))
-    bad = eigenvalues[:, 0] <= _PD_EIGENVALUE_TOL * scale
+    bad = eigenvalues[:, 0] <= tau
     if bad.any():
         where = int(np.argmax(bad))
         raise SingularMetricError(points[where], float(eigenvalues[where, 0]))
@@ -265,7 +357,7 @@ def metric_values(metric: MetricSpec, points, check: bool = True) -> np.ndarray:
     pts = _as_points(metric.chart, points)
     g = _metric_plan(metric).values(pts)
     if check:
-        _check_positive_definite(g, pts)
+        _check_positive_definite(g, pts, _components(metric))
     return g
 
 
@@ -289,82 +381,51 @@ class CurvatureBatch:
 
 # (metric, points.shape, points bytes) -> CurvatureBatch, while a scope is open
 _SCOPE: ContextVar[dict | None] = ContextVar("confprod_evaluation_scope", default=None)
+# sample key -> read-only points, while a scope is open
+_SAMPLES: ContextVar[dict | None] = ContextVar("confprod_scope_samples", default=None)
 
 
 @contextmanager
 def evaluation_scope():
-    """Share curvature batches between the checks of one run.
+    """Share curvature batches and sample points between the checks of one run.
 
     Inside the scope, curvature_batch returns the batch it already computed
     for the same metric at the same points, and the field helpers take the
     inverse metric from it.  The key is the metric itself, so the direct
     route (rescaled metric) and the formula route (base metric) never read
-    each other's entries.  A scope opened inside another one shares the
-    outer one's batches; the outermost scope drops them when it closes.
-    Kept arrays are read-only.  Yields the mapping from keys to batches.
+    each other's entries.  Sample points are kept apart from the batches
+    (scoped_points).  A scope opened inside another one shares the outer
+    one's batches; the outermost scope drops them when it closes.  Kept
+    arrays are read-only.  Yields the mapping from keys to batches.
     """
     kept = _SCOPE.get()
     if kept is not None:
         yield kept
         return
     token = _SCOPE.set({})
+    samples = _SAMPLES.set({})
     try:
         yield _SCOPE.get()
     finally:
+        _SAMPLES.reset(samples)
         _SCOPE.reset(token)
+
+
+def scoped_points(key, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """compute() outside an evaluation scope; inside one, the read-only
+    array it gave the first time for this hashable key."""
+    kept = _SAMPLES.get()
+    if kept is None:
+        return compute()
+    points = kept.get(key)
+    if points is None:
+        points = kept[key] = compute()
+        points.flags.writeable = False
+    return points
 
 
 def _scope_key(metric: MetricSpec, pts: np.ndarray) -> tuple:
     return (metric, pts.shape, pts.tobytes())
-
-
-def _connection(g: np.ndarray, dg: np.ndarray):
-    """Inverse metric, W and Gamma from checked metric jets.
-
-    W[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, so Gamma = ginv W / 2.
-    The jet plan writes each entry's derivatives into both (i, j) and
-    (j, i), and each second derivative into both (k, l) and (l, k), so dg
-    and d2g are exactly symmetric in those slots; the contractions here and
-    in _ricci read whichever orientation is contiguous.
-    """
-    count, n = g.shape[0], g.shape[1]
-    ginv = np.linalg.inv(g)
-    w = dg + dg.swapaxes(2, 3) - dg.transpose(0, 3, 1, 2)
-    gamma = 0.5 * np.matmul(ginv, w.reshape(count, n, n * n)).reshape(count, n, n, n)
-    return ginv, w, gamma
-
-
-def _ricci(ginv, dg, d2g, w, gamma) -> np.ndarray:
-    """R_bd = d_a Gamma^a_db - d_d Gamma^a_ab + Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab.
-
-    The two derivative terms are expanded through d ginv = -ginv dg ginv
-    and Gamma^a_ab = g^al d_b g_al / 2, so d Gamma (count n^4) and the
-    Riemann tensor (count n^4) are never formed.  Every count n^4
-    contraction is a batched matmul over a contiguous reshape of d2g, m or
-    gamma; vec(ginv^T)[l n + a] = g^al keeps each term's ginv orientation.
-    """
-    count, n = ginv.shape[0], ginv.shape[1]
-    nn = n * n
-    # m[n,k] = ginv @ d_k g
-    m = np.matmul(ginv[:, None], np.moveaxis(dg, 3, 1))
-    trace = 0.5 * np.einsum("nkpp->nk", m)                                 # Gamma^a_ak
-    div_ginv = -np.einsum("ns,nsl->nl", np.einsum("naas->ns", m), ginv)    # d_a g^al
-    ginv_t = ginv.swapaxes(1, 2).reshape(count, nn)
-    d2 = d2g.reshape(count, nn, nn)
-    # d_a Gamma^a_db = (d_a g^al) W_ldb / 2
-    #                 + g^al (d_a d_d g_bl + d_a d_b g_dl - d_a d_l g_db) / 2
-    # cross[b,d] = g^al d_a d_d g_bl, read as d2g[b, (l, a), d]
-    cross = np.matmul(ginv_t[:, None, None], d2g.reshape(count, n, nn, n))[:, :, 0]
-    d_first = 0.5 * (np.einsum("nl,nldb->nbd", div_ginv, w) + cross + np.swapaxes(cross, 1, 2)
-                     - np.matmul(d2, ginv_t[:, :, None]).reshape(count, n, n))
-    # d_d Gamma^a_ab = (d_d g^al d_b g_al + g^al d_b d_d g_al) / 2
-    mm = np.matmul(m.swapaxes(2, 3).reshape(count, n, nn), m.reshape(count, n, nn).swapaxes(1, 2))
-    d_trace = 0.5 * (np.matmul(ginv.reshape(count, 1, nn), d2).reshape(count, n, n) - mm)
-    # Gamma^a_de Gamma^e_ab = (t[d, (a, e)] @ t[(a, e), b]) with t[x, y, z] = gamma[y, x, z]
-    t = np.ascontiguousarray(gamma.transpose(0, 2, 1, 3))
-    gg = np.matmul(t.reshape(count, n, nn), t.reshape(count, nn, n))
-    return (d_first - d_trace + np.einsum("ne,nedb->nbd", trace, gamma)
-            - np.swapaxes(gg, 1, 2))
 
 
 @lru_cache(maxsize=128)
@@ -379,65 +440,287 @@ def _factors(metric: MetricSpec) -> tuple[tuple[tuple[int, ...], MetricSpec], ..
     """
     n, coords = metric.dim, metric.chart.coords
     index = {c: k for k, c in enumerate(coords)}
-    root = list(range(n))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            i = root[i]
-        return i
-
+    links = []
     for i, row in enumerate(metric.entries):
         for j, e in enumerate(row):
-            joined = [index[c] for c in free_coords(e)]
-            if not (isinstance(e, Const) and e.value == 0.0):
-                joined.append(j)
-            for k in joined:
-                root[find(k)] = find(i)
-    parts: dict[int, list[int]] = {}
-    for i in range(n):
-        parts.setdefault(find(i), []).append(i)
+            links += [(i, index[c]) for c in free_coords(e)]
+            if not _is_zero(e):
+                links.append((i, j))
+    parts = _partition(n, links)
     if len(parts) == 1:
         return ((tuple(range(n)), metric),)
     chart = metric.chart
     return tuple(
-        (tuple(idx), MetricSpec(
+        (idx, MetricSpec(
             Chart(tuple(coords[i] for i in idx), tuple(chart.domain[i] for i in idx),
                   chart.singular_margin),
             tuple(tuple(metric.entries[i][j] for j in idx) for i in idx)))
-        for idx in parts.values())
+        for idx in parts)
 
 
-def _block(idx: tuple[int, ...], axes: int) -> tuple:
-    """Index of the block idx x ... x idx over `axes` axes: slices when idx is
-    a run of coordinates, which numpy copies several times faster."""
-    if idx[-1] - idx[0] == len(idx) - 1:
-        return (slice(idx[0], idx[-1] + 1),) * axes
-    return np.ix_(*[idx] * axes)
+# --- structural-sparse contraction -----------------------------------------
+#
+# Batch curvature runs in two phases, as sparse factorisation does.  The
+# symbolic phase (_contraction, cached per pattern) sees only which slots
+# of g, dg and d2g can be non-zero.  It lays out a slot-major table, one
+# row per canonical non-zero slot of each tensor (i <= j for the symmetric
+# pairs), and derives each contraction's products as index arrays.  The
+# numeric phase (_contract) fills the table for one slice of points and
+# runs each step as a gather, an in-place product and one np.add.reduceat.
+
+class _Step(NamedTuple):
+    """table[out][r] = sum of coef[p] table[a[p]] table[b[p]] over r's products p."""
+    a: np.ndarray
+    b: np.ndarray
+    coef: np.ndarray       # (products, 1)
+    starts: np.ndarray     # each output row's first product
+    out: slice             # the table rows written
+
+
+class _Contraction(NamedTuple):
+    """The symbolic program of one pattern: index arrays only, never values."""
+    dim: int
+    rows: int                                  # table rows
+    jets: tuple[np.ndarray, ...]               # flat g, dg, d2g slots of rows 0, 1, ...
+    reciprocals: tuple[np.ndarray, np.ndarray]  # g rows of the 1x1 components, their ginv rows
+    blocks: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    # ^ per larger component: size k, g rows of the k x k block (-1 for a zero
+    #   slot), its upper-triangle flat places, their ginv rows
+    steps: tuple[_Step, ...]
+    fields: tuple[tuple[np.ndarray, np.ndarray], ...]  # ginv, gamma, ricci: (flat slots, rows)
+    most: int                                  # products of the largest step
+
+
+class _Layout:
+    """Hands out table rows, one per canonical non-zero slot of each tensor."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def place(self, pattern: np.ndarray, *pairs: tuple[int, int]):
+        """(slot map, canonical flat slots): the map gives every non-zero slot
+        its row, -1 elsewhere; slots equal under swapping an axis pair share
+        the row of the one whose indices are in order."""
+        index = np.indices(pattern.shape)
+        canonical = pattern.copy()
+        for p, q in pairs:
+            canonical &= index[p] <= index[q]
+        slots = np.flatnonzero(canonical)
+        rows = np.full(pattern.shape, -1, dtype=np.intp)
+        rows.flat[slots] = np.arange(self.rows, self.rows + len(slots))
+        self.rows += len(slots)
+        for p, q in pairs:
+            rows = np.maximum(rows, np.swapaxes(rows, p, q))
+        return rows, slots
+
+
+def _pairs(spec: str, a: np.ndarray, b: np.ndarray):
+    """(rows of a, rows of b, flat output slots) of every product of the
+    einsum-style spec whose two slots are non-zero in the slot maps a, b."""
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+    n = a.shape[0]
+    found = np.nonzero(a >= 0)
+    letters: dict[str, np.ndarray] = {}
+    keep = np.ones(len(found[0]), dtype=bool)
+    for letter, axis in zip(sa, found):
+        if letter in letters:
+            keep &= letters[letter] == axis
+        else:
+            letters[letter] = axis
+    extra = [c for c in dict.fromkeys(sb + out) if c not in letters]
+    size = n ** len(extra)
+    grid = np.indices((n,) * len(extra)).reshape(len(extra), size)
+    index = {c: np.repeat(v[keep], size) for c, v in letters.items()}
+    index.update((c, np.tile(grid[k], int(keep.sum()))) for k, c in enumerate(extra))
+    ra = a[tuple(index[c] for c in sa)]
+    rb = b[tuple(index[c] for c in sb)]
+    slot = np.ravel_multi_index(tuple(index[c] for c in out), (n,) * len(out))
+    ok = rb >= 0
+    return ra[ok], rb[ok], slot[ok]
+
+
+def _step(layout: _Layout, shape: tuple[int, ...], terms, *pairs):
+    """Place the output of a sum of products; (its slot map, its _Step or None).
+
+    terms are (coefficient, spec, slot map a, slot map b).  With `pairs`,
+    the output is symmetric and only its canonical slots are computed.
+    Products that read the same two rows into the same output are merged,
+    their coefficients summed, and those that cancel are dropped.
+    """
+    found = [(coef, *_pairs(spec, a, b)) for coef, spec, a, b in terms]
+    ra, rb, slot = (np.concatenate([f[k] for f in found]) for k in (1, 2, 3))
+    coef = np.concatenate([np.full(len(f[1]), f[0]) for f in found])
+    index = np.unravel_index(slot, shape)
+    keep = np.ones(len(slot), dtype=bool)
+    for p, q in pairs:
+        keep &= index[p] <= index[q]
+    width = layout.rows
+    key = (slot[keep] * width + np.minimum(ra, rb)[keep]) * width + np.maximum(ra, rb)[keep]
+    key, inverse = np.unique(key, return_inverse=True)
+    coef = np.bincount(inverse, weights=coef[keep], minlength=len(key))
+    key, coef = key[coef != 0.0], coef[coef != 0.0]
+    slot, lo, hi = key // width // width, key // width % width, key % width
+    pattern = np.zeros(shape, dtype=bool)
+    pattern.flat[slot] = True
+    first = layout.rows
+    rows, _ = layout.place(pattern, *pairs)
+    if not len(key):
+        return rows, None
+    starts = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+    return rows, _Step(lo, hi, coef[:, None], starts, slice(first, layout.rows))
+
+
+@lru_cache(maxsize=256)
+def _contraction(n: int, patterns: bytes) -> _Contraction:
+    """The symbolic program for the packed boolean patterns of g, dg, d2g.
+
+    Index conventions as in the module docstring; dg[i, j, k] = d_k g_ij,
+    d2g[i, j, k, l] = d_k d_l g_ij and dginv[a, l, m] = d_m g^al.
+
+        m[a, t, m]     = g^as dg[s, t, m]
+        dginv[a, l, m] = -m[a, t, m] g^tl
+        Gamma^k_ij     = g^kl (dg[j, l, i] + dg[i, l, j] - dg[i, j, l]) / 2
+        R_bd           = d_a Gamma^a_db - d_d Gamma^a_ab
+                         + Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab
+
+    The two derivative terms are expanded through dginv, with
+    Gamma^a_ab = g^al dg[a, l, b] / 2 since g^al is symmetric, so no
+    derivative of Gamma is formed.
+    """
+    bits = np.unpackbits(np.frombuffer(patterns, dtype=np.uint8),
+                         count=n**2 + n**3 + n**4).astype(bool)
+    pg, pd, pdd = bits[:n**2].reshape(n, n), bits[n**2:-n**4].reshape((n,) * 3), \
+        bits[-n**4:].reshape((n,) * 4)
+    layout = _Layout()
+    g, g_slots = layout.place(pg, (0, 1))
+    dg, dg_slots = layout.place(pd, (0, 1))
+    d2g, d2g_slots = layout.place(pdd, (0, 1), (2, 3))
+    components = _partition(n, zip(*np.nonzero(pg)))
+    blocked = np.zeros((n, n), dtype=bool)
+    for c in components:
+        blocked[np.ix_(c, c)] = True
+    ginv, _ = layout.place(blocked, (0, 1))
+    ones = np.array([c[0] for c in components if len(c) == 1], dtype=np.intp)
+    blocks = []
+    for c in components:
+        if len(c) > 1:
+            k = len(c)
+            upper = np.flatnonzero(np.triu(np.ones((k, k), dtype=bool)))
+            blocks.append((k, g[np.ix_(c, c)].ravel(), upper, ginv[np.ix_(c, c)].ravel()[upper]))
+    cube, square = (n, n, n), (n, n)
+    m, m_step = _step(layout, cube, [(1.0, "stm,as->atm", dg, ginv)])
+    dginv, dginv_step = _step(layout, cube, [(-1.0, "atm,tl->alm", m, ginv)], (0, 1))
+    gamma, gamma_step = _step(layout, cube, [
+        (0.5, "jli,kl->kij", dg, ginv), (0.5, "ilj,kl->kij", dg, ginv),
+        (-0.5, "ijl,kl->kij", dg, ginv)], (1, 2))
+    ricci, ricci_step = _step(layout, square, [
+        # d_a Gamma^a_db
+        (0.5, "bld,ala->bd", dg, dginv), (0.5, "dlb,ala->bd", dg, dginv),
+        (-0.5, "dbl,ala->bd", dg, dginv),
+        (0.5, "blad,al->bd", d2g, ginv), (0.5, "dlab,al->bd", d2g, ginv),
+        (-0.5, "dbal,al->bd", d2g, ginv),
+        # -d_d Gamma^a_ab
+        (-0.5, "alb,ald->bd", dg, dginv), (-0.5, "aldb,al->bd", d2g, ginv),
+        # Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab
+        (1.0, "edb,aae->bd", gamma, gamma), (-1.0, "ade,eab->bd", gamma, gamma)], (0, 1))
+    steps = tuple(s for s in (m_step, dginv_step, gamma_step, ricci_step) if s is not None)
+    return _Contraction(
+        dim=n, rows=layout.rows, jets=(g_slots, dg_slots, d2g_slots),
+        reciprocals=(g[ones, ones], ginv[ones, ones]), blocks=tuple(blocks), steps=steps,
+        fields=tuple((np.flatnonzero(t >= 0), t[t >= 0]) for t in (ginv, gamma, ricci)),
+        most=max((len(s.a) for s in steps), default=0))
+
+
+def _contract(program: _Contraction, table: np.ndarray) -> None:
+    """The numeric phase for one part and one slice: given the jet rows,
+    fill the table's ginv rows component by component, then run the steps
+    over column slices whose product buffers fit _CHUNK_BYTES."""
+    g_rows, inv_rows = program.reciprocals
+    if len(g_rows):
+        table[inv_rows] = 1.0 / table[g_rows]
+    count = table.shape[1]
+    for k, g_rows, upper, inv_rows in program.blocks:
+        block = np.zeros((k * k, count))
+        block[g_rows >= 0] = table[g_rows[g_rows >= 0]]
+        inv = np.linalg.inv(block.T.reshape(count, k, k)).reshape(count, k * k)
+        table[inv_rows] = inv[:, upper].T
+    step = max(1, _CHUNK_BYTES // (16 * max(1, program.most)))   # a product and a gather
+    for start in range(0, count, step):
+        columns = table[:, start:start + step]
+        for s in program.steps:
+            product = columns[s.a]
+            product *= columns[s.b]
+            product *= s.coef
+            np.add.reduceat(product, s.starts, axis=0, out=columns[s.out])
+
+
+class _BatchPart(NamedTuple):
+    """One product factor's jet plan wired to its symbolic program and to
+    its place in the whole metric."""
+    idx: list[int]                          # the part's coordinates in the whole chart
+    plan: _JetPlan
+    program: _Contraction
+    taped: tuple[np.ndarray, np.ndarray]    # table rows filled from tape rows, those tape rows
+    fixed: tuple[np.ndarray, np.ndarray]    # table rows holding constants, the values (k, 1)
+    columns: tuple[np.ndarray, ...]         # whole flat slots of g's slots and of each field's
+    width: int                              # tape and table rows per point
+
+
+def _lift(idx: tuple[int, ...], n: int, slots: np.ndarray, axes: int) -> np.ndarray:
+    """The whole metric's flat slots of a part's flat slots over `axes` axes."""
+    local = np.unravel_index(slots, (len(idx),) * axes)
+    return np.ravel_multi_index(tuple(np.array(idx)[i] for i in local), (n,) * axes)
+
+
+@lru_cache(maxsize=128)
+def _batch_part(metric: MetricSpec, idx: tuple[int, ...], n: int) -> _BatchPart:
+    plan = _metric_plan(metric)
+    maps, constants = plan.slot_rows
+    patterns = np.packbits(np.concatenate([m >= 0 for m in maps])).tobytes()
+    program = _contraction(metric.dim, patterns)
+    source = np.concatenate([m[slots] for m, slots in zip(maps, program.jets)])
+    tape = len(plan.jet_program.tape)
+    on_tape = source < tape
+    rows = np.arange(len(source))
+    columns = [_lift(idx, n, np.arange(metric.dim ** 2), 2)]
+    columns += [_lift(idx, n, slots, axes) for axes, (slots, _) in zip((2, 3, 2), program.fields)]
+    return _BatchPart(
+        list(idx), plan, program, (rows[on_tape], source[on_tape]),
+        (rows[~on_tape], constants[source[~on_tape] - tape][:, None]), tuple(columns),
+        width=tape + program.rows)
 
 
 def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
     """The batch, computed slice by slice and, within a slice, product factor
     by product factor (_factors); cross-factor slots of ginv, gamma and ricci
-    are exact zeros.  One slice's d2g of all factors stays within
-    _CHUNK_BYTES; every point's values depend on that point alone."""
+    are exact zeros.  A slice's tape rows and tables of all factors fit
+    _CHUNK_BYTES, as do the product buffers of each narrower slice that
+    _contract runs; every point's values depend on that point alone."""
     count, n = pts.shape[0], metric.dim
-    parts = [(part, _block(idx, 1), _block(idx, 2), _block(idx, 3))
-             for idx, part in _factors(metric)]
     g, ginv, ricci = (np.zeros((count, n, n)) for _ in range(3))
     gamma = np.zeros((count, n, n, n))
-    step = max(1, _CHUNK_BYTES // (8 * sum(part.dim ** 4 for part, *_ in parts)))
+    g_flat, *fields = (a.reshape(count, -1) for a in (g, ginv, gamma, ricci))
+    parts = [_batch_part(part, idx, n) for idx, part in _factors(metric)]
+    step = max(1, _CHUNK_BYTES // (8 * sum(part.width for part in parts)))
     for start in range(0, count, step):
-        rows = (slice(start, start + step),)
-        jets = []
-        for part, line, square, _ in parts:
-            jets.append(_metric_plan(part).jets(pts[rows + line]))
-            g[rows + square] = jets[-1][0]
-        _check_positive_definite(g[rows], pts[rows])
-        for (_, _, square, cube), (g_part, dg, d2g) in zip(parts, jets):
-            ginv_part, w, gamma_part = _connection(g_part, dg)
-            ginv[rows + square] = ginv_part
-            gamma[rows + cube] = gamma_part
-            ricci[rows + square] = _ricci(ginv_part, dg, d2g, w, gamma_part)
+        rows = slice(start, start + step)
+        sliced = pts[rows]
+        tables = []
+        for part in parts:
+            tape = part.plan.tape_rows(sliced[:, part.idx])
+            _scatter(part.plan.jet_program, 0, tape, g_flat[rows], part.columns[0])
+            table = np.empty((part.program.rows, len(sliced)))
+            if tape is not None:
+                table[part.taped[0]] = tape[part.taped[1]]
+            table[part.fixed[0]] = part.fixed[1]
+            tables.append(table)
+        _check_positive_definite(g[rows], sliced, _components(metric))
+        for part, table in zip(parts, tables):
+            _contract(part.program, table)
+            for out, columns, (_, table_rows) in zip(fields, part.columns[1:],
+                                                     part.program.fields):
+                out[rows, columns] = table[table_rows].T
     scalar = np.einsum("nbd,nbd->n", ginv, ricci)
     return CurvatureBatch(pts, g, ginv, gamma, ricci, scalar)
 
@@ -456,12 +739,15 @@ def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
     return batch
 
 
-def _riemann(metric: MetricSpec, points) -> np.ndarray:
-    """Full (1,3) tensor riemann[n, a, b, c, d] = R^a_bcd, for single-point queries."""
+def _riemann(metric: MetricSpec, points, batch: Optional[CurvatureBatch] = None) -> np.ndarray:
+    """Full (1,3) tensor riemann[n, a, b, c, d] = R^a_bcd, for single-point
+    queries; ginv and gamma come from the curvature batch at the points."""
     pts = _as_points(metric.chart, points)
-    g, dg, d2g = _metric_plan(metric).jets(pts)
-    _check_positive_definite(g, pts)
-    ginv, w, gamma = _connection(g, dg)
+    if batch is None:
+        batch = curvature_batch(metric, pts)
+    ginv, gamma = batch.ginv, batch.gamma
+    _, dg, d2g = _metric_plan(metric).jets(pts)
+    w = dg + dg.swapaxes(2, 3) - dg.transpose(0, 3, 1, 2)
     dginv = -np.einsum("nac,ncdm,ndb->nabm", ginv, dg, ginv)
     dw = (np.einsum("njlim->nlijm", d2g) + np.einsum("niljm->nlijm", d2g)
           - np.einsum("nijlm->nlijm", d2g))
@@ -480,7 +766,7 @@ def curvature(metric: MetricSpec, point) -> CurvatureData:
         metric=batch.g[0],
         inverse_metric=batch.ginv[0],
         christoffel=batch.gamma[0],
-        riemann=_riemann(metric, batch.points)[0],
+        riemann=_riemann(metric, batch.points, batch)[0],
         ricci=batch.ricci[0],
         scalar=float(batch.scalar[0]),
         normalized_scalar=float(batch.normalized_scalar()[0]),

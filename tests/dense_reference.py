@@ -1,0 +1,64 @@
+"""Dense batch connection and Ricci reference.
+
+The dense contractions that the structural-sparse path in `geometry`
+replaced: the metric jets are scattered into full (count, n, ..., n) arrays
+and every contraction is a batched matmul or einsum over all n^4 slots.
+Used by the tests as the reference the sparse path must match to round-off.
+"""
+
+import numpy as np
+
+from confprod.geometry import _metric_plan
+
+
+def connection(g: np.ndarray, dg: np.ndarray):
+    """Inverse metric, W and Gamma from checked metric jets.
+
+    W[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, so Gamma = ginv W / 2.
+    """
+    count, n = g.shape[0], g.shape[1]
+    ginv = np.linalg.inv(g)
+    w = dg + dg.swapaxes(2, 3) - dg.transpose(0, 3, 1, 2)
+    gamma = 0.5 * np.matmul(ginv, w.reshape(count, n, n * n)).reshape(count, n, n, n)
+    return ginv, w, gamma
+
+
+def ricci(ginv, dg, d2g, w, gamma) -> np.ndarray:
+    """R_bd = d_a Gamma^a_db - d_d Gamma^a_ab + Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab.
+
+    The two derivative terms are expanded through d ginv = -ginv dg ginv
+    and Gamma^a_ab = g^al d_b g_al / 2, so d Gamma and the Riemann tensor
+    are never formed; vec(ginv^T)[l n + a] = g^al keeps each term's ginv
+    orientation.
+    """
+    count, n = ginv.shape[0], ginv.shape[1]
+    nn = n * n
+    # m[n,k] = ginv @ d_k g
+    m = np.matmul(ginv[:, None], np.moveaxis(dg, 3, 1))
+    trace = 0.5 * np.einsum("nkpp->nk", m)                                 # Gamma^a_ak
+    div_ginv = -np.einsum("ns,nsl->nl", np.einsum("naas->ns", m), ginv)    # d_a g^al
+    ginv_t = ginv.swapaxes(1, 2).reshape(count, nn)
+    d2 = d2g.reshape(count, nn, nn)
+    # d_a Gamma^a_db = (d_a g^al) W_ldb / 2
+    #                 + g^al (d_a d_d g_bl + d_a d_b g_dl - d_a d_l g_db) / 2
+    # cross[b,d] = g^al d_a d_d g_bl, read as d2g[b, (l, a), d]
+    cross = np.matmul(ginv_t[:, None, None], d2g.reshape(count, n, nn, n))[:, :, 0]
+    d_first = 0.5 * (np.einsum("nl,nldb->nbd", div_ginv, w) + cross + np.swapaxes(cross, 1, 2)
+                     - np.matmul(d2, ginv_t[:, :, None]).reshape(count, n, n))
+    # d_d Gamma^a_ab = (d_d g^al d_b g_al + g^al d_b d_d g_al) / 2
+    mm = np.matmul(m.swapaxes(2, 3).reshape(count, n, nn), m.reshape(count, n, nn).swapaxes(1, 2))
+    d_trace = 0.5 * (np.matmul(ginv.reshape(count, 1, nn), d2).reshape(count, n, n) - mm)
+    # Gamma^a_de Gamma^e_ab = (t[d, (a, e)] @ t[(a, e), b]) with t[x, y, z] = gamma[y, x, z]
+    t = np.ascontiguousarray(gamma.transpose(0, 2, 1, 3))
+    gg = np.matmul(t.reshape(count, n, nn), t.reshape(count, nn, n))
+    return (d_first - d_trace + np.einsum("ne,nedb->nbd", trace, gamma)
+            - np.swapaxes(gg, 1, 2))
+
+
+def reference_batch(metric, points) -> dict[str, np.ndarray]:
+    """ginv, gamma, ricci and scalar of the whole metric, densely."""
+    g, dg, d2g = _metric_plan(metric).jets(points)
+    ginv, w, gamma = connection(g, dg)
+    ric = ricci(ginv, dg, d2g, w, gamma)
+    return {"ginv": ginv, "gamma": gamma, "ricci": ric,
+            "scalar": np.einsum("nbd,nbd->n", ginv, ric)}

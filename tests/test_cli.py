@@ -85,6 +85,17 @@ def test_check_verbose_details(capsys):
     assert "check warped_presentation: failed (expected) sup=" in out
 
 
+def test_summand_hessian_judges_its_direct_estimate_at_the_equality_tolerance(capsys):
+    code, out, _ = run(capsys, "check", "--scenario", "sphere_hyperbolic", "--verbose", *FAST)
+    assert code == 0
+    lines = [line.strip() for line in out.splitlines()]
+    start = lines.index("check summand_hessian: ok")
+    direct = lines.index("direct: ok (not judged)", start)
+    assert lines[direct + 1].startswith("residual: ok sup=")
+    assert lines[direct + 1].endswith("tol=1.0e-08")
+    assert lines[direct + 2].endswith("tol=1.0e-08")
+
+
 def test_check_parameter_override(capsys):
     code, out, _ = run(capsys, "check", "--scenario", "flat_quadratic",
                        "--param", "R=2", "--param", "n1=1", *FAST)

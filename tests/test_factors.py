@@ -175,12 +175,12 @@ def test_singular_second_factor_names_the_full_point():
 def test_ricci_sees_no_part_wider_than_three(monkeypatch):
     base = _cosh_cylinder_base()
     widths = []
-    real = geometry._ricci
+    real = geometry._contract
 
-    def recording(ginv, *rest):
-        widths.append(ginv.shape[1])
-        return real(ginv, *rest)
+    def recording(program, *rest):
+        widths.append(program.dim)
+        return real(program, *rest)
 
-    monkeypatch.setattr(geometry, "_ricci", recording)
+    monkeypatch.setattr(geometry, "_contract", recording)
     curvature_batch(base, sample(base.chart, SamplePlan(count=50)))
     assert sorted(widths) == [1, 2, 3]

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from confprod import catalog, geometry
+from confprod import catalog, checkers, geometry
 from confprod.catalog import builtin_metric, run_inline, run_scenario, scenarios
 from confprod.checkers import SamplePlan, conformally_einstein_check, sample
 from confprod.constructions import (
@@ -21,6 +21,7 @@ from confprod.constructions import (
     conformal_ricci_formula,
     product,
 )
+from confprod.errors import EmptyDomainError
 from confprod.expressions import Const, Coord, add, mul, parse
 from confprod.geometry import (
     Chart,
@@ -126,6 +127,32 @@ def test_field_helpers_agree_inside_and_outside_a_scope():
         curvature_batch(m, pts)
         for h, want in zip(helpers, plain):
             assert np.array_equal(h(phi, m, pts), want)
+
+
+def test_scope_samples_each_chart_and_plan_once(monkeypatch):
+    m = builtin_metric("sphere", 3)
+    calls = []
+    real = checkers._kronecker
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(checkers, "_kronecker", counting)
+    fresh = sample(m.chart, PLAN)
+    assert fresh.flags.writeable and len(calls) == 1
+    with evaluation_scope():
+        first = sample(m.chart, PLAN)
+        assert sample(m.chart, SamplePlan(count=24)) is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, fresh)
+        assert sample(m.chart, SamplePlan(count=25)) is not first
+        assert len(calls) == 3
+        # the plan is validated on every call, also once its points are kept
+        for _ in range(2):
+            with pytest.raises(EmptyDomainError):
+                sample(m.chart, SamplePlan(count=24, rule="grid"))
+    assert sample(m.chart, PLAN) is not first and len(calls) == 4
 
 
 # --- route isolation ---------------------------------------------------------
