@@ -7,9 +7,11 @@ metric splits into factors, and only over the slots that can be non-zero:
 a jet plan hands over its tape rows and a slot-to-row map, a symbolic
 phase cached per sparsity pattern works out which products each
 contraction forms, and a numeric phase forms them slice by slice on a
-slot-major table (see "structural-sparse contraction" below).  The full
-Riemann tensor is dense algebra, built only for single-point queries
-(curvature()).
+slot-major table (see "structural-sparse contraction" below).  A batch
+keeps the Christoffel symbols as that table's compact rows, and the
+covariant Hessian contracts them directly; a dense Christoffel array is
+built only on request (CurvatureBatch.gamma).  The full Riemann tensor is
+dense algebra, built only for single-point queries (curvature()).
 
 Index conventions, fixed here once:
 
@@ -275,6 +277,13 @@ def _metric_plan(metric: MetricSpec) -> _JetPlan:
 
 
 def _as_points(chart: Chart, points) -> np.ndarray:
+    """points as a (count, dim) float array inside the chart's open box.
+    Inside an evaluation scope, points the scope keeps (scoped_points) are
+    checked against a chart once and then passed through."""
+    samples = _SAMPLES.get()
+    passed = None if samples is None else samples.inside.get(id(points))
+    if passed is not None and chart in passed:
+        return points
     array = np.asarray(points, dtype=float)
     if array.ndim == 1:
         array = array[None, :]
@@ -288,6 +297,8 @@ def _as_points(chart: Chart, points) -> np.ndarray:
     if not inside.all():
         bad = tuple(float(v) for v in array[int(np.argmin(inside))])
         raise OutsideDomainError(f"point {bad} outside open box {chart.domain}")
+    if passed is not None and array is points:
+        passed.add(chart)
     return array
 
 
@@ -322,9 +333,10 @@ def _components(metric: MetricSpec) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_positive_definite(g: np.ndarray, points: np.ndarray,
-                             components: tuple[tuple[int, ...], ...]) -> None:
+                             components: tuple[tuple[int, ...], ...],
+                             largest: np.ndarray) -> None:
     """Raise SingularMetricError unless every point's smallest eigenvalue
-    exceeds tau = 1e-12 max(1, max|g|).
+    exceeds tau = 1e-12 max(1, max|g|), given each point's max|g| as `largest`.
 
     g is block diagonal over `components`, so a 1x1 component is its own
     eigenvalue and a larger one passes when a Cholesky factorisation of
@@ -332,8 +344,7 @@ def _check_positive_definite(g: np.ndarray, points: np.ndarray,
     eigenvalues of the whole g computed, to name the first bad point and
     its smallest eigenvalue.
     """
-    count = g.shape[0]
-    tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(g).reshape(count, -1).max(axis=1))
+    tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, largest)
 
     def holds(c: tuple[int, ...]) -> bool:
         if len(c) == 1:
@@ -357,7 +368,8 @@ def metric_values(metric: MetricSpec, points, check: bool = True) -> np.ndarray:
     pts = _as_points(metric.chart, points)
     g = _metric_plan(metric).values(pts)
     if check:
-        _check_positive_definite(g, pts, _components(metric))
+        _check_positive_definite(g, pts, _components(metric),
+                                 np.abs(g).reshape(len(g), -1).max(axis=1))
     return g
 
 
@@ -365,12 +377,29 @@ def metric_values(metric: MetricSpec, points, check: bool = True) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureBatch:
+    """Curvature at a batch of points, point-major but for the Christoffel rows.
+
+    christoffel[r, p] is Gamma^k_ij at point p for the flat slot
+    christoffel_slots[r] = (k n + i) n + j, i <= j; Gamma^k_ji equals it,
+    and every slot with no row is an exact zero.
+    """
     points: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
-    gamma: np.ndarray     # [n, k, i, j]
+    christoffel: np.ndarray
+    christoffel_slots: np.ndarray
     ricci: np.ndarray
     scalar: np.ndarray
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """Dense gamma[p, k, i, j] = Gamma^k_ij, built anew on each access."""
+        count, n = self.g.shape[:2]
+        dense = np.zeros((count, n ** 3))
+        k, i, j = np.unravel_index(self.christoffel_slots, (n,) * 3)
+        dense[:, self.christoffel_slots] = self.christoffel.T
+        dense[:, (k * n + j) * n + i] = self.christoffel.T
+        return dense.reshape(count, n, n, n)
 
     def normalized_scalar(self) -> np.ndarray:
         n = self.g.shape[1]
@@ -379,10 +408,15 @@ class CurvatureBatch:
         return self.scalar / (n * (n - 1))
 
 
+class _Samples(NamedTuple):
+    """The sample points an evaluation scope keeps."""
+    points: dict   # sample key -> read-only points
+    inside: dict   # id of kept points -> the charts whose boxes they passed
+
+
 # (metric, points.shape, points bytes) -> CurvatureBatch, while a scope is open
 _SCOPE: ContextVar[dict | None] = ContextVar("confprod_evaluation_scope", default=None)
-# sample key -> read-only points, while a scope is open
-_SAMPLES: ContextVar[dict | None] = ContextVar("confprod_scope_samples", default=None)
+_SAMPLES: ContextVar[_Samples | None] = ContextVar("confprod_scope_samples", default=None)
 
 
 @contextmanager
@@ -403,7 +437,7 @@ def evaluation_scope():
         yield kept
         return
     token = _SCOPE.set({})
-    samples = _SAMPLES.set({})
+    samples = _SAMPLES.set(_Samples({}, {}))
     try:
         yield _SCOPE.get()
     finally:
@@ -417,10 +451,11 @@ def scoped_points(key, compute: Callable[[], np.ndarray]) -> np.ndarray:
     kept = _SAMPLES.get()
     if kept is None:
         return compute()
-    points = kept.get(key)
+    points = kept.points.get(key)
     if points is None:
-        points = kept[key] = compute()
+        points = kept.points[key] = compute()
         points.flags.writeable = False
+        kept.inside[id(points)] = set()
     return points
 
 
@@ -487,7 +522,12 @@ class _Contraction(NamedTuple):
     # ^ per larger component: size k, g rows of the k x k block (-1 for a zero
     #   slot), its upper-triangle flat places, their ginv rows
     steps: tuple[_Step, ...]
-    fields: tuple[tuple[np.ndarray, np.ndarray], ...]  # ginv, gamma, ricci: (flat slots, rows)
+    fields: tuple[tuple[np.ndarray, np.ndarray], ...]  # ginv, ricci: (flat slots, rows)
+    christoffel: tuple[np.ndarray, np.ndarray]  # Gamma's canonical flat slots, their rows
+    hessian: tuple[np.ndarray, ...]
+    # ^ Gamma^k_ij d_k phi by output (i, j), i <= j: per product its Gamma
+    #   (an index into `christoffel`) and its k, each output's first product
+    #   and its flat slot
     most: int                                  # products of the largest step
 
 
@@ -625,10 +665,18 @@ def _contraction(n: int, patterns: bytes) -> _Contraction:
         # Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab
         (1.0, "edb,aae->bd", gamma, gamma), (-1.0, "ade,eab->bd", gamma, gamma)], (0, 1))
     steps = tuple(s for s in (m_step, dginv_step, gamma_step, ricci_step) if s is not None)
+    k, i, j = np.indices(cube)
+    gamma_slots = np.flatnonzero((gamma >= 0) & (i <= j))
+    k, i, j = k.flat[gamma_slots], i.flat[gamma_slots], j.flat[gamma_slots]
+    by_output = np.lexsort((k, i * n + j))
+    out = (i * n + j)[by_output]
+    starts = np.flatnonzero(np.diff(out, prepend=-1))
     return _Contraction(
         dim=n, rows=layout.rows, jets=(g_slots, dg_slots, d2g_slots),
         reciprocals=(g[ones, ones], ginv[ones, ones]), blocks=tuple(blocks), steps=steps,
-        fields=tuple((np.flatnonzero(t >= 0), t[t >= 0]) for t in (ginv, gamma, ricci)),
+        fields=tuple((np.flatnonzero(t >= 0), t[t >= 0]) for t in (ginv, ricci)),
+        christoffel=(gamma_slots, gamma.flat[gamma_slots]),
+        hessian=(by_output, k[by_output], starts, out[starts]),
         most=max((len(s.a) for s in steps), default=0))
 
 
@@ -663,7 +711,7 @@ class _BatchPart(NamedTuple):
     program: _Contraction
     taped: tuple[np.ndarray, np.ndarray]    # table rows filled from tape rows, those tape rows
     fixed: tuple[np.ndarray, np.ndarray]    # table rows holding constants, the values (k, 1)
-    columns: tuple[np.ndarray, ...]         # whole flat slots of g's slots and of each field's
+    columns: tuple[np.ndarray, ...]         # whole flat slots of g's slots, ginv's and ricci's
     width: int                              # tape and table rows per point
 
 
@@ -684,29 +732,65 @@ def _batch_part(metric: MetricSpec, idx: tuple[int, ...], n: int) -> _BatchPart:
     on_tape = source < tape
     rows = np.arange(len(source))
     columns = [_lift(idx, n, np.arange(metric.dim ** 2), 2)]
-    columns += [_lift(idx, n, slots, axes) for axes, (slots, _) in zip((2, 3, 2), program.fields)]
+    columns += [_lift(idx, n, slots, 2) for slots, _ in program.fields]
     return _BatchPart(
         list(idx), plan, program, (rows[on_tape], source[on_tape]),
         (rows[~on_tape], constants[source[~on_tape] - tape][:, None]), tuple(columns),
         width=tape + program.rows)
 
 
+class _Connection(NamedTuple):
+    """A metric's Christoffel rows, the parts' rows one after the other, and
+    the products of Gamma^k_ij d_k phi on them, grouped by output (i, j)."""
+    firsts: tuple[int, ...]   # each part's first row
+    slots: np.ndarray         # each row's whole flat slot (k, i, j), i <= j
+    a: np.ndarray             # per product: its row
+    k: np.ndarray             # and its k
+    starts: np.ndarray        # each output's first product
+    out: np.ndarray           # each output's whole flat slot (i, j), i <= j
+    mirror: np.ndarray        # and its slot (j, i)
+
+
+@lru_cache(maxsize=128)
+def _batch_plan(metric: MetricSpec) -> tuple[tuple[_BatchPart, ...], _Connection]:
+    """The metric's parts (_batch_part) and its Christoffel rows' layout."""
+    n = metric.dim
+    parts = tuple(_batch_part(part, idx, n) for idx, part in _factors(metric))
+    firsts, pieces = [], []
+    rows = products = 0
+    for part in parts:
+        m = part.program.dim
+        slots, _ = part.program.christoffel
+        by_output, k, starts, out = part.program.hessian
+        firsts.append(rows)
+        pieces.append((_lift(part.idx, n, slots, 3), by_output + rows, np.array(part.idx)[k],
+                       starts + products, _lift(part.idx, n, out, 2),
+                       _lift(part.idx, n, out % m * m + out // m, 2)))
+        rows += len(slots)
+        products += len(by_output)
+    arrays = [np.concatenate(column) for column in zip(*pieces)]
+    for array in arrays:
+        array.flags.writeable = False
+    return parts, _Connection(tuple(firsts), *arrays)
+
+
 def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
     """The batch, computed slice by slice and, within a slice, product factor
-    by product factor (_factors); cross-factor slots of ginv, gamma and ricci
+    by product factor (_factors); cross-factor slots of ginv, Gamma and ricci
     are exact zeros.  A slice's tape rows and tables of all factors fit
     _CHUNK_BYTES, as do the product buffers of each narrower slice that
     _contract runs; every point's values depend on that point alone."""
     count, n = pts.shape[0], metric.dim
     g, ginv, ricci = (np.zeros((count, n, n)) for _ in range(3))
-    gamma = np.zeros((count, n, n, n))
-    g_flat, *fields = (a.reshape(count, -1) for a in (g, ginv, gamma, ricci))
-    parts = [_batch_part(part, idx, n) for idx, part in _factors(metric)]
+    g_flat, *fields = (a.reshape(count, -1) for a in (g, ginv, ricci))
+    parts, connection = _batch_plan(metric)
+    christoffel = np.empty((len(connection.slots), count))
     step = max(1, _CHUNK_BYTES // (8 * sum(part.width for part in parts)))
     for start in range(0, count, step):
         rows = slice(start, start + step)
         sliced = pts[rows]
         tables = []
+        largest = np.zeros(len(sliced))    # max|g| per point, from the tables' g rows
         for part in parts:
             tape = part.plan.tape_rows(sliced[:, part.idx])
             _scatter(part.plan.jet_program, 0, tape, g_flat[rows], part.columns[0])
@@ -714,15 +798,19 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
             if tape is not None:
                 table[part.taped[0]] = tape[part.taped[1]]
             table[part.fixed[0]] = part.fixed[1]
+            g_rows = table[:len(part.program.jets[0])]
+            np.maximum(largest, np.abs(g_rows).max(axis=0, initial=0.0), out=largest)
             tables.append(table)
-        _check_positive_definite(g[rows], sliced, _components(metric))
-        for part, table in zip(parts, tables):
+        _check_positive_definite(g[rows], sliced, _components(metric), largest)
+        for part, table, first in zip(parts, tables, connection.firsts):
             _contract(part.program, table)
             for out, columns, (_, table_rows) in zip(fields, part.columns[1:],
                                                      part.program.fields):
                 out[rows, columns] = table[table_rows].T
+            _, table_rows = part.program.christoffel
+            christoffel[first:first + len(table_rows), rows] = table[table_rows]
     scalar = np.einsum("nbd,nbd->n", ginv, ricci)
-    return CurvatureBatch(pts, g, ginv, gamma, ricci, scalar)
+    return CurvatureBatch(pts, g, ginv, christoffel, connection.slots, ricci, scalar)
 
 
 def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
@@ -734,7 +822,7 @@ def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
     batch = kept.get(key)
     if batch is None:
         batch = kept[key] = _compute_batch(metric, pts)
-        for array in (batch.g, batch.ginv, batch.gamma, batch.ricci, batch.scalar):
+        for array in (batch.g, batch.ginv, batch.christoffel, batch.ricci, batch.scalar):
             array.flags.writeable = False
     return batch
 
@@ -797,11 +885,24 @@ def _inverse_metric(metric: MetricSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def hessian_lc_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
-    """Covariant hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
+    """Covariant hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi.
+
+    The sum is formed from the batch's Christoffel rows, for i <= j only,
+    over column slices whose product and gather buffers fit _CHUNK_BYTES.
+    """
     pts = _as_points(metric.chart, points)
     _, grad, hess = _field_plan(phi, metric.chart.coords).jets(pts)
-    gamma = curvature_batch(metric, pts).gamma
-    return hess - np.einsum("nkij,nk->nij", gamma, grad)
+    christoffel = curvature_batch(metric, pts).christoffel
+    _, c = _batch_plan(metric)
+    flat = hess.reshape(len(pts), -1)
+    if len(c.a):
+        step = max(1, _CHUNK_BYTES // (16 * len(c.a)))
+        for start in range(0, len(pts), step):
+            columns = slice(start, start + step)
+            product = christoffel[c.a, columns] * grad[columns, c.k].T
+            flat[columns, c.out] -= np.add.reduceat(product, c.starts, axis=0).T
+        flat[:, c.mirror] = flat[:, c.out]
+    return hess
 
 
 def laplacian_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:

@@ -4,9 +4,12 @@
 jets fit `geometry._CHUNK_BYTES`.  Every point's values depend on that point
 alone, so the slice size must not change a single bit of a batch, a singular
 point in a later slice must still be the one reported, and the memory one
-batch needs must stay well below one full d2g array.
+batch needs must stay well below one full d2g array.  A batch keeps its
+Christoffel symbols as compact rows, so the batches a scope keeps hold no
+count x n^3 array.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -21,7 +24,7 @@ from confprod.expressions import parse
 from confprod.geometry import Chart, MetricSpec, curvature_batch
 from instances import conformal_route_pairs
 
-FIELDS = ("g", "ginv", "gamma", "ricci", "scalar")
+FIELDS = tuple(f.name for f in dataclasses.fields(geometry.CurvatureBatch))
 
 
 def _route_pair_metrics():
@@ -88,3 +91,18 @@ def test_batch_memory_stays_below_one_full_d2g():
     finally:
         tracemalloc.stop()
     assert peak < full_d2g / 2, peak
+
+
+def test_kept_batches_hold_no_dense_christoffel_array():
+    # deterministic array sizes, not RSS: cosh_cylinder's batches at 2000 points
+    with geometry.evaluation_scope() as kept:
+        run_scenario("cosh_cylinder", plan=SamplePlan(count=2000))
+        arrays = {id(a): a for batch in kept.values() for a in vars(batch).values()}
+        arrays.update((id(a), a) for a in geometry._SAMPLES.get().points.values())
+        assert kept and all(isinstance(a, np.ndarray) for a in arrays.values())
+        for (metric, shape, _), batch in kept.items():
+            if metric.dim > 1:    # at n = 1, count x n^3 is the scalar's size
+                dense = shape[0] * metric.dim**3
+                assert all(a.size != dense for a in vars(batch).values()), metric.chart.coords
+        total = sum(a.nbytes for a in arrays.values())
+    assert total <= 12e6, total    # 27.3 MB with a dense count x n^3 gamma

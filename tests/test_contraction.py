@@ -7,6 +7,8 @@ contractions the path replaced (`dense_reference`) to 1e-12 relative: on
 the catalog, on the conformal route pairs, on fully dense metrics and on
 metrics with constant zeros of either sign.  On the sparse metrics the
 catalog builds, the path must form far fewer products than the dense one.
+The covariant Hessian, contracted from a batch's compact Christoffel rows,
+must match the dense contraction with the reference's Gamma.
 """
 
 import numpy as np
@@ -30,8 +32,10 @@ from confprod.geometry import (
     _batch_part,
     _components,
     _factors,
+    _field_plan,
     _metric_plan,
     curvature_batch,
+    hessian_lc_batch,
 )
 from dense_reference import reference_batch
 from instances import conformal_route_pairs
@@ -126,6 +130,26 @@ def test_sparse_path_matches_the_dense_reference(inputs):
         _assert_matches_reference(metric, points)
 
 
+def _field(coords):
+    """A scalar field with a non-zero gradient and Hessian in every coordinate."""
+    return parse(" + ".join(
+        f"{0.2 * (k + 1)} * sin({c} + {0.1 * k}) * cos({coords[(k + 1) % len(coords)]})"
+        for k, c in enumerate(coords)), coords)
+
+
+@pytest.mark.parametrize("inputs", [_catalog_inputs, _route_pair_inputs, _special_inputs],
+                         ids=["catalog", "route-pairs", "dense-and-signed-zeros"])
+def test_hessian_from_christoffel_rows_matches_the_dense_contraction(inputs):
+    for metric, points in inputs():
+        phi = _field(metric.chart.coords)
+        _, grad, hess = _field_plan(phi, metric.chart.coords).jets(points)
+        want = hess - np.einsum("nkij,nk->nij", reference_batch(metric, points)["gamma"], grad)
+        got = hessian_lc_batch(phi, metric, points)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert float(np.abs(got - want).max()) <= 1e-13 * scale, metric.chart.coords
+        assert np.array_equal(got, got.swapaxes(1, 2))
+
+
 def test_inputs_cover_the_special_patterns():
     assert np.signbit(differentiate(_SIGNED_ZEROS.entries[0][0], "y").value)
     assert _components(_SIGNED_ZEROS) == ((0,), (1, 2))
@@ -159,7 +183,8 @@ def test_cosh_cylinder_forms_few_products():
 def test_programs_hold_index_arrays_only():
     for metric, _ in _special_inputs():
         program = _program(metric)
-        arrays = [*program.jets, *program.reciprocals, *[a for f in program.fields for a in f]]
+        arrays = [*program.jets, *program.reciprocals, *[a for f in program.fields for a in f],
+                  *program.christoffel, *program.hessian]
         arrays += [a for b in program.blocks for a in b[1:]]
         for step in program.steps:
             arrays += [step.a, step.b, step.starts]

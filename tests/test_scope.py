@@ -21,7 +21,7 @@ from confprod.constructions import (
     conformal_ricci_formula,
     product,
 )
-from confprod.errors import EmptyDomainError
+from confprod.errors import EmptyDomainError, OutsideDomainError
 from confprod.expressions import Const, Coord, add, mul, parse
 from confprod.geometry import (
     Chart,
@@ -112,7 +112,8 @@ def test_scope_keeps_one_batch_per_metric_and_points():
             assert curvature_batch(m, pts) is first
         assert len(kept) == 2
         assert not first.ricci.flags.writeable
-        assert {"points", "g", "ginv", "gamma", "ricci", "scalar"} == set(vars(first))
+        assert {"points", "g", "ginv", "christoffel", "christoffel_slots", "ricci",
+                "scalar"} == set(vars(first))
     assert geometry._SCOPE.get() is None
     assert curvature_batch(m, pts) is not first
 
@@ -155,6 +156,30 @@ def test_scope_samples_each_chart_and_plan_once(monkeypatch):
     assert sample(m.chart, PLAN) is not first and len(calls) == 4
 
 
+def test_scope_checks_kept_points_against_each_chart():
+    def metric(half_width):
+        chart = Chart(("x", "y"), ((-half_width, half_width),) * 2, singular_margin=0.0)
+        entry = parse("1 + 0.1 * x^2", chart.coords)
+        return MetricSpec(chart, ((entry, Const(0.0)), (Const(0.0), parse("1", chart.coords))))
+
+    wide, narrow = metric(2.0), metric(0.5)
+    phi = parse("x * y + 0.3 * x^2", wide.chart.coords)
+    with evaluation_scope():
+        pts = sample(wide.chart, SamplePlan(count=40))
+        for _ in range(2):
+            # a kept sample, a copy of it and user input: each checked on this chart
+            for points in (pts, pts.copy(), np.array([[0.25, -0.25], [0.75, 0.1]])):
+                with pytest.raises(OutsideDomainError) as err:
+                    laplacian_batch(phi, narrow, points)
+                assert str(err.value).endswith(
+                    f"outside open box {narrow.chart.domain}"), str(err.value)
+            laplacian_batch(phi, wide, pts)
+        assert geometry._SAMPLES.get().inside[id(pts)] == {wide.chart}
+        with pytest.raises(OutsideDomainError) as err:
+            laplacian_batch(phi, wide, np.array([[0.0, 0.5], [3.0, 0.25]]))
+        assert str(err.value) == "point (3.0, 0.25) outside open box ((-2.0, 2.0), (-2.0, 2.0))"
+
+
 # --- route isolation ---------------------------------------------------------
 
 def test_formula_route_reads_only_the_base_metric():
@@ -182,8 +207,8 @@ def test_formula_route_ignores_a_poisoned_rescaled_batch():
         real = curvature_batch(rescaled, pts)
         nan = np.full_like(real.ricci, np.nan)
         kept[geometry._scope_key(rescaled, pts)] = geometry.CurvatureBatch(
-            real.points, real.g, real.ginv, np.full_like(real.gamma, np.nan), nan,
-            np.full_like(real.scalar, np.nan))
+            real.points, real.g, real.ginv, np.full_like(real.christoffel, np.nan),
+            real.christoffel_slots, nan, np.full_like(real.scalar, np.nan))
         assert np.array_equal(conformal_ricci_formula(spec, pts), want)
 
 
