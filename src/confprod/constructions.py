@@ -71,12 +71,7 @@ class BlockMetricSpec:
 
     def lift(self, k: int, e: Expr) -> Expr:
         """Rename a factor-chart expression onto the joint chart."""
-        factor = self.factors[k]
-        mapping = {
-            name: self.metric.chart.coords[j]
-            for name, j in zip(factor.chart.coords, self.blocks[k])
-        }
-        return rename_coords(e, mapping)
+        return rename_coords(e, _to_joint(self.factors[k], self.metric.chart, self.blocks[k][0]))
 
 
 AnyMetric = Union[MetricSpec, BlockMetricSpec]
@@ -84,6 +79,12 @@ AnyMetric = Union[MetricSpec, BlockMetricSpec]
 
 def as_metric(g: AnyMetric) -> MetricSpec:
     return g.metric if isinstance(g, BlockMetricSpec) else g
+
+
+def _to_joint(m: MetricSpec, chart: Chart, offset: int) -> dict[str, str]:
+    """Factor coordinate name -> joint coordinate name, for the factor whose
+    coordinates start at position `offset` of the joint chart."""
+    return dict(zip(m.chart.coords, chart.coords[offset:]))
 
 
 def joint_chart(g1: AnyMetric, g2: AnyMetric, labels: tuple[str, str] = ("f0", "f1")) -> Chart:
@@ -121,7 +122,7 @@ def block_metric(m1: MetricSpec, s1: Expr, m2: MetricSpec, s2: Expr,
     n = chart.dim
     entries = [[ZERO] * n for _ in range(n)]
     for offset, m, s in ((0, m1, s1), (m1.dim, m2, s2)):
-        mapping = dict(zip(m.chart.coords, chart.coords[offset:]))
+        mapping = _to_joint(m, chart, offset)
         lifted = [[rename_coords(e, mapping) for e in row] for row in m.entries]
         for i, row in enumerate(_scaled_rows(s, lifted)):
             entries[offset + i][offset:offset + m.dim] = row
@@ -240,17 +241,14 @@ class WarpedSpec:
     base: MetricSpec
     fiber: MetricSpec
     warp: Expr
-    lambda_fiber: float | None = None
-    lambda_bar: float | None = None
 
     def __post_init__(self):
         require_on_chart(self.warp, self.base.chart, "warping function", "base chart")
 
 
-def warped_metric(w: WarpedSpec, labels: tuple[str, str] = ("f0", "f1")) -> MetricSpec:
-    chart = joint_chart(w.base, w.fiber, labels)
-    f = rename_coords(w.warp, dict(zip(w.base.chart.coords, chart.coords)))
-    return block_metric(w.base, ONE, w.fiber, powc(f, 2.0), labels)
+def warped_metric(w: WarpedSpec) -> MetricSpec:
+    f = rename_coords(w.warp, _to_joint(w.base, joint_chart(w.base, w.fiber), 0))
+    return block_metric(w.base, ONE, w.fiber, powc(f, 2.0))
 
 
 def twisted_metric(g_base: MetricSpec, f: Expr, g_fiber: MetricSpec,

@@ -24,7 +24,9 @@ from confprod.constructions import (
     ConformalSpec,
     DoublyTwistedSpec,
     WarpedSpec,
+    conformal_metric,
     joint_chart,
+    joint_sum,
     product,
     scaled,
 )
@@ -71,8 +73,6 @@ def test_sample_rejects_bad_plans():
     chart = Chart(("x",), ((0.0, 1.0),))
     with pytest.raises(EmptyDomainError):
         sample(chart, SamplePlan(count=0))
-    with pytest.raises(EmptyDomainError):
-        sample(chart, SamplePlan(rule="sobol"))
     with pytest.raises(EmptyDomainError):
         sample(chart, SamplePlan(margin=0.6))
     with pytest.raises(EmptyDomainError, match="samples must be at most 1000000"):
@@ -278,16 +278,6 @@ def test_warped_einstein_check_rejects_a_cosh_warp():
     assert report.details["verdicts_agree"]
 
 
-def test_warped_einstein_check_uses_supplied_constants():
-    base = builtin_metric("euclidean", 1, box={"x1": (0.2, np.pi - 0.2)})
-    fiber = builtin_metric("sphere", 2)
-    w = WarpedSpec(base, fiber, parse("sin(x1)", base.chart.coords),
-                   lambda_fiber=1.0, lambda_bar=2.0)
-    report = warped_einstein_check(w, PLAN)
-    assert report.verdict
-    assert report.details["lambda_fiber"] == 1.0 and report.details["lambda_bar"] == 2.0
-
-
 def test_warped_einstein_check_rejects_nonpositive_warp():
     base = builtin_metric("euclidean", 1)
     fiber = builtin_metric("sphere", 2)
@@ -302,7 +292,8 @@ def test_warped_einstein_check_rejects_nonpositive_warp():
 def test_summand_hessian_check_frozen_constants():
     b_bar = 0.3
     g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(b_bar)
-    report = summand_hessian_check(g1, g2, phi1, phi2, PLAN)
+    fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
+    report = summand_hessian_check(g1, g2, phi1, phi2, PLAN, fit)
     assert report.verdict and report.details["verdicts_agree"] and report["direct"].verdict
     k = report.details
     assert k["a_bar"] == pytest.approx(1.0, abs=1e-9)
@@ -320,7 +311,8 @@ def test_summand_hessian_check_frozen_constants():
 def test_summand_hessian_check_rejects_a_perturbed_summand():
     g1, g2, phi1, _ = _sphere_hyperbolic_summands(0.3)
     phi2 = parse("cosh(t) + 0.3 + 0.05 * t", g2.chart.coords)
-    report = summand_hessian_check(g1, g2, phi1, phi2, PLAN)
+    fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
+    report = summand_hessian_check(g1, g2, phi1, phi2, PLAN, fit)
     assert not report.verdict
     assert not report["hessian_2"].verdict
     assert not report["direct"].verdict
@@ -347,19 +339,24 @@ def test_factor_hessian_identity_on_flat_quadratics():
     g2 = builtin_metric("euclidean", 2)
     phi1 = parse("0.5 * x1^2 + 0.25", g1.chart.coords)
     phi2 = parse("0.5 * (x1^2 + x2^2) + 0.25", g2.chart.coords)
-    report = factor_hessian_check(g1, g2, phi1, phi2, PLAN)
+    block = product(g1, g2)
+    rescaled = conformal_metric(ConformalSpec(block, joint_sum(block, phi1, phi2)))
+    lambda_bar = einstein_check(rescaled, PLAN).details["lambda_hat"]
+    assert lambda_bar == pytest.approx(2.0, rel=1e-8)
+    report = factor_hessian_check(g1, g2, phi1, phi2, PLAN, lambda_bar)
     assert report.verdict
     assert report["identity"].sup < 1e-8
-    assert report.details["lambda_bar"] == pytest.approx(2.0, rel=1e-8)
+    assert report.details["lambda_bar"] == lambda_bar
     pinned = factor_hessian_check(g1, g2, phi1, phi2, PLAN, lambda_bar=2.0)
     assert pinned.verdict and pinned.details["lambda_bar"] == 2.0
+    assert not factor_hessian_check(g1, g2, phi1, phi2, PLAN, lambda_bar=2.5).verdict
 
 
 def test_factor_hessian_requires_joint_dimension_three():
     g = builtin_metric("euclidean", 1)
     phi = parse("0.5 * x1^2 + 0.25", g.chart.coords)
     with pytest.raises(UnsupportedDimError):
-        factor_hessian_check(g, g, phi, phi, PLAN)
+        factor_hessian_check(g, g, phi, phi, PLAN, 0.0)
 
 
 def test_factor_hessian_requires_varying_second_summand():
@@ -367,7 +364,7 @@ def test_factor_hessian_requires_varying_second_summand():
     g2 = builtin_metric("euclidean", 2)
     phi1 = parse("0.5 * x1^2 + 0.25", g1.chart.coords)
     with pytest.raises(ConstantSummandError):
-        factor_hessian_check(g1, g2, phi1, parse("1", g2.chart.coords), PLAN)
+        factor_hessian_check(g1, g2, phi1, parse("1", g2.chart.coords), PLAN, 0.0)
 
 
 # --- warped presentation ------------------------------------------------------

@@ -329,6 +329,20 @@ def test_config_errors(tmp_path, capsys):
         assert code == 2 and message in err and out == "", message
 
 
+def test_config_rejects_a_string_where_a_list_is_needed(tmp_path, capsys):
+    two = INLINE_FACTORS[1]
+    for factor, message in [
+        ({**two, "coords": "xy"}, "bad first factor 'coords': needs a list, got 'xy'"),
+        ({**two, "entries": ["10", "01"]}, "bad first factor 'entries': needs a list, got '10'"),
+        ({**two, "domain": ["12", [-1.5, 1.5]]}, "bad first factor 'domain': needs a list, got '12'"),
+    ]:
+        path = _write(tmp_path, "factor.json", {
+            "factors": [factor, two], "phi1": "x1", "phi2": "x1", "samples": 60,
+        })
+        code, out, err = run(capsys, "check", "--config", path)
+        assert code == 2 and message in err and out == "", message
+
+
 @pytest.mark.parametrize("tol,message", [
     (float("nan"), "tolerance must be a finite positive number, got nan"),
     (-1.0, "tolerance must be a finite positive number, got -1.0"),
@@ -429,3 +443,11 @@ def test_curvature_rejects_bad_points(capsys):
     code, out, err = run(capsys, "curvature", "--kind", "sphere", "--dim", "33",
                          "--point", "1")
     assert code == 2 and "dimension must be between 1 and 32, got 33" in err and out == ""
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "1e200"])
+def test_curvature_rejects_a_radius_without_a_finite_square(radius, capsys):
+    code, out, err = run(capsys, "curvature", "--kind", "sphere", "--dim", "2",
+                         "--radius", radius, "--point", "1.0,2.0")
+    assert code == 2 and out == ""
+    assert "radius must be positive with a finite square" in err, err

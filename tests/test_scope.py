@@ -152,8 +152,29 @@ def test_scope_samples_each_chart_and_plan_once(monkeypatch):
         # the plan is validated on every call, also once its points are kept
         for _ in range(2):
             with pytest.raises(EmptyDomainError):
-                sample(m.chart, SamplePlan(count=24, rule="grid"))
+                sample(m.chart, SamplePlan(count=24, margin=float("nan")))
     assert sample(m.chart, PLAN) is not first and len(calls) == 4
+
+
+def _is_product_scenario(name: str) -> bool:
+    sc = catalog.get_scenario(name)
+    return isinstance(sc.build(sc.parameters())[0], catalog.ProductConformalInstance)
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(scenarios()) if _is_product_scenario(n)])
+def test_product_batteries_compute_batches_only_at_kept_samples(name, monkeypatch):
+    at = []
+    compute = geometry._compute_batch
+
+    def recording(metric, pts):
+        at.append(pts)
+        return compute(metric, pts)
+
+    monkeypatch.setattr(geometry, "_compute_batch", recording)
+    with evaluation_scope():
+        run_scenario(name, plan=PLAN)
+        kept = list(geometry._SAMPLES.get().points.values())
+    assert at and all(any(pts is k for k in kept) for pts in at)
 
 
 def test_scope_checks_kept_points_against_each_chart():
