@@ -277,8 +277,9 @@ def _run_product_conformal(inst: ProductConformalInstance, plan: SamplePlan,
 
     route_failed = False
     try:
-        fit = summand_laplacian_fit(inst.g1, inst.g2, phi1, phi2, plan, tolerance)
-        hrep = summand_hessian_check(inst.g1, inst.g2, phi1, phi2, plan, fit, tolerance)
+        fit = summand_laplacian_fit(inst.g1, inst.g2, phi1, phi2, plan, tolerance=tolerance)
+        hrep = summand_hessian_check(inst.g1, inst.g2, phi1, phi2, plan, fit,
+                                     tolerance=tolerance)
         checks += [fit, hrep]
         measured.update({k: fit.details[k] for k in ("a1", "b1", "a2", "b2")})
         measured.update({k: hrep.details[k] for k in (
@@ -294,10 +295,10 @@ def _run_product_conformal(inst: ProductConformalInstance, plan: SamplePlan,
         try:
             if summand_spread(phi2, inst.g2, plan) > NONCONSTANT_SPREAD:
                 frep = factor_hessian_check(inst.g1, inst.g2, phi1, phi2, plan,
-                                            lambda_bar, tolerance)
+                                            lambda_bar, tolerance=tolerance)
             else:
                 frep = factor_hessian_check(inst.g2, inst.g1, phi2, phi1, plan,
-                                            lambda_bar, tolerance)
+                                            lambda_bar, tolerance=tolerance)
             checks.append(frep)
         except ConstantSummandError:
             notes.append("both summands constant; factor identity is vacuous")

@@ -56,6 +56,7 @@ from .geometry import (
     MetricSpec,
     coordinate_hessian_batch,
     curvature_batch,
+    evaluation_scope,
     expr_values,
     grad_norm_sq_batch,
     hessian_lc_batch,
@@ -390,7 +391,7 @@ def require_nonconstant(phi: Expr, m: MetricSpec, plan: SamplePlan, label: str) 
 
 
 def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
-                          plan: SamplePlan, tolerance: float = 1e-8) -> Check:
+                          plan: SamplePlan, *, tolerance: float = 1e-8) -> Check:
     """Affine fits lap(phi_i) = a_i phi_i + b_i plus the induced constants.
 
     c1 and c2 are the factor-wise combinations
@@ -499,8 +500,9 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
 
 # --- split summand route ----------------------------------------------------
 
+@evaluation_scope()
 def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
-                          plan: SamplePlan, fit: Check,
+                          plan: SamplePlan, fit: Check, *,
                           tolerance: float = 1e-8) -> Check:
     """Hessian route for two non-constant summands.
 
@@ -586,8 +588,9 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
 
 # --- factor identity for a conformally Einstein product ---------------------
 
+@evaluation_scope()
 def factor_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
-                         plan: SamplePlan, lambda_bar: float,
+                         plan: SamplePlan, lambda_bar: float, *,
                          tolerance: float = 1e-8) -> Check:
     """With the second summand non-constant, the first factor must be Einstein and
 

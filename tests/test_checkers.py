@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confprod import checkers
+from confprod import checkers, geometry
 from confprod.catalog import builtin_metric
 from confprod.checkers import (
     MAX_SAMPLES,
@@ -366,6 +366,36 @@ def test_factor_hessian_requires_varying_second_summand():
     with pytest.raises(ConstantSummandError):
         factor_hessian_check(g1, g2, phi1, parse("1", g2.chart.coords), PLAN, 0.0)
 
+
+
+def test_hessian_checks_called_directly_compute_each_batch_once(monkeypatch):
+    g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(0.3)
+    fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
+    lambda_bar = fit.details["sbar_mean"] / 12.0
+    computed = []
+    compute = geometry._compute_batch
+
+    def recording(metric, pts):
+        computed.append((metric, pts.tobytes()))
+        return compute(metric, pts)
+
+    monkeypatch.setattr(geometry, "_compute_batch", recording)
+    assert summand_hessian_check(g1, g2, phi1, phi2, PLAN, fit).verdict
+    assert len(computed) == len(set(computed)) == 3
+    computed.clear()
+    assert factor_hessian_check(g1, g2, phi1, phi2, PLAN, lambda_bar).verdict
+    assert len(computed) == len(set(computed)) == 2
+
+
+def test_hessian_checks_take_the_tolerance_by_keyword_only():
+    g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(0.3)
+    with pytest.raises(TypeError):
+        summand_laplacian_fit(g1, g2, phi1, phi2, PLAN, 1e-8)
+    fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN, tolerance=1e-8)
+    with pytest.raises(TypeError):
+        summand_hessian_check(g1, g2, phi1, phi2, PLAN, fit, 1e-8)
+    with pytest.raises(TypeError):
+        factor_hessian_check(g1, g2, phi1, phi2, PLAN, 1.0, 1e-8)
 
 # --- warped presentation ------------------------------------------------------
 

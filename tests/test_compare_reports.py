@@ -31,8 +31,7 @@ def test_diff_ignores_only_the_timestamp(tmp_path):
 
 
 def test_a_tree_matches_itself(capsys):
-    code = compare_reports.main([str(ROOT), str(ROOT), "--size", "tiny",
-                                 "--catalog-samples", "20"])
+    code = compare_reports.main([str(ROOT), str(ROOT), "--size", "tiny"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "identical" in out and "catalog_2k: computed batches" in out

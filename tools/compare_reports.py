@@ -5,7 +5,7 @@
 Each tree is a checkout with confprod under `src/`.  For every seed, both
 benchmark workloads of perfbench/workloads.py (catalog_2k and dim_sweep, at
 `--size`) are run on each tree in a fresh interpreter, and so is the whole
-catalog at `--catalog-samples` samples.  Every report and each run's
+catalog (200 samples at full size, 20 at tiny).  Every report and each run's
 standard output are then compared byte for byte, the `generated_at` line
 excepted.  The workload inputs come from this checkout's perfbench/, which
 is only imported.  The number of curvature batches each tree computes
@@ -29,10 +29,11 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog_2k", "dim_sweep")
+CATALOG_SAMPLES = {"full": 200, "tiny": 20}
 _GENERATED_AT = re.compile(r'^\s*"generated_at": "[^"]*",\n', re.MULTILINE)
 
 
-def _run_tree(tree: str, out: str, seed: int, size: str, catalog_samples: int) -> None:
+def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     """Child process: write every report and stdout of one tree under `out`."""
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(HERE / "perfbench")]
     import workloads
@@ -56,7 +57,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str, catalog_samples: int) -
         computed, printed = 0, io.StringIO()
         with contextlib.redirect_stdout(printed):
             if checks is None:
-                cli.main(["check", "--samples", str(catalog_samples),
+                cli.main(["check", "--samples", str(CATALOG_SAMPLES[size]),
                           "--report", str(workdir / "report.json")])
             else:
                 workloads.run_checks(checks, workdir)
@@ -91,12 +92,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new")
     parser.add_argument("--seed", type=int, action="append", help="repeatable (default 2)")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
-    parser.add_argument("--catalog-samples", type=int, default=200)
     parser.add_argument("--run-tree", nargs=2, metavar=("TREE", "OUT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     seeds = args.seed or [2]
     if args.run_tree:
-        _run_tree(*args.run_tree, seeds[0], args.size, args.catalog_samples)
+        _run_tree(*args.run_tree, seeds[0], args.size)
         return 0
 
     differing = 0
@@ -107,8 +107,7 @@ def main(argv: list[str] | None = None) -> int:
                 out = Path(scratch) / f"seed{seed}" / label
                 subprocess.run(
                     [sys.executable, __file__, args.old, args.new, "--run-tree", tree, str(out),
-                     "--seed", str(seed), "--size", args.size,
-                     "--catalog-samples", str(args.catalog_samples)],
+                     "--seed", str(seed), "--size", args.size],
                     check=True)
                 outs.append(out)
             counts = [json.loads((out / "computed_batches.json").read_text()) for out in outs]
