@@ -73,10 +73,15 @@ def builtin_metric(kind: str, dim: int, radius: float = 1.0,
     if not 1 <= dim <= MAX_DIM:
         raise UnsupportedDimError(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
     # `not radius > 0` also catches nan; a square that is not finite would
-    # surface as a constant-folding error far from its cause
-    if not (radius > 0 and math.isfinite(radius * radius)):
+    # surface as a constant-folding error far from its cause, and an integer
+    # square too large for a float would raise OverflowError
+    try:
+        square = float(radius * radius)
+    except OverflowError:
+        square = math.inf
+    if not (radius > 0 and math.isfinite(square)):
         raise BadParameterError(f"radius must be positive with a finite square, got {radius}")
-    r2 = Const(radius * radius)
+    r2 = Const(square)
     if kind == "euclidean":
         coords = tuple(f"x{i}" for i in range(1, dim + 1))
         domain = tuple((-1.5, 1.5) for _ in coords)
@@ -337,7 +342,7 @@ def _run_twisted(inst: TwistedInstance, plan: SamplePlan, tolerance: float):
     pts = sample(g.chart, plan)
 
     rebuilt = scaled(
-        twisted_metric(d.base, div(d.fiber_scale, d.base_scale), d.fiber, d.labels),
+        twisted_metric(d.base, div(d.fiber_scale, d.base_scale), d.fiber),
         powc(d.base_scale, 2.0),
     )
     delta = metric_values(g, pts) - metric_values(rebuilt, pts, check=False)

@@ -251,11 +251,10 @@ def warped_metric(w: WarpedSpec) -> MetricSpec:
     return block_metric(w.base, ONE, w.fiber, powc(f, 2.0))
 
 
-def twisted_metric(g_base: MetricSpec, f: Expr, g_fiber: MetricSpec,
-                   labels: tuple[str, str] = ("f0", "f1")) -> MetricSpec:
+def twisted_metric(g_base: MetricSpec, f: Expr, g_fiber: MetricSpec) -> MetricSpec:
     """g_B + f^2 g_F with f on the joint chart (use joint_chart for its names)."""
-    require_on_chart(f, joint_chart(g_base, g_fiber, labels), "twisting function", "joint chart")
-    return block_metric(g_base, ONE, g_fiber, powc(f, 2.0), labels)
+    require_on_chart(f, joint_chart(g_base, g_fiber), "twisting function", "joint chart")
+    return block_metric(g_base, ONE, g_fiber, powc(f, 2.0))
 
 
 @dataclass(frozen=True)
@@ -266,11 +265,10 @@ class DoublyTwistedSpec:
     fiber: MetricSpec
     base_scale: Expr
     fiber_scale: Expr
-    labels: tuple[str, str] = ("f0", "f1")
 
     def chart(self) -> Chart:
         """The joint chart; raises if a scale uses a coordinate not on it."""
-        chart = joint_chart(self.base, self.fiber, self.labels)
+        chart = joint_chart(self.base, self.fiber)
         require_on_chart(self.base_scale, chart, "base scale", "joint chart")
         require_on_chart(self.fiber_scale, chart, "fiber scale", "joint chart")
         return chart
@@ -278,8 +276,7 @@ class DoublyTwistedSpec:
 
 def doubly_twisted_metric(d: DoublyTwistedSpec) -> MetricSpec:
     d.chart()  # rejects a scale that is off the joint chart
-    return block_metric(d.base, powc(d.base_scale, 2.0), d.fiber, powc(d.fiber_scale, 2.0),
-                        d.labels)
+    return block_metric(d.base, powc(d.base_scale, 2.0), d.fiber, powc(d.fiber_scale, 2.0))
 
 
 def joint_sum(b: BlockMetricSpec, phi1: Expr, phi2: Expr) -> Expr:

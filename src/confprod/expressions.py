@@ -20,6 +20,13 @@ powers with a constant real exponent.  Symbolic differentiation is closed
 over this node set.  Simplification is deliberately light: constant folding
 and 0/1 identities only, applied by the smart constructors.
 
+Nodes are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006): each distinct expression is one object for the life
+of the process, so equal expressions are identical and compare and hash by
+identity.  Derivatives and free coordinates are memoised per node for the
+life of the process too.  These tables hold expressions only, never
+arrays.
+
 The canonical printer (format_expr) emits text this parser accepts;
 parsing the printed form reproduces an expression that evaluates
 identically.  (A constant that overflowed prints as inf or nan, which no
@@ -34,7 +41,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -46,72 +52,93 @@ GRAMMAR_VERSION = "1"
 
 # --- nodes ------------------------------------------------------------------
 
-def _node(cls):
-    """Frozen dataclass that computes its structural hash once.
+# process-lifetime tables, expressions only: every node built, by key
+# (_Node); derivatives by (node, coordinate); free coordinates by node
+_INTERNED: dict = {}
+_DERIVATIVES: dict = {}
+_FREE_COORDS: dict = {}
 
-    Nodes are dict keys throughout (differentiation memos, tapes, jet-plan
-    caches), and the generated hash recurses through the whole tree on every
-    call.  Each node keeps its hash after the first call instead.  The kept
-    hash is left out of the pickled state, because str hashes differ
-    between processes.  A class may define `_key`, the tuple its equality
-    compares, to hash by that instead of its fields.
+
+class _Node:
+    """Immutable, hash-consed expression node.
+
+    A constructor returns the node already built with the same key, if there
+    is one: the key is the class, the scalar fields and the children, and
+    the children are interned nodes themselves, so two nodes are equal
+    exactly when they are the same object.  Equality and hashing are
+    therefore object's own (by identity, in C), and nodes are cheap keys
+    for the derivative memo, tapes and jet-plan caches.  Pickling goes
+    through the constructor, so an unpickled node is the interned one.
     """
-    cls = dataclass(frozen=True)(cls)
-    fields = tuple(cls.__dataclass_fields__)
-    key = getattr(cls, "_key", lambda self: tuple(self.__dict__[f] for f in fields))
 
-    def __hash__(self):
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = self.__dict__["_hash"] = hash(key(self))
-            return value
+    __slots__ = ()
 
-    def __getstate__(self):
-        return {f: self.__dict__[f] for f in fields}
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}' of an expression node")
 
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}' of an expression node")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
 
-@_node
-class Const:
-    value: float
+def _intern(cls, key: tuple, *values) -> "Expr":
+    """The node stored for `key`; a new one, built from `values` (in slot
+    order), when there is none.  setdefault keeps the first node stored if
+    another thread built one for the same key meanwhile."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(node, name, value)
+    return _INTERNED.setdefault(key, node)
 
-    def _key(self) -> tuple[float, float]:
+
+class Const(_Node):
+    __slots__ = ("value",)
+
+    def __new__(cls, value: float):
+        value = float(value)
         # 0.0 and -0.0 compare equal as floats but are different constants: a
         # metric entry keeps its own zero's sign, and so its own cache slots
-        return self.value, math.copysign(1.0, self.value)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Const:
-            return NotImplemented
-        return self._key() == other._key()
+        key = (cls, value, math.copysign(1.0, value))
+        return _INTERNED.get(key) or _intern(cls, key, value)
 
 
-@_node
-class Coord:
-    name: str
+class Coord(_Node):
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        return _INTERNED.get(key) or _intern(cls, key, name)
 
 
-@_node
-class Unary:
-    op: str  # neg sin cos tan sinh cosh tanh exp log sqrt
-    arg: "Expr"
+class Unary(_Node):
+    __slots__ = ("op", "arg")  # op: neg sin cos tan sinh cosh tanh exp log sqrt
+
+    def __new__(cls, op: str, arg: "Expr"):
+        key = (cls, op, arg)
+        return _INTERNED.get(key) or _intern(cls, key, op, arg)
 
 
-@_node
-class Binary:
-    op: str  # add sub mul div
-    left: "Expr"
-    right: "Expr"
+class Binary(_Node):
+    __slots__ = ("op", "left", "right")  # op: add sub mul div
+
+    def __new__(cls, op: str, left: "Expr", right: "Expr"):
+        key = (cls, op, left, right)
+        return _INTERNED.get(key) or _intern(cls, key, op, left, right)
 
 
-@_node
-class Pow:
-    base: "Expr"
-    exponent: float  # constant real exponent, by construction
+class Pow(_Node):
+    __slots__ = ("base", "exponent")  # exponent: a constant real, by construction
+
+    def __new__(cls, base: "Expr", exponent: float):
+        exponent = float(exponent)
+        key = (cls, base, exponent)
+        return _INTERNED.get(key) or _intern(cls, key, base, exponent)
 
 
 Expr = Union[Const, Coord, Unary, Binary, Pow]
@@ -228,6 +255,9 @@ def func(name: str, arg: Expr) -> Expr:
     return Unary(name, arg)
 
 
+_CONSTRUCTORS = {"add": add, "sub": sub, "mul": mul, "div": div}
+
+
 def _scalar_pow(base: float, exponent: float, fold: bool = False):
     """Real power with domain checks. Returns None for constant-fold failures."""
     if base < 0.0 and exponent != int(exponent):
@@ -247,30 +277,46 @@ def _scalar_pow(base: float, exponent: float, fold: bool = False):
 # --- traversal helpers ------------------------------------------------------
 
 def free_coords(e: Expr) -> frozenset[str]:
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Coord):
-        return frozenset((e.name,))
-    if isinstance(e, Unary):
-        return free_coords(e.arg)
-    if isinstance(e, Binary):
-        return free_coords(e.left) | free_coords(e.right)
-    return free_coords(e.base)
+    """The coordinate names e uses, worked out once per node."""
+    found = _FREE_COORDS.get(e)
+    if found is None:
+        if isinstance(e, Const):
+            found = frozenset()
+        elif isinstance(e, Coord):
+            found = frozenset((e.name,))
+        elif isinstance(e, Unary):
+            found = free_coords(e.arg)
+        elif isinstance(e, Binary):
+            found = free_coords(e.left) | free_coords(e.right)
+        else:
+            found = free_coords(e.base)
+        _FREE_COORDS[e] = found
+    return found
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace coordinates by expressions, re-running the smart constructors
-    (with an empty mapping this rebuilds the tree, idempotently)."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Coord):
-        return mapping.get(e.name, e)
-    if isinstance(e, Unary):
-        return func(e.op, substitute(e.arg, mapping))
-    if isinstance(e, Binary):
-        op = {"add": add, "sub": sub, "mul": mul, "div": div}[e.op]
-        return op(substitute(e.left, mapping), substitute(e.right, mapping))
-    return powc(substitute(e.base, mapping), e.exponent)
+    (with an empty mapping this rebuilds the tree, idempotently).  Each
+    distinct subtree is rebuilt once."""
+    done: dict = {}
+
+    def visit(node: Expr) -> Expr:
+        out = done.get(node)
+        if out is None:
+            if isinstance(node, Const):
+                out = node
+            elif isinstance(node, Coord):
+                out = mapping.get(node.name, node)
+            elif isinstance(node, Unary):
+                out = func(node.op, visit(node.arg))
+            elif isinstance(node, Binary):
+                out = _CONSTRUCTORS[node.op](visit(node.left), visit(node.right))
+            else:
+                out = powc(visit(node.base), node.exponent)
+            done[node] = out
+        return out
+
+    return visit(e)
 
 
 def rename_coords(e: Expr, mapping: Mapping[str, str]) -> Expr:
@@ -504,18 +550,15 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 
 # --- differentiation --------------------------------------------------------
 
-def differentiate(e: Expr, coord: str, memo: dict | None = None) -> Expr:
+def differentiate(e: Expr, coord: str) -> Expr:
     """Exact symbolic derivative, closed over the node set.
 
-    Each distinct subtree is differentiated once and equal subtrees get the
-    same derivative object.  A caller that differentiates related trees can
-    pass its own memo (a dict keyed by (node, coord)) to share that work
-    across calls; without one, each call starts a fresh memo.
+    Derivatives are memoised for the life of the process, by (node,
+    coordinate): each distinct subtree is differentiated once, and every
+    later call for it returns the same node.
     """
-    if memo is None:
-        memo = {}
     key = (e, coord)
-    d = memo.get(key)
+    d = _DERIVATIVES.get(key)
     if d is not None:
         return d
     if isinstance(e, Const):
@@ -523,7 +566,7 @@ def differentiate(e: Expr, coord: str, memo: dict | None = None) -> Expr:
     elif isinstance(e, Coord):
         d = ONE if e.name == coord else ZERO
     elif isinstance(e, Unary):
-        inner = differentiate(e.arg, coord, memo)
+        inner = differentiate(e.arg, coord)
         if e.op == "neg":
             d = neg(inner)
         elif _is_const(inner, 0.0):
@@ -543,8 +586,8 @@ def differentiate(e: Expr, coord: str, memo: dict | None = None) -> Expr:
             }[e.op]()
             d = mul(outer, inner)
     elif isinstance(e, Binary):
-        da = differentiate(e.left, coord, memo)
-        db = differentiate(e.right, coord, memo)
+        da = differentiate(e.left, coord)
+        db = differentiate(e.right, coord)
         if e.op == "add":
             d = add(da, db)
         elif e.op == "sub":
@@ -554,9 +597,9 @@ def differentiate(e: Expr, coord: str, memo: dict | None = None) -> Expr:
         else:
             d = div(sub(mul(da, e.right), mul(e.left, db)), powc(e.right, 2.0))
     else:
-        dbase = differentiate(e.base, coord, memo)
+        dbase = differentiate(e.base, coord)
         d = mul(mul(Const(e.exponent), powc(e.base, e.exponent - 1.0)), dbase)
-    memo[key] = d
+    _DERIVATIVES[key] = d
     return d
 
 

@@ -129,7 +129,7 @@ class CurvatureData:
 # --- jet plans --------------------------------------------------------------
 
 class _Program(NamedTuple):
-    tape: tuple[Expr, ...]   # the slots computed on the tape, in slot order
+    tape: tuple[Expr, ...]   # the distinct taped expressions, in order of first slot
     fn: Optional[Callable]   # the compiled tape, None when every slot is constant
     scatter: tuple           # per output array: (tape rows, columns, constant columns, values)
 
@@ -155,10 +155,14 @@ class _JetPlan:
     A slot (one value or derivative of one expression) whose expression is
     a finite constant is written directly, and a constant expression is
     never differentiated; every other slot goes on one shared tape
-    (expressions.compile_expr).  The value tape is built on first use and
-    the derivative tape on the first call that needs derivatives, so
-    value-only callers never differentiate.  The differentiation memo and
-    both tapes belong to this plan alone.
+    (expressions.compile_expr), which holds each distinct expression once:
+    slots with the same expression (the rescaled flat metric repeats
+    phi^-2 and its derivatives on every diagonal entry) read one row.  The
+    value tape is built on first use and the derivative tape on the first
+    call that needs derivatives, so value-only callers never
+    differentiate.  Derivatives come from the process-wide memo of
+    expressions.differentiate, which holds expressions only; both tapes,
+    and every array computed from them, belong to this plan alone.
     """
 
     def __init__(self, shape: tuple[int, ...], entries, coords: tuple[str, ...]):
@@ -176,10 +180,11 @@ class _JetPlan:
 
     def _program(self, order: int) -> _Program:
         """Slots are laid out entry by entry: the value, the n first
-        derivatives, then the second derivatives (k, l >= k), so the tape
-        raises the first DomainError in that order."""
+        derivatives, then the second derivatives (k, l >= k).  A tape row
+        sits where its expression's first slot does, so the tape raises the
+        first DomainError in slot order."""
         n = len(self.coords)
-        tape: list[Expr] = []
+        tape: dict = {}                                # each distinct expression -> its row
         taped = [([], []) for _ in range(order + 1)]   # per output: tape rows, columns
         fixed = [([], []) for _ in range(order + 1)]   # per output: columns, constant values
 
@@ -189,16 +194,14 @@ class _JetPlan:
                     fixed[out][0].extend(columns)
                     fixed[out][1].extend([e.value] * len(columns))
                 return
-            taped[out][0].extend([len(tape)] * len(columns))
+            taped[out][0].extend([tape.setdefault(e, len(tape))] * len(columns))
             taped[out][1].extend(columns)
-            tape.append(e)
 
-        memo: dict = {}
         for e, places in self.entries:
             put(0, e, list(places))
             if order == 0 or isinstance(e, Const):
                 continue
-            firsts = [differentiate(e, c, memo) for c in self.coords]
+            firsts = [differentiate(e, c) for c in self.coords]
             for k, d in enumerate(firsts):
                 put(1, d, [p * n + k for p in places])
             for k, d in enumerate(firsts):
@@ -208,12 +211,13 @@ class _JetPlan:
                     columns = [p * n * n + k * n + l for p in places]
                     if l != k:
                         columns += [p * n * n + l * n + k for p in places]
-                    put(2, differentiate(d, self.coords[l], memo), columns)
+                    put(2, differentiate(d, self.coords[l]), columns)
         scatter = tuple(
             (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
              np.array(ccols, dtype=np.intp), np.array(values, dtype=float))
             for (rows, cols), (ccols, values) in zip(taped, fixed))
-        return _Program(tuple(tape), compile_expr(tape, self.coords) if tape else None, scatter)
+        exprs = tuple(tape)
+        return _Program(exprs, compile_expr(exprs, self.coords) if exprs else None, scatter)
 
     def _run(self, program: _Program, points: np.ndarray) -> list[np.ndarray]:
         count, n = points.shape[0], len(self.coords)
@@ -244,8 +248,8 @@ class _JetPlan:
         """Where each jet slot's value lives: per output (value, gradient,
         hessian), the flat slot's row of [tape rows; constants], -1 for a zero
         slot (a constant zero of either sign); and the constants.  Slots that
-        the plan writes from one tape row (paired entries, paired derivatives)
-        read the same row."""
+        the plan writes from one tape row (paired entries, paired derivatives,
+        equal expressions) read the same row."""
         program = self.jet_program
         maps, constants = [], []
         first = len(program.tape)

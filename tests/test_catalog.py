@@ -63,6 +63,14 @@ def test_builtin_parameter_validation():
         builtin_metric("euclidean", MAX_DIM + 1)
 
 
+@pytest.mark.parametrize("radius", [10**200, 10**400, 1e200])
+def test_builtin_rejects_a_radius_without_a_finite_square(radius):
+    # an integer square too large for a float is the same parameter error
+    # as a float square that overflows, not an OverflowError
+    with pytest.raises(BadParameterError, match="radius must be positive with a finite square"):
+        builtin_metric("sphere", 2, radius=radius)
+
+
 # --- registry -----------------------------------------------------------------
 
 def test_scenario_registry_is_stable():

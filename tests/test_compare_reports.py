@@ -1,4 +1,5 @@
-"""tools/compare_reports.py: reports compared byte for byte, the timestamp excepted."""
+"""tools/compare_reports.py: reports compared byte for byte, the timestamp
+excepted, with each tree's computed batches and jet-tape rows counted."""
 
 import importlib.util
 import json
@@ -35,3 +36,6 @@ def test_a_tree_matches_itself(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "identical" in out and "catalog_2k: computed batches" in out
+    # each jet tape holds each distinct expression once; one row per slot,
+    # as before the tapes were deduplicated, gave 115 rows here
+    assert "dim_sweep: computed batches 7 -> 7, jet-tape rows 64 -> 64" in out

@@ -1,14 +1,20 @@
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from confprod import expressions
 from confprod.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 from confprod.expressions import (
+    Binary,
     Const,
     Coord,
     Pow,
+    Unary,
     add,
     compile_expr,
     differentiate,
@@ -272,13 +278,24 @@ def test_shared_tape_matches_each_tree_alone(a, b):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_trees)
-def test_memoised_differentiate_equals_memo_less(e):
-    memo: dict = {}
+def test_derivatives_are_the_same_nodes_after_the_memo_is_cleared(e):
+    firsts = {c: differentiate(e, c) for c in XY}
+    seconds = {(c, c2): differentiate(firsts[c], c2) for c in XY for c2 in XY}
+    expressions._DERIVATIVES.clear()
     for c in XY:
-        first = differentiate(e, c, memo)
-        assert first == differentiate(e, c)
+        assert differentiate(e, c) is firsts[c]
         for c2 in XY:
-            assert differentiate(first, c2, memo) == differentiate(differentiate(e, c), c2)
+            assert differentiate(differentiate(e, c), c2) is seconds[c, c2]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_trees)
+def test_rebuilt_and_unpickled_trees_are_the_same_nodes(e):
+    # a tree built by the smart constructors is already in the form they give
+    assert substitute(e, {}) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    with pytest.raises(AttributeError):
+        e.op = "add"
 
 
 def test_non_finite_constant_is_a_compile_time_domain_error():
@@ -288,13 +305,42 @@ def test_non_finite_constant_is_a_compile_time_domain_error():
     assert "non-finite constant inf" in str(err.value)
 
 
-def test_nodes_keep_their_hash_but_do_not_pickle_it():
-    import pickle
-
+def test_equal_expressions_are_one_node():
+    x, y = Coord("x"), Coord("y")
     e = parse("sin(x) * y + x^2", XY)
-    h = hash(e)
-    assert e.__dict__["_hash"] == h and hash(e) == h
-    clone = pickle.loads(pickle.dumps(e))
-    assert "_hash" not in clone.__dict__
-    assert clone == e and hash(clone) == h
-    assert "_hash" not in pickle.loads(pickle.dumps(e.left)).__dict__
+    assert e is add(mul(func("sin", x), y), powc(x, 2.0))
+    assert e is Binary("add", Binary("mul", Unary("sin", Coord("x")), y), Pow(x, 2))
+    assert substitute(parse("sin(u) * y + u^2", ("u", "y")), {"u": x}) is e
+    assert rename_coords(parse("sin(a) * b + a^2", ("a", "b")), {"a": "x", "b": "y"}) is e
+    assert differentiate(e, "y") is parse("sin(x)", XY)
+    assert differentiate(parse("x^3 * y", XY), "x") is parse("3*x^2*y", XY)
+    clone = pickle.loads(pickle.dumps([e, e.left]))
+    assert clone[0] is e and clone[1] is e.left
+    assert Const(2) is Const(2.0) and type(Const(2).value) is float
+
+
+def test_threads_building_the_same_expressions_get_the_same_nodes():
+    texts = [f"sin(x * {k}.125) * y^{k % 5 + 2} + exp(y - {k}.375)" for k in range(300)]
+    built = [[] for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda out: out.extend(parse(t, XY) for t in texts),
+                                    args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for nodes in zip(*built):
+        assert all(node is nodes[0] for node in nodes)
+    assert built[0] == [parse(t, XY) for t in texts]
+
+
+def test_signed_zeros_are_different_constants():
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(-0.0) is neg(Const(0.0)) is parse("-0", XY)
+    assert np.signbit(Const(-0.0).value) and not np.signbit(Const(0.0).value)
+    assert mul(Const(-0.0), Coord("x")) is Const(0.0)  # the folded zero keeps no sign

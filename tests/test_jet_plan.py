@@ -56,6 +56,12 @@ def test_plan_matches_slot_by_slot_reference_on_catalog_metrics():
         assert _metric_plan(metric).values(pts).tobytes() == got[0].tobytes()
 
 
+def test_no_jet_tape_repeats_an_expression():
+    for metric, _ in _catalog_metrics():
+        tape = _metric_plan(metric).jet_program.tape
+        assert len(set(tape)) == len(tape)
+
+
 def test_field_plan_matches_reference_including_signed_zeros():
     # d/dy of -cos(x) - 2 folds to the constant -0.0; the plan writes it as
     # the slot-by-slot path does, not as the preset +0.0
@@ -125,9 +131,9 @@ def test_constant_slots_stay_off_the_tape(monkeypatch):
     assert rescaled.dim == 10
     seen = []
 
-    def recording(e, coord, memo=None):
+    def recording(e, coord):
         seen.append(e)
-        return differentiate(e, coord, memo)
+        return differentiate(e, coord)
 
     monkeypatch.setattr(geometry, "differentiate", recording)
     # 55 upper-triangle entries, each with 1 value, 10 first and 55 second
@@ -137,3 +143,23 @@ def test_constant_slots_stay_off_the_tape(monkeypatch):
     flat = _metric_plan.__wrapped__(base).jet_program
     assert len(flat.tape) == 0 and flat.fn is None
     assert seen and not any(isinstance(e, Const) for e in seen)
+
+
+@pytest.mark.parametrize("n,rows", [(3, 39), (5, 83), (8, 179)])
+def test_flat_quadratic_tapes_hold_each_expression_once(monkeypatch, n, rows):
+    # the rescaled flat metric repeats phi^-2 and its derivatives on every
+    # diagonal entry; one slot per tape row would make these 179, 677, 2474
+    built = []
+    program = geometry._JetPlan._program
+
+    def recording(plan, order):
+        built.append((order, program(plan, order)))
+        return built[-1][1]
+
+    monkeypatch.setattr(geometry._JetPlan, "_program", recording)
+    for cached in vars(geometry).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    run_scenario("flat_quadratic", params={"n1": n, "n2": n}, plan=SamplePlan(count=5))
+    assert sum(len(p.tape) for order, p in built if order == 2) == rows
+    assert all(len(set(p.tape)) == len(p.tape) for _, p in built)

@@ -8,8 +8,11 @@ benchmark workloads of perfbench/workloads.py (catalog_2k and dim_sweep, at
 catalog (200 samples at full size, 20 at tiny).  Every report and each run's
 standard output are then compared byte for byte, the `generated_at` line
 excepted.  The workload inputs come from this checkout's perfbench/, which
-is only imported.  The number of curvature batches each tree computes
-(calls of geometry._compute_batch, scope hits excluded) is printed per run.
+is only imported.  Two counts are printed per run for each tree: the
+curvature batches it computes (calls of geometry._compute_batch, scope hits
+excluded) and the rows of the jet tapes it builds (summed over every jet
+plan's derivative tape; the plan caches are cleared before each run, so a
+run builds its tapes as a fresh `confprod` command does).
 
 Exit code 0 when every file is identical, 1 otherwise.
 """
@@ -30,6 +33,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog_2k", "dim_sweep")
 CATALOG_SAMPLES = {"full": 200, "tiny": 20}
+COUNTS = ("computed batches", "jet-tape rows")
 _GENERATED_AT = re.compile(r'^\s*"generated_at": "[^"]*",\n', re.MULTILINE)
 
 
@@ -39,22 +43,31 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     import workloads
     from confprod import cli, geometry
 
-    computed = 0
-    compute = geometry._compute_batch
+    counts: dict = {}
+    compute, program = geometry._compute_batch, geometry._JetPlan._program
 
     def counting(*args):
-        nonlocal computed
-        computed += 1
+        counts[name]["computed batches"] += 1
         return compute(*args)
 
+    def counting_rows(plan, order):
+        built = program(plan, order)
+        if order == 2:
+            counts[name]["jet-tape rows"] += len(built.tape)
+        return built
+
     geometry._compute_batch = counting
-    counts = {}
+    geometry._JetPlan._program = counting_rows
     runs = {name: workloads.WORKLOADS[name](seed, size) for name in WORKLOADS}
     runs["catalog"] = None
     for name, checks in runs.items():
         workdir = Path(out) / "reports" / name
         workdir.mkdir(parents=True)
-        computed, printed = 0, io.StringIO()
+        counts[name] = dict.fromkeys(COUNTS, 0)
+        for cached in vars(geometry).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
             if checks is None:
                 cli.main(["check", "--samples", str(CATALOG_SAMPLES[size]),
@@ -62,8 +75,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
             else:
                 workloads.run_checks(checks, workdir)
         (workdir / "stdout.txt").write_text(printed.getvalue())
-        counts[name] = computed
-    (Path(out) / "computed_batches.json").write_text(json.dumps(counts))
+    (Path(out) / "counts.json").write_text(json.dumps(counts))
 
 
 def _deterministic(path: Path) -> list[str]:
@@ -110,12 +122,13 @@ def main(argv: list[str] | None = None) -> int:
                      "--seed", str(seed), "--size", args.size],
                     check=True)
                 outs.append(out)
-            counts = [json.loads((out / "computed_batches.json").read_text()) for out in outs]
+            counts = [json.loads((out / "counts.json").read_text()) for out in outs]
             lines = diff_trees(*(out / "reports" for out in outs))
             files = sum(1 for p in (outs[0] / "reports").rglob("*") if p.is_file())
             print(f"seed {seed}: {files} files, {'identical' if not lines else 'DIFFERENT'}")
             for name in counts[0]:
-                print(f"  {name}: computed batches {counts[0][name]} -> {counts[1][name]}")
+                print(f"  {name}: " + ", ".join(
+                    f"{what} {counts[0][name][what]} -> {counts[1][name][what]}" for what in COUNTS))
             sys.stdout.writelines(lines)
             differing += bool(lines)
     return 1 if differing else 0
