@@ -259,7 +259,7 @@ def einstein_check(g: AnyMetric, plan: SamplePlan, tolerance: float = 1e-8) -> C
     batch = curvature_batch(m, pts)
     lam = batch.scalar / n
     lambda_hat = float(lam.mean())
-    per_point = _entry_sup(batch.ricci - lambda_hat * batch.g)
+    per_point = batch.einstein_residual(lambda_hat)
     return Check("einstein", details={"lambda_hat": lambda_hat, "low_dim_warning": n <= 2},
                  parts=[_residual("residual", per_point, pts, tolerance),
                         _bound("lambda_spread", lam.max() - lam.min(), tolerance)])

@@ -57,7 +57,6 @@ class BlockMetricSpec:
     """Riemannian product: factor metrics plus the induced joint metric."""
 
     factors: tuple[MetricSpec, ...]
-    labels: tuple[str, ...]
     metric: MetricSpec
     blocks: tuple[tuple[int, ...], ...]
 
@@ -135,7 +134,6 @@ def product(g1: AnyMetric, g2: AnyMetric, labels: tuple[str, str] = ("f0", "f1")
     n1, n = m1.dim, m1.dim + m2.dim
     return BlockMetricSpec(
         factors=(m1, m2),
-        labels=labels,
         metric=block_metric(m1, ONE, m2, ONE, labels),
         blocks=(tuple(range(n1)), tuple(range(n1, n))),
     )

@@ -103,8 +103,9 @@ class Const(_Node):
     def __new__(cls, value: float):
         value = float(value)
         # 0.0 and -0.0 compare equal as floats but are different constants: a
-        # metric entry keeps its own zero's sign, and so its own cache slots
-        key = (cls, value, math.copysign(1.0, value))
+        # metric entry keeps its own zero's sign, and so its own cache slots;
+        # nan equals no float, so every nan shares one key
+        key = (cls, "nan") if math.isnan(value) else (cls, value, math.copysign(1.0, value))
         return _INTERNED.get(key) or _intern(cls, key, value)
 
 

@@ -8,10 +8,12 @@ a jet plan hands over its tape rows and a slot-to-row map, a symbolic
 phase cached per sparsity pattern works out which products each
 contraction forms, and a numeric phase forms them slice by slice on a
 slot-major table (see "structural-sparse contraction" below).  A batch
-keeps the Christoffel symbols as that table's compact rows, and the
-covariant Hessian contracts them directly; a dense Christoffel array is
-built only on request (CurvatureBatch.gamma).  The full Riemann tensor is
-dense algebra, built only for single-point queries (curvature()).
+keeps g, g^-1, the Christoffel symbols and Ricci as that table's compact
+rows, one per canonical slot that can be non-zero, and the covariant
+Hessian contracts the Christoffel rows directly; dense arrays are built
+only on request (CurvatureBatch.g, .ginv, .ricci, .gamma).  The full
+Riemann tensor is dense algebra, built only for single-point queries
+(curvature()).
 
 Index conventions, fixed here once:
 
@@ -134,18 +136,6 @@ class _Program(NamedTuple):
     scatter: tuple           # per output array: (tape rows, columns, constant columns, values)
 
 
-def _scatter(program: _Program, order: int, rows: Optional[np.ndarray], flat: np.ndarray,
-             columns: Optional[np.ndarray] = None) -> None:
-    """Write one output's slots, given the tape rows, into flat[:, columns[slot]]
-    (columns: the identity by default); zero slots are left as they are."""
-    tape_rows, cols, ccols, values = program.scatter[order]
-    if columns is not None:
-        cols, ccols = columns[cols], columns[ccols]
-    if len(cols):
-        flat[:, cols] = rows[tape_rows].T
-    flat[:, ccols] = values
-
-
 class _JetPlan:
     """Values and first and second coordinate derivatives of a set of expressions.
 
@@ -223,9 +213,12 @@ class _JetPlan:
         count, n = points.shape[0], len(self.coords)
         rows = None if program.fn is None else program.fn(points)
         outs = []
-        for order in range(len(program.scatter)):
+        for order, (tape_rows, cols, ccols, values) in enumerate(program.scatter):
             out = np.zeros((count,) + self.shape + (n,) * order)
-            _scatter(program, order, rows, out.reshape(count, -1))
+            flat = out.reshape(count, -1)    # zero slots stay zero
+            if len(cols):
+                flat[:, cols] = rows[tape_rows].T
+            flat[:, ccols] = values
             outs.append(out)
         return outs
 
@@ -379,34 +372,84 @@ def metric_values(metric: MetricSpec, points, check: bool = True) -> np.ndarray:
 
 # --- curvature --------------------------------------------------------------
 
+def _dense(rows: np.ndarray, slots: np.ndarray, n: int, axes: int = 2) -> np.ndarray:
+    """The dense (count,) + (n,) * axes array of a tensor symmetric in its
+    last two indices, from its compact rows: rows[r, p] is the value at point
+    p of the flat slot slots[r] (last two indices in order) and of its mirror
+    with those two swapped; every other slot is zero."""
+    shape = (n,) * axes
+    index = np.unravel_index(slots, shape)
+    mirror = np.ravel_multi_index(index[:-2] + (index[-1], index[-2]), shape)
+    dense = np.zeros((rows.shape[1], n ** axes))
+    dense[:, slots] = rows.T
+    dense[:, mirror] = rows.T
+    return dense.reshape((rows.shape[1],) + shape)
+
+
 @dataclass(frozen=True)
 class CurvatureBatch:
-    """Curvature at a batch of points, point-major but for the Christoffel rows.
+    """Curvature at a batch of points: g, g^-1, Gamma and Ricci as compact rows.
 
-    christoffel[r, p] is Gamma^k_ij at point p for the flat slot
-    christoffel_slots[r] = (k n + i) n + j, i <= j; Gamma^k_ji equals it,
-    and every slot with no row is an exact zero.
+    Each tensor keeps one row per canonical slot that can be non-zero, the
+    product factors' rows one after the other: g_rows[r, p] is g_ij at point
+    p for the flat slot g_slots[r] = i n + j, i <= j, and likewise ginv_rows
+    and ricci_rows; christoffel_rows[r, p] is Gamma^k_ij for the flat slot
+    christoffel_slots[r] = (k n + i) n + j, i <= j.  The mirrored slot (j, i)
+    holds the same value, and every slot with no row is an exact zero.  The
+    dense arrays g, ginv, ricci and gamma are built from the rows anew on
+    each access and never kept, so a caller reads each one at most once per
+    call; einstein_residual reads the rows alone.
     """
     points: np.ndarray
-    g: np.ndarray
-    ginv: np.ndarray
-    christoffel: np.ndarray
+    g_rows: np.ndarray
+    g_slots: np.ndarray
+    ginv_rows: np.ndarray
+    ginv_slots: np.ndarray
+    christoffel_rows: np.ndarray
     christoffel_slots: np.ndarray
-    ricci: np.ndarray
+    ricci_rows: np.ndarray
+    ricci_slots: np.ndarray
     scalar: np.ndarray
 
     @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+    @property
+    def g(self) -> np.ndarray:
+        return _dense(self.g_rows, self.g_slots, self.dim)
+
+    @property
+    def ginv(self) -> np.ndarray:
+        return _dense(self.ginv_rows, self.ginv_slots, self.dim)
+
+    @property
+    def ricci(self) -> np.ndarray:
+        return _dense(self.ricci_rows, self.ricci_slots, self.dim)
+
+    @property
     def gamma(self) -> np.ndarray:
-        """Dense gamma[p, k, i, j] = Gamma^k_ij, built anew on each access."""
-        count, n = self.g.shape[:2]
-        dense = np.zeros((count, n ** 3))
-        k, i, j = np.unravel_index(self.christoffel_slots, (n,) * 3)
-        dense[:, self.christoffel_slots] = self.christoffel.T
-        dense[:, (k * n + j) * n + i] = self.christoffel.T
-        return dense.reshape(count, n, n, n)
+        """gamma[p, k, i, j] = Gamma^k_ij."""
+        return _dense(self.christoffel_rows, self.christoffel_slots, self.dim, 3)
+
+    def einstein_residual(self, lam: float) -> np.ndarray:
+        """Per point, the sup over the entries of ricci - lam g, formed on the
+        rows: on the slots where either can be non-zero, and as 0 - lam 0
+        (nan for a non-finite lam) on every other entry."""
+        row = np.zeros(self.dim ** 2, dtype=np.intp)
+        row[self.ricci_slots] = row[self.g_slots] = 1
+        either = np.flatnonzero(row)
+        row[either] = np.arange(len(either))    # each slot's row in the residual
+        residual = np.zeros((len(either), len(self.points)))
+        residual[row[self.ricci_slots]] = self.ricci_rows
+        residual[row[self.g_slots]] -= lam * self.g_rows
+        per_point = np.abs(residual).max(axis=0)
+        if len(either) < self.dim * (self.dim + 1) // 2:
+            per_point = np.maximum(per_point, abs(lam * 0.0))
+        return per_point
 
     def normalized_scalar(self) -> np.ndarray:
-        n = self.g.shape[1]
+        n = self.dim
         if n < 2:
             return np.zeros_like(self.scalar)
         return self.scalar / (n * (n - 1))
@@ -526,11 +569,11 @@ class _Contraction(NamedTuple):
     # ^ per larger component: size k, g rows of the k x k block (-1 for a zero
     #   slot), its upper-triangle flat places, their ginv rows
     steps: tuple[_Step, ...]
-    fields: tuple[tuple[np.ndarray, np.ndarray], ...]  # ginv, ricci: (flat slots, rows)
-    christoffel: tuple[np.ndarray, np.ndarray]  # Gamma's canonical flat slots, their rows
+    fields: tuple[tuple[np.ndarray, np.ndarray], ...]
+    # ^ g, ginv, ricci, Gamma: their canonical flat slots, the slots' rows
     hessian: tuple[np.ndarray, ...]
     # ^ Gamma^k_ij d_k phi by output (i, j), i <= j: per product its Gamma
-    #   (an index into `christoffel`) and its k, each output's first product
+    #   (an index into Gamma's slots) and its k, each output's first product
     #   and its flat slot
     most: int                                  # products of the largest step
 
@@ -585,7 +628,8 @@ def _pairs(spec: str, a: np.ndarray, b: np.ndarray):
 
 
 def _step(layout: _Layout, shape: tuple[int, ...], terms, *pairs):
-    """Place the output of a sum of products; (its slot map, its _Step or None).
+    """Place the output of a sum of products; (its slot map, its canonical
+    flat slots, its _Step or None).
 
     terms are (coefficient, spec, slot map a, slot map b).  With `pairs`,
     the output is symmetric and only its canonical slots are computed.
@@ -608,11 +652,11 @@ def _step(layout: _Layout, shape: tuple[int, ...], terms, *pairs):
     pattern = np.zeros(shape, dtype=bool)
     pattern.flat[slot] = True
     first = layout.rows
-    rows, _ = layout.place(pattern, *pairs)
+    rows, slots = layout.place(pattern, *pairs)
     if not len(key):
-        return rows, None
+        return rows, slots, None
     starts = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
-    return rows, _Step(lo, hi, coef[:, None], starts, slice(first, layout.rows))
+    return rows, slots, _Step(lo, hi, coef[:, None], starts, slice(first, layout.rows))
 
 
 @lru_cache(maxsize=256)
@@ -644,7 +688,7 @@ def _contraction(n: int, patterns: bytes) -> _Contraction:
     blocked = np.zeros((n, n), dtype=bool)
     for c in components:
         blocked[np.ix_(c, c)] = True
-    ginv, _ = layout.place(blocked, (0, 1))
+    ginv, ginv_slots = layout.place(blocked, (0, 1))
     ones = np.array([c[0] for c in components if len(c) == 1], dtype=np.intp)
     blocks = []
     for c in components:
@@ -653,12 +697,12 @@ def _contraction(n: int, patterns: bytes) -> _Contraction:
             upper = np.flatnonzero(np.triu(np.ones((k, k), dtype=bool)))
             blocks.append((k, g[np.ix_(c, c)].ravel(), upper, ginv[np.ix_(c, c)].ravel()[upper]))
     cube, square = (n, n, n), (n, n)
-    m, m_step = _step(layout, cube, [(1.0, "stm,as->atm", dg, ginv)])
-    dginv, dginv_step = _step(layout, cube, [(-1.0, "atm,tl->alm", m, ginv)], (0, 1))
-    gamma, gamma_step = _step(layout, cube, [
+    m, _, m_step = _step(layout, cube, [(1.0, "stm,as->atm", dg, ginv)])
+    dginv, _, dginv_step = _step(layout, cube, [(-1.0, "atm,tl->alm", m, ginv)], (0, 1))
+    gamma, gamma_slots, gamma_step = _step(layout, cube, [
         (0.5, "jli,kl->kij", dg, ginv), (0.5, "ilj,kl->kij", dg, ginv),
         (-0.5, "ijl,kl->kij", dg, ginv)], (1, 2))
-    ricci, ricci_step = _step(layout, square, [
+    ricci, ricci_slots, ricci_step = _step(layout, square, [
         # d_a Gamma^a_db
         (0.5, "bld,ala->bd", dg, dginv), (0.5, "dlb,ala->bd", dg, dginv),
         (-0.5, "dbl,ala->bd", dg, dginv),
@@ -669,17 +713,15 @@ def _contraction(n: int, patterns: bytes) -> _Contraction:
         # Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab
         (1.0, "edb,aae->bd", gamma, gamma), (-1.0, "ade,eab->bd", gamma, gamma)], (0, 1))
     steps = tuple(s for s in (m_step, dginv_step, gamma_step, ricci_step) if s is not None)
-    k, i, j = np.indices(cube)
-    gamma_slots = np.flatnonzero((gamma >= 0) & (i <= j))
-    k, i, j = k.flat[gamma_slots], i.flat[gamma_slots], j.flat[gamma_slots]
+    k, i, j = np.unravel_index(gamma_slots, cube)
     by_output = np.lexsort((k, i * n + j))
     out = (i * n + j)[by_output]
     starts = np.flatnonzero(np.diff(out, prepend=-1))
     return _Contraction(
         dim=n, rows=layout.rows, jets=(g_slots, dg_slots, d2g_slots),
         reciprocals=(g[ones, ones], ginv[ones, ones]), blocks=tuple(blocks), steps=steps,
-        fields=tuple((np.flatnonzero(t >= 0), t[t >= 0]) for t in (ginv, ricci)),
-        christoffel=(gamma_slots, gamma.flat[gamma_slots]),
+        fields=tuple((slots, t.flat[slots]) for t, slots in (
+            (g, g_slots), (ginv, ginv_slots), (ricci, ricci_slots), (gamma, gamma_slots))),
         hessian=(by_output, k[by_output], starts, out[starts]),
         most=max((len(s.a) for s in steps), default=0))
 
@@ -708,14 +750,12 @@ def _contract(program: _Contraction, table: np.ndarray) -> None:
 
 
 class _BatchPart(NamedTuple):
-    """One product factor's jet plan wired to its symbolic program and to
-    its place in the whole metric."""
+    """One product factor's jet plan wired to its symbolic program."""
     idx: list[int]                          # the part's coordinates in the whole chart
     plan: _JetPlan
     program: _Contraction
     taped: tuple[np.ndarray, np.ndarray]    # table rows filled from tape rows, those tape rows
     fixed: tuple[np.ndarray, np.ndarray]    # table rows holding constants, the values (k, 1)
-    columns: tuple[np.ndarray, ...]         # whole flat slots of g's slots, ginv's and ricci's
     width: int                              # tape and table rows per point
 
 
@@ -735,47 +775,50 @@ def _batch_part(metric: MetricSpec, idx: tuple[int, ...], n: int) -> _BatchPart:
     tape = len(plan.jet_program.tape)
     on_tape = source < tape
     rows = np.arange(len(source))
-    columns = [_lift(idx, n, np.arange(metric.dim ** 2), 2)]
-    columns += [_lift(idx, n, slots, 2) for slots, _ in program.fields]
     return _BatchPart(
         list(idx), plan, program, (rows[on_tape], source[on_tape]),
-        (rows[~on_tape], constants[source[~on_tape] - tape][:, None]), tuple(columns),
+        (rows[~on_tape], constants[source[~on_tape] - tape][:, None]),
         width=tape + program.rows)
 
 
-class _Connection(NamedTuple):
-    """A metric's Christoffel rows, the parts' rows one after the other, and
-    the products of Gamma^k_ij d_k phi on them, grouped by output (i, j)."""
-    firsts: tuple[int, ...]   # each part's first row
-    slots: np.ndarray         # each row's whole flat slot (k, i, j), i <= j
-    a: np.ndarray             # per product: its row
+class _BatchLayout(NamedTuple):
+    """Where a metric's compact rows sit, the parts' rows one after the
+    other, and the products of Gamma^k_ij d_k phi on the Christoffel rows,
+    grouped by output (i, j)."""
+    firsts: tuple[tuple[int, ...], ...]   # per tensor (g, ginv, ricci, Gamma): each part's
+                                          # first row
+    slots: tuple[np.ndarray, ...]         # per tensor: each row's whole flat slot
+    a: np.ndarray             # per product: its Christoffel row
     k: np.ndarray             # and its k
     starts: np.ndarray        # each output's first product
     out: np.ndarray           # each output's whole flat slot (i, j), i <= j
     mirror: np.ndarray        # and its slot (j, i)
 
 
+_AXES = (2, 2, 2, 3)    # of g, ginv, ricci, Gamma: the order of _Contraction.fields
+
+
 @lru_cache(maxsize=128)
-def _batch_plan(metric: MetricSpec) -> tuple[tuple[_BatchPart, ...], _Connection]:
-    """The metric's parts (_batch_part) and its Christoffel rows' layout."""
+def _batch_plan(metric: MetricSpec) -> tuple[tuple[_BatchPart, ...], _BatchLayout]:
+    """The metric's parts (_batch_part) and its compact rows' layout."""
     n = metric.dim
     parts = tuple(_batch_part(part, idx, n) for idx, part in _factors(metric))
-    firsts, pieces = [], []
-    rows = products = 0
+    firsts, slots = [[] for _ in _AXES], [[] for _ in _AXES]
+    pieces = []
+    products = 0
     for part in parts:
         m = part.program.dim
-        slots, _ = part.program.christoffel
+        for t, (local, _) in enumerate(part.program.fields):
+            firsts[t].append(sum(len(s) for s in slots[t]))
+            slots[t].append(_lift(part.idx, n, local, _AXES[t]))
         by_output, k, starts, out = part.program.hessian
-        firsts.append(rows)
-        pieces.append((_lift(part.idx, n, slots, 3), by_output + rows, np.array(part.idx)[k],
-                       starts + products, _lift(part.idx, n, out, 2),
-                       _lift(part.idx, n, out % m * m + out // m, 2)))
-        rows += len(slots)
+        pieces.append((by_output + firsts[3][-1], np.array(part.idx)[k], starts + products,
+                       _lift(part.idx, n, out, 2), _lift(part.idx, n, out % m * m + out // m, 2)))
         products += len(by_output)
-    arrays = [np.concatenate(column) for column in zip(*pieces)]
+    arrays = [np.concatenate(s) for s in slots] + [np.concatenate(c) for c in zip(*pieces)]
     for array in arrays:
         array.flags.writeable = False
-    return parts, _Connection(tuple(firsts), *arrays)
+    return parts, _BatchLayout(tuple(map(tuple, firsts)), tuple(arrays[:4]), *arrays[4:])
 
 
 def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
@@ -783,38 +826,38 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
     by product factor (_factors); cross-factor slots of ginv, Gamma and ricci
     are exact zeros.  A slice's tape rows and tables of all factors fit
     _CHUNK_BYTES, as do the product buffers of each narrower slice that
-    _contract runs; every point's values depend on that point alone."""
+    _contract runs, and the dense g, ginv and ricci that the positive-definite
+    check and the scalar read are slice-sized scratch; every point's values
+    depend on that point alone."""
     count, n = pts.shape[0], metric.dim
-    g, ginv, ricci = (np.zeros((count, n, n)) for _ in range(3))
-    g_flat, *fields = (a.reshape(count, -1) for a in (g, ginv, ricci))
-    parts, connection = _batch_plan(metric)
-    christoffel = np.empty((len(connection.slots), count))
+    parts, layout = _batch_plan(metric)
+    tensors = [np.empty((len(slots), count)) for slots in layout.slots]
+    g_slots, ginv_slots, ricci_slots, christoffel_slots = layout.slots
+    scalar = np.empty(count)
     step = max(1, _CHUNK_BYTES // (8 * sum(part.width for part in parts)))
     for start in range(0, count, step):
-        rows = slice(start, start + step)
-        sliced = pts[rows]
+        columns = slice(start, start + step)
+        sliced = pts[columns]
         tables = []
-        largest = np.zeros(len(sliced))    # max|g| per point, from the tables' g rows
         for part in parts:
             tape = part.plan.tape_rows(sliced[:, part.idx])
-            _scatter(part.plan.jet_program, 0, tape, g_flat[rows], part.columns[0])
             table = np.empty((part.program.rows, len(sliced)))
             if tape is not None:
                 table[part.taped[0]] = tape[part.taped[1]]
             table[part.fixed[0]] = part.fixed[1]
-            g_rows = table[:len(part.program.jets[0])]
-            np.maximum(largest, np.abs(g_rows).max(axis=0, initial=0.0), out=largest)
             tables.append(table)
-        _check_positive_definite(g[rows], sliced, _components(metric), largest)
-        for part, table, first in zip(parts, tables, connection.firsts):
+        g = np.concatenate([t[part.program.fields[0][1]] for part, t in zip(parts, tables)])
+        _check_positive_definite(_dense(g, g_slots, n), sliced, _components(metric),
+                                 np.abs(g).max(axis=0, initial=0.0))
+        for p, (part, table) in enumerate(zip(parts, tables)):
             _contract(part.program, table)
-            for out, columns, (_, table_rows) in zip(fields, part.columns[1:],
-                                                     part.program.fields):
-                out[rows, columns] = table[table_rows].T
-            _, table_rows = part.program.christoffel
-            christoffel[first:first + len(table_rows), rows] = table[table_rows]
-    scalar = np.einsum("nbd,nbd->n", ginv, ricci)
-    return CurvatureBatch(pts, g, ginv, christoffel, connection.slots, ricci, scalar)
+            for rows, firsts, (_, table_rows) in zip(tensors, layout.firsts, part.program.fields):
+                rows[firsts[p]:firsts[p] + len(table_rows), columns] = table[table_rows]
+        scalar[columns] = np.einsum("nbd,nbd->n", _dense(tensors[1][:, columns], ginv_slots, n),
+                                    _dense(tensors[2][:, columns], ricci_slots, n))
+    g_rows, ginv_rows, ricci_rows, christoffel_rows = tensors
+    return CurvatureBatch(pts, g_rows, g_slots, ginv_rows, ginv_slots, christoffel_rows,
+                          christoffel_slots, ricci_rows, ricci_slots, scalar)
 
 
 def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
@@ -826,18 +869,21 @@ def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
     batch = kept.get(key)
     if batch is None:
         batch = kept[key] = _compute_batch(metric, pts)
-        for array in (batch.g, batch.ginv, batch.christoffel, batch.ricci, batch.scalar):
+        for array in (batch.g_rows, batch.ginv_rows, batch.christoffel_rows, batch.ricci_rows,
+                      batch.scalar):
             array.flags.writeable = False
     return batch
 
 
-def _riemann(metric: MetricSpec, points, batch: Optional[CurvatureBatch] = None) -> np.ndarray:
+def _riemann(metric: MetricSpec, points, ginv: Optional[np.ndarray] = None,
+             gamma: Optional[np.ndarray] = None) -> np.ndarray:
     """Full (1,3) tensor riemann[n, a, b, c, d] = R^a_bcd, for single-point
-    queries; ginv and gamma come from the curvature batch at the points."""
+    queries; ginv and gamma, when not given, come from the curvature batch
+    at the points."""
     pts = _as_points(metric.chart, points)
-    if batch is None:
+    if ginv is None or gamma is None:
         batch = curvature_batch(metric, pts)
-    ginv, gamma = batch.ginv, batch.gamma
+        ginv, gamma = batch.ginv, batch.gamma
     _, dg, d2g = _metric_plan(metric).jets(pts)
     w = dg + dg.swapaxes(2, 3) - dg.transpose(0, 3, 1, 2)
     dginv = -np.einsum("nac,ncdm,ndb->nabm", ginv, dg, ginv)
@@ -853,12 +899,13 @@ def _riemann(metric: MetricSpec, points, batch: Optional[CurvatureBatch] = None)
 
 def curvature(metric: MetricSpec, point) -> CurvatureData:
     batch = curvature_batch(metric, [point])
+    ginv, gamma = batch.ginv, batch.gamma
     return CurvatureData(
         point=tuple(float(x) for x in point),
         metric=batch.g[0],
-        inverse_metric=batch.ginv[0],
-        christoffel=batch.gamma[0],
-        riemann=_riemann(metric, batch.points, batch)[0],
+        inverse_metric=ginv[0],
+        christoffel=gamma[0],
+        riemann=_riemann(metric, batch.points, ginv, gamma)[0],
         ricci=batch.ricci[0],
         scalar=float(batch.scalar[0]),
         normalized_scalar=float(batch.normalized_scalar()[0]),
@@ -896,7 +943,7 @@ def hessian_lc_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     """
     pts = _as_points(metric.chart, points)
     _, grad, hess = _field_plan(phi, metric.chart.coords).jets(pts)
-    christoffel = curvature_batch(metric, pts).christoffel
+    christoffel = curvature_batch(metric, pts).christoffel_rows
     _, c = _batch_plan(metric)
     flat = hess.reshape(len(pts), -1)
     if len(c.a):

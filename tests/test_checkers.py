@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,31 @@ def test_einstein_check_is_homothety_invariant():
     assert big.verdict == est.verdict == True
     assert big.details["lambda_hat"] == pytest.approx(est.details["lambda_hat"] / 49.0,
                                                      rel=1e-12)
+
+
+_COUPLED = MetricSpec(Chart(("x", "y"), ((-1.0, 1.0),) * 2), tuple(
+    tuple(parse(e, ("x", "y")) for e in row)
+    for row in [["1 + 0.1 * x^2", "0.1 * x * y"], ["0.1 * x * y", "1 + 0.2 * y^2"]]))
+
+
+@pytest.mark.parametrize("shift", [0.0, np.inf, np.nan], ids=["finite", "inf", "nan"])
+@pytest.mark.parametrize("metric", [
+    product(builtin_metric("sphere", 2), builtin_metric("hyperbolic", 2)).metric, _COUPLED],
+    ids=["zero-slots", "no-zero-slot"])
+def test_einstein_residual_from_rows_is_the_dense_one(metric, shift, monkeypatch):
+    # the residual is formed on the batch's rows; it must equal the dense
+    # sup over every entry of ric - lambda_hat g bit for bit, a non-finite
+    # lambda_hat (0 - inf * 0 is nan) included
+    pts = sample(metric.chart, PLAN)
+    batch = geometry.curvature_batch(metric, pts)
+    batch = dataclasses.replace(batch, scalar=batch.scalar + shift)
+    monkeypatch.setattr(checkers, "curvature_batch", lambda m, p: batch)
+    lambda_hat = float((batch.scalar / metric.dim).mean())
+    with np.errstate(invalid="ignore"):
+        est = einstein_check(metric, PLAN)["residual"]
+        want = np.abs(batch.ricci - lambda_hat * batch.g).reshape(len(pts), -1).max(axis=1)
+    assert np.array_equal([est.sup, est.mean], [want.max(), want.mean()], equal_nan=True)
+    assert est.witness == [float(v) for v in pts[int(np.argmax(want))]]
 
 
 # --- conformally Einstein residual -------------------------------------------

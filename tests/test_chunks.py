@@ -4,9 +4,9 @@
 jets fit `geometry._CHUNK_BYTES`.  Every point's values depend on that point
 alone, so the slice size must not change a single bit of a batch, a singular
 point in a later slice must still be the one reported, and the memory one
-batch needs must stay well below one full d2g array.  A batch keeps its
-Christoffel symbols as compact rows, so the batches a scope keeps hold no
-count x n^3 array.
+batch needs must stay well below one full d2g array.  A batch keeps g,
+g^-1, its Christoffel symbols and Ricci as compact rows, so the batches a
+scope keeps hold no count x n^3 and no count x n^2 array.
 """
 
 import dataclasses
@@ -106,3 +106,25 @@ def test_kept_batches_hold_no_dense_christoffel_array():
                 assert all(a.size != dense for a in vars(batch).values()), metric.chart.coords
         total = sum(a.nbytes for a in arrays.values())
     assert total <= 12e6, total    # 27.3 MB with a dense count x n^3 gamma
+
+
+def test_kept_batches_hold_no_dense_square_array():
+    # deterministic array sizes, not RSS: cosh_cylinder's batches at 2000 points
+    # keep g, ginv and ricci as compact rows, not as count x n^2 arrays
+    tracemalloc.start()
+    try:
+        with geometry.evaluation_scope() as kept:
+            run_scenario("cosh_cylinder", plan=SamplePlan(count=2000))
+            arrays = {id(a): a for batch in kept.values() for a in vars(batch).values()}
+            arrays.update((id(a), a) for a in geometry._SAMPLES.get().points.values())
+            for (metric, shape, _), batch in kept.items():
+                if metric.dim > 1:    # at n = 1, count x n^2 is the scalar's size
+                    dense = shape[0] * metric.dim**2
+                    assert all(a.size != dense for a in vars(batch).values()), \
+                        metric.chart.coords
+            total = sum(a.nbytes for a in arrays.values())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total <= 3.5e6, total    # 9.6 MB with dense g, ginv and ricci
+    assert peak <= 7e6, peak        # 12.0 MB with dense g, ginv and ricci

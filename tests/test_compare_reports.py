@@ -1,5 +1,6 @@
 """tools/compare_reports.py: reports compared byte for byte, the timestamp
-excepted, with each tree's computed batches and jet-tape rows counted."""
+excepted, with each tree's computed batches, jet-tape rows and kept batch
+bytes counted."""
 
 import importlib.util
 import json
@@ -37,5 +38,7 @@ def test_a_tree_matches_itself(capsys):
     assert code == 0, out
     assert "identical" in out and "catalog_2k: computed batches" in out
     # each jet tape holds each distinct expression once; one row per slot,
-    # as before the tapes were deduplicated, gave 115 rows here
-    assert "dim_sweep: computed batches 7 -> 7, jet-tape rows 64 -> 64" in out
+    # as before the tapes were deduplicated, gave 115 rows here; the kept
+    # batches held 24 816 bytes with dense g, ginv and ricci
+    assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 64 -> 64, "
+            "kept batch bytes 11832 -> 11832") in out

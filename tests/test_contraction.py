@@ -184,7 +184,7 @@ def test_programs_hold_index_arrays_only():
     for metric, _ in _special_inputs():
         program = _program(metric)
         arrays = [*program.jets, *program.reciprocals, *[a for f in program.fields for a in f],
-                  *program.christoffel, *program.hessian]
+                  *program.hessian]
         arrays += [a for b in program.blocks for a in b[1:]]
         for step in program.steps:
             arrays += [step.a, step.b, step.starts]

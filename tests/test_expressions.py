@@ -344,3 +344,12 @@ def test_signed_zeros_are_different_constants():
     assert Const(-0.0) is neg(Const(0.0)) is parse("-0", XY)
     assert np.signbit(Const(-0.0).value) and not np.signbit(Const(0.0).value)
     assert mul(Const(-0.0), Coord("x")) is Const(0.0)  # the folded zero keeps no sign
+
+
+def test_every_nan_is_one_constant():
+    table = len(expressions._INTERNED)
+    assert Const(float("nan")) is Const(float("nan"))
+    inf = float("inf")
+    assert add(Const(inf), Const(-inf)) is add(Const(inf), Const(-inf)) is Const(float("nan"))
+    assert math.isnan(Const(float("nan")).value)
+    assert len(expressions._INTERNED) <= table + 3    # nan, inf and -inf at most

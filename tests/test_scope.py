@@ -7,6 +7,7 @@ depend on whether the scope shares anything.
 """
 
 import contextlib
+import dataclasses
 import json
 
 import numpy as np
@@ -97,7 +98,7 @@ def test_outside_a_scope_every_call_computes():
     pts = sample(m.chart, PLAN)
     first, second = curvature_batch(m, pts), curvature_batch(m, pts)
     assert first is not second
-    assert first.ricci.flags.writeable
+    assert first.ricci_rows.flags.writeable
 
 
 def test_scope_keeps_one_batch_per_metric_and_points():
@@ -111,9 +112,11 @@ def test_scope_keeps_one_batch_per_metric_and_points():
             assert inner is kept
             assert curvature_batch(m, pts) is first
         assert len(kept) == 2
-        assert not first.ricci.flags.writeable
-        assert {"points", "g", "ginv", "christoffel", "christoffel_slots", "ricci",
-                "scalar"} == set(vars(first))
+        rows = {"g_rows", "ginv_rows", "christoffel_rows", "ricci_rows"}
+        slots = {name.replace("rows", "slots") for name in rows}
+        assert rows | slots | {"points", "scalar"} == set(vars(first))
+        assert not any(getattr(first, name).flags.writeable for name in rows | slots | {"scalar"})
+        assert pts.flags.writeable    # the caller's points stay the caller's
     assert geometry._SCOPE.get() is None
     assert curvature_batch(m, pts) is not first
 
@@ -226,10 +229,10 @@ def test_formula_route_ignores_a_poisoned_rescaled_batch():
     want = conformal_ricci_formula(spec, pts)
     with evaluation_scope() as kept:
         real = curvature_batch(rescaled, pts)
-        nan = np.full_like(real.ricci, np.nan)
-        kept[geometry._scope_key(rescaled, pts)] = geometry.CurvatureBatch(
-            real.points, real.g, real.ginv, np.full_like(real.christoffel, np.nan),
-            real.christoffel_slots, nan, np.full_like(real.scalar, np.nan))
+        kept[geometry._scope_key(rescaled, pts)] = dataclasses.replace(
+            real, christoffel_rows=np.full_like(real.christoffel_rows, np.nan),
+            ricci_rows=np.full_like(real.ricci_rows, np.nan),
+            scalar=np.full_like(real.scalar, np.nan))
         assert np.array_equal(conformal_ricci_formula(spec, pts), want)
 
 

@@ -8,11 +8,13 @@ benchmark workloads of perfbench/workloads.py (catalog_2k and dim_sweep, at
 catalog (200 samples at full size, 20 at tiny).  Every report and each run's
 standard output are then compared byte for byte, the `generated_at` line
 excepted.  The workload inputs come from this checkout's perfbench/, which
-is only imported.  Two counts are printed per run for each tree: the
+is only imported.  Three counts are printed per run for each tree: the
 curvature batches it computes (calls of geometry._compute_batch, scope hits
-excluded) and the rows of the jet tapes it builds (summed over every jet
+excluded), the rows of the jet tapes it builds (summed over every jet
 plan's derivative tape; the plan caches are cleared before each run, so a
-run builds its tapes as a fresh `confprod` command does).
+run builds its tapes as a fresh `confprod` command does) and the kept batch
+bytes (the largest total, over the scenarios, of the distinct arrays held
+by the batches of a scenario's evaluation scope when it closes).
 
 Exit code 0 when every file is identical, 1 otherwise.
 """
@@ -33,7 +35,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog_2k", "dim_sweep")
 CATALOG_SAMPLES = {"full": 200, "tiny": 20}
-COUNTS = ("computed batches", "jet-tape rows")
+COUNTS = ("computed batches", "jet-tape rows", "kept batch bytes")
 _GENERATED_AT = re.compile(r'^\s*"generated_at": "[^"]*",\n', re.MULTILINE)
 
 
@@ -41,10 +43,11 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     """Child process: write every report and stdout of one tree under `out`."""
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(HERE / "perfbench")]
     import workloads
-    from confprod import cli, geometry
+    from confprod import catalog, cli, geometry
 
     counts: dict = {}
     compute, program = geometry._compute_batch, geometry._JetPlan._program
+    scope = catalog.evaluation_scope
 
     def counting(*args):
         counts[name]["computed batches"] += 1
@@ -56,8 +59,19 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
             counts[name]["jet-tape rows"] += len(built.tape)
         return built
 
+    @contextlib.contextmanager
+    def measuring_scope():
+        with scope() as kept:
+            try:
+                yield kept
+            finally:
+                arrays = {id(a): a for batch in kept.values() for a in vars(batch).values()}
+                total = sum(a.nbytes for a in arrays.values())
+                counts[name]["kept batch bytes"] = max(counts[name]["kept batch bytes"], total)
+
     geometry._compute_batch = counting
     geometry._JetPlan._program = counting_rows
+    catalog.evaluation_scope = measuring_scope
     runs = {name: workloads.WORKLOADS[name](seed, size) for name in WORKLOADS}
     runs["catalog"] = None
     for name, checks in runs.items():
