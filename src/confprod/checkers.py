@@ -29,7 +29,6 @@ from .constructions import (
     conformal_metric,
     conformal_ricci_formula,
     joint_sum,
-    product,
     require_positive_factor,
     warped_metric,
 )
@@ -56,11 +55,9 @@ from .geometry import (
     MetricSpec,
     coordinate_hessian_batch,
     curvature_batch,
+    _field_jets,
     evaluation_scope,
     expr_values,
-    grad_norm_sq_batch,
-    hessian_lc_batch,
-    laplacian_batch,
     scoped_points,
 )
 
@@ -390,9 +387,10 @@ def require_nonconstant(phi: Expr, m: MetricSpec, plan: SamplePlan, label: str) 
         )
 
 
-def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
+def summand_laplacian_fit(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
                           plan: SamplePlan, *, tolerance: float = 1e-8) -> Check:
-    """Affine fits lap(phi_i) = a_i phi_i + b_i plus the induced constants.
+    """Affine fits lap(phi_i) = a_i phi_i + b_i on the factors g1, g2 of
+    `block`, plus the induced constants.
 
     c1 and c2 are the factor-wise combinations
         c1 = (a2 - a1) phi1^2 - 2 (b1 + b2) phi1 - n |dphi1|^2
@@ -402,7 +400,8 @@ def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
     two fit residuals, the two spreads, and the s and sbar relations; the s
     relation is judged against `tolerance`, the others against FIT_TOLERANCE.
     """
-    n = g1.dim + g2.dim
+    g1, g2 = block.factors
+    n = block.dim
     scalars = []
     for k, g in enumerate((g1, g2)):
         s_vals = curvature_batch(g, sample(g.chart, plan)).scalar
@@ -419,18 +418,17 @@ def summand_laplacian_fit(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
     pts2 = sample(g2.chart, plan)
     v1 = expr_values(phi1, g1.chart, pts1)
     v2 = expr_values(phi2, g2.chart, pts2)
-    a1, b1, res1 = _affine_fit(v1, laplacian_batch(phi1, g1, pts1))
-    a2, b2, res2 = _affine_fit(v2, laplacian_batch(phi2, g2, pts2))
+    _, _, lap1, gns1 = _field_jets(phi1, g1, pts1)
+    a1, b1, res1 = _affine_fit(v1, lap1)
+    _, _, lap2, gns2 = _field_jets(phi2, g2, pts2)
+    a2, b2, res2 = _affine_fit(v2, lap2)
 
-    gns1 = grad_norm_sq_batch(phi1, g1, pts1)
-    gns2 = grad_norm_sq_batch(phi2, g2, pts2)
     c1_spread, c1 = _spread(
         "c1_spread", (a2 - a1) * v1**2 - 2 * (b1 + b2) * v1 - n * gns1, FIT_TOLERANCE)
     c2_spread, c2 = _spread(
         "c2_spread", (a1 - a2) * v2**2 - 2 * (b1 + b2) * v2 - n * gns2, FIT_TOLERANCE)
 
     s_value = scalars[0] + scalars[1]
-    block = product(g1, g2)
     rescaled = conformal_metric(ConformalSpec(block, joint_sum(block, phi1, phi2)))
     sbar_vals = curvature_batch(rescaled, sample(rescaled.chart, plan)).scalar
     sbar_mean = float(sbar_vals.mean())
@@ -476,12 +474,10 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
     if (f <= 0.0).any():
         k = int(np.argmin(f))
         raise NonPositiveConformalFactorError(pts[k], f[k])
-    lap = laplacian_batch(w.warp, w.base, pts)
-    gns = grad_norm_sq_batch(w.warp, w.base, pts)
+    _, hess, lap, gns = _field_jets(w.warp, w.base, pts)
     scalar_eq = f * lap - (p - 1) * gns + lambda_fiber - lambda_bar * f**2
 
     base_batch = curvature_batch(w.base, pts)
-    hess = hessian_lc_batch(w.warp, w.base, pts)
     fcol = f[:, None, None]
     base_eq = fcol**2 * base_batch.ricci - p * fcol * hess - lambda_bar * fcol**2 * base_batch.g
 
@@ -501,10 +497,10 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
 # --- split summand route ----------------------------------------------------
 
 @evaluation_scope()
-def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
+def summand_hessian_check(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
                           plan: SamplePlan, fit: Check, *,
                           tolerance: float = 1e-8) -> Check:
-    """Hessian route for two non-constant summands.
+    """Hessian route for two non-constant summands on the factors g1, g2 of `block`.
 
     Fits a_bar, b_bar from Hess(phi1) = -(a_bar phi1 + b_bar) g1, then checks
     Hess(phi2) = (a_bar phi2 - b_bar) g2, the factor Einstein constants
@@ -520,6 +516,7 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
     constants' relations and spreads against FIT_TOLERANCE.  The factor and
     direct Einstein estimates are reported unjudged.
     """
+    g1, g2 = block.factors
     n1, n2 = g1.dim, g2.dim
     require_nonconstant(phi1, g1, plan, "first summand")
     require_nonconstant(phi2, g2, plan, "second summand")
@@ -531,10 +528,10 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
     v2 = expr_values(phi2, g2.chart, pts2)
     batch1 = curvature_batch(g1, pts1)
     g2v = curvature_batch(g2, pts2).g
-    h1 = hessian_lc_batch(phi1, g1, pts1)
-    h2 = hessian_lc_batch(phi2, g2, pts2)
+    _, h1, lap1, gns1 = _field_jets(phi1, g1, pts1)
+    _, h2, _, gns2 = _field_jets(phi2, g2, pts2)
 
-    trace1 = np.einsum("nij,nij->n", batch1.ginv, h1) / n1
+    trace1 = -lap1 / n1
     prop1 = _residual("proportionality_1", _entry_sup(h1 - trace1[:, None, None] * batch1.g),
                       pts1, tolerance)
     slope, intercept, _ = _affine_fit(v1, trace1)
@@ -548,14 +545,11 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
     lambda_1 = factor_1.details["lambda_hat"]
     lambda_2 = factor_2.details["lambda_hat"]
 
-    gns1 = grad_norm_sq_batch(phi1, g1, pts1)
-    gns2 = grad_norm_sq_batch(phi2, g2, pts2)
     c1_spread, c_bar_1 = _spread(
         "c_bar_1_spread", -(gns1 + a_bar * v1**2 + 2 * b_bar * v1), FIT_TOLERANCE)
     c2_spread, c_bar_2 = _spread(
         "c_bar_2_spread", -(gns2 - a_bar * v2**2 + 2 * b_bar * v2), FIT_TOLERANCE)
 
-    block = product(g1, g2)
     spec = ConformalSpec(block, joint_sum(block, phi1, phi2))
     direct = einstein_check(conformal_metric(spec), plan, tolerance)
     rho_vals = curvature_batch(conformal_metric(spec), sample(block.metric.chart, plan))
@@ -589,10 +583,11 @@ def summand_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr
 # --- factor identity for a conformally Einstein product ---------------------
 
 @evaluation_scope()
-def factor_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
+def factor_hessian_check(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
                          plan: SamplePlan, lambda_bar: float, *,
                          tolerance: float = 1e-8) -> Check:
-    """With the second summand non-constant, the first factor must be Einstein and
+    """On block = g1 + g2 with the second summand non-constant, the first
+    factor must be Einstein and
 
     Hess(phi1) = (lambda_bar/phi - lambda_1 phi + lap(phi) + (n-1)|dphi|^2/phi) g1 / (n-2)
 
@@ -602,13 +597,12 @@ def factor_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
     and g1 are the first block of Hess(phi) and g on g1 + g2; every term
     comes from the one product batch at the joint sample points.
     """
-    n1, n2 = g1.dim, g2.dim
-    n = n1 + n2
+    g1, g2 = block.factors
+    n1, n = g1.dim, block.dim
     if n < 3:
         raise UnsupportedDimError("joint dimension must be at least 3")
     require_nonconstant(phi2, g2, plan, "second summand")
 
-    block = product(g1, g2)
     phi = joint_sum(block, phi1, phi2)
     factor_1 = einstein_check(g1, plan, tolerance)
     lambda_1 = factor_1.details["lambda_hat"]
@@ -616,9 +610,7 @@ def factor_hessian_check(g1: MetricSpec, g2: MetricSpec, phi1: Expr, phi2: Expr,
     pts = sample(block.metric.chart, plan)
     phival = require_positive_factor(ConformalSpec(block, phi), pts)
     batch = curvature_batch(block.metric, pts)
-    hess = hessian_lc_batch(phi, block.metric, pts)
-    lap = -np.einsum("nij,nij->n", batch.ginv, hess)
-    gns = grad_norm_sq_batch(phi, block.metric, pts)
+    _, hess, lap, gns = _field_jets(phi, block.metric, pts)
     h1, g1v = hess[:, :n1, :n1], batch.g[:, :n1, :n1]
     coef = (lambda_bar / phival - lambda_1 * phival + lap
             + (n - 1) * gns / phival) / (n - 2)

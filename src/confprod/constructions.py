@@ -1,7 +1,9 @@
 """Builders for product, conformally rescaled, warped and twisted metrics.
 
 block_metric assembles every product, warped and twisted metric, and scaled
-rescales every metric's entries.
+rescales every metric's entries.  These two, product and joint_sum are
+memoised for the process: equal inputs return the one immutable result
+built first.
 
 Two deliberately independent routes to the curvature of a rescaled metric
 live here side by side:
@@ -17,7 +19,9 @@ Checks compare the two routes; nothing here may collapse them into one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from typing import Union
 
 import numpy as np
@@ -40,12 +44,10 @@ from .geometry import (
     MetricSpec,
     curvature_batch,
     expr_values,
-    grad_norm_sq_batch,
     gradient_batch,
-    hessian_lc_batch,
-    laplacian_batch,
     require_on_chart,
     _as_points,
+    _field_jets,
     _field_plan,
 )
 
@@ -101,15 +103,47 @@ def joint_chart(g1: AnyMetric, g2: AnyMetric, labels: tuple[str, str] = ("f0", "
     )
 
 
+def _zero_signs(args) -> tuple:
+    """The sign of every bound and margin of the charts in `args`.  Charts
+    that differ only in the sign of a zero compare equal, but are printed
+    apart (in an out-of-domain message, say)."""
+    charts = []
+    for a in args:
+        if isinstance(a, BlockMetricSpec):
+            charts += [m.chart for m in (*a.factors, a.metric)]
+        elif isinstance(a, MetricSpec):
+            charts.append(a.chart)
+    return tuple(math.copysign(1.0, v) for c in charts
+                 for v in (*(b for bound in c.domain for b in bound), c.singular_margin))
+
+
+def _memo(builder):
+    """Process-wide memo of a pure builder: equal arguments return the one
+    immutable result built for them first, as geometry's plan caches do.
+    The key adds the signs of the arguments' chart bounds (_zero_signs)."""
+    @lru_cache(maxsize=256)
+    def cached(signs, *args, **kwargs):
+        return builder(*args, **kwargs)
+
+    @wraps(builder)
+    def memoised(*args, **kwargs):
+        return cached(_zero_signs(args + tuple(kwargs.values())), *args, **kwargs)
+
+    memoised.cache_clear = cached.cache_clear
+    return memoised
+
+
 def _scaled_rows(s: Expr, rows) -> tuple[tuple[Expr, ...], ...]:
     return tuple(tuple(mul(s, e) for e in row) for row in rows)
 
 
+@_memo
 def scaled(m: MetricSpec, s: Expr) -> MetricSpec:
     """s g on the same chart: every entry multiplied by the expression s."""
     return MetricSpec(m.chart, _scaled_rows(s, m.entries))
 
 
+@_memo
 def block_metric(m1: MetricSpec, s1: Expr, m2: MetricSpec, s2: Expr,
                  labels: tuple[str, str] = ("f0", "f1")) -> MetricSpec:
     """s1 g1 + s2 g2, block-diagonal on the joint chart.
@@ -128,6 +162,7 @@ def block_metric(m1: MetricSpec, s1: Expr, m2: MetricSpec, s2: Expr,
     return MetricSpec(chart, tuple(tuple(row) for row in entries))
 
 
+@_memo
 def product(g1: AnyMetric, g2: AnyMetric, labels: tuple[str, str] = ("f0", "f1")) -> BlockMetricSpec:
     """Block-diagonal product metric on the joined chart."""
     m1, m2 = as_metric(g1), as_metric(g2)
@@ -192,11 +227,13 @@ def conformal_ricci_formula(c: ConformalSpec, points, lambda_bar: float = 0.0) -
     pts = _as_points(base.chart, points)
     phi = require_positive_factor(c, pts)
     batch = curvature_batch(base, pts)
-    hess = hessian_lc_batch(c.phi, base, pts)
-    lap = -np.einsum("nij,nij->n", batch.ginv, hess)
-    gns = grad_norm_sq_batch(c.phi, base, pts)
+    _, hess, lap, gns = _field_jets(c.phi, base, pts)
     coef = lambda_bar / phi**2 + lap / phi + (n - 1) * gns / phi**2
-    return batch.ricci + (n - 2) * hess / phi[:, None, None] - coef[:, None, None] * batch.g
+    out = batch.ricci
+    out += (n - 2) * hess / phi[:, None, None]
+    del hess
+    out -= coef[:, None, None] * batch.g
+    return out
 
 
 def conformal_scalar_formula(c: ConformalSpec, points) -> np.ndarray:
@@ -206,8 +243,7 @@ def conformal_scalar_formula(c: ConformalSpec, points) -> np.ndarray:
     pts = _as_points(base.chart, points)
     phi = require_positive_factor(c, pts)
     scalar = curvature_batch(base, pts).scalar
-    lap = laplacian_batch(c.phi, base, pts)
-    gns = grad_norm_sq_batch(c.phi, base, pts)
+    _, _, lap, gns = _field_jets(c.phi, base, pts)
     return phi**2 * scalar - 2 * (n - 1) * phi * lap - n * (n - 1) * gns
 
 
@@ -277,6 +313,7 @@ def doubly_twisted_metric(d: DoublyTwistedSpec) -> MetricSpec:
     return block_metric(d.base, powc(d.base_scale, 2.0), d.fiber, powc(d.fiber_scale, 2.0))
 
 
+@_memo
 def joint_sum(b: BlockMetricSpec, phi1: Expr, phi2: Expr) -> Expr:
     """Joint-chart sum of factor-chart summands."""
     return add(b.lift(0, phi1), b.lift(1, phi2))

@@ -459,6 +459,7 @@ class _Samples(NamedTuple):
     """The sample points an evaluation scope keeps."""
     points: dict   # sample key -> read-only points
     inside: dict   # id of kept points -> the charts whose boxes they passed
+    keys: dict     # id of kept points -> their (shape, bytes), for _scope_key
 
 
 # (metric, points.shape, points bytes) -> CurvatureBatch, while a scope is open
@@ -484,7 +485,7 @@ def evaluation_scope():
         yield kept
         return
     token = _SCOPE.set({})
-    samples = _SAMPLES.set(_Samples({}, {}))
+    samples = _SAMPLES.set(_Samples({}, {}, {}))
     try:
         yield _SCOPE.get()
     finally:
@@ -503,11 +504,16 @@ def scoped_points(key, compute: Callable[[], np.ndarray]) -> np.ndarray:
         points = kept.points[key] = compute()
         points.flags.writeable = False
         kept.inside[id(points)] = set()
+        kept.keys[id(points)] = (points.shape, points.tobytes())
     return points
 
 
 def _scope_key(metric: MetricSpec, pts: np.ndarray) -> tuple:
-    return (metric, pts.shape, pts.tobytes())
+    """(metric, points' shape, points' bytes); the bytes of points the scope
+    keeps are copied once, so their hash is computed once too."""
+    samples = _SAMPLES.get()
+    kept = None if samples is None else samples.keys.get(id(pts))
+    return (metric, *(kept or (pts.shape, pts.tobytes())))
 
 
 @lru_cache(maxsize=128)
@@ -935,32 +941,39 @@ def _inverse_metric(metric: MetricSpec, pts: np.ndarray) -> np.ndarray:
     return np.linalg.inv(metric_values(metric, pts))
 
 
-def hessian_lc_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
-    """Covariant hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi.
+def _field_jets(phi: Expr, metric: MetricSpec, pts: np.ndarray):
+    """(d phi, covariant Hessian, lap(phi), |d phi|^2) at the points, from
+    one jet pass of phi and the metric's curvature batch.
 
-    The sum is formed from the batch's Christoffel rows, for i <= j only,
-    over column slices whose product and gather buffers fit _CHUNK_BYTES.
+    The Hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi is formed
+    from the batch's Christoffel rows, for i <= j only, over column slices
+    whose product and gather buffers fit _CHUNK_BYTES; the two traces read
+    one dense g^-1, dropped on return.
     """
-    pts = _as_points(metric.chart, points)
     _, grad, hess = _field_plan(phi, metric.chart.coords).jets(pts)
-    christoffel = curvature_batch(metric, pts).christoffel_rows
+    batch = curvature_batch(metric, pts)
     _, c = _batch_plan(metric)
     flat = hess.reshape(len(pts), -1)
     if len(c.a):
         step = max(1, _CHUNK_BYTES // (16 * len(c.a)))
         for start in range(0, len(pts), step):
             columns = slice(start, start + step)
-            product = christoffel[c.a, columns] * grad[columns, c.k].T
+            product = batch.christoffel_rows[c.a, columns] * grad[columns, c.k].T
             flat[columns, c.out] -= np.add.reduceat(product, c.starts, axis=0).T
         flat[:, c.mirror] = flat[:, c.out]
-    return hess
+    ginv = batch.ginv
+    return (grad, hess, -np.einsum("nij,nij->n", ginv, hess),
+            np.einsum("nij,ni,nj->n", ginv, grad, grad))
+
+
+def hessian_lc_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
+    """Covariant hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
+    return _field_jets(phi, metric, _as_points(metric.chart, points))[1]
 
 
 def laplacian_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     """Geometer's Laplacian: minus the metric trace of the covariant hessian."""
-    pts = _as_points(metric.chart, points)
-    hess = hessian_lc_batch(phi, metric, pts)
-    return -np.einsum("nij,nij->n", _inverse_metric(metric, pts), hess)
+    return _field_jets(phi, metric, _as_points(metric.chart, points))[2]
 
 
 def grad_norm_sq_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:

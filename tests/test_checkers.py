@@ -229,7 +229,7 @@ def test_mixed_ricci_identity_cross_check_runs_when_factor_is_positive():
 def test_summand_laplacian_fit_recovers_frozen_constants():
     b_bar = 0.3
     g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(b_bar)
-    fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
+    fit = summand_laplacian_fit(product(g1, g2), phi1, phi2, PLAN)
     assert fit.verdict
     k = fit.details
     assert k["a1"] == pytest.approx(2.0, abs=1e-9)
@@ -245,7 +245,7 @@ def test_summand_laplacian_fit_recovers_frozen_constants():
 def test_summand_fit_requires_nonconstant_summands():
     g1, g2, phi1, _ = _sphere_hyperbolic_summands(0.0)
     with pytest.raises(ConstantSummandError) as err:
-        summand_laplacian_fit(g1, g2, phi1, parse("2", g2.chart.coords), PLAN)
+        summand_laplacian_fit(product(g1, g2), phi1, parse("2", g2.chart.coords), PLAN)
     assert "warped-product route" in str(err.value)
     assert summand_spread(phi1, g1, PLAN) > 1.0
 
@@ -259,7 +259,7 @@ def test_summand_fit_requires_constant_factor_scalars():
     ))
     g2 = builtin_metric("euclidean", 2)
     with pytest.raises(FitFailureError) as err:
-        summand_laplacian_fit(bumpy, g2, parse("x", coords),
+        summand_laplacian_fit(product(bumpy, g2), parse("x", coords),
                               parse("x1", g2.chart.coords), PLAN)
     assert "not constant" in str(err.value)
 
@@ -319,8 +319,8 @@ def test_warped_einstein_check_rejects_nonpositive_warp():
 def test_summand_hessian_check_frozen_constants():
     b_bar = 0.3
     g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(b_bar)
-    fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
-    report = summand_hessian_check(g1, g2, phi1, phi2, PLAN, fit)
+    fit = summand_laplacian_fit(product(g1, g2), phi1, phi2, PLAN)
+    report = summand_hessian_check(product(g1, g2), phi1, phi2, PLAN, fit)
     assert report.verdict and report.details["verdicts_agree"] and report["direct"].verdict
     k = report.details
     assert k["a_bar"] == pytest.approx(1.0, abs=1e-9)
@@ -338,8 +338,8 @@ def test_summand_hessian_check_frozen_constants():
 def test_summand_hessian_check_rejects_a_perturbed_summand():
     g1, g2, phi1, _ = _sphere_hyperbolic_summands(0.3)
     phi2 = parse("cosh(t) + 0.3 + 0.05 * t", g2.chart.coords)
-    fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
-    report = summand_hessian_check(g1, g2, phi1, phi2, PLAN, fit)
+    fit = summand_laplacian_fit(product(g1, g2), phi1, phi2, PLAN)
+    report = summand_hessian_check(product(g1, g2), phi1, phi2, PLAN, fit)
     assert not report.verdict
     assert not report["hessian_2"].verdict
     assert not report["direct"].verdict
@@ -348,13 +348,13 @@ def test_summand_hessian_check_rejects_a_perturbed_summand():
 
 def test_summand_hessian_accepts_a_precomputed_fit(monkeypatch):
     g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(0.0)
-    fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
+    fit = summand_laplacian_fit(product(g1, g2), phi1, phi2, PLAN)
 
     def refit(*args, **kwargs):
         raise AssertionError("a given fit is not recomputed")
 
     monkeypatch.setattr(checkers, "summand_laplacian_fit", refit)
-    report = summand_hessian_check(g1, g2, phi1, phi2, PLAN, fit=fit)
+    report = summand_hessian_check(product(g1, g2), phi1, phi2, PLAN, fit=fit)
     assert report.details["c_sum_fit"] == fit.details["c1"] + fit.details["c2"]
     assert report.verdict
 
@@ -370,20 +370,20 @@ def test_factor_hessian_identity_on_flat_quadratics():
     rescaled = conformal_metric(ConformalSpec(block, joint_sum(block, phi1, phi2)))
     lambda_bar = einstein_check(rescaled, PLAN).details["lambda_hat"]
     assert lambda_bar == pytest.approx(2.0, rel=1e-8)
-    report = factor_hessian_check(g1, g2, phi1, phi2, PLAN, lambda_bar)
+    report = factor_hessian_check(product(g1, g2), phi1, phi2, PLAN, lambda_bar)
     assert report.verdict
     assert report["identity"].sup < 1e-8
     assert report.details["lambda_bar"] == lambda_bar
-    pinned = factor_hessian_check(g1, g2, phi1, phi2, PLAN, lambda_bar=2.0)
+    pinned = factor_hessian_check(product(g1, g2), phi1, phi2, PLAN, lambda_bar=2.0)
     assert pinned.verdict and pinned.details["lambda_bar"] == 2.0
-    assert not factor_hessian_check(g1, g2, phi1, phi2, PLAN, lambda_bar=2.5).verdict
+    assert not factor_hessian_check(product(g1, g2), phi1, phi2, PLAN, lambda_bar=2.5).verdict
 
 
 def test_factor_hessian_requires_joint_dimension_three():
     g = builtin_metric("euclidean", 1)
     phi = parse("0.5 * x1^2 + 0.25", g.chart.coords)
     with pytest.raises(UnsupportedDimError):
-        factor_hessian_check(g, g, phi, phi, PLAN, 0.0)
+        factor_hessian_check(product(g, g), phi, phi, PLAN, 0.0)
 
 
 def test_factor_hessian_requires_varying_second_summand():
@@ -391,13 +391,13 @@ def test_factor_hessian_requires_varying_second_summand():
     g2 = builtin_metric("euclidean", 2)
     phi1 = parse("0.5 * x1^2 + 0.25", g1.chart.coords)
     with pytest.raises(ConstantSummandError):
-        factor_hessian_check(g1, g2, phi1, parse("1", g2.chart.coords), PLAN, 0.0)
+        factor_hessian_check(product(g1, g2), phi1, parse("1", g2.chart.coords), PLAN, 0.0)
 
 
 
 def test_hessian_checks_called_directly_compute_each_batch_once(monkeypatch):
     g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(0.3)
-    fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN)
+    fit = summand_laplacian_fit(product(g1, g2), phi1, phi2, PLAN)
     lambda_bar = fit.details["sbar_mean"] / 12.0
     computed = []
     compute = geometry._compute_batch
@@ -407,22 +407,22 @@ def test_hessian_checks_called_directly_compute_each_batch_once(monkeypatch):
         return compute(metric, pts)
 
     monkeypatch.setattr(geometry, "_compute_batch", recording)
-    assert summand_hessian_check(g1, g2, phi1, phi2, PLAN, fit).verdict
+    assert summand_hessian_check(product(g1, g2), phi1, phi2, PLAN, fit).verdict
     assert len(computed) == len(set(computed)) == 3
     computed.clear()
-    assert factor_hessian_check(g1, g2, phi1, phi2, PLAN, lambda_bar).verdict
+    assert factor_hessian_check(product(g1, g2), phi1, phi2, PLAN, lambda_bar).verdict
     assert len(computed) == len(set(computed)) == 2
 
 
 def test_hessian_checks_take_the_tolerance_by_keyword_only():
     g1, g2, phi1, phi2 = _sphere_hyperbolic_summands(0.3)
     with pytest.raises(TypeError):
-        summand_laplacian_fit(g1, g2, phi1, phi2, PLAN, 1e-8)
-    fit = summand_laplacian_fit(g1, g2, phi1, phi2, PLAN, tolerance=1e-8)
+        summand_laplacian_fit(product(g1, g2), phi1, phi2, PLAN, 1e-8)
+    fit = summand_laplacian_fit(product(g1, g2), phi1, phi2, PLAN, tolerance=1e-8)
     with pytest.raises(TypeError):
-        summand_hessian_check(g1, g2, phi1, phi2, PLAN, fit, 1e-8)
+        summand_hessian_check(product(g1, g2), phi1, phi2, PLAN, fit, 1e-8)
     with pytest.raises(TypeError):
-        factor_hessian_check(g1, g2, phi1, phi2, PLAN, 1.0, 1e-8)
+        factor_hessian_check(product(g1, g2), phi1, phi2, PLAN, 1.0, 1e-8)
 
 # --- warped presentation ------------------------------------------------------
 

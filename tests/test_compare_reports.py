@@ -1,6 +1,7 @@
 """tools/compare_reports.py: reports compared byte for byte, the timestamp
-excepted, with each tree's computed batches, jet-tape rows and kept batch
-bytes counted."""
+excepted, with each tree's computed batches, jet-tape rows, kept batch
+bytes, contraction products, MetricSpec constructions and field jet passes
+counted."""
 
 import importlib.util
 import json
@@ -39,6 +40,9 @@ def test_a_tree_matches_itself(capsys):
     assert "identical" in out and "catalog_2k: computed batches" in out
     # each jet tape holds each distinct expression once; one row per slot,
     # as before the tapes were deduplicated, gave 115 rows here; the kept
-    # batches held 24 816 bytes with dense g, ginv and ricci
+    # batches held 24 816 bytes with dense g, ginv and ricci; with each check
+    # rebuilding its product and running one jet pass per field helper, the
+    # run made 30 MetricSpecs and 26 field jet passes
     assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 64 -> 64, "
-            "kept batch bytes 11832 -> 11832") in out
+            "kept batch bytes 11832 -> 11832, contraction products 404 -> 404, "
+            "MetricSpec constructions 16 -> 16, field jet passes 14 -> 14") in out

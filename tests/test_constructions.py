@@ -5,6 +5,7 @@ from confprod.catalog import builtin_metric
 from confprod.checkers import SamplePlan, sample
 from confprod.constructions import (
     ConformalSpec,
+    block_metric,
     DoublyTwistedSpec,
     WarpedSpec,
     conformal_connection,
@@ -22,8 +23,8 @@ from confprod.constructions import (
     warped_metric,
 )
 from confprod.errors import DomainError, NonPositiveConformalFactorError, UnsupportedDimError
-from confprod.expressions import Const, parse, powc, rename_coords
-from confprod.geometry import _riemann, curvature_batch, metric_values
+from confprod.expressions import ONE, Const, parse, powc, rename_coords
+from confprod.geometry import Chart, MetricSpec, _riemann, curvature_batch, metric_values
 from instances import conformal_route_pairs
 
 PLAN = SamplePlan(count=40)
@@ -53,6 +54,39 @@ def test_product_lift_renames_factor_expressions():
 
     got = expr_values(lifted, b.metric.chart, pts)
     assert np.allclose(got, np.cosh(pts[:, 2]), atol=1e-15)
+
+
+def test_builders_return_one_spec_for_equal_inputs():
+    # equal, not identical, inputs: builtin_metric builds a new spec each call
+    g1, g2 = builtin_metric("sphere", 2), builtin_metric("euclidean", 1)
+    h1, h2 = builtin_metric("sphere", 2), builtin_metric("euclidean", 1)
+    assert g1 is not h1 and g1 == h1
+    b = product(g1, g2)
+    assert product(h1, h2) is b
+    assert product(h1, h2, ("f0", "f1")) == b
+    assert product(g1, g2, ("a", "b")) != b
+    phi = parse("2 + f0.u1^2 + f1.x1^2", b.metric.chart.coords)
+    assert conformal_metric(ConformalSpec(product(h1, h2), phi)) is \
+        conformal_metric(ConformalSpec(b, phi))
+    assert scaled(g1, Const(2.0)) is scaled(h1, Const(2.0))
+    assert block_metric(g1, Const(2.0), g2, ONE) is block_metric(h1, Const(2.0), h2, ONE)
+    phi1, phi2 = parse("cos(u1)", g1.chart.coords), parse("x1", g2.chart.coords)
+    assert joint_sum(b, phi1, phi2) is joint_sum(product(h1, h2), phi1, phi2)
+
+
+def test_builders_keep_charts_apart_that_differ_in_a_zero_sign():
+    def metric(lo):
+        chart = Chart(("x",), ((lo, 1.0),), singular_margin=0.0)
+        return MetricSpec(chart, ((parse("1 + x^2", ("x",)),),))
+
+    plus, minus = metric(0.0), metric(-0.0)
+    assert plus == minus     # float equality: 0.0 == -0.0
+    for build in (lambda m: scaled(m, Const(2.0)), lambda m: product(m, m).metric,
+                  lambda m: block_metric(m, ONE, m, Const(3.0))):
+        assert build(plus) is build(metric(0.0))
+        a, b = build(plus), build(minus)
+        assert a is not b
+        assert str(a.chart.domain[0][0]) == "0.0" and str(b.chart.domain[0][0]) == "-0.0"
 
 
 def test_joint_chart_rejects_equal_labels():

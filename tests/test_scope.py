@@ -260,3 +260,47 @@ def test_inline_report_is_identical_without_the_scope(monkeypatch):
     shared = run()
     monkeypatch.setattr(catalog, "evaluation_scope", contextlib.nullcontext)
     assert run() == shared
+
+
+# --- work done once per run ----------------------------------------------------
+
+def test_field_consumers_run_one_jet_pass_each(monkeypatch):
+    passes = []
+    run = geometry._JetPlan._run
+
+    def counting(plan, program, points):
+        if plan.shape == () and len(program.scatter) > 1:    # a field's derivative jets
+            passes.append(plan)
+        return run(plan, program, points)
+
+    monkeypatch.setattr(geometry._JetPlan, "_run", counting)
+    run_scenario("sphere_hyperbolic", plan=PLAN)
+    # one each for the conformal formula, the mixed-Ricci partials and the
+    # factor identity, two each (one per factor) for the two summand routes;
+    # with one pass per field helper call this was 13
+    assert len(passes) == 7
+
+
+def test_custom_labels_compute_the_same_batches(monkeypatch):
+    g1 = builtin_metric("sphere", 2, box={"u1": (0.0, 2.6)})
+    g2 = builtin_metric("hyperbolic", 2, box={"t": (0.4, 1.6)})
+    phi1 = parse("-cos(u1) - 0.3", g1.chart.coords)
+    phi2 = parse("cosh(t) + 0.3", g2.chart.coords)
+    computed = []
+    compute = geometry._compute_batch
+
+    def recording(metric, pts):
+        computed.append(metric)
+        return compute(metric, pts)
+
+    monkeypatch.setattr(geometry, "_compute_batch", recording)
+    counts = []
+    for labels in (("f0", "f1"), ("a", "b")):
+        computed.clear()
+        rep = run_inline(g1, g2, phi1=phi1, phi2=phi2, labels=labels,
+                         plan=SamplePlan(count=50))
+        assert rep.matched
+        counts.append(len(computed))
+    # the two factors, the product and the rescaled product; the checks once
+    # rebuilt the last two under the default labels, 6 batches with a/b
+    assert counts == [4, 4]

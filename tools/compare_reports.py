@@ -8,13 +8,21 @@ benchmark workloads of perfbench/workloads.py (catalog_2k and dim_sweep, at
 catalog (200 samples at full size, 20 at tiny).  Every report and each run's
 standard output are then compared byte for byte, the `generated_at` line
 excepted.  The workload inputs come from this checkout's perfbench/, which
-is only imported.  Three counts are printed per run for each tree: the
-curvature batches it computes (calls of geometry._compute_batch, scope hits
-excluded), the rows of the jet tapes it builds (summed over every jet
-plan's derivative tape; the plan caches are cleared before each run, so a
-run builds its tapes as a fresh `confprod` command does) and the kept batch
-bytes (the largest total, over the scenarios, of the distinct arrays held
-by the batches of a scenario's evaluation scope when it closes).
+is only imported.  Six counts are printed per run for each tree:
+
+- computed batches: calls of geometry._compute_batch, scope hits excluded;
+- jet-tape rows: summed over every jet plan's derivative tape;
+- kept batch bytes: the largest total, over the scenarios, of the distinct
+  arrays held by the batches of a scenario's evaluation scope when it closes;
+- contraction products: the products of the symbolic programs of the
+  computed batches (len(step.a) summed over each part's steps);
+- MetricSpec constructions;
+- field jet passes: jet runs of a scalar field's plan (_JetPlan._run on its
+  derivative program).
+
+The plan caches of geometry and the builder memo of constructions are
+cleared before each run, so a run builds its plans, tapes and metrics as a
+fresh `confprod` command does.
 
 Exit code 0 when every file is identical, 1 otherwise.
 """
@@ -35,7 +43,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog_2k", "dim_sweep")
 CATALOG_SAMPLES = {"full": 200, "tiny": 20}
-COUNTS = ("computed batches", "jet-tape rows", "kept batch bytes")
+COUNTS = ("computed batches", "jet-tape rows", "kept batch bytes", "contraction products",
+          "MetricSpec constructions", "field jet passes")
 _GENERATED_AT = re.compile(r'^\s*"generated_at": "[^"]*",\n', re.MULTILINE)
 
 
@@ -43,15 +52,29 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     """Child process: write every report and stdout of one tree under `out`."""
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(HERE / "perfbench")]
     import workloads
-    from confprod import catalog, cli, geometry
+    from confprod import catalog, cli, constructions, geometry
 
     counts: dict = {}
     compute, program = geometry._compute_batch, geometry._JetPlan._program
+    run, post_init = geometry._JetPlan._run, geometry.MetricSpec.__post_init__
     scope = catalog.evaluation_scope
 
-    def counting(*args):
+    def counting(metric, pts):
+        batch = compute(metric, pts)
         counts[name]["computed batches"] += 1
-        return compute(*args)
+        parts, _ = geometry._batch_plan(metric)
+        counts[name]["contraction products"] += sum(
+            len(step.a) for part in parts for step in part.program.steps)
+        return batch
+
+    def counting_specs(spec):
+        counts[name]["MetricSpec constructions"] += 1
+        post_init(spec)
+
+    def counting_passes(plan, built, points):
+        if plan.shape == () and len(built.scatter) > 1:
+            counts[name]["field jet passes"] += 1
+        return run(plan, built, points)
 
     def counting_rows(plan, order):
         built = program(plan, order)
@@ -71,6 +94,8 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
 
     geometry._compute_batch = counting
     geometry._JetPlan._program = counting_rows
+    geometry._JetPlan._run = counting_passes
+    geometry.MetricSpec.__post_init__ = counting_specs
     catalog.evaluation_scope = measuring_scope
     runs = {name: workloads.WORKLOADS[name](seed, size) for name in WORKLOADS}
     runs["catalog"] = None
@@ -78,7 +103,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
         workdir = Path(out) / "reports" / name
         workdir.mkdir(parents=True)
         counts[name] = dict.fromkeys(COUNTS, 0)
-        for cached in vars(geometry).values():
+        for cached in [*vars(geometry).values(), *vars(constructions).values()]:
             if hasattr(cached, "cache_clear"):
                 cached.cache_clear()
         printed = io.StringIO()
