@@ -240,21 +240,24 @@ class _JetPlan:
     def slot_rows(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Where each jet slot's value lives: per output (value, gradient,
         hessian), the flat slot's row of [tape rows; constants], -1 for a zero
-        slot (a constant zero of either sign); and the constants.  Slots that
-        the plan writes from one tape row (paired entries, paired derivatives,
-        equal expressions) read the same row."""
+        slot (a constant zero of either sign); and the distinct non-zero
+        constants.  Slots that the plan writes from one tape row (paired
+        entries, paired derivatives, equal expressions) read the same row, and
+        so do slots that hold the same constant."""
         program = self.jet_program
-        maps, constants = [], []
-        first = len(program.tape)
-        for order, (tape_rows, cols, ccols, values) in enumerate(program.scatter):
+        nonzero = [values != 0.0 for *_, values in program.scatter]
+        constants, same = np.unique(
+            np.concatenate([values[k] for (*_, values), k in zip(program.scatter, nonzero)]),
+            return_inverse=True)
+        split = np.split(len(program.tape) + same, np.cumsum([k.sum() for k in nonzero])[:-1])
+        maps = []
+        for order, ((tape_rows, cols, ccols, _), k, constant_rows) in enumerate(
+                zip(program.scatter, nonzero, split)):
             rows = np.full(math.prod(self.shape) * len(self.coords) ** order, -1, dtype=np.intp)
             rows[cols] = tape_rows
-            nonzero = values != 0.0
-            rows[ccols[nonzero]] = first + np.arange(int(nonzero.sum()))
-            first += int(nonzero.sum())
-            constants.append(values[nonzero])
+            rows[ccols[k]] = constant_rows
             maps.append(rows)
-        return tuple(maps), np.concatenate(constants)
+        return tuple(maps), constants
 
 
 @lru_cache(maxsize=512)
@@ -549,12 +552,16 @@ def _factors(metric: MetricSpec) -> tuple[tuple[tuple[int, ...], MetricSpec], ..
 # --- structural-sparse contraction -----------------------------------------
 #
 # Batch curvature runs in two phases, as sparse factorisation does.  The
-# symbolic phase (_contraction, cached per pattern) sees only which slots
-# of g, dg and d2g can be non-zero.  It lays out a slot-major table, one
-# row per canonical non-zero slot of each tensor (i <= j for the symmetric
-# pairs), and derives each contraction's products as index arrays.  The
-# numeric phase (_contract) fills the table for one slice of points and
-# runs each step as a gather, an in-place product and one np.add.reduceat.
+# symbolic phase (_contraction, cached per class structure) sees only which
+# slots of g, dg and d2g hold the same value: the slots a jet plan writes
+# from one tape row or one constant value form a class, and slots that are
+# constant zeros hold none.  It lays out a slot-major table with one row
+# per class, and derives each contraction's products as index arrays.  Each
+# contraction's outputs are value-numbered again (Alpern, Wegman and Zadeck
+# 1988): output slots whose merged products are the same share one row, so
+# later contractions see fewer distinct rows.  The numeric phase (_contract)
+# fills the table for one slice of points and runs each step as a gather,
+# an in-place product and one np.add.reduceat.
 
 class _Step(NamedTuple):
     """table[out][r] = sum of coef[p] table[a[p]] table[b[p]] over r's products p."""
@@ -566,14 +573,13 @@ class _Step(NamedTuple):
 
 
 class _Contraction(NamedTuple):
-    """The symbolic program of one pattern: index arrays only, never values."""
+    """The symbolic program of one class structure: index arrays only, never values."""
     dim: int
-    rows: int                                  # table rows
-    jets: tuple[np.ndarray, ...]               # flat g, dg, d2g slots of rows 0, 1, ...
+    rows: int                                  # table rows; the jet classes come first
     reciprocals: tuple[np.ndarray, np.ndarray]  # g rows of the 1x1 components, their ginv rows
     blocks: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
-    # ^ per larger component: size k, g rows of the k x k block (-1 for a zero
-    #   slot), its upper-triangle flat places, their ginv rows
+    # ^ per distinct larger component: size k, g rows of the k x k block (-1
+    #   for a zero slot), its upper-triangle flat places, their ginv rows
     steps: tuple[_Step, ...]
     fields: tuple[tuple[np.ndarray, np.ndarray], ...]
     # ^ g, ginv, ricci, Gamma: their canonical flat slots, the slots' rows
@@ -585,26 +591,13 @@ class _Contraction(NamedTuple):
 
 
 class _Layout:
-    """Hands out table rows, one per canonical non-zero slot of each tensor."""
+    """Hands out table rows: the jet classes first, then one per value class
+    of each computed tensor.  `formed` maps each formed row's product list
+    (its rows a and b, its coefficients) to the row."""
 
-    def __init__(self):
-        self.rows = 0
-
-    def place(self, pattern: np.ndarray, *pairs: tuple[int, int]):
-        """(slot map, canonical flat slots): the map gives every non-zero slot
-        its row, -1 elsewhere; slots equal under swapping an axis pair share
-        the row of the one whose indices are in order."""
-        index = np.indices(pattern.shape)
-        canonical = pattern.copy()
-        for p, q in pairs:
-            canonical &= index[p] <= index[q]
-        slots = np.flatnonzero(canonical)
-        rows = np.full(pattern.shape, -1, dtype=np.intp)
-        rows.flat[slots] = np.arange(self.rows, self.rows + len(slots))
-        self.rows += len(slots)
-        for p, q in pairs:
-            rows = np.maximum(rows, np.swapaxes(rows, p, q))
-        return rows, slots
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.formed: dict[tuple[bytes, bytes], int] = {}
 
 
 def _pairs(spec: str, a: np.ndarray, b: np.ndarray):
@@ -638,9 +631,13 @@ def _step(layout: _Layout, shape: tuple[int, ...], terms, *pairs):
     flat slots, its _Step or None).
 
     terms are (coefficient, spec, slot map a, slot map b).  With `pairs`,
-    the output is symmetric and only its canonical slots are computed.
+    the output is symmetric and only its canonical slots are computed; the
+    map gives a mirrored slot the row of the one whose indices are in order.
     Products that read the same two rows into the same output are merged,
-    their coefficients summed, and those that cancel are dropped.
+    their coefficients summed, and those that cancel are dropped.  Output
+    slots left with the same products hold one value: they share one row,
+    that of an earlier output (of this or an earlier step) when there is
+    one, and only the first of them is formed.
     """
     found = [(coef, *_pairs(spec, a, b)) for coef, spec, a, b in terms]
     ra, rb, slot = (np.concatenate([f[k] for f in found]) for k in (1, 2, 3))
@@ -655,19 +652,39 @@ def _step(layout: _Layout, shape: tuple[int, ...], terms, *pairs):
     coef = np.bincount(inverse, weights=coef[keep], minlength=len(key))
     key, coef = key[coef != 0.0], coef[coef != 0.0]
     slot, lo, hi = key // width // width, key // width % width, key % width
-    pattern = np.zeros(shape, dtype=bool)
-    pattern.flat[slot] = True
-    first = layout.rows
-    rows, slots = layout.place(pattern, *pairs)
+    rows = np.full(shape, -1, dtype=np.intp)
     if not len(key):
-        return rows, slots, None
-    starts = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
-    return rows, slots, _Step(lo, hi, coef[:, None], starts, slice(first, layout.rows))
+        return rows, slot, None
+    ends = np.append(np.flatnonzero(slot[1:] != slot[:-1]) + 1, len(key))
+    starts = np.append(0, ends[:-1])          # each output's products
+    # each output's products as one bytes key: an output whose key is known
+    # reads the row that key got, a new key gets the next row (setdefault's
+    # default is read before it inserts the key)
+    blob = np.column_stack((lo, hi, coef.view(np.int64))).tobytes()
+    known, top = layout.formed, layout.rows
+    base = top - len(known)
+    out = np.array([known.setdefault(blob[24 * a:24 * b], base + len(known))
+                    for a, b in zip(starts.tolist(), ends.tolist())], dtype=np.intp)
+    layout.rows = base + len(known)
+    rows.flat[slot[starts]] = out
+    for p, q in pairs:
+        rows = np.maximum(rows, np.swapaxes(rows, p, q))
+    if layout.rows == top:
+        return rows, slot[starts], None
+    _, first = np.unique(out, return_index=True)
+    new = np.zeros(len(out), dtype=bool)
+    new[first[out[first] >= top]] = True      # the first output of each new row
+    formed = np.repeat(new, ends - starts)
+    sizes = (ends - starts)[new]
+    return rows, slot[starts], _Step(lo[formed], hi[formed], coef[formed, None],
+                                     np.cumsum(sizes) - sizes, slice(top, layout.rows))
 
 
 @lru_cache(maxsize=256)
-def _contraction(n: int, patterns: bytes) -> _Contraction:
-    """The symbolic program for the packed boolean patterns of g, dg, d2g.
+def _contraction(n: int, pattern: bytes, classes: bytes) -> _Contraction:
+    """The symbolic program for the packed boolean pattern of g, dg, d2g and
+    the value class of each non-zero slot (int32): its table row, one per
+    tape row or constant it reads.
 
     Index conventions as in the module docstring; dg[i, j, k] = d_k g_ij,
     d2g[i, j, k, l] = d_k d_l g_ij and dginv[a, l, m] = d_m g^al.
@@ -675,56 +692,72 @@ def _contraction(n: int, patterns: bytes) -> _Contraction:
         m[a, t, m]     = g^as dg[s, t, m]
         dginv[a, l, m] = -m[a, t, m] g^tl
         Gamma^k_ij     = g^kl (dg[j, l, i] + dg[i, l, j] - dg[i, j, l]) / 2
+        div[l]         = d_a g^al = -m[a, t, a] g^tl
+        trace[e]       = Gamma^a_ae = g^al dg[a, l, e] / 2
         R_bd           = d_a Gamma^a_db - d_d Gamma^a_ab
                          + Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab
 
-    The two derivative terms are expanded through dginv, with
+    The two derivative terms are expanded through dginv and div, with
     Gamma^a_ab = g^al dg[a, l, b] / 2 since g^al is symmetric, so no
-    derivative of Gamma is formed.
+    derivative of Gamma is formed; the traces div and trace are formed
+    first, so the Ricci terms that read them cost n^3 products, not n^4.
     """
-    bits = np.unpackbits(np.frombuffer(patterns, dtype=np.uint8),
-                         count=n**2 + n**3 + n**4).astype(bool)
-    pg, pd, pdd = bits[:n**2].reshape(n, n), bits[n**2:-n**4].reshape((n,) * 3), \
-        bits[-n**4:].reshape((n,) * 4)
-    layout = _Layout()
-    g, g_slots = layout.place(pg, (0, 1))
-    dg, dg_slots = layout.place(pd, (0, 1))
-    d2g, d2g_slots = layout.place(pdd, (0, 1), (2, 3))
-    components = _partition(n, zip(*np.nonzero(pg)))
-    blocked = np.zeros((n, n), dtype=bool)
+    nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8),
+                            count=n**2 + n**3 + n**4).astype(bool)
+    jets = np.full(len(nonzero), -1, dtype=np.intp)
+    jets[nonzero] = np.frombuffer(classes, dtype=np.int32)
+    g, dg, d2g = (jets[:n**2].reshape(n, n), jets[n**2:-n**4].reshape((n,) * 3),
+                  jets[-n**4:].reshape((n,) * 4))
+    layout = _Layout(int(jets.max(initial=-1)) + 1)   # the jet classes are rows 0, 1, ...
+    g_slots = np.flatnonzero(np.triu(g >= 0))
+    # g^-1 block by block of g; components with the same g rows share their rows
+    components = _partition(n, zip(*np.nonzero(g >= 0)))
+    ginv = np.full((n, n), -1, dtype=np.intp)
+    distinct: dict[bytes, tuple[int, ...]] = {}
     for c in components:
-        blocked[np.ix_(c, c)] = True
-    ginv, ginv_slots = layout.place(blocked, (0, 1))
-    ones = np.array([c[0] for c in components if len(c) == 1], dtype=np.intp)
+        ix = np.ix_(c, c)
+        first = distinct.setdefault(g[ix].tobytes(), c)
+        if first is c:
+            upper = np.triu(np.ones((len(c),) * 2, dtype=bool))
+            ginv[ix] = np.where(upper, layout.rows + np.cumsum(upper).reshape(upper.shape) - 1, -1)
+            layout.rows += int(upper.sum())
+        else:
+            ginv[ix] = ginv[np.ix_(first, first)]
+    ginv_slots = np.flatnonzero(ginv >= 0)
+    ginv = np.maximum(ginv, ginv.T)
+    ones = np.array([c[0] for c in distinct.values() if len(c) == 1], dtype=np.intp)
     blocks = []
-    for c in components:
+    for c in distinct.values():
         if len(c) > 1:
             k = len(c)
             upper = np.flatnonzero(np.triu(np.ones((k, k), dtype=bool)))
             blocks.append((k, g[np.ix_(c, c)].ravel(), upper, ginv[np.ix_(c, c)].ravel()[upper]))
-    cube, square = (n, n, n), (n, n)
+    line, square, cube = (n,), (n, n), (n, n, n)
     m, _, m_step = _step(layout, cube, [(1.0, "stm,as->atm", dg, ginv)])
     dginv, _, dginv_step = _step(layout, cube, [(-1.0, "atm,tl->alm", m, ginv)], (0, 1))
     gamma, gamma_slots, gamma_step = _step(layout, cube, [
         (0.5, "jli,kl->kij", dg, ginv), (0.5, "ilj,kl->kij", dg, ginv),
         (-0.5, "ijl,kl->kij", dg, ginv)], (1, 2))
+    div, _, div_step = _step(layout, line, [(-1.0, "ata,tl->l", m, ginv)])
+    trace, _, trace_step = _step(layout, line, [(0.5, "ale,al->e", dg, ginv)])
     ricci, ricci_slots, ricci_step = _step(layout, square, [
         # d_a Gamma^a_db
-        (0.5, "bld,ala->bd", dg, dginv), (0.5, "dlb,ala->bd", dg, dginv),
-        (-0.5, "dbl,ala->bd", dg, dginv),
+        (0.5, "bld,l->bd", dg, div), (0.5, "dlb,l->bd", dg, div),
+        (-0.5, "dbl,l->bd", dg, div),
         (0.5, "blad,al->bd", d2g, ginv), (0.5, "dlab,al->bd", d2g, ginv),
         (-0.5, "dbal,al->bd", d2g, ginv),
         # -d_d Gamma^a_ab
         (-0.5, "alb,ald->bd", dg, dginv), (-0.5, "aldb,al->bd", d2g, ginv),
         # Gamma^a_ae Gamma^e_db - Gamma^a_de Gamma^e_ab
-        (1.0, "edb,aae->bd", gamma, gamma), (-1.0, "ade,eab->bd", gamma, gamma)], (0, 1))
-    steps = tuple(s for s in (m_step, dginv_step, gamma_step, ricci_step) if s is not None)
+        (1.0, "edb,e->bd", gamma, trace), (-1.0, "ade,eab->bd", gamma, gamma)], (0, 1))
+    steps = tuple(s for s in (m_step, dginv_step, gamma_step, div_step, trace_step, ricci_step)
+                  if s is not None)
     k, i, j = np.unravel_index(gamma_slots, cube)
     by_output = np.lexsort((k, i * n + j))
     out = (i * n + j)[by_output]
     starts = np.flatnonzero(np.diff(out, prepend=-1))
     return _Contraction(
-        dim=n, rows=layout.rows, jets=(g_slots, dg_slots, d2g_slots),
+        dim=n, rows=layout.rows,
         reciprocals=(g[ones, ones], ginv[ones, ones]), blocks=tuple(blocks), steps=steps,
         fields=tuple((slots, t.flat[slots]) for t, slots in (
             (g, g_slots), (ginv, ginv_slots), (ricci, ricci_slots), (gamma, gamma_slots))),
@@ -760,8 +793,8 @@ class _BatchPart(NamedTuple):
     idx: list[int]                          # the part's coordinates in the whole chart
     plan: _JetPlan
     program: _Contraction
-    taped: tuple[np.ndarray, np.ndarray]    # table rows filled from tape rows, those tape rows
-    fixed: tuple[np.ndarray, np.ndarray]    # table rows holding constants, the values (k, 1)
+    taped: int                              # table rows 0, 1, ... are the tape rows,
+    constants: np.ndarray                   # then the constants, shape (k, 1)
     width: int                              # tape and table rows per point
 
 
@@ -773,18 +806,18 @@ def _lift(idx: tuple[int, ...], n: int, slots: np.ndarray, axes: int) -> np.ndar
 
 @lru_cache(maxsize=128)
 def _batch_part(metric: MetricSpec, idx: tuple[int, ...], n: int) -> _BatchPart:
+    """The part's plan and the program of its value classes: the jet slots
+    that read one tape row or one constant (the plan's slot_rows) hold one
+    value, and that row of [tape rows; constants] is their table row."""
     plan = _metric_plan(metric)
     maps, constants = plan.slot_rows
-    patterns = np.packbits(np.concatenate([m >= 0 for m in maps])).tobytes()
-    program = _contraction(metric.dim, patterns)
-    source = np.concatenate([m[slots] for m, slots in zip(maps, program.jets)])
-    tape = len(plan.jet_program.tape)
-    on_tape = source < tape
-    rows = np.arange(len(source))
-    return _BatchPart(
-        list(idx), plan, program, (rows[on_tape], source[on_tape]),
-        (rows[~on_tape], constants[source[~on_tape] - tape][:, None]),
-        width=tape + program.rows)
+    source = np.concatenate(maps)
+    nonzero = source >= 0
+    program = _contraction(metric.dim, np.packbits(nonzero).tobytes(),
+                           source[nonzero].astype(np.int32).tobytes())
+    taped = len(plan.jet_program.tape)
+    return _BatchPart(list(idx), plan, program, taped, constants[:, None],
+                      width=taped + program.rows)
 
 
 class _BatchLayout(NamedTuple):
@@ -849,8 +882,8 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
             tape = part.plan.tape_rows(sliced[:, part.idx])
             table = np.empty((part.program.rows, len(sliced)))
             if tape is not None:
-                table[part.taped[0]] = tape[part.taped[1]]
-            table[part.fixed[0]] = part.fixed[1]
+                table[:part.taped] = tape
+            table[part.taped:part.taped + len(part.constants)] = part.constants
             tables.append(table)
         g = np.concatenate([t[part.program.fields[0][1]] for part, t in zip(parts, tables)])
         _check_positive_definite(_dense(g, g_slots, n), sliced, _components(metric),

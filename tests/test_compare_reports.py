@@ -42,7 +42,8 @@ def test_a_tree_matches_itself(capsys):
     # as before the tapes were deduplicated, gave 115 rows here; the kept
     # batches held 24 816 bytes with dense g, ginv and ricci; with each check
     # rebuilding its product and running one jet pass per field helper, the
-    # run made 30 MetricSpecs and 26 field jet passes
+    # run made 30 MetricSpecs and 26 field jet passes; one table row per
+    # slot formed 404 contraction products
     assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 64 -> 64, "
-            "kept batch bytes 11832 -> 11832, contraction products 404 -> 404, "
+            "kept batch bytes 11832 -> 11832, contraction products 248 -> 248, "
             "MetricSpec constructions 16 -> 16, field jet passes 14 -> 14") in out

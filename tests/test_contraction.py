@@ -1,12 +1,15 @@
 """Batch curvature on the structural-sparse contraction path.
 
-`geometry._contraction` derives, from the patterns of g, dg and d2g alone,
-which products each contraction forms; `geometry._contract` runs them on a
-slot-major table of one slice of points.  The results must match the dense
+`geometry._contraction` derives, from the value classes of g, dg and d2g
+alone (which slots are zero, which hold the same value), which products
+each contraction forms; `geometry._contract` runs them on a slot-major
+table of one slice of points.  The results must match the dense
 contractions the path replaced (`dense_reference`) to 1e-12 relative: on
 the catalog, on the conformal route pairs, on fully dense metrics and on
 metrics with constant zeros of either sign.  On the sparse metrics the
-catalog builds, the path must form far fewer products than the dense one.
+catalog builds, the path must form far fewer products than the dense one,
+and on the flat products of the dimension sweep, where every diagonal entry
+is the same expression, far fewer than one row per slot would.
 The covariant Hessian, contracted from a batch's compact Christoffel rows,
 must match the dense contraction with the reference's Gamma.
 """
@@ -171,6 +174,32 @@ def _cosh_cylinder_rescaled():
     return conformal_metric(ConformalSpec(block, phi))
 
 
+def _products(metric):
+    parts, _ = geometry._batch_plan(metric)
+    return sum(len(step.a) for part in parts for step in part.program.steps)
+
+
+def _flat_quadratic_rescaled(n):
+    inst, _ = get_scenario("flat_quadratic").build({"n1": n, "n2": n, "R": 1.0})
+    block = product(inst.g1, inst.g2)
+    return conformal_metric(ConformalSpec(block, joint_sum(block, inst.phi1, inst.phi2)))
+
+
+def test_value_numbering_shrinks_the_flat_products():
+    # one row per slot formed 858, 1 984 and 3 810 products; the diagonal
+    # entries phi^-2 are one value, as are their derivatives in each direction
+    assert [_products(_flat_quadratic_rescaled(n)) for n in (3, 4, 5)] == [279, 492, 765]
+    metric = _flat_quadratic_rescaled(3)
+    _assert_matches_reference(metric, sample(metric.chart, SamplePlan(count=37)))
+
+
+def test_trace_intermediates_shrink_the_dense_ricci_step():
+    # with the traces Gamma^a_ae and d_a g^al inside the Ricci step's n^4
+    # products, a dense n = 6 metric formed 8 328 products a point
+    program = _program(_random_dense_metric())
+    assert [len(step.a) for step in program.steps] == [1296, 756, 1656, 216, 126, 3144]
+
+
 def test_cosh_cylinder_forms_few_products():
     metric = _cosh_cylinder_rescaled()
     assert metric.dim == 6 and len(_factors(metric)) == 1
@@ -183,7 +212,7 @@ def test_cosh_cylinder_forms_few_products():
 def test_programs_hold_index_arrays_only():
     for metric, _ in _special_inputs():
         program = _program(metric)
-        arrays = [*program.jets, *program.reciprocals, *[a for f in program.fields for a in f],
+        arrays = [*program.reciprocals, *[a for f in program.fields for a in f],
                   *program.hessian]
         arrays += [a for b in program.blocks for a in b[1:]]
         for step in program.steps:
@@ -194,10 +223,18 @@ def test_programs_hold_index_arrays_only():
 
 
 def test_one_program_per_pattern():
-    # entries that differ only by a constant factor have the same pattern
+    # programs are cached per class structure: entries that differ only by a
+    # constant factor have the same one
     small, large = builtin_metric("sphere", 3), builtin_metric("sphere", 3, radius=2.0)
     assert small != large
     assert _program(small) is _program(large)
+    # one pattern, two class structures: equal entries hold one value
+    equal = _metric(("x", "y"), (("2 + sin(x * y)", Const(0.0)), (Const(0.0), "2 + sin(x * y)")))
+    apart = _metric(("x", "y"), (("2 + sin(x * y)", Const(0.0)), (Const(0.0), "2 + cos(x * y)")))
+    maps = [_metric_plan(m).slot_rows[0] for m in (equal, apart)]
+    assert all(np.array_equal(a >= 0, b >= 0) for a, b in zip(*maps))
+    assert _program(equal) is not _program(apart)
+    assert _program(equal).rows < _program(apart).rows
 
 
 # --- the positive-definite test per component ----------------------------------
