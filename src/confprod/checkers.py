@@ -55,10 +55,10 @@ from .geometry import (
     MetricSpec,
     coordinate_hessian_batch,
     curvature_batch,
-    _field_jets,
     evaluation_scope,
     expr_values,
     scoped_points,
+    _field_jets,
 )
 
 NONCONSTANT_SPREAD = 1e-8

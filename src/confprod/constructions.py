@@ -1,9 +1,9 @@
 """Builders for product, conformally rescaled, warped and twisted metrics.
 
 block_metric assembles every product, warped and twisted metric, and scaled
-rescales every metric's entries.  These two, product and joint_sum are
-memoised for the process: equal inputs return the one immutable result
-built first.
+rescales every metric's entries.  Both, and product and joint_sum, are
+memoised for the process: equal inputs return the one immutable result built
+first, so a run builds each of its metrics once.
 
 Two deliberately independent routes to the curvature of a rescaled metric
 live here side by side:
@@ -231,7 +231,7 @@ def conformal_ricci_formula(c: ConformalSpec, points, lambda_bar: float = 0.0) -
     coef = lambda_bar / phi**2 + lap / phi + (n - 1) * gns / phi**2
     out = batch.ricci
     out += (n - 2) * hess / phi[:, None, None]
-    del hess
+    del hess    # before the dense g is built, so the two are never held together
     out -= coef[:, None, None] * batch.g
     return out
 

@@ -3,9 +3,10 @@
 Derivatives of metric entries are symbolic (expressions.differentiate).
 No finite differences anywhere in this path.  Batches contract Ricci
 straight from the metric jets, one product factor at a time when the
-metric splits into factors, and only over the slots that can be non-zero:
-a jet plan hands over its tape rows and a slot-to-row map, a symbolic
-phase cached per sparsity pattern works out which products each
+metric splits into factors, and only over the slots that can be non-zero,
+each distinct value once: a jet plan hands over its tape rows and a
+slot-to-row map, a symbolic phase cached per class structure (which slots
+are zero, which hold the same value) works out which products each
 contraction forms, and a numeric phase forms them slice by slice on a
 slot-major table (see "structural-sparse contraction" below).  A batch
 keeps g, g^-1, the Christoffel symbols and Ricci as that table's compact
