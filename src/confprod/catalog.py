@@ -58,8 +58,9 @@ from .geometry import Chart, MetricSpec, evaluation_scope, metric_values
 
 # --- built-in metrics -------------------------------------------------------
 
-# largest factor dimension a scenario or a built-in metric accepts; curvature
-# arrays grow as samples x n^4 and compile work as n^4
+# largest factor dimension a scenario or a built-in metric accepts; a kept
+# batch's Christoffel rows grow as samples x n^3, and the jet tapes and the
+# symbolic contraction work as n^4
 MAX_DIM = 32
 
 

@@ -77,8 +77,9 @@ class SamplePlan:
 
 
 MIN_SAMPLES = 3
-# 50 times the largest catalog plan measured (20 000 samples); curvature
-# arrays hold count x n^3 values, so a larger count is a memory error, not a check
+# 50 times the largest catalog plan measured (20 000 samples); a kept
+# curvature batch holds count values per non-zero Christoffel slot, up to
+# n^2 (n + 1) / 2 of them, so a larger count is a memory error, not a check
 MAX_SAMPLES = 1_000_000
 
 

@@ -44,7 +44,6 @@ from .geometry import (
     MetricSpec,
     curvature_batch,
     expr_values,
-    gradient_batch,
     require_on_chart,
     _as_points,
     _field_jets,
@@ -258,7 +257,7 @@ def conformal_connection(c: ConformalSpec, i: int, j: int, points) -> np.ndarray
     phi = require_positive_factor(c, pts)
     batch = curvature_batch(base, pts)
     _, dphi, _ = _field_plan(c.phi, base.chart.coords).jets(pts)
-    grad = gradient_batch(c.phi, base, pts)
+    grad = np.einsum("nij,nj->ni", batch.ginv, dphi)
     out = batch.gamma[:, :, i, j].copy()
     out[:, j] -= dphi[:, i] / phi
     out[:, i] -= dphi[:, j] / phi

@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import OutsideDomainError, SingularMetricError, UnsupportedDimError
-from .expressions import Const, Expr, compile_expr, differentiate, free_coords
+from .expressions import ZERO, Const, Expr, compile_expr, differentiate, free_coords
 
 _PD_EIGENVALUE_TOL = 1e-12
 # a curvature batch is computed in slices of sample points whose tape rows
@@ -133,8 +133,8 @@ class CurvatureData:
 
 class _Program(NamedTuple):
     tape: tuple[Expr, ...]   # the distinct taped expressions, in order of first slot
-    fn: Optional[Callable]   # the compiled tape, None when every slot is constant
-    scatter: tuple           # per output array: (tape rows, columns, constant columns, values)
+    fn: Callable             # the compiled tape
+    scatter: tuple           # per output array: (tape rows, columns)
 
 
 class _JetPlan:
@@ -143,12 +143,12 @@ class _JetPlan:
     Each expression fills one or more places of an output array of shape
     `shape`, given as flat indices: a metric's upper-triangle entry fills
     (i, j) and (j, i), a scalar field fills the single place of shape ().
-    A slot (one value or derivative of one expression) whose expression is
-    a finite constant is written directly, and a constant expression is
-    never differentiated; every other slot goes on one shared tape
-    (expressions.compile_expr), which holds each distinct expression once:
-    slots with the same expression (the rescaled flat metric repeats
-    phi^-2 and its derivatives on every diagonal entry) read one row.  The
+    Every slot (one value or derivative of one expression) but a constant
+    +0.0, which the output arrays are preset to, reads one row of a shared
+    tape (expressions.compile_expr), which holds each distinct expression
+    once: slots with the same expression (the rescaled flat metric repeats
+    phi^-2 and its derivatives on every diagonal entry) or the same
+    constant read one row, and a constant is never differentiated.  The
     value tape is built on first use and the derivative tape on the first
     call that needs derivatives, so value-only callers never
     differentiate.  Derivatives come from the process-wide memo of
@@ -175,18 +175,13 @@ class _JetPlan:
         sits where its expression's first slot does, so the tape raises the
         first DomainError in slot order."""
         n = len(self.coords)
-        tape: dict = {}                                # each distinct expression -> its row
-        taped = [([], []) for _ in range(order + 1)]   # per output: tape rows, columns
-        fixed = [([], []) for _ in range(order + 1)]   # per output: columns, constant values
+        tape: dict = {}                                 # each distinct expression -> its row
+        scatter = [([], []) for _ in range(order + 1)]  # per output: tape rows, columns
 
         def put(out: int, e: Expr, columns: list[int]):
-            if isinstance(e, Const) and math.isfinite(e.value):
-                if e.value != 0.0 or math.copysign(1.0, e.value) < 0:  # zeros are preset
-                    fixed[out][0].extend(columns)
-                    fixed[out][1].extend([e.value] * len(columns))
-                return
-            taped[out][0].extend([tape.setdefault(e, len(tape))] * len(columns))
-            taped[out][1].extend(columns)
+            if e is not ZERO:
+                scatter[out][0].extend([tape.setdefault(e, len(tape))] * len(columns))
+                scatter[out][1].extend(columns)
 
         for e, places in self.entries:
             put(0, e, list(places))
@@ -203,23 +198,18 @@ class _JetPlan:
                     if l != k:
                         columns += [p * n * n + l * n + k for p in places]
                     put(2, differentiate(d, self.coords[l]), columns)
-        scatter = tuple(
-            (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-             np.array(ccols, dtype=np.intp), np.array(values, dtype=float))
-            for (rows, cols), (ccols, values) in zip(taped, fixed))
         exprs = tuple(tape)
-        return _Program(exprs, compile_expr(exprs, self.coords) if exprs else None, scatter)
+        return _Program(exprs, compile_expr(exprs, self.coords), tuple(
+            (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+            for rows, cols in scatter))
 
     def _run(self, program: _Program, points: np.ndarray) -> list[np.ndarray]:
         count, n = points.shape[0], len(self.coords)
-        rows = None if program.fn is None else program.fn(points)
+        rows = program.fn(points)
         outs = []
-        for order, (tape_rows, cols, ccols, values) in enumerate(program.scatter):
+        for order, (tape_rows, cols) in enumerate(program.scatter):
             out = np.zeros((count,) + self.shape + (n,) * order)
-            flat = out.reshape(count, -1)    # zero slots stay zero
-            if len(cols):
-                flat[:, cols] = rows[tape_rows].T
-            flat[:, ccols] = values
+            out.reshape(count, -1)[:, cols] = rows[tape_rows].T    # +0.0 slots stay zero
             outs.append(out)
         return outs
 
@@ -231,34 +221,26 @@ class _JetPlan:
         """(value, gradient, hessian); gradient[..., k] = d_k, hessian[..., k, l] = d_k d_l."""
         return tuple(self._run(self.jet_program, points))
 
-    def tape_rows(self, points: np.ndarray) -> Optional[np.ndarray]:
-        """The jet tape's rows at the points, shape (len(tape), count); None
-        when every slot is constant.  Raises the tape's first DomainError."""
-        fn = self.jet_program.fn
-        return None if fn is None else fn(points)
+    def tape_rows(self, points: np.ndarray) -> np.ndarray:
+        """The jet tape's rows at the points, shape (len(tape), count).
+        Raises the tape's first DomainError."""
+        return self.jet_program.fn(points)
 
     @cached_property
-    def slot_rows(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Where each jet slot's value lives: per output (value, gradient,
-        hessian), the flat slot's row of [tape rows; constants], -1 for a zero
-        slot (a constant zero of either sign); and the distinct non-zero
-        constants.  Slots that the plan writes from one tape row (paired
-        entries, paired derivatives, equal expressions) read the same row, and
-        so do slots that hold the same constant."""
+    def slot_rows(self) -> tuple[np.ndarray, ...]:
+        """Per output (value, gradient, hessian), each flat jet slot's tape
+        row, -1 for a zero slot (one whose row is a constant zero of either
+        sign, or none).  Slots that the plan writes from one tape row (paired
+        entries, paired derivatives, equal expressions, equal constants) read
+        the same row."""
         program = self.jet_program
-        nonzero = [values != 0.0 for *_, values in program.scatter]
-        constants, same = np.unique(
-            np.concatenate([values[k] for (*_, values), k in zip(program.scatter, nonzero)]),
-            return_inverse=True)
-        split = np.split(len(program.tape) + same, np.cumsum([k.sum() for k in nonzero])[:-1])
+        zero = np.array([_is_zero(e) for e in program.tape], dtype=bool)
         maps = []
-        for order, ((tape_rows, cols, ccols, _), k, constant_rows) in enumerate(
-                zip(program.scatter, nonzero, split)):
+        for order, (tape_rows, cols) in enumerate(program.scatter):
             rows = np.full(math.prod(self.shape) * len(self.coords) ** order, -1, dtype=np.intp)
-            rows[cols] = tape_rows
-            rows[ccols[k]] = constant_rows
+            rows[cols] = np.where(zero[tape_rows], -1, tape_rows)
             maps.append(rows)
-        return tuple(maps), constants
+        return tuple(maps)
 
 
 @lru_cache(maxsize=512)
@@ -334,10 +316,9 @@ def _components(metric: MetricSpec) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_positive_definite(g: np.ndarray, points: np.ndarray,
-                             components: tuple[tuple[int, ...], ...],
-                             largest: np.ndarray) -> None:
+                             components: tuple[tuple[int, ...], ...]) -> None:
     """Raise SingularMetricError unless every point's smallest eigenvalue
-    exceeds tau = 1e-12 max(1, max|g|), given each point's max|g| as `largest`.
+    exceeds tau = 1e-12 max(1, max|g|).
 
     g is block diagonal over `components`, so a 1x1 component is its own
     eigenvalue and a larger one passes when a Cholesky factorisation of
@@ -345,7 +326,7 @@ def _check_positive_definite(g: np.ndarray, points: np.ndarray,
     eigenvalues of the whole g computed, to name the first bad point and
     its smallest eigenvalue.
     """
-    tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, largest)
+    tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
 
     def holds(c: tuple[int, ...]) -> bool:
         if len(c) == 1:
@@ -369,8 +350,7 @@ def metric_values(metric: MetricSpec, points, check: bool = True) -> np.ndarray:
     pts = _as_points(metric.chart, points)
     g = _metric_plan(metric).values(pts)
     if check:
-        _check_positive_definite(g, pts, _components(metric),
-                                 np.abs(g).reshape(len(g), -1).max(axis=1))
+        _check_positive_definite(g, pts, _components(metric))
     return g
 
 
@@ -555,14 +535,14 @@ def _factors(metric: MetricSpec) -> tuple[tuple[tuple[int, ...], MetricSpec], ..
 # Batch curvature runs in two phases, as sparse factorisation does.  The
 # symbolic phase (_contraction, cached per class structure) sees only which
 # slots of g, dg and d2g hold the same value: the slots a jet plan writes
-# from one tape row or one constant value form a class, and slots that are
-# constant zeros hold none.  It lays out a slot-major table with one row
-# per class, and derives each contraction's products as index arrays.  Each
-# contraction's outputs are value-numbered again (Alpern, Wegman and Zadeck
-# 1988): output slots whose merged products are the same share one row, so
-# later contractions see fewer distinct rows.  The numeric phase (_contract)
-# fills the table for one slice of points and runs each step as a gather,
-# an in-place product and one np.add.reduceat.
+# from one tape row form a class, and slots that are constant zeros hold
+# none.  It lays out a slot-major table with one row per class, and derives
+# each contraction's products as index arrays.  Each contraction's outputs
+# are value-numbered again (Alpern, Wegman and Zadeck 1988): output slots
+# whose merged products are the same share one row, so later contractions
+# see fewer distinct rows.  The numeric phase (_contract) fills the table
+# for one slice of points and runs each step as a gather, an in-place
+# product and one np.add.reduceat.
 
 class _Step(NamedTuple):
     """table[out][r] = sum of coef[p] table[a[p]] table[b[p]] over r's products p."""
@@ -684,8 +664,8 @@ def _step(layout: _Layout, shape: tuple[int, ...], terms, *pairs):
 @lru_cache(maxsize=256)
 def _contraction(n: int, pattern: bytes, classes: bytes) -> _Contraction:
     """The symbolic program for the packed boolean pattern of g, dg, d2g and
-    the value class of each non-zero slot (int32): its table row, one per
-    tape row or constant it reads.
+    the value class of each non-zero slot (int32): its table row, the jet
+    tape row it reads.
 
     Index conventions as in the module docstring; dg[i, j, k] = d_k g_ij,
     d2g[i, j, k, l] = d_k d_l g_ij and dginv[a, l, m] = d_m g^al.
@@ -794,8 +774,8 @@ class _BatchPart(NamedTuple):
     idx: list[int]                          # the part's coordinates in the whole chart
     plan: _JetPlan
     program: _Contraction
-    taped: int                              # table rows 0, 1, ... are the tape rows,
-    constants: np.ndarray                   # then the constants, shape (k, 1)
+    taped: int                              # table rows 0, 1, ... are the tape rows the
+                                            # slots read
     width: int                              # tape and table rows per point
 
 
@@ -808,17 +788,15 @@ def _lift(idx: tuple[int, ...], n: int, slots: np.ndarray, axes: int) -> np.ndar
 @lru_cache(maxsize=128)
 def _batch_part(metric: MetricSpec, idx: tuple[int, ...], n: int) -> _BatchPart:
     """The part's plan and the program of its value classes: the jet slots
-    that read one tape row or one constant (the plan's slot_rows) hold one
-    value, and that row of [tape rows; constants] is their table row."""
+    that read one tape row (the plan's slot_rows) hold one value, and that
+    tape row is their table row."""
     plan = _metric_plan(metric)
-    maps, constants = plan.slot_rows
-    source = np.concatenate(maps)
+    source = np.concatenate(plan.slot_rows)
     nonzero = source >= 0
     program = _contraction(metric.dim, np.packbits(nonzero).tobytes(),
                            source[nonzero].astype(np.int32).tobytes())
-    taped = len(plan.jet_program.tape)
-    return _BatchPart(list(idx), plan, program, taped, constants[:, None],
-                      width=taped + program.rows)
+    return _BatchPart(list(idx), plan, program, int(source.max(initial=-1)) + 1,
+                      width=len(plan.jet_program.tape) + program.rows)
 
 
 class _BatchLayout(NamedTuple):
@@ -880,15 +858,11 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
         sliced = pts[columns]
         tables = []
         for part in parts:
-            tape = part.plan.tape_rows(sliced[:, part.idx])
             table = np.empty((part.program.rows, len(sliced)))
-            if tape is not None:
-                table[:part.taped] = tape
-            table[part.taped:part.taped + len(part.constants)] = part.constants
+            table[:part.taped] = part.plan.tape_rows(sliced[:, part.idx])[:part.taped]
             tables.append(table)
         g = np.concatenate([t[part.program.fields[0][1]] for part, t in zip(parts, tables)])
-        _check_positive_definite(_dense(g, g_slots, n), sliced, _components(metric),
-                                 np.abs(g).max(axis=0, initial=0.0))
+        _check_positive_definite(_dense(g, g_slots, n), sliced, _components(metric))
         for p, (part, table) in enumerate(zip(parts, tables)):
             _contract(part.program, table)
             for rows, firsts, (_, table_rows) in zip(tensors, layout.firsts, part.program.fields):
@@ -966,15 +940,6 @@ def coordinate_hessian_batch(e: Expr, chart: Chart, points) -> np.ndarray:
     return hess
 
 
-def _inverse_metric(metric: MetricSpec, pts: np.ndarray) -> np.ndarray:
-    """g^ij at the points: from the kept curvature batch when a scope holds one."""
-    kept = _SCOPE.get()
-    batch = None if kept is None else kept.get(_scope_key(metric, pts))
-    if batch is not None:
-        return batch.ginv
-    return np.linalg.inv(metric_values(metric, pts))
-
-
 def _field_jets(phi: Expr, metric: MetricSpec, pts: np.ndarray):
     """(d phi, covariant Hessian, lap(phi), |d phi|^2) at the points, from
     one jet pass of phi and the metric's curvature batch.
@@ -1011,13 +976,12 @@ def laplacian_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
 
 
 def grad_norm_sq_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
-    pts = _as_points(metric.chart, points)
-    _, grad, _ = _field_plan(phi, metric.chart.coords).jets(pts)
-    return np.einsum("nij,ni,nj->n", _inverse_metric(metric, pts), grad, grad)
+    """|d phi|^2 = g^ij d_i phi d_j phi."""
+    return _field_jets(phi, metric, _as_points(metric.chart, points))[3]
 
 
 def gradient_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
-    """Raised gradient vector field g^ij d_j phi."""
+    """Raised gradient vector field g^ij d_j phi, with the curvature batch's g^-1."""
     pts = _as_points(metric.chart, points)
     _, grad, _ = _field_plan(phi, metric.chart.coords).jets(pts)
-    return np.einsum("nij,nj->ni", _inverse_metric(metric, pts), grad)
+    return np.einsum("nij,nj->ni", curvature_batch(metric, pts).ginv, grad)

@@ -1,7 +1,7 @@
 """tools/compare_reports.py: reports compared byte for byte, the timestamp
-excepted, with each tree's computed batches, jet-tape rows, kept batch
-bytes, contraction products, MetricSpec constructions and field jet passes
-counted."""
+excepted, with each tree's src/ lines, computed batches, jet-tape rows, kept
+batch bytes, contraction products, MetricSpec constructions and field jet
+passes counted."""
 
 import importlib.util
 import json
@@ -33,17 +33,30 @@ def test_diff_ignores_only_the_timestamp(tmp_path):
     assert any("only in" in line for line in compare_reports.diff_trees(old, new))
 
 
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not code\n")
+    (tmp_path / "setup.py").write_text("outside src\n")
+    assert compare_reports.src_lines(tmp_path) == 4
+
+
 def test_a_tree_matches_itself(capsys):
     code = compare_reports.main([str(ROOT), str(ROOT), "--size", "tiny"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "identical" in out and "catalog_2k: computed batches" in out
+    lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
+    assert out.startswith(f"src/ lines: {lines} -> {lines}\n")
     # each jet tape holds each distinct expression once; one row per slot,
     # as before the tapes were deduplicated, gave 115 rows here; the kept
     # batches held 24 816 bytes with dense g, ginv and ricci; with each check
     # rebuilding its product and running one jet pass per field helper, the
     # run made 30 MetricSpecs and 26 field jet passes; one table row per
-    # slot formed 404 contraction products
-    assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 64 -> 64, "
+    # slot formed 404 contraction products; with constants written beside
+    # the tapes, they held 64 rows
+    assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 77 -> 77, "
             "kept batch bytes 11832 -> 11832, contraction products 248 -> 248, "
             "MetricSpec constructions 16 -> 16, field jet passes 14 -> 14") in out

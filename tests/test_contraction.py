@@ -95,6 +95,10 @@ _SIGNED_ZEROS = _metric(("x", "y", "z"), (
     (Const(-0.0), "0.2 * sin(x)", "2 + 0.1 * z^2"),
 ))
 
+# the last jet tape row is d_y d_y (4 - cos(x) y) = -0.0, a row no slot
+# reads, so the table's jet rows are one fewer than the tape's rows
+_TRAILING_ZERO = _metric(("x", "y"), (("2 + x^2", Const(0.0)), (Const(0.0), "4 - cos(x) * y")))
+
 # one 3x3 component whose (0, 2) slot is a structural zero, and a 1x1 one
 _BANDED = _metric(("x", "y", "z", "w"), (
     ("2 + 0.2 * sin(y)", "0.3 * cos(x + w)", Const(0.0), Const(0.0)),
@@ -106,7 +110,8 @@ _BANDED = _metric(("x", "y", "z", "w"), (
 
 def _special_inputs():
     dense = _random_dense_metric()
-    return [(m, sample(m.chart, SamplePlan(count=37))) for m in (dense, _SIGNED_ZEROS, _BANDED)]
+    return [(m, sample(m.chart, SamplePlan(count=37)))
+            for m in (dense, _SIGNED_ZEROS, _TRAILING_ZERO, _BANDED)]
 
 
 def _program(metric):
@@ -156,10 +161,13 @@ def test_hessian_from_christoffel_rows_matches_the_dense_contraction(inputs):
 def test_inputs_cover_the_special_patterns():
     assert np.signbit(differentiate(_SIGNED_ZEROS.entries[0][0], "y").value)
     assert _components(_SIGNED_ZEROS) == ((0,), (1, 2))
+    tape = _metric_plan(_TRAILING_ZERO).jet_program.tape
+    assert tape[-1] is Const(-0.0) and not any(e.value == 0.0 for e in tape[:-1]
+                                               if isinstance(e, Const))
     assert _components(_BANDED) == ((0, 1, 2), (3,))
     dense = _random_dense_metric()
     assert _components(dense) == (tuple(range(6)),)
-    maps, _ = _metric_plan(dense).slot_rows
+    maps = _metric_plan(dense).slot_rows
     assert all((m >= 0).all() for m in maps)
     skew = dict(conformal_route_pairs())["skew"]
     assert _components(conformal_metric(skew)) == ((0, 1),)
@@ -231,7 +239,7 @@ def test_one_program_per_pattern():
     # one pattern, two class structures: equal entries hold one value
     equal = _metric(("x", "y"), (("2 + sin(x * y)", Const(0.0)), (Const(0.0), "2 + sin(x * y)")))
     apart = _metric(("x", "y"), (("2 + sin(x * y)", Const(0.0)), (Const(0.0), "2 + cos(x * y)")))
-    maps = [_metric_plan(m).slot_rows[0] for m in (equal, apart)]
+    maps = [_metric_plan(m).slot_rows for m in (equal, apart)]
     assert all(np.array_equal(a >= 0, b >= 0) for a, b in zip(*maps))
     assert _program(equal) is not _program(apart)
     assert _program(equal).rows < _program(apart).rows

@@ -1,4 +1,4 @@
-"""Jet plans: one shared tape per metric or field, constant slots written directly.
+"""Jet plans: one shared tape per metric or field, one row per distinct expression.
 
 The reference below is the slot-by-slot assembly the plan replaced: every
 value and derivative of every upper-triangle entry compiled on its own.
@@ -14,7 +14,7 @@ from confprod.catalog import get_scenario, run_scenario, scenarios
 from confprod.checkers import SamplePlan
 from confprod.constructions import ConformalSpec, conformal_metric, joint_sum, product
 from confprod.errors import DomainError
-from confprod.expressions import Const, compile_expr, differentiate, parse
+from confprod.expressions import ZERO, Const, compile_expr, differentiate, parse
 from confprod.geometry import Chart, MetricSpec, _field_plan, _metric_plan, evaluation_scope
 
 
@@ -60,6 +60,7 @@ def test_no_jet_tape_repeats_an_expression():
     for metric, _ in _catalog_metrics():
         tape = _metric_plan(metric).jet_program.tape
         assert len(set(tape)) == len(tape)
+        assert all(e is not ZERO for e in tape)    # +0.0 slots stay implicit
 
 
 def test_field_plan_matches_reference_including_signed_zeros():
@@ -140,15 +141,19 @@ def test_constant_slots_stay_off_the_tape(monkeypatch):
     # derivative slots: 3630 slots, of which only the 10 diagonal entries'
     # 660 are not constant
     assert len(_metric_plan.__wrapped__(rescaled).jet_program.tape) <= 660
-    flat = _metric_plan.__wrapped__(base).jet_program
-    assert len(flat.tape) == 0 and flat.fn is None
+    # the flat base's +0.0 slots stay implicit and its ten diagonal 1.0
+    # entries read one row; before constants went on the tape it was empty
+    assert _metric_plan.__wrapped__(base).jet_program.tape == (Const(1.0),)
     assert seen and not any(isinstance(e, Const) for e in seen)
 
 
-@pytest.mark.parametrize("n,rows", [(3, 39), (5, 83), (8, 179)])
+@pytest.mark.parametrize("n,rows", [(3, 50), (5, 100), (8, 205)])
 def test_flat_quadratic_tapes_hold_each_expression_once(monkeypatch, n, rows):
     # the rescaled flat metric repeats phi^-2 and its derivatives on every
     # diagonal entry; one slot per tape row would make these 179, 677, 2474
+    # without the constants; with each distinct constant other than +0.0
+    # on the tape too, each tape gains a row per constant (39, 83, 179 when
+    # constants were written beside the tape)
     built = []
     program = geometry._JetPlan._program
 

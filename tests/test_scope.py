@@ -18,6 +18,7 @@ from confprod.catalog import builtin_metric, run_inline, run_scenario, scenarios
 from confprod.checkers import SamplePlan, conformally_einstein_check, sample
 from confprod.constructions import (
     ConformalSpec,
+    conformal_connection,
     conformal_metric,
     conformal_ricci_formula,
     product,
@@ -34,6 +35,7 @@ from confprod.geometry import (
     gradient_batch,
     laplacian_batch,
 )
+from instances import conformal_route_pairs
 
 PLAN = SamplePlan(count=24)
 
@@ -122,15 +124,21 @@ def test_scope_keeps_one_batch_per_metric_and_points():
 
 
 def test_field_helpers_agree_inside_and_outside_a_scope():
-    m = builtin_metric("hyperbolic", 3)
-    pts = sample(m.chart, PLAN)
-    phi = parse("cosh(t) + 0.2 * sin(v1)", m.chart.coords)
-    helpers = (laplacian_batch, grad_norm_sq_batch, gradient_batch)
-    plain = [h(phi, m, pts) for h in helpers]
-    with evaluation_scope():
-        curvature_batch(m, pts)
-        for h, want in zip(helpers, plain):
-            assert np.array_equal(h(phi, m, pts), want)
+    # on the non-diagonal skew base, the helpers once inverted g themselves
+    # outside a scope: at 200 points gradient_batch differed by 5.6e-17 and
+    # grad_norm_sq_batch by 5.4e-20
+    hyperbolic = builtin_metric("hyperbolic", 3)
+    skew = dict(conformal_route_pairs())["skew"]
+    for m, phi, plan in (
+            (hyperbolic, parse("cosh(t) + 0.2 * sin(v1)", hyperbolic.chart.coords), PLAN),
+            (skew.base, skew.phi, SamplePlan(count=200))):
+        pts = sample(m.chart, plan)
+        helpers = (laplacian_batch, grad_norm_sq_batch, gradient_batch)
+        plain = [h(phi, m, pts) for h in helpers]
+        with evaluation_scope():
+            curvature_batch(m, pts)
+            for h, want in zip(helpers, plain):
+                assert np.array_equal(h(phi, m, pts), want), (m.chart.coords, h.__name__)
 
 
 def test_scope_samples_each_chart_and_plan_once(monkeypatch):
@@ -264,7 +272,8 @@ def test_inline_report_is_identical_without_the_scope(monkeypatch):
 
 # --- work done once per run ----------------------------------------------------
 
-def test_field_consumers_run_one_jet_pass_each(monkeypatch):
+def _field_jet_passes(monkeypatch) -> list:
+    """The plans of the field jet passes run from here on, in order."""
     passes = []
     run = geometry._JetPlan._run
 
@@ -274,11 +283,26 @@ def test_field_consumers_run_one_jet_pass_each(monkeypatch):
         return run(plan, program, points)
 
     monkeypatch.setattr(geometry._JetPlan, "_run", counting)
+    return passes
+
+
+def test_field_consumers_run_one_jet_pass_each(monkeypatch):
+    passes = _field_jet_passes(monkeypatch)
     run_scenario("sphere_hyperbolic", plan=PLAN)
     # one each for the conformal formula, the mixed-Ricci partials and the
     # factor identity, two each (one per factor) for the two summand routes;
     # with one pass per field helper call this was 13
     assert len(passes) == 7
+
+
+def test_conformal_connection_runs_one_jet_pass(monkeypatch):
+    skew = dict(conformal_route_pairs())["skew"]
+    pts = sample(skew.base.chart, PLAN)
+    passes = _field_jet_passes(monkeypatch)
+    conformal_connection(skew, 0, 1, pts)
+    # d phi, raised with the batch's g^-1; raising it through gradient_batch
+    # ran a second pass
+    assert len(passes) == 1
 
 
 def test_custom_labels_compute_the_same_batches(monkeypatch):

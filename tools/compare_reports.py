@@ -8,7 +8,9 @@ benchmark workloads of perfbench/workloads.py (catalog_2k and dim_sweep, at
 catalog (200 samples at full size, 20 at tiny).  Every report and each run's
 standard output are then compared byte for byte, the `generated_at` line
 excepted.  The workload inputs come from this checkout's perfbench/, which
-is only imported.  Six counts are printed per run for each tree:
+is only imported.  Each tree's `src/` line count (newlines in its `.py`
+files, as `wc -l` counts them) is printed first, then six counts per run
+for each tree:
 
 - computed batches: calls of geometry._compute_batch, scope hits excluded;
 - jet-tape rows: summed over every jet plan's derivative tape;
@@ -117,6 +119,11 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     (Path(out) / "counts.json").write_text(json.dumps(counts))
 
 
+def src_lines(tree: str | Path) -> int:
+    """Lines of the Python files under the tree's src/."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(tree) / "src").rglob("*.py"))
+
+
 def _deterministic(path: Path) -> list[str]:
     return _GENERATED_AT.sub("", path.read_text()).splitlines(keepends=True)
 
@@ -150,6 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         _run_tree(*args.run_tree, seeds[0], args.size)
         return 0
 
+    print(f"src/ lines: {src_lines(args.old)} -> {src_lines(args.new)}")
     differing = 0
     with tempfile.TemporaryDirectory() as scratch:
         for seed in seeds:
