@@ -221,11 +221,6 @@ class _JetPlan:
         """(value, gradient, hessian); gradient[..., k] = d_k, hessian[..., k, l] = d_k d_l."""
         return tuple(self._run(self.jet_program, points))
 
-    def tape_rows(self, points: np.ndarray) -> np.ndarray:
-        """The jet tape's rows at the points, shape (len(tape), count).
-        Raises the tape's first DomainError."""
-        return self.jet_program.fn(points)
-
     @cached_property
     def slot_rows(self) -> tuple[np.ndarray, ...]:
         """Per output (value, gradient, hessian), each flat jet slot's tape
@@ -859,7 +854,7 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
         tables = []
         for part in parts:
             table = np.empty((part.program.rows, len(sliced)))
-            table[:part.taped] = part.plan.tape_rows(sliced[:, part.idx])[:part.taped]
+            table[:part.taped] = part.plan.jet_program.fn(sliced[:, part.idx])[:part.taped]
             tables.append(table)
         g = np.concatenate([t[part.program.fields[0][1]] for part, t in zip(parts, tables)])
         _check_positive_definite(_dense(g, g_slots, n), sliced, _components(metric))

@@ -33,16 +33,6 @@ def test_diff_ignores_only_the_timestamp(tmp_path):
     assert any("only in" in line for line in compare_reports.diff_trees(old, new))
 
 
-def test_src_lines_counts_the_python_files_under_src(tmp_path):
-    package = tmp_path / "src" / "pkg"
-    package.mkdir(parents=True)
-    (package / "a.py").write_text("x = 1\n\ny = 2\n")
-    (package / "b.py").write_text("z = 3\n")
-    (package / "notes.txt").write_text("not code\n")
-    (tmp_path / "setup.py").write_text("outside src\n")
-    assert compare_reports.src_lines(tmp_path) == 4
-
-
 def test_a_tree_matches_itself(capsys):
     code = compare_reports.main([str(ROOT), str(ROOT), "--size", "tiny"])
     out = capsys.readouterr().out

@@ -151,9 +151,8 @@ def test_constant_slots_stay_off_the_tape(monkeypatch):
 def test_flat_quadratic_tapes_hold_each_expression_once(monkeypatch, n, rows):
     # the rescaled flat metric repeats phi^-2 and its derivatives on every
     # diagonal entry; one slot per tape row would make these 179, 677, 2474
-    # without the constants; with each distinct constant other than +0.0
-    # on the tape too, each tape gains a row per constant (39, 83, 179 when
-    # constants were written beside the tape)
+    # without the constants, and with the constants written beside the tape
+    # they were 39, 83, 179
     built = []
     program = geometry._JetPlan._program
 
