@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -28,7 +29,10 @@ from .expressions import parse
 from .geometry import Chart, MetricSpec, curvature
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept for the process; each
+    parse_args call starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="confprod",
         description="curvature checks for conformally rescaled product metrics",

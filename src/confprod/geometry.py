@@ -535,9 +535,14 @@ def _factors(metric: MetricSpec) -> tuple[tuple[tuple[int, ...], MetricSpec], ..
 # each contraction's products as index arrays.  Each contraction's outputs
 # are value-numbered again (Alpern, Wegman and Zadeck 1988): output slots
 # whose merged products are the same share one row, so later contractions
-# see fewer distinct rows.  The numeric phase (_contract) fills the table
-# for one slice of points and runs each step as a gather, an in-place
-# product and one np.add.reduceat.
+# see fewer distinct rows.  A contraction step costs a fixed handful of
+# array passes (_step): a term with an all-zero input is dropped, each other
+# term's candidate products on canonical outputs are the true entries of one
+# boolean np.einsum over the two non-zero masks (one np.nonzero), and the
+# step's candidates are merged by one stable sort and one np.add.reduceat;
+# only the value numbering visits the step's output slots one by one.  The
+# numeric phase (_contract) fills the table for one slice of points and runs
+# each step as a gather, an in-place product and one np.add.reduceat.
 
 class _Step(NamedTuple):
     """table[out][r] = sum of coef[p] table[a[p]] table[b[p]] over r's products p."""
@@ -573,66 +578,91 @@ class _Layout:
 
     def __init__(self, rows: int):
         self.rows = rows
-        self.formed: dict[tuple[bytes, bytes], int] = {}
+        self.formed: dict[bytes, int] = {}
 
 
-def _pairs(spec: str, a: np.ndarray, b: np.ndarray):
-    """(rows of a, rows of b, flat output slots) of every product of the
-    einsum-style spec whose two slots are non-zero in the slot maps a, b."""
+class _Map(NamedTuple):
+    """A tensor's slot map (each slot's table row, -1 for a zero slot) and
+    its non-zero mask, None when every slot is zero."""
+    rows: np.ndarray
+    nonzero: Optional[np.ndarray]
+
+
+def _map(rows: np.ndarray) -> _Map:
+    nonzero = rows >= 0
+    return _Map(rows, nonzero if nonzero.any() else None)
+
+
+@lru_cache(maxsize=None)
+def _einsum(spec: str, pairs: tuple) -> tuple[str, str, str, str, str]:
+    """The einsum-style spec parsed: its two inputs, its output, every letter
+    (the output's first), and the boolean einsum over the inputs' non-zero
+    masks (and, per symmetric pair, the upper triangle of its two output
+    letters) that is true on each product with a canonical output."""
     inputs, out = spec.split("->")
     sa, sb = inputs.split(",")
-    n = a.shape[0]
-    found = np.nonzero(a >= 0)
-    letters: dict[str, np.ndarray] = {}
-    keep = np.ones(len(found[0]), dtype=bool)
-    for letter, axis in zip(sa, found):
-        if letter in letters:
-            keep &= letters[letter] == axis
-        else:
-            letters[letter] = axis
-    extra = [c for c in dict.fromkeys(sb + out) if c not in letters]
-    size = n ** len(extra)
-    grid = np.indices((n,) * len(extra)).reshape(len(extra), size)
-    index = {c: np.repeat(v[keep], size) for c, v in letters.items()}
-    index.update((c, np.tile(grid[k], int(keep.sum()))) for k, c in enumerate(extra))
-    ra = a[tuple(index[c] for c in sa)]
-    rb = b[tuple(index[c] for c in sb)]
-    slot = np.ravel_multi_index(tuple(index[c] for c in out), (n,) * len(out))
-    ok = rb >= 0
-    return ra[ok], rb[ok], slot[ok]
+    letters = "".join(dict.fromkeys(out + sa + sb))
+    upper = "".join(f",{out[p]}{out[q]}" for p, q in pairs)
+    return sa, sb, out, letters, f"{inputs}{upper}->{letters}"
+
+
+def _flat(index: dict, letters: str, n: int) -> np.ndarray:
+    """The flat slot, in an array of side n, of the index over `letters`."""
+    flat = index[letters[0]]
+    for c in letters[1:]:
+        flat = flat * n + index[c]
+    return flat
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal sorted keys starts, and where it ends."""
+    change = np.empty(len(keys) + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:-1])
+    bounds = np.flatnonzero(change)
+    return bounds[:-1], bounds[1:]
 
 
 def _step(layout: _Layout, shape: tuple[int, ...], terms, *pairs):
-    """Place the output of a sum of products; (its slot map, its canonical
-    flat slots, its _Step or None).
+    """Place the output of a sum of products; (its _Map, its canonical flat
+    slots, its _Step or None).
 
-    terms are (coefficient, spec, slot map a, slot map b).  With `pairs`,
-    the output is symmetric and only its canonical slots are computed; the
-    map gives a mirrored slot the row of the one whose indices are in order.
-    Products that read the same two rows into the same output are merged,
-    their coefficients summed, and those that cancel are dropped.  Output
-    slots left with the same products hold one value: they share one row,
-    that of an earlier output (of this or an earlier step) when there is
-    one, and only the first of them is formed.
+    terms are (coefficient, spec, _Map a, _Map b).  With `pairs`, the output
+    is symmetric and only its canonical slots are computed; the map gives a
+    mirrored slot the row of the one whose indices are in order.  A term
+    with an all-zero input forms nothing.  Products that read the same two
+    rows into the same output are merged, their coefficients summed, and
+    those that cancel are dropped.  Output slots left with the same products
+    hold one value: they share one row, that of an earlier output (of this
+    or an earlier step) when there is one, and only the first of them is
+    formed.
     """
-    found = [(coef, *_pairs(spec, a, b)) for coef, spec, a, b in terms]
-    ra, rb, slot = (np.concatenate([f[k] for f in found]) for k in (1, 2, 3))
-    coef = np.concatenate([np.full(len(f[1]), f[0]) for f in found])
-    index = np.unravel_index(slot, shape)
-    keep = np.ones(len(slot), dtype=bool)
-    for p, q in pairs:
-        keep &= index[p] <= index[q]
-    width = layout.rows
-    key = (slot[keep] * width + np.minimum(ra, rb)[keep]) * width + np.maximum(ra, rb)[keep]
-    key, inverse = np.unique(key, return_inverse=True)
-    coef = np.bincount(inverse, weights=coef[keep], minlength=len(key))
-    key, coef = key[coef != 0.0], coef[coef != 0.0]
-    slot, lo, hi = key // width // width, key // width % width, key % width
+    n, width = shape[0], layout.rows
+    upper = [np.arange(n)[:, None] <= np.arange(n) for _ in pairs]
+    found = []          # per term: (its coefficient, output slots, rows of a, rows of b)
+    for coef, spec, a, b in terms:
+        if a.nonzero is None or b.nonzero is None:
+            continue
+        sa, sb, out, letters, subscripts = _einsum(spec, pairs)
+        index = dict(zip(letters, np.nonzero(
+            np.einsum(subscripts, a.nonzero, b.nonzero, *upper))))
+        found.append((coef, _flat(index, out, n), a.rows.take(_flat(index, sa, n)),
+                      b.rows.take(_flat(index, sb, n))))
     rows = np.full(shape, -1, dtype=np.intp)
-    if not len(key):
-        return rows, slot, None
-    ends = np.append(np.flatnonzero(slot[1:] != slot[:-1]) + 1, len(key))
-    starts = np.append(0, ends[:-1])          # each output's products
+    if not found:
+        return _map(rows), np.zeros(0, dtype=np.intp), None
+    coefs, slot, ra, rb = zip(*found)
+    slot, ra, rb = np.concatenate(slot), np.concatenate(ra), np.concatenate(rb)
+    lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    key = (slot * width + lo) * width + hi
+    order = np.argsort(key, kind="stable")
+    firsts, _ = _runs(key[order])
+    coef = np.add.reduceat(np.repeat(coefs, [len(s) for _, s, _, _ in found])[order], firsts)
+    kept = order[firsts[coef != 0.0]]
+    slot, lo, hi, coef = slot[kept], lo[kept], hi[kept], coef[coef != 0.0]
+    if not len(kept):
+        return _map(rows), slot, None
+    starts, ends = _runs(slot)                # each output's products
     # each output's products as one bytes key: an output whose key is known
     # reads the row that key got, a new key gets the next row (setdefault's
     # default is read before it inserts the key)
@@ -646,14 +676,15 @@ def _step(layout: _Layout, shape: tuple[int, ...], terms, *pairs):
     for p, q in pairs:
         rows = np.maximum(rows, np.swapaxes(rows, p, q))
     if layout.rows == top:
-        return rows, slot[starts], None
-    _, first = np.unique(out, return_index=True)
-    new = np.zeros(len(out), dtype=bool)
-    new[first[out[first] >= top]] = True      # the first output of each new row
+        return _map(rows), slot[starts], None
+    # new rows are numbered in order, so an output forms its row when its
+    # row is new and above every earlier output's
+    new = out >= top
+    new[1:] &= out[1:] > np.maximum.accumulate(out)[:-1]
     formed = np.repeat(new, ends - starts)
     sizes = (ends - starts)[new]
-    return rows, slot[starts], _Step(lo[formed], hi[formed], coef[formed, None],
-                                     np.cumsum(sizes) - sizes, slice(top, layout.rows))
+    return _map(rows), slot[starts], _Step(lo[formed], hi[formed], coef[formed, None],
+                                           np.cumsum(sizes) - sizes, slice(top, layout.rows))
 
 
 @lru_cache(maxsize=256)
@@ -677,6 +708,9 @@ def _contraction(n: int, pattern: bytes, classes: bytes) -> _Contraction:
     Gamma^a_ab = g^al dg[a, l, b] / 2 since g^al is symmetric, so no
     derivative of Gamma is formed; the traces div and trace are formed
     first, so the Ricci terms that read them cost n^3 products, not n^4.
+    Building the program costs a fixed handful of array passes per term
+    and per step (_step); only the value numbering does Python work per
+    output slot.
     """
     nonzero = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8),
                             count=n**2 + n**3 + n**4).astype(bool)
@@ -685,29 +719,31 @@ def _contraction(n: int, pattern: bytes, classes: bytes) -> _Contraction:
     g, dg, d2g = (jets[:n**2].reshape(n, n), jets[n**2:-n**4].reshape((n,) * 3),
                   jets[-n**4:].reshape((n,) * 4))
     layout = _Layout(int(jets.max(initial=-1)) + 1)   # the jet classes are rows 0, 1, ...
-    g_slots = np.flatnonzero(np.triu(g >= 0))
-    # g^-1 block by block of g; components with the same g rows share their rows
-    components = _partition(n, zip(*np.nonzero(g >= 0)))
-    ginv = np.full((n, n), -1, dtype=np.intp)
-    distinct: dict[bytes, tuple[int, ...]] = {}
-    for c in components:
-        ix = np.ix_(c, c)
-        first = distinct.setdefault(g[ix].tobytes(), c)
-        if first is c:
-            upper = np.triu(np.ones((len(c),) * 2, dtype=bool))
-            ginv[ix] = np.where(upper, layout.rows + np.cumsum(upper).reshape(upper.shape) - 1, -1)
-            layout.rows += int(upper.sum())
-        else:
-            ginv[ix] = ginv[np.ix_(first, first)]
+    g_slots = np.flatnonzero((g >= 0) & (np.arange(n)[:, None] <= np.arange(n)))
+    # g^-1 block by block of g, each block's upper triangle row by row;
+    # components with the same g rows share their rows
+    g_rows, inv = g.tolist(), [[-1] * n for _ in range(n)]
+    distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for c in _partition(n, zip(*np.nonzero(g >= 0))):
+        first = distinct.setdefault(tuple(g_rows[i][j] for i in c for j in c), c)
+        for x, i in enumerate(c):
+            for y in range(x, len(c)):
+                if first is c:
+                    inv[i][c[y]] = layout.rows
+                    layout.rows += 1
+                else:
+                    inv[i][c[y]] = inv[first[x]][first[y]]
+    ginv = np.array(inv, dtype=np.intp)
     ginv_slots = np.flatnonzero(ginv >= 0)
-    ginv = np.maximum(ginv, ginv.T)
+    ginv, dg, d2g = _map(np.maximum(ginv, ginv.T)), _map(dg), _map(d2g)
     ones = np.array([c[0] for c in distinct.values() if len(c) == 1], dtype=np.intp)
     blocks = []
     for c in distinct.values():
         if len(c) > 1:
             k = len(c)
             upper = np.flatnonzero(np.triu(np.ones((k, k), dtype=bool)))
-            blocks.append((k, g[np.ix_(c, c)].ravel(), upper, ginv[np.ix_(c, c)].ravel()[upper]))
+            blocks.append((k, g[np.ix_(c, c)].ravel(), upper,
+                           ginv.rows[np.ix_(c, c)].ravel()[upper]))
     line, square, cube = (n,), (n, n), (n, n, n)
     m, _, m_step = _step(layout, cube, [(1.0, "stm,as->atm", dg, ginv)])
     dginv, _, dginv_step = _step(layout, cube, [(-1.0, "atm,tl->alm", m, ginv)], (0, 1))
@@ -731,12 +767,13 @@ def _contraction(n: int, pattern: bytes, classes: bytes) -> _Contraction:
     k, i, j = np.unravel_index(gamma_slots, cube)
     by_output = np.lexsort((k, i * n + j))
     out = (i * n + j)[by_output]
-    starts = np.flatnonzero(np.diff(out, prepend=-1))
+    starts, _ = _runs(out)
     return _Contraction(
         dim=n, rows=layout.rows,
-        reciprocals=(g[ones, ones], ginv[ones, ones]), blocks=tuple(blocks), steps=steps,
+        reciprocals=(g[ones, ones], ginv.rows[ones, ones]), blocks=tuple(blocks), steps=steps,
         fields=tuple((slots, t.flat[slots]) for t, slots in (
-            (g, g_slots), (ginv, ginv_slots), (ricci, ricci_slots), (gamma, gamma_slots))),
+            (g, g_slots), (ginv.rows, ginv_slots), (ricci.rows, ricci_slots),
+            (gamma.rows, gamma_slots))),
         hessian=(by_output, k[by_output], starts, out[starts]),
         most=max((len(s.a) for s in steps), default=0))
 
@@ -774,12 +811,6 @@ class _BatchPart(NamedTuple):
     width: int                              # tape and table rows per point
 
 
-def _lift(idx: tuple[int, ...], n: int, slots: np.ndarray, axes: int) -> np.ndarray:
-    """The whole metric's flat slots of a part's flat slots over `axes` axes."""
-    local = np.unravel_index(slots, (len(idx),) * axes)
-    return np.ravel_multi_index(tuple(np.array(idx)[i] for i in local), (n,) * axes)
-
-
 @lru_cache(maxsize=128)
 def _batch_part(metric: MetricSpec, idx: tuple[int, ...], n: int) -> _BatchPart:
     """The part's plan and the program of its value classes: the jet slots
@@ -813,25 +844,43 @@ _AXES = (2, 2, 2, 3)    # of g, ginv, ricci, Gamma: the order of _Contraction.fi
 
 @lru_cache(maxsize=128)
 def _batch_plan(metric: MetricSpec) -> tuple[tuple[_BatchPart, ...], _BatchLayout]:
-    """The metric's parts (_batch_part) and its compact rows' layout."""
+    """The metric's parts (_batch_part) and its compact rows' layout; each
+    tensor's slots, and the Hessian's, are lifted to the whole chart by one
+    gather over all parts, from tables of each part's slots."""
     n = metric.dim
     parts = tuple(_batch_part(part, idx, n) for idx, part in _factors(metric))
-    firsts, slots = [[] for _ in _AXES], [[] for _ in _AXES]
-    pieces = []
-    products = 0
+    # per part, the whole chart's index of each of the part's own indices
+    # over one, two and three axes: coordinates, then flat slots
+    tables = [], [], []
     for part in parts:
-        m = part.program.dim
-        for t, (local, _) in enumerate(part.program.fields):
-            firsts[t].append(sum(len(s) for s in slots[t]))
-            slots[t].append(_lift(part.idx, n, local, _AXES[t]))
-        by_output, k, starts, out = part.program.hessian
-        pieces.append((by_output + firsts[3][-1], np.array(part.idx)[k], starts + products,
-                       _lift(part.idx, n, out, 2), _lift(part.idx, n, out % m * m + out // m, 2)))
-        products += len(by_output)
-    arrays = [np.concatenate(s) for s in slots] + [np.concatenate(c) for c in zip(*pieces)]
+        idx = np.array(part.idx)
+        tables[0].append(idx)
+        tables[1].append((idx[:, None] * n + idx).ravel())
+        tables[2].append((tables[1][-1][:, None] * n + idx).ravel())
+
+    def before(counts: list[int]) -> np.ndarray:
+        """Each part's first item, of items counted part by part."""
+        return np.cumsum([0] + counts[:-1])
+
+    whole = [(np.concatenate(t), before([len(a) for a in t])) for t in tables]
+
+    def lift(local, axes: int) -> np.ndarray:
+        """The whole chart's indices of the parts' indices over `axes` axes."""
+        table, offsets = whole[axes - 1]
+        return table[np.concatenate(local) + np.repeat(offsets, [len(a) for a in local])]
+
+    fields = [[part.program.fields[t][0] for part in parts] for t in range(len(_AXES))]
+    firsts = [before([len(slots) for slots in local]) for local in fields]
+    by_output, k, starts, out = zip(*(part.program.hessian for part in parts))
+    products = [len(a) for a in by_output]
+    arrays = [lift(local, axes) for local, axes in zip(fields, _AXES)] + [
+        np.concatenate(by_output) + np.repeat(firsts[3], products), lift(k, 1),
+        np.concatenate(starts) + np.repeat(before(products), [len(s) for s in starts]),
+        lift(out, 2), lift([o % len(t) * len(t) + o // len(t) for o, t in zip(out, tables[0])], 2)]
     for array in arrays:
         array.flags.writeable = False
-    return parts, _BatchLayout(tuple(map(tuple, firsts)), tuple(arrays[:4]), *arrays[4:])
+    return parts, _BatchLayout(tuple(tuple(f.tolist()) for f in firsts), tuple(arrays[:4]),
+                               *arrays[4:])
 
 
 def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:

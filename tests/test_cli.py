@@ -215,6 +215,29 @@ def test_bad_flags_exit_through_argparse(capsys):
     capsys.readouterr()
 
 
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; each call parses its own argv
+    from confprod import cli
+    assert cli._build_parser() is cli._build_parser()
+    reports = [tmp_path / "a.json", tmp_path / "b.json"]
+    code, _, _ = run(capsys, "check", "--scenario", "flat_quadratic", "--param", "R=2",
+                     "--report", str(reports[0]), *FAST)
+    assert code == 0
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--samples", "many"])
+    assert err.value.code == 2
+    assert "invalid int value: 'many'" in capsys.readouterr().err
+    code, _, _ = run(capsys, "check", "--scenario", "flat_quadratic",
+                     "--report", str(reports[1]), *FAST)
+    assert code == 0
+    params = [json.loads(p.read_text())["scenarios"][0]["params"] for p in reports]
+    assert [p["R"] for p in params] == [2.0, 1.0]
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--bogus"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
 def test_report_is_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

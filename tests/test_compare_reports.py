@@ -1,7 +1,7 @@
 """tools/compare_reports.py: reports compared byte for byte, the timestamp
 excepted, with each tree's src/ lines, computed batches, jet-tape rows, kept
-batch bytes, contraction products, MetricSpec constructions and field jet
-passes counted."""
+batch bytes, contraction products, MetricSpec constructions, field jet
+passes, symbolic programs and their table rows counted."""
 
 import importlib.util
 import json
@@ -49,4 +49,5 @@ def test_a_tree_matches_itself(capsys):
     # the tapes, they held 64 rows
     assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 77 -> 77, "
             "kept batch bytes 11832 -> 11832, contraction products 248 -> 248, "
-            "MetricSpec constructions 16 -> 16, field jet passes 14 -> 14") in out
+            "MetricSpec constructions 16 -> 16, field jet passes 14 -> 14, "
+            "symbolic programs 4 -> 4, symbolic table rows 112 -> 112") in out

@@ -174,8 +174,9 @@ def test_inputs_cover_the_special_patterns():
 
 # --- the count guard: products, not times --------------------------------------
 
-def _cosh_cylinder_rescaled():
-    inst, _ = get_scenario("cosh_cylinder").build({})
+def _rescaled(name, **params):
+    """The scenario's rescaled product metric phi^-2 (g1 + g2)."""
+    inst, _ = get_scenario(name).build(params)
     block = product(inst.g1, inst.g2, inst.labels)
     phi = inst.phi if inst.phi is not None else joint_sum(block, inst.phi1, inst.phi2)
     return conformal_metric(ConformalSpec(block, phi))
@@ -186,18 +187,34 @@ def _products(metric):
     return sum(len(step.a) for part in parts for step in part.program.steps)
 
 
-def _flat_quadratic_rescaled(n):
-    inst, _ = get_scenario("flat_quadratic").build({"n1": n, "n2": n, "R": 1.0})
-    block = product(inst.g1, inst.g2)
-    return conformal_metric(ConformalSpec(block, joint_sum(block, inst.phi1, inst.phi2)))
-
-
 def test_value_numbering_shrinks_the_flat_products():
     # one row per slot formed 858, 1 984 and 3 810 products; the diagonal
     # entries phi^-2 are one value, as are their derivatives in each direction
-    assert [_products(_flat_quadratic_rescaled(n)) for n in (3, 4, 5)] == [279, 492, 765]
-    metric = _flat_quadratic_rescaled(3)
-    _assert_matches_reference(metric, sample(metric.chart, SamplePlan(count=37)))
+    flat = [_rescaled("flat_quadratic", n1=n, n2=n, R=1.0) for n in (3, 4, 5)]
+    assert [_products(metric) for metric in flat] == [279, 492, 765]
+    assert [_program(metric).rows for metric in flat] == [80, 122, 172]
+    _assert_matches_reference(flat[0], sample(flat[0].chart, SamplePlan(count=37)))
+
+
+def test_sphere_hyperbolic_programs_keep_their_size():
+    # table rows and products as the slot-by-slot enumeration built them,
+    # before each term's candidates came from one boolean einsum
+    metrics = [_rescaled("sphere_hyperbolic", n1=n, n2=n, b_bar=0.1) for n in (3, 4, 5)]
+    assert all(len(_factors(metric)) == 1 for metric in metrics)
+    assert [_program(metric).rows for metric in metrics] == [104, 178, 274]
+    assert [_products(metric) for metric in metrics] == [174, 308, 490]
+
+
+def test_a_constant_one_by_one_metric_has_no_steps():
+    metric = _metric(("x",), ((Const(2.0),),))
+    program = _program(metric)
+    # the jet row of the constant and its reciprocal; every other term has
+    # an all-zero input
+    assert program.rows == 2 and program.steps == () and program.most == 0
+    assert [len(slots) for slots, _ in program.fields] == [1, 1, 0, 0]
+    batch = curvature_batch(metric, np.array([[0.5], [-0.25]]))
+    assert np.array_equal(batch.ginv_rows, [[0.5, 0.5]])
+    assert not batch.ricci_rows.size and not batch.christoffel_rows.size
 
 
 def test_trace_intermediates_shrink_the_dense_ricci_step():
@@ -208,7 +225,7 @@ def test_trace_intermediates_shrink_the_dense_ricci_step():
 
 
 def test_cosh_cylinder_forms_few_products():
-    metric = _cosh_cylinder_rescaled()
+    metric = _rescaled("cosh_cylinder")
     assert metric.dim == 6 and len(_factors(metric)) == 1
     program = _program(metric)
     products = sum(len(step.a) for step in program.steps)

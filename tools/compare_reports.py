@@ -9,7 +9,7 @@ catalog (200 samples at full size, 20 at tiny).  Every report and each run's
 standard output are then compared byte for byte, the `generated_at` line
 excepted.  The workload inputs come from this checkout's perfbench/, which
 is only imported.  Each tree's `src/` line count (newlines in its `.py`
-files, as `wc -l` counts them) is printed first, then six counts per run
+files, as `wc -l` counts them) is printed first, then eight counts per run
 for each tree:
 
 - computed batches: calls of geometry._compute_batch, scope hits excluded;
@@ -20,7 +20,10 @@ for each tree:
   computed batches (len(step.a) summed over each part's steps);
 - MetricSpec constructions;
 - field jet passes: jet runs of a scalar field's plan (_JetPlan._run on its
-  derivative program).
+  derivative program);
+- symbolic programs: the programs the symbolic phase builds (calls of
+  geometry._contraction that miss its cache);
+- symbolic table rows: those programs' table rows (_Contraction.rows), summed.
 
 The plan caches of geometry and the builder memo of constructions are
 cleared before each run, so a run builds its plans, tapes and metrics as a
@@ -46,7 +49,8 @@ HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog_2k", "dim_sweep")
 CATALOG_SAMPLES = {"full": 200, "tiny": 20}
 COUNTS = ("computed batches", "jet-tape rows", "kept batch bytes", "contraction products",
-          "MetricSpec constructions", "field jet passes")
+          "MetricSpec constructions", "field jet passes", "symbolic programs",
+          "symbolic table rows")
 _GENERATED_AT = re.compile(r'^\s*"generated_at": "[^"]*",\n', re.MULTILINE)
 
 
@@ -58,6 +62,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
 
     counts: dict = {}
     compute, program = geometry._compute_batch, geometry._JetPlan._program
+    contraction = geometry._contraction
     run, post_init = geometry._JetPlan._run, geometry.MetricSpec.__post_init__
     scope = catalog.evaluation_scope
 
@@ -78,6 +83,16 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
             counts[name]["field jet passes"] += 1
         return run(plan, built, points)
 
+    def counting_programs(*key):
+        misses = contraction.cache_info().misses
+        built = contraction(*key)
+        if contraction.cache_info().misses > misses:
+            counts[name]["symbolic programs"] += 1
+            counts[name]["symbolic table rows"] += built.rows
+        return built
+
+    counting_programs.cache_clear = contraction.cache_clear
+
     def counting_rows(plan, order):
         built = program(plan, order)
         if order == 2:
@@ -95,6 +110,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
                 counts[name]["kept batch bytes"] = max(counts[name]["kept batch bytes"], total)
 
     geometry._compute_batch = counting
+    geometry._contraction = counting_programs
     geometry._JetPlan._program = counting_rows
     geometry._JetPlan._run = counting_passes
     geometry.MetricSpec.__post_init__ = counting_specs
