@@ -47,8 +47,6 @@ import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
-GRAMMAR_VERSION = "1"
-
 
 # --- nodes ------------------------------------------------------------------
 

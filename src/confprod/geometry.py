@@ -2,17 +2,18 @@
 
 Derivatives of metric entries are symbolic (expressions.differentiate).
 No finite differences anywhere in this path.  Batches contract Ricci
-straight from the metric jets, one product factor at a time when the
-metric splits into factors, and only over the slots that can be non-zero,
-each distinct value once: a jet plan hands over its tape rows and a
-slot-to-row map, a symbolic phase cached per class structure (which slots
+straight from the metric jets, only over the slots that can be non-zero,
+each distinct value once: a metric's jet plan hands over its tape rows and
+a slot-to-row map, a symbolic phase cached per class structure (which slots
 are zero, which hold the same value) works out which products each
-contraction forms, and a numeric phase forms them slice by slice on a
-slot-major table (see "structural-sparse contraction" below).  A batch
-keeps g, g^-1, the Christoffel symbols and Ricci as that table's compact
-rows, one per canonical slot that can be non-zero, and the covariant
-Hessian contracts the Christoffel rows directly; dense arrays are built
-only on request (CurvatureBatch.g, .ginv, .ricci, .gamma).  The full
+contraction forms, and a numeric phase forms them slice by slice on one
+slot-major table (see "structural-sparse contraction" below).  A product
+metric g1 + g2 needs no split: its cross-factor slots are structural zeros,
+so no product reads them and g is inverted one diagonal block at a time.
+A batch keeps g, g^-1, the Christoffel symbols and Ricci as that table's
+compact rows, one per canonical slot that can be non-zero, and the
+covariant Hessian contracts the Christoffel rows directly; dense arrays are
+built only on request (CurvatureBatch.g, .ginv, .ricci, .gamma).  The full
 Riemann tensor is dense algebra, built only for single-point queries
 (curvature()).
 
@@ -221,22 +222,6 @@ class _JetPlan:
         """(value, gradient, hessian); gradient[..., k] = d_k, hessian[..., k, l] = d_k d_l."""
         return tuple(self._run(self.jet_program, points))
 
-    @cached_property
-    def slot_rows(self) -> tuple[np.ndarray, ...]:
-        """Per output (value, gradient, hessian), each flat jet slot's tape
-        row, -1 for a zero slot (one whose row is a constant zero of either
-        sign, or none).  Slots that the plan writes from one tape row (paired
-        entries, paired derivatives, equal expressions, equal constants) read
-        the same row."""
-        program = self.jet_program
-        zero = np.array([_is_zero(e) for e in program.tape], dtype=bool)
-        maps = []
-        for order, (tape_rows, cols) in enumerate(program.scatter):
-            rows = np.full(math.prod(self.shape) * len(self.coords) ** order, -1, dtype=np.intp)
-            rows[cols] = np.where(zero[tape_rows], -1, tape_rows)
-            maps.append(rows)
-        return tuple(maps)
-
 
 @lru_cache(maxsize=512)
 def _field_plan(e: Expr, coords: tuple[str, ...]) -> _JetPlan:
@@ -369,10 +354,10 @@ def _dense(rows: np.ndarray, slots: np.ndarray, n: int, axes: int = 2) -> np.nda
 class CurvatureBatch:
     """Curvature at a batch of points: g, g^-1, Gamma and Ricci as compact rows.
 
-    Each tensor keeps one row per canonical slot that can be non-zero, the
-    product factors' rows one after the other: g_rows[r, p] is g_ij at point
-    p for the flat slot g_slots[r] = i n + j, i <= j, and likewise ginv_rows
-    and ricci_rows; christoffel_rows[r, p] is Gamma^k_ij for the flat slot
+    Each tensor keeps one row per canonical slot that can be non-zero, in
+    the order of the slots: g_rows[r, p] is g_ij at point p for the flat
+    slot g_slots[r] = i n + j, i <= j, and likewise ginv_rows and ricci_rows;
+    christoffel_rows[r, p] is Gamma^k_ij for the flat slot
     christoffel_slots[r] = (k n + i) n + j, i <= j.  The mirrored slot (j, i)
     holds the same value, and every slot with no row is an exact zero.  The
     dense arrays g, ginv, ricci and gamma are built from the rows anew on
@@ -493,36 +478,6 @@ def _scope_key(metric: MetricSpec, pts: np.ndarray) -> tuple:
     samples = _SAMPLES.get()
     kept = None if samples is None else samples.keys.get(id(pts))
     return (metric, *(kept or (pts.shape, pts.tobytes())))
-
-
-@lru_cache(maxsize=128)
-def _factors(metric: MetricSpec) -> tuple[tuple[tuple[int, ...], MetricSpec], ...]:
-    """The finest split of the chart's coordinates that no entry couples.
-
-    Coordinates i and j share a part when entry (i, j) is not a constant
-    zero or an entry in row i depends on coordinate j.  Each part comes as
-    (its coordinate indices, its metric on the sub-chart), in chart order;
-    a metric that does not split is its own single part.  The connection
-    and Ricci tensor of the whole are the direct sums of the parts'.
-    """
-    n, coords = metric.dim, metric.chart.coords
-    index = {c: k for k, c in enumerate(coords)}
-    links = []
-    for i, row in enumerate(metric.entries):
-        for j, e in enumerate(row):
-            links += [(i, index[c]) for c in free_coords(e)]
-            if not _is_zero(e):
-                links.append((i, j))
-    parts = _partition(n, links)
-    if len(parts) == 1:
-        return ((tuple(range(n)), metric),)
-    chart = metric.chart
-    return tuple(
-        (idx, MetricSpec(
-            Chart(tuple(coords[i] for i in idx), tuple(chart.domain[i] for i in idx),
-                  chart.singular_margin),
-            tuple(tuple(metric.entries[i][j] for j in idx) for i in idx)))
-        for idx in parts)
 
 
 # --- structural-sparse contraction -----------------------------------------
@@ -768,18 +723,20 @@ def _contraction(n: int, pattern: bytes, classes: bytes) -> _Contraction:
     by_output = np.lexsort((k, i * n + j))
     out = (i * n + j)[by_output]
     starts, _ = _runs(out)
+    fields = tuple((slots, t.flat[slots]) for t, slots in (
+        (g, g_slots), (ginv.rows, ginv_slots), (ricci.rows, ricci_slots),
+        (gamma.rows, gamma_slots)))
+    hessian = (by_output, k[by_output], starts, out[starts])
+    for array in (*(a for field in fields for a in field), *hessian):
+        array.flags.writeable = False    # batches and _field_jets hand these out
     return _Contraction(
         dim=n, rows=layout.rows,
         reciprocals=(g[ones, ones], ginv.rows[ones, ones]), blocks=tuple(blocks), steps=steps,
-        fields=tuple((slots, t.flat[slots]) for t, slots in (
-            (g, g_slots), (ginv.rows, ginv_slots), (ricci.rows, ricci_slots),
-            (gamma.rows, gamma_slots))),
-        hessian=(by_output, k[by_output], starts, out[starts]),
-        most=max((len(s.a) for s in steps), default=0))
+        fields=fields, hessian=hessian, most=max((len(s.a) for s in steps), default=0))
 
 
 def _contract(program: _Contraction, table: np.ndarray) -> None:
-    """The numeric phase for one part and one slice: given the jet rows,
+    """The numeric phase for one slice of points: given the jet rows,
     fill the table's ginv rows component by component, then run the steps
     over column slices whose product buffers fit _CHUNK_BYTES."""
     g_rows, inv_rows = program.reciprocals
@@ -801,116 +758,66 @@ def _contract(program: _Contraction, table: np.ndarray) -> None:
             np.add.reduceat(product, s.starts, axis=0, out=columns[s.out])
 
 
-class _BatchPart(NamedTuple):
-    """One product factor's jet plan wired to its symbolic program."""
-    idx: list[int]                          # the part's coordinates in the whole chart
+class _BatchPlan(NamedTuple):
+    """A metric's jet plan wired to the symbolic program of its value classes."""
     plan: _JetPlan
     program: _Contraction
-    taped: int                              # table rows 0, 1, ... are the tape rows the
-                                            # slots read
-    width: int                              # tape and table rows per point
+    taped: int             # table rows 0, 1, ... are the tape rows the slots read
+    mirror: np.ndarray     # per Hessian output (i, j), i <= j: its flat slot (j, i)
+
+
+def _slot_rows(plan: _JetPlan) -> np.ndarray:
+    """Each flat jet slot's tape row, the value slots first, then the
+    gradient's and the Hessian's; -1 for a zero slot (one whose row is a
+    constant zero of either sign, or none).  Slots that the plan writes from
+    one tape row (paired entries, paired derivatives, equal expressions,
+    equal constants) read the same row."""
+    program, n = plan.jet_program, len(plan.coords)
+    zero = np.array([_is_zero(e) for e in program.tape], dtype=bool)
+    sizes = [math.prod(plan.shape) * n ** order for order in range(len(program.scatter))]
+    rows = np.full(sum(sizes), -1, dtype=np.intp)
+    for first, (tape_rows, cols) in zip(np.cumsum([0] + sizes[:-1]), program.scatter):
+        rows[first + cols] = np.where(zero[tape_rows], -1, tape_rows)
+    return rows
 
 
 @lru_cache(maxsize=128)
-def _batch_part(metric: MetricSpec, idx: tuple[int, ...], n: int) -> _BatchPart:
-    """The part's plan and the program of its value classes: the jet slots
-    that read one tape row (the plan's slot_rows) hold one value, and that
-    tape row is their table row."""
-    plan = _metric_plan(metric)
-    source = np.concatenate(plan.slot_rows)
+def _batch_plan(metric: MetricSpec) -> _BatchPlan:
+    """The metric's jet plan and the program of its value classes: the jet
+    slots that read one tape row (_slot_rows) hold one value, and that tape
+    row is their table row."""
+    plan, n = _metric_plan(metric), metric.dim
+    source = _slot_rows(plan)
     nonzero = source >= 0
-    program = _contraction(metric.dim, np.packbits(nonzero).tobytes(),
+    program = _contraction(n, np.packbits(nonzero).tobytes(),
                            source[nonzero].astype(np.int32).tobytes())
-    return _BatchPart(list(idx), plan, program, int(source.max(initial=-1)) + 1,
-                      width=len(plan.jet_program.tape) + program.rows)
-
-
-class _BatchLayout(NamedTuple):
-    """Where a metric's compact rows sit, the parts' rows one after the
-    other, and the products of Gamma^k_ij d_k phi on the Christoffel rows,
-    grouped by output (i, j)."""
-    firsts: tuple[tuple[int, ...], ...]   # per tensor (g, ginv, ricci, Gamma): each part's
-                                          # first row
-    slots: tuple[np.ndarray, ...]         # per tensor: each row's whole flat slot
-    a: np.ndarray             # per product: its Christoffel row
-    k: np.ndarray             # and its k
-    starts: np.ndarray        # each output's first product
-    out: np.ndarray           # each output's whole flat slot (i, j), i <= j
-    mirror: np.ndarray        # and its slot (j, i)
-
-
-_AXES = (2, 2, 2, 3)    # of g, ginv, ricci, Gamma: the order of _Contraction.fields
-
-
-@lru_cache(maxsize=128)
-def _batch_plan(metric: MetricSpec) -> tuple[tuple[_BatchPart, ...], _BatchLayout]:
-    """The metric's parts (_batch_part) and its compact rows' layout; each
-    tensor's slots, and the Hessian's, are lifted to the whole chart by one
-    gather over all parts, from tables of each part's slots."""
-    n = metric.dim
-    parts = tuple(_batch_part(part, idx, n) for idx, part in _factors(metric))
-    # per part, the whole chart's index of each of the part's own indices
-    # over one, two and three axes: coordinates, then flat slots
-    tables = [], [], []
-    for part in parts:
-        idx = np.array(part.idx)
-        tables[0].append(idx)
-        tables[1].append((idx[:, None] * n + idx).ravel())
-        tables[2].append((tables[1][-1][:, None] * n + idx).ravel())
-
-    def before(counts: list[int]) -> np.ndarray:
-        """Each part's first item, of items counted part by part."""
-        return np.cumsum([0] + counts[:-1])
-
-    whole = [(np.concatenate(t), before([len(a) for a in t])) for t in tables]
-
-    def lift(local, axes: int) -> np.ndarray:
-        """The whole chart's indices of the parts' indices over `axes` axes."""
-        table, offsets = whole[axes - 1]
-        return table[np.concatenate(local) + np.repeat(offsets, [len(a) for a in local])]
-
-    fields = [[part.program.fields[t][0] for part in parts] for t in range(len(_AXES))]
-    firsts = [before([len(slots) for slots in local]) for local in fields]
-    by_output, k, starts, out = zip(*(part.program.hessian for part in parts))
-    products = [len(a) for a in by_output]
-    arrays = [lift(local, axes) for local, axes in zip(fields, _AXES)] + [
-        np.concatenate(by_output) + np.repeat(firsts[3], products), lift(k, 1),
-        np.concatenate(starts) + np.repeat(before(products), [len(s) for s in starts]),
-        lift(out, 2), lift([o % len(t) * len(t) + o // len(t) for o, t in zip(out, tables[0])], 2)]
-    for array in arrays:
-        array.flags.writeable = False
-    return parts, _BatchLayout(tuple(tuple(f.tolist()) for f in firsts), tuple(arrays[:4]),
-                               *arrays[4:])
+    out = program.hessian[3]
+    mirror = out % n * n + out // n
+    mirror.flags.writeable = False
+    return _BatchPlan(plan, program, int(source.max(initial=-1)) + 1, mirror)
 
 
 def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
-    """The batch, computed slice by slice and, within a slice, product factor
-    by product factor (_factors); cross-factor slots of ginv, Gamma and ricci
-    are exact zeros.  A slice's tape rows and tables of all factors fit
-    _CHUNK_BYTES, as do the product buffers of each narrower slice that
+    """The batch, computed slice by slice.  A slice's tape rows and table
+    fit _CHUNK_BYTES, as do the product buffers of each narrower slice that
     _contract runs, and the dense g, ginv and ricci that the positive-definite
     check and the scalar read are slice-sized scratch; every point's values
     depend on that point alone."""
     count, n = pts.shape[0], metric.dim
-    parts, layout = _batch_plan(metric)
-    tensors = [np.empty((len(slots), count)) for slots in layout.slots]
-    g_slots, ginv_slots, ricci_slots, christoffel_slots = layout.slots
+    plan, program, taped, _ = _batch_plan(metric)
+    (g_slots, g_table), (ginv_slots, _), (ricci_slots, _), (christoffel_slots, _) = program.fields
+    tensors = [np.empty((len(slots), count)) for slots, _ in program.fields]
     scalar = np.empty(count)
-    step = max(1, _CHUNK_BYTES // (8 * sum(part.width for part in parts)))
+    step = max(1, _CHUNK_BYTES // (8 * (len(plan.jet_program.tape) + program.rows)))
     for start in range(0, count, step):
         columns = slice(start, start + step)
         sliced = pts[columns]
-        tables = []
-        for part in parts:
-            table = np.empty((part.program.rows, len(sliced)))
-            table[:part.taped] = part.plan.jet_program.fn(sliced[:, part.idx])[:part.taped]
-            tables.append(table)
-        g = np.concatenate([t[part.program.fields[0][1]] for part, t in zip(parts, tables)])
-        _check_positive_definite(_dense(g, g_slots, n), sliced, _components(metric))
-        for p, (part, table) in enumerate(zip(parts, tables)):
-            _contract(part.program, table)
-            for rows, firsts, (_, table_rows) in zip(tensors, layout.firsts, part.program.fields):
-                rows[firsts[p]:firsts[p] + len(table_rows), columns] = table[table_rows]
+        table = np.empty((program.rows, len(sliced)))
+        table[:taped] = plan.jet_program.fn(sliced)[:taped]
+        _check_positive_definite(_dense(table[g_table], g_slots, n), sliced, _components(metric))
+        _contract(program, table)
+        for rows, (_, table_rows) in zip(tensors, program.fields):
+            rows[:, columns] = table[table_rows]
         scalar[columns] = np.einsum("nbd,nbd->n", _dense(tensors[1][:, columns], ginv_slots, n),
                                     _dense(tensors[2][:, columns], ricci_slots, n))
     g_rows, ginv_rows, ricci_rows, christoffel_rows = tensors
@@ -995,15 +902,16 @@ def _field_jets(phi: Expr, metric: MetricSpec, pts: np.ndarray):
     """
     _, grad, hess = _field_plan(phi, metric.chart.coords).jets(pts)
     batch = curvature_batch(metric, pts)
-    _, c = _batch_plan(metric)
+    _, program, _, mirror = _batch_plan(metric)
+    a, k, starts, out = program.hessian
     flat = hess.reshape(len(pts), -1)
-    if len(c.a):
-        step = max(1, _CHUNK_BYTES // (16 * len(c.a)))
+    if len(a):
+        step = max(1, _CHUNK_BYTES // (16 * len(a)))
         for start in range(0, len(pts), step):
             columns = slice(start, start + step)
-            product = batch.christoffel_rows[c.a, columns] * grad[columns, c.k].T
-            flat[columns, c.out] -= np.add.reduceat(product, c.starts, axis=0).T
-        flat[:, c.mirror] = flat[:, c.out]
+            product = batch.christoffel_rows[a, columns] * grad[columns, k].T
+            flat[columns, out] -= np.add.reduceat(product, starts, axis=0).T
+        flat[:, mirror] = flat[:, out]
     ginv = batch.ginv
     return (grad, hess, -np.einsum("nij,nij->n", ginv, hess),
             np.einsum("nij,ni,nj->n", ginv, grad, grad))

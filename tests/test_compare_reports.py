@@ -46,8 +46,12 @@ def test_a_tree_matches_itself(capsys):
     # rebuilding its product and running one jet pass per field helper, the
     # run made 30 MetricSpecs and 26 field jet passes; one table row per
     # slot formed 404 contraction products; with constants written beside
-    # the tapes, they held 64 rows
-    assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 77 -> 77, "
-            "kept batch bytes 11832 -> 11832, contraction products 248 -> 248, "
-            "MetricSpec constructions 16 -> 16, field jet passes 14 -> 14, "
-            "symbolic programs 4 -> 4, symbolic table rows 112 -> 112") in out
+    # the tapes, they held 64 rows; while batches were computed per product
+    # factor, each factor of a split metric was a MetricSpec with a tape of
+    # its own, factors of different metrics shared programs, and each
+    # metric's batches had slot arrays of their own: 77 tape rows, 11 832
+    # kept bytes, 16 MetricSpecs, and 4 programs with 112 table rows
+    assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 72 -> 72, "
+            "kept batch bytes 11768 -> 11768, contraction products 248 -> 248, "
+            "MetricSpec constructions 8 -> 8, field jet passes 14 -> 14, "
+            "symbolic programs 6 -> 6, symbolic table rows 136 -> 136") in out

@@ -5,8 +5,9 @@ alone (which slots are zero, which hold the same value), which products
 each contraction forms; `geometry._contract` runs them on a slot-major
 table of one slice of points.  The results must match the dense
 contractions the path replaced (`dense_reference`) to 1e-12 relative: on
-the catalog, on the conformal route pairs, on fully dense metrics and on
-metrics with constant zeros of either sign.  On the sparse metrics the
+the catalog, on the conformal route pairs, on fully dense metrics, on
+metrics with constant zeros of either sign and on a diagonal metric whose
+entries depend on other coordinates.  On the sparse metrics the
 catalog builds, the path must form far fewer products than the dense one,
 and on the flat products of the dimension sweep, where every diagonal entry
 is the same expression, far fewer than one row per slot would.
@@ -32,11 +33,11 @@ from confprod.expressions import Const, Coord, add, differentiate, mul, parse
 from confprod.geometry import (
     Chart,
     MetricSpec,
-    _batch_part,
+    _batch_plan,
     _components,
-    _factors,
     _field_plan,
     _metric_plan,
+    _slot_rows,
     curvature_batch,
     hessian_lc_batch,
 )
@@ -108,15 +109,24 @@ _BANDED = _metric(("x", "y", "z", "w"), (
 ))
 
 
+# g_xx depends on z and g_zz on x: coordinates coupled through their
+# derivatives alone, interleaved with the uncoupled y
+_INTERLEAVED = _metric(("x", "y", "z", "w"), (
+    ("1 + 0.2 * z^2", Const(0.0), Const(0.0), Const(0.0)),
+    (Const(0.0), "2 + 0.1 * sin(y)", Const(0.0), Const(0.0)),
+    (Const(0.0), Const(0.0), "1 + 0.3 * x^2", Const(0.0)),
+    (Const(0.0), Const(0.0), Const(0.0), "1.5 + 0.2 * cos(w)"),
+))
+
+
 def _special_inputs():
     dense = _random_dense_metric()
     return [(m, sample(m.chart, SamplePlan(count=37)))
-            for m in (dense, _SIGNED_ZEROS, _TRAILING_ZERO, _BANDED)]
+            for m in (dense, _SIGNED_ZEROS, _TRAILING_ZERO, _BANDED, _INTERLEAVED)]
 
 
 def _program(metric):
-    """The symbolic program of a metric taken as one part."""
-    return _batch_part(metric, tuple(range(metric.dim)), metric.dim).program
+    return _batch_plan(metric).program
 
 
 def _assert_matches_reference(metric, points):
@@ -166,8 +176,7 @@ def test_inputs_cover_the_special_patterns():
     assert _components(_BANDED) == ((0, 1, 2), (3,))
     dense = _random_dense_metric()
     assert _components(dense) == (tuple(range(6)),)
-    maps = _metric_plan(dense).slot_rows
-    assert all((m >= 0).all() for m in maps)
+    assert (_slot_rows(_metric_plan(dense)) >= 0).all()
     skew = dict(conformal_route_pairs())["skew"]
     assert _components(conformal_metric(skew)) == ((0, 1),)
 
@@ -183,8 +192,7 @@ def _rescaled(name, **params):
 
 
 def _products(metric):
-    parts, _ = geometry._batch_plan(metric)
-    return sum(len(step.a) for part in parts for step in part.program.steps)
+    return sum(len(step.a) for step in _program(metric).steps)
 
 
 def test_value_numbering_shrinks_the_flat_products():
@@ -200,7 +208,6 @@ def test_sphere_hyperbolic_programs_keep_their_size():
     # table rows and products as the slot-by-slot enumeration built them,
     # before each term's candidates came from one boolean einsum
     metrics = [_rescaled("sphere_hyperbolic", n1=n, n2=n, b_bar=0.1) for n in (3, 4, 5)]
-    assert all(len(_factors(metric)) == 1 for metric in metrics)
     assert [_program(metric).rows for metric in metrics] == [104, 178, 274]
     assert [_products(metric) for metric in metrics] == [174, 308, 490]
 
@@ -226,9 +233,8 @@ def test_trace_intermediates_shrink_the_dense_ricci_step():
 
 def test_cosh_cylinder_forms_few_products():
     metric = _rescaled("cosh_cylinder")
-    assert metric.dim == 6 and len(_factors(metric)) == 1
-    program = _program(metric)
-    products = sum(len(step.a) for step in program.steps)
+    assert metric.dim == 6
+    products = _products(metric)
     # the dense contractions do about 7 n^4 = 9072 multiply-adds a point
     assert products < 500, products
 
@@ -255,8 +261,8 @@ def test_one_program_per_pattern():
     # one pattern, two class structures: equal entries hold one value
     equal = _metric(("x", "y"), (("2 + sin(x * y)", Const(0.0)), (Const(0.0), "2 + sin(x * y)")))
     apart = _metric(("x", "y"), (("2 + sin(x * y)", Const(0.0)), (Const(0.0), "2 + cos(x * y)")))
-    maps = [_metric_plan(m).slot_rows for m in (equal, apart)]
-    assert all(np.array_equal(a >= 0, b >= 0) for a, b in zip(*maps))
+    maps = [_slot_rows(_metric_plan(m)) for m in (equal, apart)]
+    assert np.array_equal(maps[0] >= 0, maps[1] >= 0)
     assert _program(equal) is not _program(apart)
     assert _program(equal).rows < _program(apart).rows
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from confprod.catalog import builtin_metric
+from confprod.checkers import SamplePlan, sample
 from confprod.errors import OutsideDomainError, SingularMetricError, UnsupportedDimError
-from confprod.expressions import parse
+from confprod.expressions import Const, parse
 from confprod.geometry import (
     Chart,
     MetricSpec,
@@ -232,3 +235,29 @@ def test_indefinite_metric_is_reported():
     # check=False skips the guard for diagnostic use
     vals = metric_values(m, np.array([[-0.5]]), check=False)
     assert vals[0, 0, 0] == pytest.approx(-0.5)
+
+
+def test_singular_second_factor_names_the_full_point():
+    metric = mk(("x", "y"), ((-1.5, 1.5),) * 2, [["1 + 0.1 * x^2", "0"], ["0", "1 + y"]],
+                margin=0.0)
+    pts = np.array([[0.5, 0.1 * k] for k in range(12)])
+    pts[7] = (-0.75, -1.25)    # g_yy = -0.25
+    with pytest.raises(SingularMetricError) as err:
+        curvature_batch(metric, pts)
+    assert err.value.point == (-0.75, -1.25)
+    assert err.value.min_eigenvalue == pytest.approx(-0.25)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0], ids=["plus-first", "minus-first"])
+def test_metrics_differing_in_a_zero_sign_keep_their_own_zero(first):
+    # fresh coordinate names per order, so neither metric is cached yet
+    x, y = ("p", "q") if math.copysign(1.0, first) > 0 else ("r", "s")
+    chart = Chart((x, y), ((-1.5, 1.5),) * 2, singular_margin=0.0)
+    pts = sample(chart, SamplePlan(count=5))
+    built = [(zero, MetricSpec(chart, ((parse(f"1 + 0.1 * {x}^2", (x, y)), Const(zero)),
+                                       (Const(zero), parse(f"1 + 0.1 * {y}^2", (x, y))))))
+             for zero in (first, -first)]
+    assert built[0][1] != built[1][1]
+    for zero, metric in built:    # in build order, so `first` is evaluated first
+        g = metric_values(metric, pts)
+        assert np.signbit(g[:, 0, 1]).all() == (math.copysign(1.0, zero) < 0), zero

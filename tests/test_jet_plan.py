@@ -147,12 +147,14 @@ def test_constant_slots_stay_off_the_tape(monkeypatch):
     assert seen and not any(isinstance(e, Const) for e in seen)
 
 
-@pytest.mark.parametrize("n,rows", [(3, 50), (5, 100), (8, 205)])
+@pytest.mark.parametrize("n,rows", [(3, 43), (5, 87), (8, 183)])
 def test_flat_quadratic_tapes_hold_each_expression_once(monkeypatch, n, rows):
     # the rescaled flat metric repeats phi^-2 and its derivatives on every
     # diagonal entry; one slot per tape row would make these 179, 677, 2474
     # without the constants, and with the constants written beside the tape
-    # they were 39, 83, 179
+    # they were 39, 83, 179; while batches were computed per product factor,
+    # each one-coordinate factor of a flat base had a tape of its own that
+    # held the constant 1.0: 50, 100, 205
     built = []
     program = geometry._JetPlan._program
 

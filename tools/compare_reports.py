@@ -17,7 +17,9 @@ for each tree:
 - kept batch bytes: the largest total, over the scenarios, of the distinct
   arrays held by the batches of a scenario's evaluation scope when it closes;
 - contraction products: the products of the symbolic programs of the
-  computed batches (len(step.a) summed over each part's steps);
+  computed batches, per point (each geometry._contract call's len(step.a),
+  summed over its program's steps, weighted by its slice's share of the
+  batch's points);
 - MetricSpec constructions;
 - field jet passes: jet runs of a scalar field's plan (_JetPlan._run on its
   derivative program);
@@ -62,17 +64,21 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
 
     counts: dict = {}
     compute, program = geometry._compute_batch, geometry._JetPlan._program
-    contraction = geometry._contraction
+    contraction, contract = geometry._contraction, geometry._contract
+    slices = []    # per _contract call of the batch being computed: products x points
     run, post_init = geometry._JetPlan._run, geometry.MetricSpec.__post_init__
     scope = catalog.evaluation_scope
 
     def counting(metric, pts):
+        slices.clear()
         batch = compute(metric, pts)
         counts[name]["computed batches"] += 1
-        parts, _ = geometry._batch_plan(metric)
-        counts[name]["contraction products"] += sum(
-            len(step.a) for part in parts for step in part.program.steps)
+        counts[name]["contraction products"] += sum(slices) // max(1, len(pts))
         return batch
+
+    def counting_products(built, table):
+        slices.append(sum(len(step.a) for step in built.steps) * table.shape[1])
+        return contract(built, table)
 
     def counting_specs(spec):
         counts[name]["MetricSpec constructions"] += 1
@@ -111,6 +117,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
 
     geometry._compute_batch = counting
     geometry._contraction = counting_programs
+    geometry._contract = counting_products
     geometry._JetPlan._program = counting_rows
     geometry._JetPlan._run = counting_passes
     geometry.MetricSpec.__post_init__ = counting_specs
