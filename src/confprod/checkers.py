@@ -43,7 +43,6 @@ from .errors import (
 from .expressions import (
     Const,
     Expr,
-    differentiate,
     evaluate,
     format_expr,
     rename_coords,
@@ -59,6 +58,7 @@ from .geometry import (
     expr_values,
     scoped_points,
     _field_jets,
+    _field_plan,
 )
 
 NONCONSTANT_SPREAD = 1e-8
@@ -636,19 +636,10 @@ def warped_presentation_check(d: DoublyTwistedSpec, plan: SamplePlan,
     chart = d.chart()
     pts = sample(chart, plan)
     n1 = d.base.dim
-    base_coords = chart.coords[:n1]
-    fiber_coords = chart.coords[n1:]
-
-    def derivative_sup(scales, coords) -> float:
-        worst = 0.0
-        for e in scales:
-            for c in coords:
-                values = expr_values(differentiate(e, c), chart, pts)
-                worst = max(worst, float(np.abs(values).max()))
-        return worst
-
-    base_oriented = derivative_sup((d.base_scale, d.fiber_scale), fiber_coords)
-    fiber_oriented = derivative_sup((d.base_scale, d.fiber_scale), base_coords)
+    grads = [np.abs(_field_plan(e, chart.coords).jets(pts)[1])
+             for e in dict.fromkeys((d.base_scale, d.fiber_scale))]
+    base_oriented = max(float(g[:, n1:].max()) for g in grads)    # along the fiber
+    fiber_oriented = max(float(g[:, :n1].max()) for g in grads)   # along the base
     return Check("warped_presentation", sup=min(base_oriented, fiber_oriented),
                  tolerance=tolerance, samples=plan.count,
                  details={"base_oriented": base_oriented, "fiber_oriented": fiber_oriented})

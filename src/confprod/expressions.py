@@ -32,9 +32,11 @@ parsing the printed form reproduces an expression that evaluates
 identically.  (A constant that overflowed prints as inf or nan, which no
 tape accepts: compile_expr rejects it.)
 
-compile_expr turns an expression, or a list of them, into one
-straight-line tape of numpy calls over an array of points; a subtree that
-several expressions share is computed once.
+A Tape is a straight-line program of numpy calls over an array of points,
+value-numbered so that a value several outputs share is computed once; it
+propagates exact first and second derivatives forward with the values,
+without building derivative expressions.  compile_expr is its order-0 use:
+an expression, or a list of them, compiled onto one tape.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def func(name: str, arg: Expr) -> Expr:
     if _is_const(arg):
         try:
             value = _FUNCTIONS[name](arg.value)
-        except ValueError:
+        except (ValueError, OverflowError):
             value = None  # keep the node, evaluation reports the domain error
         if value is not None and math.isfinite(value):
             return Const(value)
@@ -267,7 +269,10 @@ def _scalar_pow(base: float, exponent: float, fold: bool = False):
         if fold:
             return None
         raise DomainError("zero base with negative exponent", f"{base:g}^{exponent:g}")
-    value = base ** exponent
+    try:
+        value = base ** exponent
+    except OverflowError:
+        value = math.inf
     if fold and not math.isfinite(value):
         return None
     return value
@@ -602,59 +607,309 @@ def differentiate(e: Expr, coord: str) -> Expr:
     return d
 
 
-# --- vectorized evaluation over sample arrays -------------------------------
+# --- tapes: vectorized values and forward-propagated derivatives ------------
 
 _BINARY_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
 
 
-def _tape(exprs: Sequence[Expr], coords: Sequence[str]):
-    """Straight-line program computing every expression in exprs.
+class Tape:
+    """A straight-line program of numpy calls over an (N, dim) point array,
+    built node by node.
 
-    Registers 0..dim-1 hold the point columns; each distinct constant and
-    each distinct operation node gets one more, so a subtree shared by
-    several expressions is visited and computed once.  Returns (template,
-    program, outputs): the register list before a run (constants filled
-    in), steps (ufunc, argument registers, result register, registers read
-    for the last time), and each expression's register.
+    Registers 0..dim-1 hold the point columns, and each other register a
+    constant or the result of one step.  A register is built once per key,
+    its Const or its (ufunc, argument registers), so a value that several
+    outputs share is computed once (value numbering); keys[r] is register
+    r's key (the coordinate's name for a column).
+
+    value(e) gives the register of e's value, one step per operation node.
+    jets(e) also gives e's non-zero first derivatives {k: register} over
+    its free coordinates and second derivatives {k dim + l: register},
+    k <= l, for columns k and l.  They are propagated forward, each node's
+    from its operands' by the chain rule (Griewank and Walther, "Evaluating
+    Derivatives", 2nd ed., ch. 13), reusing the values already on the tape:
+    d exp(u) = exp(u) du, d(a/b) = (da - (a/b) db) / b.  No derivative
+    expression is built.  Derivative steps fold as the smart constructors
+    do (constants, 0 and 1), and one that folds to a zero constant of either
+    sign is left out: a structural +0.0, None below.
     """
-    registers: dict = {}
-    template: list = [None] * len(coords)
-    program: list = []
-    column = {name: k for k, name in enumerate(coords)}
 
-    def visit(node: Expr, parent: Expr) -> int:
-        if isinstance(node, Coord):
-            return column[node.name]
-        reg = registers.get(node)
-        if reg is not None:
-            return reg
-        if isinstance(node, Const):
-            if not math.isfinite(node.value):
-                raise DomainError(f"non-finite constant {node.value!r} (overflow)",
-                                  format_expr(parent))
-            step = None
-        elif isinstance(node, Unary):
-            step = [_NUMPY_FUNCTIONS[node.op], (visit(node.arg, node),)]
-        elif isinstance(node, Binary):
-            step = [_BINARY_UFUNCS[node.op], (visit(node.left, node), visit(node.right, node))]
-        else:
-            step = [np.power, (visit(node.base, node), visit(Const(node.exponent), node))]
-        reg = registers[node] = len(template)
-        template.append(node.value if step is None else None)
-        if step is not None:
-            program.append(step + [reg])
+    def __init__(self, coords: Sequence[str]):
+        self.dim = len(coords)
+        self.column = {name: k for k, name in enumerate(coords)}
+        self.keys: list = list(coords)
+        self.template: list = [None] * self.dim     # the constants' values
+        self.steps: list = []                       # (result register, ufunc, arguments)
+        self.registers: dict = {}                   # key -> register
+        self.constants: dict = {}                   # non-zero value -> register
+        self.values: dict = {}                      # node -> register of its value
+        self.derivatives: dict = {}                 # node -> (firsts, seconds)
+        self.node: Expr | None = None               # the node being differentiated
+
+    def _register(self, key, value: float | None = None) -> int:
+        reg = self.registers.get(key)
+        if reg is None:
+            reg = self.registers[key] = len(self.keys)
+            self.keys.append(key)
+            self.template.append(value)
+            if value is None:
+                self.steps.append((reg, key[0], key[1:]))
         return reg
 
-    outputs = [visit(e, e) for e in exprs]
-    # free each intermediate after its last reader; columns, constants and outputs stay
-    read = set(outputs) | {r for r, v in enumerate(template) if r < len(coords) or v is not None}
-    for step in reversed(program):
-        step.append(tuple(a for a in dict.fromkeys(step[1]) if a not in read))
-        read.update(step[1])
-    return template, [tuple(step) for step in program], outputs
+    def value(self, node: Expr, parent: Expr | None = None) -> int:
+        """The register of node's value; a non-finite constant is a
+        DomainError naming its parent (node itself at the top)."""
+        reg = self.values.get(node)
+        if reg is None:
+            if isinstance(node, Coord):
+                reg = self.column[node.name]
+            elif isinstance(node, Const):
+                if not math.isfinite(node.value):
+                    raise DomainError(f"non-finite constant {node.value!r} (overflow)",
+                                      format_expr(parent or node))
+                reg = self._register(node, node.value)
+                if node.value != 0.0:
+                    self.constants.setdefault(node.value, reg)
+            elif isinstance(node, Unary):
+                reg = self._register((_NUMPY_FUNCTIONS[node.op], self.value(node.arg, node)))
+            elif isinstance(node, Binary):
+                reg = self._register((_BINARY_UFUNCS[node.op], self.value(node.left, node),
+                                      self.value(node.right, node)))
+            else:
+                exponent = self.constants.get(node.exponent)
+                reg = self._register((np.power, self.value(node.base, node), self.value(
+                    Const(node.exponent), node) if exponent is None else exponent))
+            self.values[node] = reg
+        return reg
+
+    def _const(self, value: float) -> int | None:
+        reg = self.constants.get(value)
+        if reg is None and value != 0.0:
+            if not math.isfinite(value):
+                raise DomainError(f"non-finite constant {value!r} (overflow)",
+                                  format_expr(self.node))
+            reg = self.constants[value] = self._register(Const(value), value)
+        return reg
+
+    def _add(self, a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        ca, cb = self.template[a], self.template[b]
+        if ca is not None and cb is not None:
+            return self._const(ca + cb)
+        if ca == 0.0 or cb == 0.0:
+            return b if ca == 0.0 else a
+        return self._register((np.add, a, b))
+
+    def _sub(self, a, b):
+        if a is None or b is None:
+            return self._neg(b) if a is None else a
+        ca, cb = self.template[a], self.template[b]
+        if ca is not None and cb is not None:
+            return self._const(ca - cb)
+        if ca == 0.0 or cb == 0.0:
+            return a if cb == 0.0 else self._neg(b)
+        return self._register((np.subtract, a, b))
+
+    def _mul(self, a, b):
+        if a is None or b is None:
+            return None
+        ca, cb = self.template[a], self.template[b]
+        if ca is not None and cb is not None:
+            return self._const(ca * cb)
+        if ca == 0.0 or cb == 0.0:
+            return None
+        if ca == 1.0 or cb == 1.0:
+            return b if ca == 1.0 else a
+        return self._register((np.multiply, a, b))
+
+    def _div(self, a, b):
+        if a is None:
+            return None
+        ca, cb = self.template[a], self.template[b]
+        if ca is not None and cb is not None and cb != 0.0:
+            return self._const(ca / cb)
+        if ca == 0.0 or cb == 1.0:
+            return None if ca == 0.0 else a
+        return self._register((np.divide, a, b))
+
+    def _neg(self, a):
+        if a is None or self.template[a] is not None:
+            return None if a is None else self._const(-self.template[a])
+        key = self.keys[a]
+        if type(key) is tuple and key[0] is np.negative:
+            return key[1]
+        return self._register((np.negative, a))
+
+    def _pow(self, a: int, exponent: float):
+        """a^exponent for a computed value a (never a constant's)."""
+        if exponent == 0.0 or exponent == 1.0:
+            return self._const(1.0) if exponent == 0.0 else a
+        return self._register((np.power, a, self._const(exponent)))
+
+    def jets(self, node: Expr) -> tuple[int, dict, dict]:
+        """(value, first derivatives, second derivatives) of node, as registers."""
+        return (self.value(node), *self._derivatives(node))
+
+    def _derivatives(self, node: Expr) -> tuple[dict, dict]:
+        found = self.derivatives.get(node)
+        if found is None:
+            if isinstance(node, Const):
+                found = {}, {}
+            elif isinstance(node, Coord):
+                found = {self.column[node.name]: self._const(1.0)}, {}
+            elif isinstance(node, Binary):
+                found = self._binary(node, *self._derivatives(node.left),
+                                     *self._derivatives(node.right))
+            else:
+                u1, u2 = self._derivatives(node.arg if isinstance(node, Unary) else node.base)
+                self.node = node
+                if not u1:
+                    found = {}, {}
+                elif isinstance(node, Unary) and node.op == "neg":
+                    found = ({k: self._neg(r) for k, r in u1.items()},
+                             {kl: self._neg(r) for kl, r in u2.items()})
+                else:
+                    found = self._chain(*self._outer(node), u1, u2)
+            self.derivatives[node] = found
+        return found
+
+    def _outer(self, node: Unary | Pow) -> tuple:
+        """f'(u) and f''(u) for node = f(u), from the registers of u and f(u)."""
+        v = self.values[node]
+        if isinstance(node, Pow):
+            u, p, mul = self.values[node.base], node.exponent, self._mul
+            return (mul(self._const(p), self._pow(u, p - 1.0)),
+                    mul(self._const(p), mul(self._const(p - 1.0), self._pow(u, p - 2.0))))
+        u, op = self.values[node.arg], node.op
+        if op == "sin":
+            return self._register((np.cos, u)), self._neg(v)
+        if op == "cos":
+            return self._neg(self._register((np.sin, u))), self._neg(v)
+        if op in ("sinh", "cosh"):
+            return self._register((np.cosh if op == "sinh" else np.sinh, u)), v
+        if op == "exp":
+            return v, v
+        one, two = self._const(1.0), self._const(2.0)
+        if op in ("tan", "tanh"):
+            d = (self._add if op == "tan" else self._sub)(one, self._pow(v, 2.0))
+            d2 = self._mul(self._mul(two, v), d)
+            return d, d2 if op == "tan" else self._neg(d2)
+        if op == "log":
+            d = self._div(one, u)
+            return d, self._neg(self._mul(d, d))
+        d = self._div(one, self._mul(two, v))       # sqrt
+        return d, self._neg(self._div(d, self._mul(two, u)))
+
+    def _chain(self, outer, outer2, u1: dict, u2: dict) -> tuple[dict, dict]:
+        """Derivatives of f(u) from f'(u), f''(u) and u's: d_k = f' d_k u and
+        d_k d_l = (f'' d_l u) d_k u + f' d_k d_l u."""
+        mul, n = self._mul, self.dim
+        if len(u1) == 1 and not u2:     # u has one non-zero first derivative, r
+            (k, r), = u1.items()
+            d1, d2 = mul(outer, r), mul(mul(outer2, r), r)
+            return {} if d1 is None else {k: d1}, {} if d2 is None else {k * n + k: d2}
+        along = {l: mul(outer2, r) for l, r in u1.items()}
+        order = sorted(u1)
+        d2 = {k * n + l: mul(along[l], u1[k]) for i, k in enumerate(order) for l in order[i:]}
+        self._scaled(d2, outer, u2, self._add)
+        return ({k: d for k, r in u1.items() if (d := mul(outer, r)) is not None},
+                {kl: d for kl, d in d2.items() if d is not None})
+
+    def _scaled(self, acc: dict, c, terms: dict, f) -> None:
+        """acc[key] = f(acc[key], c terms[key]) for each key of terms."""
+        for key, r in terms.items():
+            acc[key] = f(acc.get(key), self._mul(c, r))
+
+    def _crossed(self, acc: dict, x1: dict, y1: dict, f) -> None:
+        """acc[k dim + l] = f(f(acc[k dim + l], x1[k] y1[l]), x1[l] y1[k]), k <= l."""
+        n = self.dim
+        for k, r in x1.items():
+            for l, s in y1.items():
+                kl, t = (k * n + l if k <= l else l * n + k), self._mul(r, s)
+                acc[kl] = f(acc.get(kl), t)
+                if k == l:
+                    acc[kl] = f(acc[kl], t)
+
+    def _binary(self, node: Binary, a1: dict, a2: dict, b1: dict, b2: dict) -> tuple[dict, dict]:
+        op, self.node = node.op, node
+        add, sub, mul, div = self._add, self._sub, self._mul, self._div
+        a, b = self.values[node.left], self.values[node.right]
+        if op in ("add", "sub"):
+            if a1.keys().isdisjoint(b1) and a2.keys().isdisjoint(b2):    # no term to add
+                if op == "sub":
+                    b1, b2 = ({k: self._neg(r) for k, r in b1.items()},
+                              {kl: self._neg(r) for kl, r in b2.items()})
+                return ({**a1, **b1}, {**a2, **b2}) if b1 or b2 else (a1, a2)
+            f = add if op == "add" else sub
+            d1 = {k: f(a1.get(k), b1.get(k)) for k in {**a1, **b1}}
+            d2 = {kl: f(a2.get(kl), b2.get(kl)) for kl in {**a2, **b2}}
+        elif op == "mul":
+            # d_k (ab) = d_k a b + a d_k b and
+            # d_k d_l (ab) = d_k d_l a b + d_k a d_l b + d_l a d_k b + a d_k d_l b
+            d1 = {k: mul(r, b) for k, r in a1.items()}
+            d2 = {kl: mul(r, b) for kl, r in a2.items()}
+            self._crossed(d2, a1, b1, add)
+            self._scaled(d1, a, b1, add)
+            self._scaled(d2, a, b2, add)
+        else:
+            # q = a / b: d_k q = (d_k a - q d_k b) / b and
+            # d_k d_l q = (d_k d_l a - d_k q d_l b - d_l q d_k b - q d_k d_l b) / b
+            q, d1, d2 = self.values[node], dict(a1), dict(a2)
+            self._scaled(d1, q, b1, sub)
+            d1 = {k: d for k, r in d1.items() if (d := div(r, b)) is not None}
+            self._crossed(d2, d1, b1, sub)
+            self._scaled(d2, q, b2, sub)
+            d2 = {kl: div(r, b) for kl, r in d2.items()}
+        return ({k: d for k, d in d1.items() if d is not None},
+                {kl: d for kl, d in d2.items() if d is not None})
+
+    def compile(self, outputs: Sequence[int],
+                expression: Callable[[int], Expr]) -> Callable[[np.ndarray], np.ndarray]:
+        """The callable giving, over an (N, dim) point array, the (len(outputs),
+        N) array of the output registers' values.  Each other register is
+        freed after its last reader.
+        When a value is non-finite, the scalar evaluator evaluates
+        expression(row) for the first such row at the row's first bad point,
+        to raise a DomainError naming the offending node."""
+        dim, template, steps = self.dim, list(self.template), list(self.steps)
+        outputs = list(outputs)
+        last = {}           # register -> the last step that reads it (or makes it, if none does)
+        for i, (reg, _, args) in enumerate(steps):
+            last[reg] = i
+            for a in args:
+                last[a] = i
+        frees = [()] * len(steps)
+        for a in set(last).difference(outputs):
+            frees[last[a]] += (a,)
+        names = list(self.column)
+
+        def evaluate_batch(points: np.ndarray) -> np.ndarray:
+            points = np.asarray(points, dtype=float)
+            regs = template.copy()
+            regs[:dim] = [points[:, k] for k in range(dim)]
+            out = np.empty((len(outputs), points.shape[0]))
+            with np.errstate(all="ignore"):
+                for (reg, op, args), free in zip(steps, frees):
+                    regs[reg] = op(*[regs[a] for a in args])
+                    for a in free:
+                        regs[a] = None
+                for row, reg in enumerate(outputs):
+                    out[row] = regs[reg]
+            bad = ~np.isfinite(out)
+            if bad.any():
+                row = int(np.argmax(bad.any(axis=1)))
+                e = expression(row)
+                # raises, naming the node
+                evaluate(e, dict(zip(names, points[int(np.argmax(bad[row]))])))
+                raise DomainError("non-finite value", format_expr(e))
+            return out
+
+        return evaluate_batch
 
 
-def compile_expr(e: Expr | Sequence[Expr], coords: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
+def compile_expr(e: Expr | Sequence[Expr],
+                 coords: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
     """Compile to a callable over an (N, dim) point array.
 
     A single expression gives its (N,) values.  A sequence of expressions
@@ -666,27 +921,8 @@ def compile_expr(e: Expr | Sequence[Expr], coords: Sequence[str]) -> Callable[[n
     """
     single = isinstance(e, Expr)
     exprs = (e,) if single else tuple(e)
-    template, program, outputs = _tape(exprs, coords)
-    names = list(coords)
-
-    def evaluate_batch(points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        regs = template.copy()
-        regs[:len(names)] = [points[:, k] for k in range(len(names))]
-        out = np.empty((len(exprs), points.shape[0]))
-        with np.errstate(all="ignore"):
-            for op, args, reg, last in program:
-                regs[reg] = op(*[regs[a] for a in args])
-                for a in last:
-                    regs[a] = None
-            for row, reg in enumerate(outputs):
-                out[row] = regs[reg]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            row = int(np.argmax(bad.any(axis=1)))
-            where = int(np.argmax(bad[row]))
-            evaluate(exprs[row], dict(zip(names, points[where])))  # raises with the node named
-            raise DomainError("non-finite value", format_expr(exprs[row]))
-        return out[0] if single else out
-
-    return evaluate_batch
+    tape = Tape(coords)
+    run = tape.compile([tape.value(x, x) for x in exprs], exprs.__getitem__)
+    if single:
+        return lambda points: run(points)[0]
+    return run

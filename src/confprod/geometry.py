@@ -1,6 +1,6 @@
 """Charts, coordinate metrics and exact curvature.
 
-Derivatives of metric entries are symbolic (expressions.differentiate).
+Metric derivatives are exact, propagated forward on an expressions.Tape.
 No finite differences anywhere in this path.  Batches contract Ricci
 straight from the metric jets, only over the slots that can be non-zero,
 each distinct value once: a metric's jet plan hands over its tape rows and
@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import OutsideDomainError, SingularMetricError, UnsupportedDimError
-from .expressions import ZERO, Const, Expr, compile_expr, differentiate, free_coords
+from .expressions import ZERO, Const, Expr, Tape, differentiate, free_coords
 
 _PD_EIGENVALUE_TOL = 1e-12
 # a curvature batch is computed in slices of sample points whose tape rows
@@ -133,7 +133,7 @@ class CurvatureData:
 # --- jet plans --------------------------------------------------------------
 
 class _Program(NamedTuple):
-    tape: tuple[Expr, ...]   # the distinct taped expressions, in order of first slot
+    keys: tuple              # each tape row's key (expressions.Tape), in order of first slot
     fn: Callable             # the compiled tape
     scatter: tuple           # per output array: (tape rows, columns)
 
@@ -144,17 +144,16 @@ class _JetPlan:
     Each expression fills one or more places of an output array of shape
     `shape`, given as flat indices: a metric's upper-triangle entry fills
     (i, j) and (j, i), a scalar field fills the single place of shape ().
-    Every slot (one value or derivative of one expression) but a constant
+    Every slot (one value or derivative of one expression) but a structural
     +0.0, which the output arrays are preset to, reads one row of a shared
-    tape (expressions.compile_expr), which holds each distinct expression
-    once: slots with the same expression (the rescaled flat metric repeats
-    phi^-2 and its derivatives on every diagonal entry) or the same
-    constant read one row, and a constant is never differentiated.  The
-    value tape is built on first use and the derivative tape on the first
-    call that needs derivatives, so value-only callers never
-    differentiate.  Derivatives come from the process-wide memo of
-    expressions.differentiate, which holds expressions only; both tapes,
-    and every array computed from them, belong to this plan alone.
+    tape (expressions.Tape), which holds each distinct register once: slots
+    with the same value (the rescaled flat metric repeats phi^-2 and its
+    derivatives on every diagonal entry) or the same constant read one row.
+    Derivatives are exact, propagated forward on the tape with the values,
+    and a derivative that folds to a zero constant is a structural +0.0.
+    The value tape is built on first use and the derivative tape on the
+    first call that needs derivatives; both, and every array computed from
+    them, belong to this plan alone.
     """
 
     def __init__(self, shape: tuple[int, ...], entries, coords: tuple[str, ...]):
@@ -171,38 +170,53 @@ class _JetPlan:
         return self._program(2)
 
     def _program(self, order: int) -> _Program:
-        """Slots are laid out entry by entry: the value, the n first
+        """Slots are laid out expression by expression, each distinct one
+        at its first entry, with all its places: the value, the n first
         derivatives, then the second derivatives (k, l >= k).  A tape row
-        sits where its expression's first slot does, so the tape raises the
-        first DomainError in slot order."""
+        sits where its first slot does, so the first non-finite row is the
+        first bad slot's; that slot's expression alone is then
+        differentiated symbolically, to name the offending node."""
         n = len(self.coords)
-        tape: dict = {}                                 # each distinct expression -> its row
+        tape = Tape(self.coords)
+        rows: dict = {}                                 # register -> tape row
+        firsts: list = []                               # per row: its first slot's (expr, k, l)
         scatter = [([], []) for _ in range(order + 1)]  # per output: tape rows, columns
 
-        def put(out: int, e: Expr, columns: list[int]):
-            if e is not ZERO:
-                scatter[out][0].extend([tape.setdefault(e, len(tape))] * len(columns))
-                scatter[out][1].extend(columns)
+        def put(out: int, reg: int, columns: list[int], *slot):
+            row = rows.get(reg)
+            if row is None:
+                row = rows[reg] = len(rows)
+                firsts.append(slot)
+            scatter[out][0].extend([row] * len(columns))
+            scatter[out][1].extend(columns)
 
+        groups: dict = {}                               # each distinct expression's places
         for e, places in self.entries:
-            put(0, e, list(places))
+            groups.setdefault(e, []).extend(places)
+        for e, places in groups.items():
+            if e is not ZERO:
+                put(0, tape.value(e), places, e)
             if order == 0 or isinstance(e, Const):
                 continue
-            firsts = [differentiate(e, c) for c in self.coords]
-            for k, d in enumerate(firsts):
-                put(1, d, [p * n + k for p in places])
-            for k, d in enumerate(firsts):
-                if isinstance(d, Const):
-                    continue
-                for l in range(k, n):
-                    columns = [p * n * n + k * n + l for p in places]
-                    if l != k:
-                        columns += [p * n * n + l * n + k for p in places]
-                    put(2, differentiate(d, self.coords[l]), columns)
-        exprs = tuple(tape)
-        return _Program(exprs, compile_expr(exprs, self.coords), tuple(
-            (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
-            for rows, cols in scatter))
+            _, d1, d2 = tape.jets(e)
+            for k in sorted(d1):
+                put(1, d1[k], [p * n + k for p in places], e, k)
+            for kl in sorted(d2):
+                k, l = divmod(kl, n)
+                columns = [p * n * n + kl for p in places]
+                if l != k:
+                    columns += [p * n * n + l * n + k for p in places]
+                put(2, d2[kl], columns, e, k, l)
+
+        def expression(row: int) -> Expr:
+            e, *along = firsts[row]
+            for k in along:
+                e = differentiate(e, self.coords[k])
+            return e
+
+        return _Program(tuple(tape.keys[r] for r in rows), tape.compile(list(rows), expression),
+                        tuple((np.array(tape_rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+                              for tape_rows, cols in scatter))
 
     def _run(self, program: _Program, points: np.ndarray) -> list[np.ndarray]:
         count, n = points.shape[0], len(self.coords)
@@ -773,7 +787,7 @@ def _slot_rows(plan: _JetPlan) -> np.ndarray:
     one tape row (paired entries, paired derivatives, equal expressions,
     equal constants) read the same row."""
     program, n = plan.jet_program, len(plan.coords)
-    zero = np.array([_is_zero(e) for e in program.tape], dtype=bool)
+    zero = np.array([_is_zero(key) for key in program.keys], dtype=bool)
     sizes = [math.prod(plan.shape) * n ** order for order in range(len(program.scatter))]
     rows = np.full(sum(sizes), -1, dtype=np.intp)
     for first, (tape_rows, cols) in zip(np.cumsum([0] + sizes[:-1]), program.scatter):
@@ -808,7 +822,7 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
     (g_slots, g_table), (ginv_slots, _), (ricci_slots, _), (christoffel_slots, _) = program.fields
     tensors = [np.empty((len(slots), count)) for slots, _ in program.fields]
     scalar = np.empty(count)
-    step = max(1, _CHUNK_BYTES // (8 * (len(plan.jet_program.tape) + program.rows)))
+    step = max(1, _CHUNK_BYTES // (8 * (len(plan.jet_program.keys) + program.rows)))
     for start in range(0, count, step):
         columns = slice(start, start + step)
         sliced = pts[columns]

@@ -208,6 +208,56 @@ def test_report_rejects_non_finite_values(tmp_path, capsys, monkeypatch):
     assert not report.exists()
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_report_writer_matches_json_on_every_catalog_report(tmp_path, capsys, monkeypatch):
+    from confprod import cli
+    from confprod.catalog import scenarios
+
+    written, real = [], cli._report_text
+
+    def recording(value, indent="\n"):
+        if indent == "\n":    # the document, not one of its parts
+            written.append(value)
+        return real(value, indent)
+
+    monkeypatch.setattr(cli, "_report_text", recording)
+    runs = [["--scenario", name] for name in scenarios()] + [[]]
+    for k, argv in enumerate(runs):
+        report = tmp_path / f"report-{k}.json"
+        code, _, _ = run(capsys, "check", *argv, "--report", str(report), "--samples", "20")
+        assert code == 0
+        assert report.read_text() == _dumps(written[k]) + "\n"
+    assert len(written) == len(runs)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}, [[]]]}, [{}], -0.0, 0.0, 5e-324, 1e308,
+    -1.7976931348623157e308, 0.1, 1e16, 2 ** 80, -(2 ** 70), 0, True, False, 1, None,
+    [True, 1, 1.0, False, 0, 0.0, None], {"b": 1, "a": True, "B": [1, 2.5], "": None},
+    "", "plain", "\u00fc\u2028\"\\\n\t\x00\x7f", {"\u00e9": "\u00f1\ud83d\ude00"},
+    ("a", 1.5, (2, [])), {"deep": {"er": {"est": [1, {"x": -0.0}]}}},
+], ids=repr)
+def test_report_writer_matches_json_on_edge_cases(value):
+    from confprod.cli import _report_text
+
+    assert _report_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
+def test_report_writer_rejects_non_finite_floats_as_json_does(bad):
+    from confprod.cli import _report_text
+
+    doc = {"a": [1.0, {"b": bad}]}
+    with pytest.raises(ValueError) as want:
+        _dumps(doc)
+    with pytest.raises(ValueError) as got:
+        _report_text(doc)
+    assert str(got.value) == str(want.value)
+
+
 def test_bad_flags_exit_through_argparse(capsys):
     with pytest.raises(SystemExit) as err:
         main(["check", "--bogus"])

@@ -1,7 +1,8 @@
 """tools/compare_reports.py: reports compared byte for byte, the timestamp
-excepted, with each tree's src/ lines, computed batches, jet-tape rows, kept
-batch bytes, contraction products, MetricSpec constructions, field jet
-passes, symbolic programs and their table rows counted."""
+excepted, each moved leaf of a report listed, with each tree's src/ lines,
+computed batches, jet-tape rows, kept batch bytes, contraction products,
+MetricSpec constructions, field jet passes, symbolic programs, their table
+rows and symbolic derivative calls counted."""
 
 import importlib.util
 import json
@@ -27,7 +28,18 @@ def test_diff_ignores_only_the_timestamp(tmp_path):
     assert compare_reports.diff_trees(old, new) == []
 
     _report(new / "w" / "report.json", "2026-02-02", 1.0000000000000002)
-    assert any("1.0000000000000002" in line for line in compare_reports.diff_trees(old, new))
+    assert compare_reports.diff_trees(old, new) == [
+        "w/report.json: scenarios[0].measured.a: 1.0 -> 1.0000000000000002 "
+        "(abs 2.22e-16, rel 2.22e-16)\n"]
+
+    # a zero's sign, and a layout with every leaf in place, are differences too
+    _report(new / "w" / "report.json", "2026-02-02", -0.0)
+    _report(old / "w" / "report.json", "2026-01-01", 0.0)
+    assert compare_reports.diff_trees(old, new) == [
+        "w/report.json: scenarios[0].measured.a: 0.0 -> -0.0 (abs -0, rel inf)\n"]
+    doc = {"generated_at": "2026-02-02", "scenarios": [{"measured": {"a": 0.0}}]}
+    (new / "w" / "report.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    assert any(line.startswith("+ ") for line in compare_reports.diff_trees(old, new))
 
     (new / "w" / "stdout.txt").write_text("PASS\n")
     assert any("only in" in line for line in compare_reports.diff_trees(old, new))
@@ -50,8 +62,23 @@ def test_a_tree_matches_itself(capsys):
     # factor, each factor of a split metric was a MetricSpec with a tape of
     # its own, factors of different metrics shared programs, and each
     # metric's batches had slot arrays of their own: 77 tape rows, 11 832
-    # kept bytes, 16 MetricSpecs, and 4 programs with 112 table rows
-    assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 72 -> 72, "
+    # kept bytes, 16 MetricSpecs, and 4 programs with 112 table rows; while
+    # the tapes held derivative expressions, a derivative that folded to
+    # -0.0 had a row of its own: 72 rows
+    assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 71 -> 71, "
             "kept batch bytes 11768 -> 11768, contraction products 248 -> 248, "
             "MetricSpec constructions 8 -> 8, field jet passes 14 -> 14, "
-            "symbolic programs 6 -> 6, symbolic table rows 136 -> 136") in out
+            "symbolic programs 6 -> 6, symbolic table rows 136 -> 136, "
+            "symbolic derivative calls 0 -> 0") in out
+
+
+def test_moved_leaves_are_listed_and_verdicts_flagged():
+    old = {"generated_at": "a", "s": [{"verdict": "pass", "sup": 2.0, "n": 3, "ok": True}]}
+    new = {"generated_at": "b", "s": [{"verdict": "fail", "sup": 3.0, "n": 3, "ok": 1,
+                                       "extra": None}]}
+    assert compare_reports.leaf_changes("r.json", json.dumps(old), json.dumps(new)) == [
+        "MOVED r.json: s[0].verdict: 'pass' -> 'fail'\n",
+        "r.json: s[0].sup: 2.0 -> 3.0 (abs 1, rel 0.5)\n",
+        "r.json: s[0].ok: True -> 1\n",
+        "r.json: s[0].extra: '(none)' -> None\n",
+    ]

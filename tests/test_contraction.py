@@ -96,9 +96,13 @@ _SIGNED_ZEROS = _metric(("x", "y", "z"), (
     (Const(-0.0), "0.2 * sin(x)", "2 + 0.1 * z^2"),
 ))
 
-# the last jet tape row is d_y d_y (4 - cos(x) y) = -0.0, a row no slot
-# reads, so the table's jet rows are one fewer than the tape's rows
-_TRAILING_ZERO = _metric(("x", "y"), (("2 + x^2", Const(0.0)), (Const(0.0), "4 - cos(x) * y")))
+# the last jet tape row is the off-diagonal entries' -0.0 (g_yy repeats
+# g_xx), a row no slot reads, so the table's jet rows are one fewer than the
+# tape's rows; a derivative that folds to a zero constant is a structural
+# +0.0 and has no row, so this metric's zeros are entries (before derivatives
+# were propagated on the tape, g_xx = 2 + x^2 and g_yy = 4 - cos(x) y with
+# +0.0 off the diagonal gave the last row, d_y d_y g_yy = -0.0)
+_TRAILING_ZERO = _metric(("x", "y"), (("2 + x^2", Const(-0.0)), (Const(-0.0), "2 + x^2")))
 
 # one 3x3 component whose (0, 2) slot is a structural zero, and a 1x1 one
 _BANDED = _metric(("x", "y", "z", "w"), (
@@ -171,8 +175,9 @@ def test_hessian_from_christoffel_rows_matches_the_dense_contraction(inputs):
 def test_inputs_cover_the_special_patterns():
     assert np.signbit(differentiate(_SIGNED_ZEROS.entries[0][0], "y").value)
     assert _components(_SIGNED_ZEROS) == ((0,), (1, 2))
-    tape = _metric_plan(_TRAILING_ZERO).jet_program.tape
-    assert tape[-1] is Const(-0.0)
+    keys = _metric_plan(_TRAILING_ZERO).jet_program.keys
+    assert keys[-1] is Const(-0.0)
+    assert _batch_plan(_TRAILING_ZERO).taped == len(keys) - 1
     assert _components(_BANDED) == ((0, 1, 2), (3,))
     dense = _random_dense_metric()
     assert _components(dense) == (tuple(range(6)),)

@@ -305,6 +305,17 @@ def test_non_finite_constant_is_a_compile_time_domain_error():
     assert "non-finite constant inf" in str(err.value)
 
 
+@pytest.mark.parametrize("text,node", [("exp(1000) + x", "exp(1000)"),
+                                       ("1e200^2 * x + 1", "1e+200^2*x + 1")])
+def test_a_constant_that_overflows_is_kept_and_named_when_evaluated(text, node):
+    # math.exp and float ** raise OverflowError where numpy gives inf; the
+    # parser keeps such a node unfolded, and evaluation names it
+    assert parse("2 + 0 * exp(1000)", XY) is Const(2.0)
+    with pytest.raises(DomainError) as err:
+        compile_expr(parse(text, XY), XY)(_PTS)
+    assert err.value.node_text == node
+
+
 def test_equal_expressions_are_one_node():
     x, y = Coord("x"), Coord("y")
     e = parse("sin(x) * y + x^2", XY)

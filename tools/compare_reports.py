@@ -7,10 +7,14 @@ benchmark workloads of perfbench/workloads.py (catalog_2k and dim_sweep, at
 `--size`) are run on each tree in a fresh interpreter, and so is the whole
 catalog (200 samples at full size, 20 at tiny).  Every report and each run's
 standard output are then compared byte for byte, the `generated_at` line
-excepted.  The workload inputs come from this checkout's perfbench/, which
-is only imported.  Each tree's `src/` line count (newlines in its `.py`
-files, as `wc -l` counts them) is printed first, then eight counts per run
-for each tree:
+excepted.  For a report that differs, each leaf that moved is printed: a
+number with its absolute and relative change, any other value as it was and
+is, with a moved `verdict`, `matched` or `expected` flagged MOVED; any other
+file that differs, or a report whose leaves all hold but whose text moved,
+is printed as a unified diff.  The workload inputs come
+from this checkout's perfbench/, which is only imported.  Each tree's `src/`
+line count (newlines in its `.py` files, as `wc -l` counts them) is printed
+first, then nine counts per run for each tree:
 
 - computed batches: calls of geometry._compute_batch, scope hits excluded;
 - jet-tape rows: summed over every jet plan's derivative tape;
@@ -25,7 +29,9 @@ for each tree:
   derivative program);
 - symbolic programs: the programs the symbolic phase builds (calls of
   geometry._contraction that miss its cache);
-- symbolic table rows: those programs' table rows (_Contraction.rows), summed.
+- symbolic table rows: those programs' table rows (_Contraction.rows), summed;
+- symbolic derivative calls: calls of expressions.differentiate, its own
+  recursive calls included.
 
 The plan caches of geometry and the builder memo of constructions are
 cleared before each run, so a run builds its plans, tapes and metrics as a
@@ -41,6 +47,7 @@ import contextlib
 import difflib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -52,7 +59,8 @@ WORKLOADS = ("catalog_2k", "dim_sweep")
 CATALOG_SAMPLES = {"full": 200, "tiny": 20}
 COUNTS = ("computed batches", "jet-tape rows", "kept batch bytes", "contraction products",
           "MetricSpec constructions", "field jet passes", "symbolic programs",
-          "symbolic table rows")
+          "symbolic table rows", "symbolic derivative calls")
+FLAGGED = ("verdict", "matched", "expected")
 _GENERATED_AT = re.compile(r'^\s*"generated_at": "[^"]*",\n', re.MULTILINE)
 
 
@@ -60,7 +68,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     """Child process: write every report and stdout of one tree under `out`."""
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(HERE / "perfbench")]
     import workloads
-    from confprod import catalog, cli, constructions, geometry
+    from confprod import catalog, checkers, cli, constructions, expressions, geometry
 
     counts: dict = {}
     compute, program = geometry._compute_batch, geometry._JetPlan._program
@@ -98,11 +106,16 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
         return built
 
     counting_programs.cache_clear = contraction.cache_clear
+    differentiate = expressions.differentiate
+
+    def counting_derivatives(e, coord):
+        counts[name]["symbolic derivative calls"] += 1
+        return differentiate(e, coord)
 
     def counting_rows(plan, order):
         built = program(plan, order)
         if order == 2:
-            counts[name]["jet-tape rows"] += len(built.tape)
+            counts[name]["jet-tape rows"] += len(built[0])    # its tape rows (their keys)
         return built
 
     @contextlib.contextmanager
@@ -115,6 +128,9 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
                 total = sum(a.nbytes for a in arrays.values())
                 counts[name]["kept batch bytes"] = max(counts[name]["kept batch bytes"], total)
 
+    for module in (expressions, geometry, checkers):
+        if getattr(module, "differentiate", None) is differentiate:
+            module.differentiate = counting_derivatives
     geometry._compute_batch = counting
     geometry._contraction = counting_programs
     geometry._contract = counting_products
@@ -151,8 +167,44 @@ def _deterministic(path: Path) -> list[str]:
     return _GENERATED_AT.sub("", path.read_text()).splitlines(keepends=True)
 
 
+def _leaves(doc, path: str = ""):
+    """(path, value) of every leaf of a JSON document, in document order."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _leaves(value, f"{path}[{k}]")
+    else:
+        yield path, doc
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def leaf_changes(name, old_text: str, new_text: str) -> list[str]:
+    """One line per leaf of two JSON reports that moved, `generated_at` excepted."""
+    old, new = dict(_leaves(json.loads(old_text))), dict(_leaves(json.loads(new_text)))
+    out = []
+    for path in {**old, **new}:
+        a, b = old.get(path, "(none)"), new.get(path, "(none)")
+        if path == "generated_at" or repr(a) == repr(b):    # repr tells -0.0 from 0.0
+            continue
+        line = f"{name}: {path}: {a!r} -> {b!r}"
+        if _number(a) and _number(b):
+            change = b - a
+            line += f" (abs {change:.3g}, rel {abs(change) / abs(a) if a else math.inf:.3g})"
+        if path.rsplit(".", 1)[-1] in FLAGGED:
+            line = "MOVED " + line
+        out.append(line + "\n")
+    return out
+
+
 def diff_trees(old: Path, new: Path) -> list[str]:
-    """Unified diffs of every file that differs (or exists on one side only)."""
+    """Every moved leaf of each report that differs (a unified diff when no
+    leaf moved), a unified diff of every other file that differs, and each
+    file on one side only."""
     names = sorted({p.relative_to(root) for root in (old, new)
                     for p in root.rglob("*") if p.is_file()})
     out = []
@@ -160,10 +212,11 @@ def diff_trees(old: Path, new: Path) -> list[str]:
         a, b = old / name, new / name
         if not (a.is_file() and b.is_file()):
             out.append(f"only in {old if a.is_file() else new}: {name}\n")
-            continue
-        lines = list(difflib.unified_diff(_deterministic(a), _deterministic(b),
-                                          str(a), str(b), n=1))
-        out += lines[:40]
+        elif _deterministic(a) != _deterministic(b):
+            moved = (leaf_changes(name, a.read_text(), b.read_text())
+                     if name.suffix == ".json" else [])
+            out += moved or list(difflib.unified_diff(_deterministic(a), _deterministic(b),
+                                                      str(a), str(b), n=1))[:40]
     return out
 
 
