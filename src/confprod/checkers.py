@@ -636,7 +636,7 @@ def warped_presentation_check(d: DoublyTwistedSpec, plan: SamplePlan,
     chart = d.chart()
     pts = sample(chart, plan)
     n1 = d.base.dim
-    grads = [np.abs(_field_plan(e, chart.coords).jets(pts)[1])
+    grads = [np.abs(_field_plan(e, chart.coords).gradients(pts))
              for e in dict.fromkeys((d.base_scale, d.fiber_scale))]
     base_oriented = max(float(g[:, n1:].max()) for g in grads)    # along the fiber
     fiber_oriented = max(float(g[:, :n1].max()) for g in grads)   # along the base

@@ -35,8 +35,8 @@ tape accepts: compile_expr rejects it.)
 A Tape is a straight-line program of numpy calls over an array of points,
 value-numbered so that a value several outputs share is computed once; it
 propagates exact first and second derivatives forward with the values,
-without building derivative expressions.  compile_expr is its order-0 use:
-an expression, or a list of them, compiled onto one tape.
+without building derivative expressions.  compile_expr compiles a built
+tape, or an expression or a list of them onto a new one (the order-0 use).
 """
 
 from __future__ import annotations
@@ -676,9 +676,8 @@ class Tape:
                 reg = self._register((_BINARY_UFUNCS[node.op], self.value(node.left, node),
                                       self.value(node.right, node)))
             else:
-                exponent = self.constants.get(node.exponent)
-                reg = self._register((np.power, self.value(node.base, node), self.value(
-                    Const(node.exponent), node) if exponent is None else exponent))
+                reg = self._register((np.power, self.value(node.base, node),
+                                      self.value(Const(node.exponent), node)))
             self.values[node] = reg
         return reg
 
@@ -805,10 +804,6 @@ class Tape:
         """Derivatives of f(u) from f'(u), f''(u) and u's: d_k = f' d_k u and
         d_k d_l = (f'' d_l u) d_k u + f' d_k d_l u."""
         mul, n = self._mul, self.dim
-        if len(u1) == 1 and not u2:     # u has one non-zero first derivative, r
-            (k, r), = u1.items()
-            d1, d2 = mul(outer, r), mul(mul(outer2, r), r)
-            return {} if d1 is None else {k: d1}, {} if d2 is None else {k * n + k: d2}
         along = {l: mul(outer2, r) for l, r in u1.items()}
         order = sorted(u1)
         d2 = {k * n + l: mul(along[l], u1[k]) for i, k in enumerate(order) for l in order[i:]}
@@ -836,11 +831,6 @@ class Tape:
         add, sub, mul, div = self._add, self._sub, self._mul, self._div
         a, b = self.values[node.left], self.values[node.right]
         if op in ("add", "sub"):
-            if a1.keys().isdisjoint(b1) and a2.keys().isdisjoint(b2):    # no term to add
-                if op == "sub":
-                    b1, b2 = ({k: self._neg(r) for k, r in b1.items()},
-                              {kl: self._neg(r) for kl, r in b2.items()})
-                return ({**a1, **b1}, {**a2, **b2}) if b1 or b2 else (a1, a2)
             f = add if op == "add" else sub
             d1 = {k: f(a1.get(k), b1.get(k)) for k in {**a1, **b1}}
             d2 = {kl: f(a2.get(kl), b2.get(kl)) for kl in {**a2, **b2}}
@@ -864,65 +854,65 @@ class Tape:
         return ({k: d for k, d in d1.items() if d is not None},
                 {kl: d for kl, d in d2.items() if d is not None})
 
-    def compile(self, outputs: Sequence[int],
-                expression: Callable[[int], Expr]) -> Callable[[np.ndarray], np.ndarray]:
-        """The callable giving, over an (N, dim) point array, the (len(outputs),
-        N) array of the output registers' values.  Each other register is
-        freed after its last reader.
-        When a value is non-finite, the scalar evaluator evaluates
-        expression(row) for the first such row at the row's first bad point,
-        to raise a DomainError naming the offending node."""
-        dim, template, steps = self.dim, list(self.template), list(self.steps)
-        outputs = list(outputs)
-        last = {}           # register -> the last step that reads it (or makes it, if none does)
-        for i, (reg, _, args) in enumerate(steps):
-            last[reg] = i
-            for a in args:
-                last[a] = i
-        frees = [()] * len(steps)
-        for a in set(last).difference(outputs):
-            frees[last[a]] += (a,)
-        names = list(self.column)
 
-        def evaluate_batch(points: np.ndarray) -> np.ndarray:
-            points = np.asarray(points, dtype=float)
-            regs = template.copy()
-            regs[:dim] = [points[:, k] for k in range(dim)]
-            out = np.empty((len(outputs), points.shape[0]))
-            with np.errstate(all="ignore"):
-                for (reg, op, args), free in zip(steps, frees):
-                    regs[reg] = op(*[regs[a] for a in args])
-                    for a in free:
-                        regs[a] = None
-                for row, reg in enumerate(outputs):
-                    out[row] = regs[reg]
-            bad = ~np.isfinite(out)
-            if bad.any():
-                row = int(np.argmax(bad.any(axis=1)))
-                e = expression(row)
-                # raises, naming the node
-                evaluate(e, dict(zip(names, points[int(np.argmax(bad[row]))])))
-                raise DomainError("non-finite value", format_expr(e))
-            return out
-
-        return evaluate_batch
-
-
-def compile_expr(e: Expr | Sequence[Expr],
-                 coords: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
+def compile_expr(e: Expr | Sequence[Expr] | Tape, coords: Sequence[str] = (), *,
+                 outputs: Sequence[int] = (), expression: Callable[[int], Expr] | None = None,
+                 ) -> Callable[[np.ndarray], np.ndarray]:
     """Compile to a callable over an (N, dim) point array.
 
     A single expression gives its (N,) values.  A sequence of expressions
     is compiled onto one shared tape and gives a (len(e), N) array whose
-    rows are the expressions' values.  A non-finite constant is a
-    DomainError at compile time.  When a computed value is non-finite, the
-    first such row is re-evaluated by the scalar evaluator at its first bad
-    point, to raise a DomainError naming the offending node.
+    rows are the expressions' values.  A Tape already built gives the
+    (len(outputs), N) array of its output registers' values, expression(row)
+    being the expression of a row.  Steps no output needs are left out, and
+    each register is freed after its last reader.  A non-finite constant is
+    a DomainError at compile time.  When a computed value is non-finite, the
+    first such row's expression is evaluated by the scalar evaluator at the
+    row's first bad point, to raise a DomainError naming the offending node.
     """
-    single = isinstance(e, Expr)
-    exprs = (e,) if single else tuple(e)
-    tape = Tape(coords)
-    run = tape.compile([tape.value(x, x) for x in exprs], exprs.__getitem__)
-    if single:
-        return lambda points: run(points)[0]
-    return run
+    if not isinstance(e, Tape):
+        single = isinstance(e, Expr)
+        exprs = (e,) if single else tuple(e)
+        tape = Tape(coords)
+        run = compile_expr(tape, outputs=[tape.value(x, x) for x in exprs],
+                           expression=exprs.__getitem__)
+        return (lambda points: run(points)[0]) if single else run
+    dim, template, outputs, names = e.dim, list(e.template), list(outputs), list(e.column)
+    # backwards, live holds what an output or a later step reads: a step whose
+    # result is not live is left out, and an argument not yet live is freed
+    # after this step, its last reader
+    live, steps, frees = set(outputs), [], []
+    for step in reversed(e.steps):
+        if step[0] in live:
+            free = ()
+            for a in step[2]:
+                if a not in live:
+                    free += (a,)
+                    live.add(a)
+            steps.append(step)
+            frees.append(free)
+    steps.reverse()
+    frees.reverse()
+
+    def evaluate_batch(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        regs = template.copy()
+        regs[:dim] = [points[:, k] for k in range(dim)]
+        out = np.empty((len(outputs), points.shape[0]))
+        with np.errstate(all="ignore"):
+            for (reg, op, args), free in zip(steps, frees):
+                regs[reg] = op(*[regs[a] for a in args])
+                for a in free:
+                    regs[a] = None
+            for row, reg in enumerate(outputs):
+                out[row] = regs[reg]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            row = int(np.argmax(bad.any(axis=1)))
+            x = expression(row)
+            # raises, naming the node
+            evaluate(x, dict(zip(names, points[int(np.argmax(bad[row]))])))
+            raise DomainError("non-finite value", format_expr(x))
+        return out
+
+    return evaluate_batch

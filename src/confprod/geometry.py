@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import OutsideDomainError, SingularMetricError, UnsupportedDimError
-from .expressions import ZERO, Const, Expr, Tape, differentiate, free_coords
+from .expressions import ZERO, Const, Expr, Tape, compile_expr, differentiate, free_coords
 
 _PD_EIGENVALUE_TOL = 1e-12
 # a curvature batch is computed in slices of sample points whose tape rows
@@ -151,9 +151,9 @@ class _JetPlan:
     derivatives on every diagonal entry) or the same constant read one row.
     Derivatives are exact, propagated forward on the tape with the values,
     and a derivative that folds to a zero constant is a structural +0.0.
-    The value tape is built on first use and the derivative tape on the
-    first call that needs derivatives; both, and every array computed from
-    them, belong to this plan alone.
+    Each tape, of the values, of values and gradients, or of full jets, is
+    built on the first call that needs it; the tapes, and every array
+    computed from them, belong to this plan alone.
     """
 
     def __init__(self, shape: tuple[int, ...], entries, coords: tuple[str, ...]):
@@ -166,16 +166,22 @@ class _JetPlan:
         return self._program(0)
 
     @cached_property
+    def gradient_program(self) -> _Program:
+        return self._program(1)
+
+    @cached_property
     def jet_program(self) -> _Program:
         return self._program(2)
 
     def _program(self, order: int) -> _Program:
         """Slots are laid out expression by expression, each distinct one
         at its first entry, with all its places: the value, the n first
-        derivatives, then the second derivatives (k, l >= k).  A tape row
-        sits where its first slot does, so the first non-finite row is the
-        first bad slot's; that slot's expression alone is then
-        differentiated symbolically, to name the offending node."""
+        derivatives, then (order 2) the second derivatives (k, l >= k); a
+        gradient program's tape leaves out the steps no first derivative
+        needs.  A tape row sits where its first slot does, so the first
+        non-finite row is the first bad slot's; that slot's expression
+        alone is then differentiated symbolically, to name the offending
+        node."""
         n = len(self.coords)
         tape = Tape(self.coords)
         rows: dict = {}                                 # register -> tape row
@@ -201,7 +207,7 @@ class _JetPlan:
             _, d1, d2 = tape.jets(e)
             for k in sorted(d1):
                 put(1, d1[k], [p * n + k for p in places], e, k)
-            for kl in sorted(d2):
+            for kl in sorted(d2) if order == 2 else ():
                 k, l = divmod(kl, n)
                 columns = [p * n * n + kl for p in places]
                 if l != k:
@@ -214,7 +220,8 @@ class _JetPlan:
                 e = differentiate(e, self.coords[k])
             return e
 
-        return _Program(tuple(tape.keys[r] for r in rows), tape.compile(list(rows), expression),
+        return _Program(tuple(tape.keys[r] for r in rows),
+                        compile_expr(tape, outputs=list(rows), expression=expression),
                         tuple((np.array(tape_rows, dtype=np.intp), np.array(cols, dtype=np.intp))
                               for tape_rows, cols in scatter))
 
@@ -231,6 +238,10 @@ class _JetPlan:
     def values(self, points: np.ndarray) -> np.ndarray:
         """The expressions' values, shape (count,) + shape."""
         return self._run(self.value_program, points)[0]
+
+    def gradients(self, points: np.ndarray) -> np.ndarray:
+        """gradient[..., k] = d_k, shape (count,) + shape + (n,)."""
+        return self._run(self.gradient_program, points)[1]
 
     def jets(self, points: np.ndarray):
         """(value, gradient, hessian); gradient[..., k] = d_k, hessian[..., k, l] = d_k d_l."""

@@ -14,6 +14,7 @@ from confprod.expressions import (
     Const,
     Coord,
     Pow,
+    Tape,
     Unary,
     add,
     compile_expr,
@@ -296,6 +297,23 @@ def test_rebuilt_and_unpickled_trees_are_the_same_nodes(e):
     assert pickle.loads(pickle.dumps(e)) is e
     with pytest.raises(AttributeError):
         e.op = "add"
+
+
+def test_a_built_tape_compiles_to_its_outputs_and_runs_only_their_steps():
+    e = parse("exp(x*y) / (1 + x^2)", XY)
+    tape = Tape(XY)
+    value, firsts, _ = tape.jets(e)
+    calls = []
+    tape.steps = [(reg, lambda *args, op=op: calls.append(op) or op(*args), args)
+                  for reg, op, args in tape.steps]
+    outputs = [value, firsts[0], firsts[1]]
+    rows = compile_expr(tape, outputs=outputs)(_PTS)
+    assert rows[0].tobytes() == compile_expr(e, XY)(_PTS).tobytes()
+    for k, c in enumerate(XY):
+        want = compile_expr(differentiate(e, c), XY)(_PTS)
+        assert np.allclose(rows[1 + k], want, rtol=1e-13, atol=1e-13)
+    # the second derivatives' steps are on the tape but no output needs them
+    assert 0 < len(calls) < len(tape.steps)
 
 
 def test_non_finite_constant_is_a_compile_time_domain_error():

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from confprod import geometry
 from confprod.catalog import get_scenario, run_scenario, scenarios
-from confprod.checkers import SamplePlan, sample
+from confprod.checkers import SamplePlan, sample, warped_presentation_check
 from confprod.constructions import ConformalSpec, conformal_metric, joint_sum, product
 from confprod.errors import DomainError
 from confprod.expressions import (
@@ -137,6 +137,31 @@ def test_field_plan_matches_reference_including_signed_zeros():
             want = compile_expr(differentiate(d, c2), coords)(pts)
             assert np.array_equal(hess[:, k, l], want)
     assert not np.signbit(grad[:, 1]).any()
+
+
+def test_gradient_program_gives_the_jet_gradients_on_a_shorter_tape():
+    coords = ("x", "y")
+    plan = _field_plan.__wrapped__(parse("exp(0.3 * x) * (1 + 0.25 * cos(y))", coords), coords)
+    pts = np.array([[0.3, -0.2], [-0.7, 0.9]])
+    assert plan.gradients(pts).tobytes() == plan.jets(pts)[1].tobytes()
+    assert len(plan.gradient_program.keys) == 3 < len(plan.jet_program.keys)
+
+
+def test_warped_presentation_reads_gradients_only(monkeypatch):
+    orders = []
+    program = geometry._JetPlan._program
+
+    def recording(plan, order):
+        orders.append((plan.shape, order))
+        return program(plan, order)
+
+    monkeypatch.setattr(geometry._JetPlan, "_program", recording)
+    monkeypatch.setattr(geometry, "differentiate", None)   # never called
+    geometry._field_plan.cache_clear()
+    sc = get_scenario("doubly_twisted_einstein")
+    inst, _ = sc.build(sc.parameters())
+    warped_presentation_check(inst.spec, SamplePlan(count=5))
+    assert orders and all(order == 1 for shape, order in orders if shape == ())
 
 
 @pytest.mark.parametrize("text00,text11,bad", [

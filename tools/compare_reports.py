@@ -17,7 +17,7 @@ line count (newlines in its `.py` files, as `wc -l` counts them) is printed
 first, then nine counts per run for each tree:
 
 - computed batches: calls of geometry._compute_batch, scope hits excluded;
-- jet-tape rows: summed over every jet plan's derivative tape;
+- jet-tape rows: summed over every jet plan's second-order (jet) tape;
 - kept batch bytes: the largest total, over the scenarios, of the distinct
   arrays held by the batches of a scenario's evaluation scope when it closes;
 - contraction products: the products of the symbolic programs of the
@@ -25,8 +25,8 @@ first, then nine counts per run for each tree:
   summed over its program's steps, weighted by its slice's share of the
   batch's points);
 - MetricSpec constructions;
-- field jet passes: jet runs of a scalar field's plan (_JetPlan._run on its
-  derivative program);
+- field jet passes: derivative runs of a scalar field's plan (_JetPlan._run
+  on its gradient or jet program);
 - symbolic programs: the programs the symbolic phase builds (calls of
   geometry._contraction that miss its cache);
 - symbolic table rows: those programs' table rows (_Contraction.rows), summed;
