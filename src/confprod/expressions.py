@@ -36,7 +36,9 @@ A Tape is a straight-line program of numpy calls over an array of points,
 value-numbered so that a value several outputs share is computed once; it
 propagates exact first and second derivatives forward with the values,
 without building derivative expressions.  compile_expr compiles a built
-tape, or an expression or a list of them onto a new one (the order-0 use).
+tape for some of its registers, the same program whatever else the tape
+carries, or an expression or a list of them onto a new one (the order-0
+use).
 """
 
 from __future__ import annotations
@@ -620,7 +622,10 @@ class Tape:
     constant or the result of one step.  A register is built once per key,
     its Const or its (ufunc, argument registers), so a value that several
     outputs share is computed once (value numbering); keys[r] is register
-    r's key (the coordinate's name for a column).
+    r's key (the coordinate's name for a column), and each register past the
+    columns whose template entry is None is a step.  One tape may carry the
+    steps of many programs (the jet plans of one chart in an evaluation
+    scope): compile_expr takes from it only what its outputs need.
 
     value(e) gives the register of e's value, one step per operation node.
     jets(e) also gives e's non-zero first derivatives {k: register} over
@@ -639,7 +644,6 @@ class Tape:
         self.column = {name: k for k, name in enumerate(coords)}
         self.keys: list = list(coords)
         self.template: list = [None] * self.dim     # the constants' values
-        self.steps: list = []                       # (result register, ufunc, arguments)
         self.registers: dict = {}                   # key -> register
         self.constants: dict = {}                   # non-zero value -> register
         self.values: dict = {}                      # node -> register of its value
@@ -652,8 +656,6 @@ class Tape:
             reg = self.registers[key] = len(self.keys)
             self.keys.append(key)
             self.template.append(value)
-            if value is None:
-                self.steps.append((reg, key[0], key[1:]))
         return reg
 
     def value(self, node: Expr, parent: Expr | None = None) -> int:
@@ -864,11 +866,16 @@ def compile_expr(e: Expr | Sequence[Expr] | Tape, coords: Sequence[str] = (), *,
     is compiled onto one shared tape and gives a (len(e), N) array whose
     rows are the expressions' values.  A Tape already built gives the
     (len(outputs), N) array of its output registers' values, expression(row)
-    being the expression of a row.  Steps no output needs are left out, and
-    each register is freed after its last reader.  A non-finite constant is
-    a DomainError at compile time.  When a computed value is non-finite, the
-    first such row's expression is evaluated by the scalar evaluator at the
-    row's first bad point, to raise a DomainError naming the offending node.
+    being the expression of a row.  The compile walks from the outputs to
+    the steps they need and numbers those registers afresh, depth first, so
+    the compiled program, its cost to compile included, depends on the
+    outputs alone and not on what else the tape carries; the callable's
+    `steps` are its (register, ufunc, arguments) on that numbering and its
+    `keys` its rows' keys.  Each register is freed after its last reader.
+    A non-finite constant is a DomainError at compile time.  When a
+    computed value is non-finite, the first such row's expression is
+    evaluated by the scalar evaluator at the row's first bad point, to
+    raise a DomainError naming the offending node.
     """
     if not isinstance(e, Tape):
         single = isinstance(e, Expr)
@@ -877,21 +884,48 @@ def compile_expr(e: Expr | Sequence[Expr] | Tape, coords: Sequence[str] = (), *,
         run = compile_expr(tape, outputs=[tape.value(x, x) for x in exprs],
                            expression=exprs.__getitem__)
         return (lambda points: run(points)[0]) if single else run
-    dim, template, outputs, names = e.dim, list(e.template), list(outputs), list(e.column)
-    # backwards, live holds what an output or a later step reads: a step whose
-    # result is not live is left out, and an argument not yet live is freed
-    # after this step, its last reader
-    live, steps, frees = set(outputs), [], []
-    for step in reversed(e.steps):
-        if step[0] in live:
-            free = ()
-            for a in step[2]:
-                if a not in live:
-                    free += (a,)
-                    live.add(a)
-            steps.append(step)
-            frees.append(free)
-    steps.reverse()
+    dim, names = e.dim, list(e.column)
+    # depth first, each register numbered once its arguments are (every step
+    # has one or two); number[r] is tape register r's number, -1 before it
+    # has one, and the columns keep theirs
+    tape_keys, tape_template = e.keys, e.template
+    number = [*range(dim), *[-1] * (len(tape_keys) - dim)]
+    template, steps = [None] * dim, []
+    stack = outputs[::-1]
+    while stack:
+        reg = stack.pop()
+        if number[reg] >= 0:
+            continue
+        key, value = tape_keys[reg], tape_template[reg]
+        if value is None:
+            if len(key) == 3:
+                a, b = number[key[1]], number[key[2]]
+                if a < 0 or b < 0:
+                    stack += (reg, key[2], key[1])    # the first argument on top
+                    continue
+                args = (a, b)
+            else:
+                a = number[key[1]]
+                if a < 0:
+                    stack += (reg, key[1])
+                    continue
+                args = (a,)
+            steps.append((len(template), key[0], args))
+        number[reg] = len(template)
+        template.append(value)
+    keys = tuple(tape_keys[r] if tape_template[r] is not None or r < dim else
+                 (tape_keys[r][0], *[number[a] for a in tape_keys[r][1:]]) for r in outputs)
+    outputs = [number[r] for r in outputs]
+    # backwards, live holds what an output or a later step reads: an argument
+    # not yet live is freed after this step, its last reader
+    live, frees = set(outputs), []
+    for _, _, args in reversed(steps):
+        free = ()
+        for a in args:
+            if a not in live:
+                free += (a,)
+                live.add(a)
+        frees.append(free)
     frees.reverse()
 
     def evaluate_batch(points: np.ndarray) -> np.ndarray:
@@ -915,4 +949,5 @@ def compile_expr(e: Expr | Sequence[Expr] | Tape, coords: Sequence[str] = (), *,
             raise DomainError("non-finite value", format_expr(x))
         return out
 
+    evaluate_batch.steps, evaluate_batch.keys = steps, keys
     return evaluate_batch

@@ -32,7 +32,10 @@ so phi = |x|^2 / 2 on flat R^n has Hess = identity and lap(phi) = -n.
 Everything is immutable; sampling and evaluation are pure, so checks over
 sample points can run concurrently or vectorized (they are vectorized here).
 Inside an evaluation_scope() the checks of one run share each curvature
-batch and each set of sample points instead of recomputing them.
+batch and each set of sample points instead of recomputing them; the jet
+programs of one chart record on one tape, and a scalar field's jets at
+kept points are evaluated once.  Kept arrays are read-only, and every
+array a helper hands out is fresh or read-only.
 """
 
 from __future__ import annotations
@@ -138,6 +141,9 @@ class _Program(NamedTuple):
     scatter: tuple           # per output array: (tape rows, columns)
 
 
+_PROGRAMS = ("value_program", "gradient_program", "jet_program")
+
+
 class _JetPlan:
     """Values and first and second coordinate derivatives of a set of expressions.
 
@@ -145,15 +151,21 @@ class _JetPlan:
     `shape`, given as flat indices: a metric's upper-triangle entry fills
     (i, j) and (j, i), a scalar field fills the single place of shape ().
     Every slot (one value or derivative of one expression) but a structural
-    +0.0, which the output arrays are preset to, reads one row of a shared
-    tape (expressions.Tape), which holds each distinct register once: slots
+    +0.0, which the output arrays are preset to, reads one row of a tape
+    (expressions.Tape), which holds each distinct register once: slots
     with the same value (the rescaled flat metric repeats phi^-2 and its
     derivatives on every diagonal entry) or the same constant read one row.
     Derivatives are exact, propagated forward on the tape with the values,
     and a derivative that folds to a zero constant is a structural +0.0.
-    Each tape, of the values, of values and gradients, or of full jets, is
-    built on the first call that needs it; the tapes, and every array
-    computed from them, belong to this plan alone.
+    Each program, of the values, of values and gradients, or of full jets,
+    is built on the first call that needs it.  Inside an evaluation scope it
+    records its steps on the scope's one tape for its coordinates, so the
+    plans of one chart derive each shared node's registers once; outside
+    one, on a tape of its own.  Either way compile_expr gives the same
+    program.  Each program computes its own values, and the output arrays
+    are scattered fresh on every call; inside a scope, a scalar field's
+    tape rows at points the scope keeps are kept, read-only, for its later
+    calls there (see _run).
     """
 
     def __init__(self, shape: tuple[int, ...], entries, coords: tuple[str, ...]):
@@ -177,13 +189,16 @@ class _JetPlan:
         """Slots are laid out expression by expression, each distinct one
         at its first entry, with all its places: the value, the n first
         derivatives, then (order 2) the second derivatives (k, l >= k); a
-        gradient program's tape leaves out the steps no first derivative
-        needs.  A tape row sits where its first slot does, so the first
-        non-finite row is the first bad slot's; that slot's expression
-        alone is then differentiated symbolically, to name the offending
-        node."""
+        gradient program leaves out the steps no first derivative needs.
+        A tape row sits where its first slot does, so the first non-finite
+        row is the first bad slot's; that slot's expression alone is then
+        differentiated symbolically, to name the offending node."""
         n = len(self.coords)
-        tape = Tape(self.coords)
+        samples = _SAMPLES.get()
+        tapes = {} if samples is None else samples.tapes
+        if self.coords not in tapes:
+            tapes[self.coords] = Tape(self.coords)
+        tape = tapes[self.coords]
         rows: dict = {}                                 # register -> tape row
         firsts: list = []                               # per row: its first slot's (expr, k, l)
         scatter = [([], []) for _ in range(order + 1)]  # per output: tape rows, columns
@@ -220,32 +235,45 @@ class _JetPlan:
                 e = differentiate(e, self.coords[k])
             return e
 
-        return _Program(tuple(tape.keys[r] for r in rows),
-                        compile_expr(tape, outputs=list(rows), expression=expression),
-                        tuple((np.array(tape_rows, dtype=np.intp), np.array(cols, dtype=np.intp))
-                              for tape_rows, cols in scatter))
+        fn = compile_expr(tape, outputs=list(rows), expression=expression)
+        return _Program(fn.keys, fn, tuple(
+            (np.array(tape_rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+            for tape_rows, cols in scatter))
 
-    def _run(self, program: _Program, points: np.ndarray) -> list[np.ndarray]:
+    def _run(self, order: int, points: np.ndarray) -> list[np.ndarray]:
+        """The output arrays of orders 0..order, scattered fresh from the
+        tape rows of a program of at least that order.  Inside a scope, a
+        scalar field's rows at points the scope keeps are kept read-only,
+        those of the richest program run there so far (jets, gradients,
+        values), and a call that they cover reads them."""
+        samples = _SAMPLES.get()
+        keep = samples is not None and not self.shape and id(points) in samples.keys
+        kept = samples.rows if keep else {}
+        program, rows = kept.get((self, id(points)), (None, None))
+        if program is None or len(program.scatter) <= order:
+            program = getattr(self, _PROGRAMS[order])
+            rows = program.fn(points)
+            rows.flags.writeable = False
+            kept[self, id(points)] = program, rows
         count, n = points.shape[0], len(self.coords)
-        rows = program.fn(points)
         outs = []
-        for order, (tape_rows, cols) in enumerate(program.scatter):
-            out = np.zeros((count,) + self.shape + (n,) * order)
+        for k, (tape_rows, cols) in enumerate(program.scatter[:order + 1]):
+            out = np.zeros((count,) + self.shape + (n,) * k)
             out.reshape(count, -1)[:, cols] = rows[tape_rows].T    # +0.0 slots stay zero
             outs.append(out)
         return outs
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """The expressions' values, shape (count,) + shape."""
-        return self._run(self.value_program, points)[0]
+        return self._run(0, points)[0]
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         """gradient[..., k] = d_k, shape (count,) + shape + (n,)."""
-        return self._run(self.gradient_program, points)[1]
+        return self._run(1, points)[1]
 
     def jets(self, points: np.ndarray):
         """(value, gradient, hessian); gradient[..., k] = d_k, hessian[..., k, l] = d_k d_l."""
-        return tuple(self._run(self.jet_program, points))
+        return tuple(self._run(2, points))
 
 
 @lru_cache(maxsize=512)
@@ -445,10 +473,14 @@ class CurvatureBatch:
 
 
 class _Samples(NamedTuple):
-    """The sample points an evaluation scope keeps."""
+    """What an evaluation scope keeps beside its batches: sample points,
+    one jet tape per chart, and read-only field rows."""
     points: dict   # sample key -> read-only points
     inside: dict   # id of kept points -> the charts whose boxes they passed
     keys: dict     # id of kept points -> their (shape, bytes), for _scope_key
+    tapes: dict    # coordinate tuple -> the Tape its jet programs record on
+    rows: dict     # (field plan, id of kept points) -> (its richest program run, its tape rows)
+    traces: dict   # (phi, metric, id of kept points) -> _field_jets' lap and |dphi|^2
 
 
 # (metric, points.shape, points bytes) -> CurvatureBatch, while a scope is open
@@ -458,23 +490,30 @@ _SAMPLES: ContextVar[_Samples | None] = ContextVar("confprod_scope_samples", def
 
 @contextmanager
 def evaluation_scope():
-    """Share curvature batches and sample points between the checks of one run.
+    """Share curvature batches, sample points and jets between the checks of one run.
 
     Inside the scope, curvature_batch returns the batch it already computed
     for the same metric at the same points, and the field helpers take the
     inverse metric from it.  The key is the metric itself, so the direct
     route (rescaled metric) and the formula route (base metric) never read
     each other's entries.  Sample points are kept apart from the batches
-    (scoped_points).  A scope opened inside another one shares the outer
-    one's batches; the outermost scope drops them when it closes.  Kept
-    arrays are read-only.  Yields the mapping from keys to batches.
+    (scoped_points).  Every jet program built in the scope records on one
+    Tape per coordinate tuple, so each node's value and derivative
+    registers are derived once per chart; a scalar field's tape rows at
+    kept points, and _field_jets' lap and |dphi|^2 per (phi, metric, kept
+    points), are kept for later calls.  Only symbolic registers pass
+    between the routes: the rescaled metric's program and phi's share tape
+    registers, but each computes its own values.  A scope opened inside
+    another one shares the outer one's; the outermost scope drops all of it
+    when it closes.  Kept arrays are read-only.  Yields the mapping from
+    keys to batches.
     """
     kept = _SCOPE.get()
     if kept is not None:
         yield kept
         return
     token = _SCOPE.set({})
-    samples = _SAMPLES.set(_Samples({}, {}, {}))
+    samples = _SAMPLES.set(_Samples({}, {}, {}, {}, {}, {}))
     try:
         yield _SCOPE.get()
     finally:
@@ -922,8 +961,10 @@ def _field_jets(phi: Expr, metric: MetricSpec, pts: np.ndarray):
 
     The Hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi is formed
     from the batch's Christoffel rows, for i <= j only, over column slices
-    whose product and gather buffers fit _CHUNK_BYTES; the two traces read
-    one dense g^-1, dropped on return.
+    whose product and gather buffers fit _CHUNK_BYTES, into the fresh
+    Hessian phi's plan hands out; the two traces read one dense g^-1,
+    dropped on return.  Inside a scope, at points it keeps, the traces are
+    kept read-only per (phi, metric, points) and read by later calls.
     """
     _, grad, hess = _field_plan(phi, metric.chart.coords).jets(pts)
     batch = curvature_batch(metric, pts)
@@ -937,9 +978,16 @@ def _field_jets(phi: Expr, metric: MetricSpec, pts: np.ndarray):
             product = batch.christoffel_rows[a, columns] * grad[columns, k].T
             flat[columns, out] -= np.add.reduceat(product, starts, axis=0).T
         flat[:, mirror] = flat[:, out]
-    ginv = batch.ginv
-    return (grad, hess, -np.einsum("nij,nij->n", ginv, hess),
-            np.einsum("nij,ni,nj->n", ginv, grad, grad))
+    samples, key = _SAMPLES.get(), (phi, metric, id(pts))
+    traces = None if samples is None else samples.traces.get(key)
+    if traces is None:
+        ginv = batch.ginv
+        traces = -np.einsum("nij,nij->n", ginv, hess), np.einsum("nij,ni,nj->n", ginv, grad, grad)
+        if samples is not None and id(pts) in samples.keys:
+            for array in traces:
+                array.flags.writeable = False
+            samples.traces[key] = traces
+    return (grad, hess, *traces)
 
 
 def hessian_lc_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:

@@ -1,8 +1,8 @@
 """tools/compare_reports.py: reports compared byte for byte, the timestamp
 excepted, each moved leaf of a report listed, with each tree's src/ lines,
-computed batches, jet-tape rows, kept batch bytes, contraction products,
-MetricSpec constructions, field jet passes, symbolic programs, their table
-rows and symbolic derivative calls counted."""
+computed batches, jet-tape rows, tape registers, kept batch bytes,
+contraction products, MetricSpec constructions, field jet passes, symbolic
+programs, their table rows and symbolic derivative calls counted."""
 
 import importlib.util
 import json
@@ -64,10 +64,14 @@ def test_a_tree_matches_itself(capsys):
     # metric's batches had slot arrays of their own: 77 tape rows, 11 832
     # kept bytes, 16 MetricSpecs, and 4 programs with 112 table rows; while
     # the tapes held derivative expressions, a derivative that folded to
-    # -0.0 had a row of its own: 72 rows
+    # -0.0 had a row of its own: 72 rows; with a tape of its own per jet
+    # program, the run created 306 tape registers, and with no field rows
+    # kept by the scope every gradient or jet request ran its program: 14
+    # field jet passes
     assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 71 -> 71, "
+            "tape registers 183 -> 183, "
             "kept batch bytes 11768 -> 11768, contraction products 248 -> 248, "
-            "MetricSpec constructions 8 -> 8, field jet passes 14 -> 14, "
+            "MetricSpec constructions 8 -> 8, field jet passes 5 -> 5, "
             "symbolic programs 6 -> 6, symbolic table rows 136 -> 136, "
             "symbolic derivative calls 0 -> 0") in out
 

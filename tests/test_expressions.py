@@ -304,8 +304,10 @@ def test_a_built_tape_compiles_to_its_outputs_and_runs_only_their_steps():
     tape = Tape(XY)
     value, firsts, _ = tape.jets(e)
     calls = []
-    tape.steps = [(reg, lambda *args, op=op: calls.append(op) or op(*args), args)
-                  for reg, op, args in tape.steps]
+    steps = [r for r in range(tape.dim, len(tape.keys)) if tape.template[r] is None]
+    for r in steps:    # a step's key holds its ufunc: count the calls the program makes
+        op, *args = tape.keys[r]
+        tape.keys[r] = (lambda *a, op=op: calls.append(op) or op(*a), *args)
     outputs = [value, firsts[0], firsts[1]]
     rows = compile_expr(tape, outputs=outputs)(_PTS)
     assert rows[0].tobytes() == compile_expr(e, XY)(_PTS).tobytes()
@@ -313,7 +315,26 @@ def test_a_built_tape_compiles_to_its_outputs_and_runs_only_their_steps():
         want = compile_expr(differentiate(e, c), XY)(_PTS)
         assert np.allclose(rows[1 + k], want, rtol=1e-13, atol=1e-13)
     # the second derivatives' steps are on the tape but no output needs them
-    assert 0 < len(calls) < len(tape.steps)
+    assert 0 < len(calls) < len(steps)
+
+
+def test_a_tape_carrying_unrelated_steps_compiles_the_same_program():
+    e = parse("exp(x*y) / (1 + x^2) + sqrt(1 + y^2)", XY)
+    fresh = Tape(XY)
+    outputs = [fresh.value(e), *fresh.jets(e)[1].values(), *fresh.jets(e)[2].values()]
+    # the same outputs on a tape that first took another expression's jets,
+    # some of whose registers the outputs share and some they do not
+    shared = Tape(XY)
+    shared.jets(parse("cos(x*y) * (1 + x^2) - log(2 + y)", XY))
+    assert len(shared.keys) > 2 * len(XY)
+    again = [shared.value(e), *shared.jets(e)[1].values(), *shared.jets(e)[2].values()]
+    assert again != outputs    # registers are numbered per tape
+    want, got = compile_expr(fresh, outputs=outputs), compile_expr(shared, outputs=again)
+    assert got.steps == want.steps and got.keys == want.keys
+    assert got(_PTS).tobytes() == want(_PTS).tobytes()
+    # the unrelated steps stay out: the program is no longer than on the fresh tape
+    assert len(want.steps) == sum(1 for r in range(fresh.dim, len(fresh.keys))
+                                  if fresh.template[r] is None)
 
 
 def test_non_finite_constant_is_a_compile_time_domain_error():

@@ -82,15 +82,80 @@ def _symbolic_zeros(metric):
     return np.concatenate([z.ravel() for z in zero])
 
 
-def _assert_matches_the_oracle(metric, pts):
-    got = _metric_plan(metric).jets(pts)
+def _assert_matches_the_oracle(metric, pts, plan=None):
+    plan = plan or _metric_plan(metric)
+    got = plan.jets(pts)
     want = _reference_jets(metric, pts)
     assert got[0].tobytes() == want[0].tobytes()    # bit for bit, signs of zeros too
-    assert _metric_plan(metric).values(pts).tobytes() == got[0].tobytes()
+    assert plan.values(pts).tobytes() == got[0].tobytes()
     for a, b in zip(got[1:], want[1:]):
         assert a.shape == b.shape
         assert np.all(np.abs(a - b) <= 1e-13 * (1.0 + np.abs(b))), metric.chart.coords
-    assert np.array_equal(_slot_rows(_metric_plan(metric)) < 0, _symbolic_zeros(metric))
+    assert np.array_equal(_slot_rows(plan) < 0, _symbolic_zeros(metric))
+
+
+def _assert_field_matches_the_oracle(e, plan, pts):
+    coords = plan.coords
+    value, grad, hess = plan.jets(pts)
+    assert value.tobytes() == compile_expr(e, coords)(pts).tobytes()
+    assert plan.values(pts).tobytes() == value.tobytes()
+    for k, c in enumerate(coords):
+        d = differentiate(e, c)
+        assert np.allclose(grad[:, k], compile_expr(d, coords)(pts), rtol=1e-13, atol=1e-13)
+        for l in range(k, len(coords)):
+            want = compile_expr(differentiate(d, coords[l]), coords)(pts)
+            for got in (hess[:, k, l], hess[:, l, k]):
+                assert np.allclose(got, want, rtol=1e-13, atol=1e-13), (format_expr(e), k, l)
+
+
+def _plans_built_in_scope(name, params=None):
+    """(metric or field, fresh plan, points) for every metric and scalar
+    field one run of the scenario evaluates at kept points.  Each plan's
+    three programs are built inside the run's scope after the scenario's
+    own plans, so on tapes that already carry their registers and others."""
+    geometry._field_plan.cache_clear()    # every field plan the run reads is built anew
+    with evaluation_scope() as kept:
+        run_scenario(name, params=params, plan=SamplePlan(count=5))
+        samples = geometry._SAMPLES.get()
+        assert samples.tapes and samples.rows
+        at = {id(p): p for p in samples.points.values()}
+        built = [(metric, _metric_plan.__wrapped__(metric), batch.points)
+                 for (metric, _, _), batch in kept.items()]
+        built += [(plan.entries[0][0], _field_plan.__wrapped__(plan.entries[0][0], plan.coords),
+                   at[points]) for plan, points in samples.rows]
+        for _, plan, _ in built:
+            for program in geometry._PROGRAMS:
+                getattr(plan, program)
+            # the chart's tape carries steps the plan's programs do not read
+            tape = samples.tapes[plan.coords]
+            assert len(tape.keys) > tape.dim + len(plan.jet_program.fn.steps)
+    return built
+
+
+def _assert_same_program_as_on_a_private_tape(plan, pts):
+    """Outside any scope, a plan built anew records on a tape of its own."""
+    assert geometry._SAMPLES.get() is None
+    private = type(plan)(plan.shape, plan.entries, plan.coords)
+    for name in geometry._PROGRAMS:
+        a, b = getattr(plan, name), getattr(private, name)
+        assert a.keys == b.keys and a.fn.steps == b.fn.steps, (name, plan.coords)
+        assert len(a.scatter) == len(b.scatter)
+        for (rows_a, cols_a), (rows_b, cols_b) in zip(a.scatter, b.scatter):
+            assert np.array_equal(rows_a, rows_b) and np.array_equal(cols_a, cols_b)
+        assert a.fn(pts).tobytes() == b.fn(pts).tobytes()
+
+
+def _assert_scope_plans_match(name, params=None):
+    built = _plans_built_in_scope(name, params)
+    assert any(isinstance(subject, MetricSpec) for subject, _, _ in built)
+    assert any(not isinstance(subject, MetricSpec) for subject, _, _ in built)
+    for subject, plan, pts in built:
+        _assert_same_program_as_on_a_private_tape(plan, pts)
+        if isinstance(subject, MetricSpec):
+            _assert_matches_the_oracle(subject, pts, plan)
+        else:
+            _assert_field_matches_the_oracle(subject, plan, pts)
+    return built
 
 
 def _catalog_metrics():
@@ -105,12 +170,18 @@ def test_plan_matches_slot_by_slot_reference_on_catalog_metrics():
     assert len(batches) >= 10
     for metric, pts in batches:
         _assert_matches_the_oracle(metric, pts)
+    # every metric and field of every scenario, its plan built in the
+    # scenario's scope: the same program as on a tape of its own
+    for name in scenarios():
+        _assert_scope_plans_match(name)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_plan_matches_the_symbolic_oracle_on_the_sweep_metrics(n):
-    for metric in _metrics("flat_quadratic", n) + _metrics("sphere_hyperbolic", n):
-        _assert_matches_the_oracle(metric, sample(metric.chart, SamplePlan(count=7)))
+    for name in ("flat_quadratic", "sphere_hyperbolic"):
+        built = _assert_scope_plans_match(name, {"n1": n, "n2": n})
+        # the sweep's base and rescaled metrics are among them
+        assert set(_metrics(name, n)) <= {subject for subject, _, _ in built}
 
 
 def test_no_jet_tape_repeats_an_expression():

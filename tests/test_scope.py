@@ -8,7 +8,9 @@ depend on whether the scope shares anything.
 
 import contextlib
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from confprod.constructions import (
     conformal_connection,
     conformal_metric,
     conformal_ricci_formula,
+    joint_sum,
     product,
 )
 from confprod.errors import EmptyDomainError, OutsideDomainError
@@ -29,10 +32,13 @@ from confprod.geometry import (
     Chart,
     MetricSpec,
     _riemann,
+    coordinate_hessian_batch,
     curvature_batch,
     evaluation_scope,
+    expr_values,
     grad_norm_sq_batch,
     gradient_batch,
+    hessian_lc_batch,
     laplacian_batch,
 )
 from instances import conformal_route_pairs
@@ -139,6 +145,78 @@ def test_field_helpers_agree_inside_and_outside_a_scope():
             curvature_batch(m, pts)
             for h, want in zip(helpers, plain):
                 assert np.array_equal(h(phi, m, pts), want), (m.chart.coords, h.__name__)
+
+
+def _clear_plan_caches():
+    for cached in (geometry._field_plan, geometry._metric_plan, geometry._batch_plan):
+        cached.cache_clear()
+
+
+def test_tapes_and_kept_rows_are_dropped_with_the_outermost_scope(monkeypatch):
+    made = []    # a weak reference to every tape built from here on
+    real = geometry.Tape
+
+    def recording(coords):
+        tape = real(coords)
+        made.append(weakref.ref(tape))
+        return tape
+
+    monkeypatch.setattr(geometry, "Tape", recording)
+    _clear_plan_caches()
+    spec = _flat_conformal()
+    m = spec.base.metric
+    with evaluation_scope():
+        with evaluation_scope():
+            pts = sample(m.chart, PLAN)
+            laplacian_batch(spec.phi, m, pts)
+            gradient_batch(spec.phi, m, pts)
+            samples = geometry._SAMPLES.get()
+            assert set(samples.tapes) == {m.chart.coords} and len(made) == 1
+            kept = [weakref.ref(rows) for _, rows in samples.rows.values()]
+            kept += [weakref.ref(a) for arrays in samples.traces.values() for a in arrays]
+            assert len(kept) == 3    # phi's jet rows, its lap and |dphi|^2
+        # an inner scope shares the outer one's, and leaves it in place
+        assert geometry._SAMPLES.get() is samples
+        del samples
+        gc.collect()
+        assert all(ref() is not None for ref in made + kept)
+    gc.collect()
+    assert geometry._SAMPLES.get() is None
+    assert all(ref() is None for ref in made + kept)
+    # outside a scope each program records on a tape of its own, which no
+    # compiled program holds on to, and no rows are kept
+    made.clear()
+    _clear_plan_caches()
+    first = laplacian_batch(spec.phi, m, pts)
+    assert len(made) == 2 and first.flags.writeable    # phi's jets and the metric's
+    gc.collect()
+    assert all(ref() is None for ref in made)
+    assert laplacian_batch(spec.phi, m, pts) is not first and len(made) == 2
+
+
+def test_helpers_hand_out_fresh_or_read_only_arrays():
+    m = builtin_metric("hyperbolic", 3)
+    phi = parse("cosh(t) + 0.2 * sin(v1) * t", m.chart.coords)
+    helpers = {
+        "hessian_lc_batch": lambda pts: hessian_lc_batch(phi, m, pts),
+        "coordinate_hessian_batch": lambda pts: coordinate_hessian_batch(phi, m.chart, pts),
+        "gradient_batch": lambda pts: gradient_batch(phi, m, pts),
+        "expr_values": lambda pts: expr_values(phi, m.chart, pts),
+    }
+    with evaluation_scope():
+        pts = sample(m.chart, PLAN)
+        for name, helper in helpers.items():
+            first = helper(pts)
+            want = first.copy()
+            first[...] = np.nan    # a caller may write into what it was handed
+            assert np.array_equal(helper(pts), want), name
+        # the traces are the kept rows themselves, so they are read-only
+        for trace in (laplacian_batch(phi, m, pts), grad_norm_sq_batch(phi, m, pts)):
+            assert not trace.flags.writeable
+        samples = geometry._SAMPLES.get()
+        kept = [rows for _, rows in samples.rows.values()]
+        kept += [a for arrays in samples.traces.values() for a in arrays]
+        assert len(kept) == 3 and not any(a.flags.writeable for a in kept)
 
 
 def test_scope_samples_each_chart_and_plan_once(monkeypatch):
@@ -272,37 +350,69 @@ def test_inline_report_is_identical_without_the_scope(monkeypatch):
 
 # --- work done once per run ----------------------------------------------------
 
-def _field_jet_passes(monkeypatch) -> list:
-    """The plans of the field jet passes run from here on, in order."""
-    passes = []
-    run = geometry._JetPlan._run
+def _tape_evaluations(monkeypatch) -> list:
+    """(plan, program order, points) of each jet-program evaluation from
+    here on, in order; the plan caches are cleared, so every program is
+    built, and counted, anew."""
+    runs = []
+    program = geometry._JetPlan._program
 
-    def counting(plan, program, points):
-        if plan.shape == () and len(program.scatter) > 1:    # a field's derivative jets
-            passes.append(plan)
-        return run(plan, program, points)
+    def recording(plan, order):
+        built = program(plan, order)
+        fn = built.fn
 
-    monkeypatch.setattr(geometry._JetPlan, "_run", counting)
-    return passes
+        def evaluating(points):
+            runs.append((plan, order, points))
+            return fn(points)
+
+        return built._replace(fn=evaluating)
+
+    monkeypatch.setattr(geometry._JetPlan, "_program", recording)
+    _clear_plan_caches()
+    return runs
+
+
+def _field_jet_passes(runs) -> int:
+    """Tape evaluations of a scalar field's gradient or jet program."""
+    return sum(1 for plan, order, _ in runs if plan.shape == () and order > 0)
 
 
 def test_field_consumers_run_one_jet_pass_each(monkeypatch):
-    passes = _field_jet_passes(monkeypatch)
+    runs = _tape_evaluations(monkeypatch)
     run_scenario("sphere_hyperbolic", plan=PLAN)
-    # one each for the conformal formula, the mixed-Ricci partials and the
-    # factor identity, two each (one per factor) for the two summand routes;
-    # with one pass per field helper call this was 13
-    assert len(passes) == 7
+    # one each for phi at the joint points and phi1, phi2 at the factors'
+    # points: the conformal formula, the mixed-Ricci partials and the factor
+    # identity read phi's kept jet rows, and the two summand routes phi1's
+    # and phi2's; with a pass per consumer this was 7, and with one pass
+    # per field helper call 13
+    assert _field_jet_passes(runs) == 3
+
+
+def test_phi_values_are_evaluated_once_per_chart_and_points(monkeypatch):
+    runs = _tape_evaluations(monkeypatch)
+    sc = catalog.get_scenario("sphere_hyperbolic")
+    inst, _ = sc.build(sc.parameters())
+    phi = joint_sum(product(inst.g1, inst.g2, inst.labels), inst.phi1, inst.phi2)
+    run_scenario("sphere_hyperbolic", plan=PLAN)
+    phi_runs = [(order, id(points)) for plan, order, points in runs
+                if plan.shape == () and plan.entries[0][0] is phi]
+    # the catalog's route choice, the conformal formula, the mixed-Ricci
+    # cross-check and the factor identity read phi's values at the joint
+    # points, and three consumers its jets (five value passes and three jet
+    # passes before the scope kept field rows): its value program runs
+    # once, and its jet program once, whose rows then serve every later read
+    assert len({at for _, at in phi_runs}) == 1
+    assert sorted(order for order, _ in phi_runs) == [0, 2]
 
 
 def test_conformal_connection_runs_one_jet_pass(monkeypatch):
     skew = dict(conformal_route_pairs())["skew"]
     pts = sample(skew.base.chart, PLAN)
-    passes = _field_jet_passes(monkeypatch)
+    runs = _tape_evaluations(monkeypatch)
     conformal_connection(skew, 0, 1, pts)
     # d phi, raised with the batch's g^-1; raising it through gradient_batch
     # ran a second pass
-    assert len(passes) == 1
+    assert _field_jet_passes(runs) == 1
 
 
 def test_custom_labels_compute_the_same_batches(monkeypatch):

@@ -14,10 +14,14 @@ file that differs, or a report whose leaves all hold but whose text moved,
 is printed as a unified diff.  The workload inputs come
 from this checkout's perfbench/, which is only imported.  Each tree's `src/`
 line count (newlines in its `.py` files, as `wc -l` counts them) is printed
-first, then nine counts per run for each tree:
+first, then ten counts per run for each tree:
 
 - computed batches: calls of geometry._compute_batch, scope hits excluded;
-- jet-tape rows: summed over every jet plan's second-order (jet) tape;
+- jet-tape rows: the rows of every jet plan's second-order (jet) program,
+  summed;
+- tape registers: the registers created on every expressions.Tape, point
+  columns excluded (one tape per chart in an evaluation scope, one per
+  program outside one);
 - kept batch bytes: the largest total, over the scenarios, of the distinct
   arrays held by the batches of a scenario's evaluation scope when it closes;
 - contraction products: the products of the symbolic programs of the
@@ -25,8 +29,8 @@ first, then nine counts per run for each tree:
   summed over its program's steps, weighted by its slice's share of the
   batch's points);
 - MetricSpec constructions;
-- field jet passes: derivative runs of a scalar field's plan (_JetPlan._run
-  on its gradient or jet program);
+- field jet passes: tape evaluations of a scalar field's gradient or jet
+  program (reads of the rows a scope keeps do not count);
 - symbolic programs: the programs the symbolic phase builds (calls of
   geometry._contraction that miss its cache);
 - symbolic table rows: those programs' table rows (_Contraction.rows), summed;
@@ -57,9 +61,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog_2k", "dim_sweep")
 CATALOG_SAMPLES = {"full": 200, "tiny": 20}
-COUNTS = ("computed batches", "jet-tape rows", "kept batch bytes", "contraction products",
-          "MetricSpec constructions", "field jet passes", "symbolic programs",
-          "symbolic table rows", "symbolic derivative calls")
+COUNTS = ("computed batches", "jet-tape rows", "tape registers", "kept batch bytes",
+          "contraction products", "MetricSpec constructions", "field jet passes",
+          "symbolic programs", "symbolic table rows", "symbolic derivative calls")
 FLAGGED = ("verdict", "matched", "expected")
 _GENERATED_AT = re.compile(r'^\s*"generated_at": "[^"]*",\n', re.MULTILINE)
 
@@ -74,7 +78,8 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     compute, program = geometry._compute_batch, geometry._JetPlan._program
     contraction, contract = geometry._contraction, geometry._contract
     slices = []    # per _contract call of the batch being computed: products x points
-    run, post_init = geometry._JetPlan._run, geometry.MetricSpec.__post_init__
+    tapes = []     # every Tape of the run
+    post_init, tape_init = geometry.MetricSpec.__post_init__, expressions.Tape.__init__
     scope = catalog.evaluation_scope
 
     def counting(metric, pts):
@@ -92,10 +97,9 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
         counts[name]["MetricSpec constructions"] += 1
         post_init(spec)
 
-    def counting_passes(plan, built, points):
-        if plan.shape == () and len(built.scatter) > 1:
-            counts[name]["field jet passes"] += 1
-        return run(plan, built, points)
+    def counting_tapes(tape, coords):
+        tape_init(tape, coords)
+        tapes.append(tape)
 
     def counting_programs(*key):
         misses = contraction.cache_info().misses
@@ -115,7 +119,15 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     def counting_rows(plan, order):
         built = program(plan, order)
         if order == 2:
-            counts[name]["jet-tape rows"] += len(built[0])    # its tape rows (their keys)
+            counts[name]["jet-tape rows"] += len(built.keys)
+        if plan.shape == () and order > 0:
+            fn = built.fn
+
+            def counting_passes(points):
+                counts[name]["field jet passes"] += 1
+                return fn(points)
+
+            built = built._replace(fn=counting_passes)
         return built
 
     @contextlib.contextmanager
@@ -135,7 +147,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     geometry._contraction = counting_programs
     geometry._contract = counting_products
     geometry._JetPlan._program = counting_rows
-    geometry._JetPlan._run = counting_passes
+    expressions.Tape.__init__ = counting_tapes
     geometry.MetricSpec.__post_init__ = counting_specs
     catalog.evaluation_scope = measuring_scope
     runs = {name: workloads.WORKLOADS[name](seed, size) for name in WORKLOADS}
@@ -154,6 +166,8 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
                           "--report", str(workdir / "report.json")])
             else:
                 workloads.run_checks(checks, workdir)
+        counts[name]["tape registers"] = sum(len(t.keys) - t.dim for t in tapes)
+        tapes.clear()
         (workdir / "stdout.txt").write_text(printed.getvalue())
     (Path(out) / "counts.json").write_text(json.dumps(counts))
 
