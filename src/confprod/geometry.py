@@ -348,35 +348,48 @@ def _components(metric: MetricSpec) -> tuple[tuple[int, ...], ...]:
                                    for j, e in enumerate(row) if not _is_zero(e)))
 
 
-def _check_positive_definite(g: np.ndarray, points: np.ndarray,
-                             components: tuple[tuple[int, ...], ...]) -> None:
-    """Raise SingularMetricError unless every point's smallest eigenvalue
-    exceeds tau = 1e-12 max(1, max|g|).
+def _positive_definite(tau: np.ndarray, ones: np.ndarray, blocks) -> bool:
+    """Whether every point's block-diagonal g has all eigenvalues above tau:
+    `ones` holds its 1x1 components, one row per component, each its own
+    eigenvalue; `blocks` yields its larger components, (count, k, k), read
+    lazily, and each passes when a Cholesky factorisation of block - tau I
+    exists."""
+    if not (ones > tau).all():
+        return False
+    try:
+        for block in blocks:
+            np.linalg.cholesky(block - tau[:, None, None] * np.eye(block.shape[1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    g is block diagonal over `components`, so a 1x1 component is its own
-    eigenvalue and a larger one passes when a Cholesky factorisation of
-    block - tau I exists.  Only when some component fails are the
-    eigenvalues of the whole g computed, to name the first bad point and
-    its smallest eigenvalue.
-    """
-    tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
 
-    def holds(c: tuple[int, ...]) -> bool:
-        if len(c) == 1:
-            return bool((g[:, c[0], c[0]] > tau).all())
-        try:
-            np.linalg.cholesky(g[:, c][:, :, c] - tau[:, None, None] * np.eye(len(c)))
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    if all(holds(c) for c in components):
-        return
+def _name_singular_point(g: np.ndarray, points: np.ndarray, tau: np.ndarray) -> None:
+    """Raise SingularMetricError at the first point whose dense g has its
+    smallest eigenvalue at most tau, with that eigenvalue."""
     eigenvalues = np.linalg.eigvalsh(g)
     bad = eigenvalues[:, 0] <= tau
     if bad.any():
         where = int(np.argmax(bad))
         raise SingularMetricError(points[where], float(eigenvalues[where, 0]))
+
+
+def _check_positive_definite(g: np.ndarray, points: np.ndarray,
+                             components: tuple[tuple[int, ...], ...]) -> None:
+    """Raise SingularMetricError unless every point's smallest eigenvalue
+    exceeds tau = 1e-12 max(1, max|g|), for a dense g (metric_values).
+
+    g is block diagonal over `components`, so each component is tested on
+    its own (_positive_definite).  Only when some component fails are the
+    eigenvalues of the whole g computed, to name the first bad point and
+    its smallest eigenvalue.  Curvature batches run the same test on their
+    compact g rows (_check_rows_positive_definite).
+    """
+    tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+    ones = [c[0] for c in components if len(c) == 1]
+    if not _positive_definite(tau, g[:, ones, ones].T,
+                              (g[:, c][:, :, c] for c in components if len(c) > 1)):
+        _name_singular_point(g, points, tau)
 
 
 def metric_values(metric: MetricSpec, points, check: bool = True) -> np.ndarray:
@@ -577,6 +590,7 @@ class _Contraction(NamedTuple):
     dim: int
     rows: int                                  # table rows; the jet classes come first
     reciprocals: tuple[np.ndarray, np.ndarray]  # g rows of the 1x1 components, their ginv rows
+    singular: bool                             # some 1x1 component is a structural zero
     blocks: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
     # ^ per distinct larger component: size k, g rows of the k x k block (-1
     #   for a zero slot), its upper-triangle flat places, their ginv rows
@@ -756,6 +770,7 @@ def _contraction(n: int, pattern: bytes, classes: bytes) -> _Contraction:
     ginv_slots = np.flatnonzero(ginv >= 0)
     ginv, dg, d2g = _map(np.maximum(ginv, ginv.T)), _map(dg), _map(d2g)
     ones = np.array([c[0] for c in distinct.values() if len(c) == 1], dtype=np.intp)
+    held = g[ones, ones] >= 0    # a 1x1 component with no g row is zero, never inverted
     blocks = []
     for c in distinct.values():
         if len(c) > 1:
@@ -795,8 +810,33 @@ def _contraction(n: int, pattern: bytes, classes: bytes) -> _Contraction:
         array.flags.writeable = False    # batches and _field_jets hand these out
     return _Contraction(
         dim=n, rows=layout.rows,
-        reciprocals=(g[ones, ones], ginv.rows[ones, ones]), blocks=tuple(blocks), steps=steps,
+        reciprocals=(g[ones, ones][held], ginv.rows[ones, ones][held]),
+        singular=not held.all(), blocks=tuple(blocks), steps=steps,
         fields=fields, hessian=hessian, most=max((len(s.a) for s in steps), default=0))
+
+
+def _block(table: np.ndarray, g_rows: np.ndarray, k: int) -> np.ndarray:
+    """A k x k component of g at each point of a slice, (count, k, k), from
+    the table rows of its slots (-1 for a zero slot)."""
+    block = np.zeros((k * k, table.shape[1]))
+    block[g_rows >= 0] = table[g_rows[g_rows >= 0]]
+    return block.T.reshape(-1, k, k)
+
+
+def _check_rows_positive_definite(program: _Contraction, table: np.ndarray,
+                                  points: np.ndarray) -> None:
+    """_check_positive_definite for one slice of points, read from the
+    table's g rows: tau from their max (exact, so the same tau), each
+    distinct 1x1 component through its g row, each distinct larger one
+    built from its rows as _contract builds it for inversion.  A 1x1
+    component that is a structural zero fails.  Only a failing slice builds
+    its dense g, to name the point and the eigenvalue."""
+    g_slots, g_table = program.fields[0]
+    tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(table[g_table]).max(axis=0, initial=0.0))
+    if program.singular or not _positive_definite(
+            tau, table[program.reciprocals[0]],
+            (_block(table, g_rows, k) for k, g_rows, _, _ in program.blocks)):
+        _name_singular_point(_dense(table[g_table], g_slots, program.dim), points, tau)
 
 
 def _contract(program: _Contraction, table: np.ndarray) -> None:
@@ -808,9 +848,7 @@ def _contract(program: _Contraction, table: np.ndarray) -> None:
         table[inv_rows] = 1.0 / table[g_rows]
     count = table.shape[1]
     for k, g_rows, upper, inv_rows in program.blocks:
-        block = np.zeros((k * k, count))
-        block[g_rows >= 0] = table[g_rows[g_rows >= 0]]
-        inv = np.linalg.inv(block.T.reshape(count, k, k)).reshape(count, k * k)
+        inv = np.linalg.inv(_block(table, g_rows, k)).reshape(count, k * k)
         table[inv_rows] = inv[:, upper].T
     step = max(1, _CHUNK_BYTES // (16 * max(1, program.most)))   # a product and a gather
     for start in range(0, count, step):
@@ -864,12 +902,12 @@ def _batch_plan(metric: MetricSpec) -> _BatchPlan:
 def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
     """The batch, computed slice by slice.  A slice's tape rows and table
     fit _CHUNK_BYTES, as do the product buffers of each narrower slice that
-    _contract runs, and the dense g, ginv and ricci that the positive-definite
-    check and the scalar read are slice-sized scratch; every point's values
-    depend on that point alone."""
+    _contract runs, and the dense ginv and ricci that the scalar reads are
+    slice-sized scratch; the positive-definite check reads the g rows.
+    Every point's values depend on that point alone."""
     count, n = pts.shape[0], metric.dim
     plan, program, taped, _ = _batch_plan(metric)
-    (g_slots, g_table), (ginv_slots, _), (ricci_slots, _), (christoffel_slots, _) = program.fields
+    (g_slots, _), (ginv_slots, _), (ricci_slots, _), (christoffel_slots, _) = program.fields
     tensors = [np.empty((len(slots), count)) for slots, _ in program.fields]
     scalar = np.empty(count)
     step = max(1, _CHUNK_BYTES // (8 * (len(plan.jet_program.keys) + program.rows)))
@@ -878,7 +916,7 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
         sliced = pts[columns]
         table = np.empty((program.rows, len(sliced)))
         table[:taped] = plan.jet_program.fn(sliced)[:taped]
-        _check_positive_definite(_dense(table[g_table], g_slots, n), sliced, _components(metric))
+        _check_rows_positive_definite(program, table, sliced)
         _contract(program, table)
         for rows, (_, table_rows) in zip(tensors, program.fields):
             rows[:, columns] = table[table_rows]

@@ -402,6 +402,18 @@ def test_config_errors(tmp_path, capsys):
         assert code == 2 and message in err and out == "", message
 
 
+def test_config_with_a_zero_diagonal_entry_is_not_positive_definite(tmp_path, capsys):
+    # the zero entry couples nothing, so it is a 1x1 component with no g row
+    two = INLINE_FACTORS[1]
+    path = _write(tmp_path, "zero.json", {
+        "factors": [{**two, "entries": [["1", "0"], ["0", "0"]]}, two],
+        "phi1": "3 + 0.5 * x1", "phi2": "2 + 0.3 * x2", "samples": 60,
+    })
+    code, out, err = run(capsys, "check", "--config", path)
+    assert code == 2 and out == "", err
+    assert "metric not positive definite at (" in err and "(min eigenvalue 0.000e+00)" in err
+
+
 def test_config_rejects_a_string_where_a_list_is_needed(tmp_path, capsys):
     two = INLINE_FACTORS[1]
     for factor, message in [

@@ -12,11 +12,14 @@ catalog builds, the path must form far fewer products than the dense one,
 and on the flat products of the dimension sweep, where every diagonal entry
 is the same expression, far fewer than one row per slot would.
 The covariant Hessian, contracted from a batch's compact Christoffel rows,
-must match the dense contraction with the reference's Gamma.
+must match the dense contraction with the reference's Gamma.  The
+positive-definite test a batch runs on its g rows must accept what the
+dense test accepts, and name the same point and eigenvalue when it fails.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confprod import geometry
 from confprod.catalog import builtin_metric, get_scenario, run_scenario, scenarios
@@ -34,6 +37,8 @@ from confprod.geometry import (
     Chart,
     MetricSpec,
     _batch_plan,
+    _check_positive_definite,
+    _check_rows_positive_definite,
     _components,
     _field_plan,
     _metric_plan,
@@ -309,3 +314,72 @@ def test_eigenvalues_are_computed_only_for_a_failing_slice(monkeypatch):
     with pytest.raises(SingularMetricError):
         curvature_batch(_COUPLED, np.array([[0.5, 0.0, 0.0], [-1.5, 0.0, 0.0]]))
     assert calls == [(2, 3, 3)]
+
+
+_TAU = 1e-12    # the threshold while every |g_ij| <= 1
+_NEAR_TAU = st.integers(-4, 4).map(lambda k: float(_TAU + k * np.spacing(_TAU)))
+
+
+@st.composite
+def _block_diagonal(draw):
+    """A block-diagonal metric of consecutive blocks whose slots are each a
+    structural zero or an entry of its own, and g's values at a few points:
+    indefinite blocks, zero diagonals and values a few ulps from tau."""
+    n = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    blocks = list(zip([0, *cuts], [*cuts, n]))
+    coords = tuple(f"x{i}" for i in range(n))
+    rows = [[Const(0.0)] * n for _ in range(n)]
+    for lo, hi in blocks:
+        for i in range(lo, hi):
+            for j in range(i, hi):
+                if not draw(st.sampled_from([False] * 7 + [True]) if i == j else st.booleans()):
+                    rows[i][j] = rows[j][i] = f"{i * n + j + 2} + x0"
+    metric = _metric(coords, rows)
+    count = draw(st.integers(1, 4))
+    # mostly diagonally dominant, so that some cases pass
+    odd = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0]), _NEAR_TAU)
+    diagonal = st.one_of(*[st.floats(0.5, 1.0)] * 8, _NEAR_TAU, odd)
+    off_diagonal = st.one_of(*[st.floats(-0.1, 0.1)] * 4, st.sampled_from([0.0, -0.0]), odd)
+    g = np.zeros((count, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            if not isinstance(rows[i][j], Const):
+                g[:, i, j] = g[:, j, i] = draw(st.lists(
+                    diagonal if i == j else off_diagonal, min_size=count, max_size=count))
+    return metric, g
+
+
+def _failure(check, *args):
+    """(point, eigenvalue) of the SingularMetricError the check raises, or None."""
+    try:
+        check(*args)
+    except SingularMetricError as err:
+        return err.point, err.min_eigenvalue
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_block_diagonal())
+def test_row_check_accepts_what_the_dense_check_accepts(case):
+    metric, g = case
+    points = np.arange(g.shape[0] * metric.dim, dtype=float).reshape(-1, metric.dim)
+    program = _program(metric)
+    slots, table_rows = program.fields[0]
+    table = np.zeros((program.rows, len(g)))
+    table[table_rows] = g.reshape(len(g), -1)[:, slots].T
+    want = _failure(_check_positive_definite, g, points, _components(metric))
+    got = _failure(_check_rows_positive_definite, program, table, points)
+    assert got == want
+
+
+def test_a_zero_one_by_one_component_fails_without_reading_a_row():
+    # a structurally zero diagonal entry that couples nothing: no g row
+    # names it, so the batch test fails on the zero itself and g^-1 never
+    # divides by a row
+    metric = _metric(("x", "y"), (("1", Const(0.0)), (Const(0.0), Const(0.0))))
+    program = _program(metric)
+    assert program.singular and (program.reciprocals[0] >= 0).all()
+    with pytest.raises(SingularMetricError) as err:
+        curvature_batch(metric, np.array([[0.5, 0.25]]))
+    assert err.value.point == (0.5, 0.25) and err.value.min_eigenvalue == 0.0
