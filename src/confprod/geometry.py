@@ -601,6 +601,12 @@ class _Contraction(NamedTuple):
     # ^ Gamma^k_ij d_k phi by output (i, j), i <= j: per product its Gamma
     #   (an index into Gamma's slots) and its k, each output's first product
     #   and its flat slot
+    scalar: tuple[np.ndarray, np.ndarray, np.ndarray]
+    # ^ g^bd R_bd: the table rows of ginv and Ricci on the canonical slots
+    #   both can be non-zero, and each slot's weight (2 off the diagonal)
+    ginv_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    # ^ per canonical ginv slot (i, j): i, j and its weight, for the traces
+    #   of _field_jets
     most: int                                  # products of the largest step
 
 
@@ -806,13 +812,36 @@ def _contraction(n: int, pattern: bytes, classes: bytes) -> _Contraction:
         (g, g_slots), (ginv.rows, ginv_slots), (ricci.rows, ricci_slots),
         (gamma.rows, gamma_slots)))
     hessian = (by_output, k[by_output], starts, out[starts])
-    for array in (*(a for field in fields for a in field), *hessian):
+    shared, a, b = np.intersect1d(ginv_slots, ricci_slots, assume_unique=True,
+                                  return_indices=True)
+    scalar = (fields[1][1][a], fields[2][1][b], _weights(shared, n))
+    ginv_pairs = (*np.divmod(ginv_slots, n), _weights(ginv_slots, n))
+    for array in (*(a for field in fields for a in field), *hessian, *scalar, *ginv_pairs):
         array.flags.writeable = False    # batches and _field_jets hand these out
     return _Contraction(
         dim=n, rows=layout.rows,
         reciprocals=(g[ones, ones][held], ginv.rows[ones, ones][held]),
         singular=not held.all(), blocks=tuple(blocks), steps=steps,
-        fields=fields, hessian=hessian, most=max((len(s.a) for s in steps), default=0))
+        fields=fields, hessian=hessian, scalar=scalar, ginv_pairs=ginv_pairs,
+        most=max((len(s.a) for s in steps), default=0))
+
+
+def _weights(slots: np.ndarray, n: int) -> np.ndarray:
+    """Per canonical flat slot i n + j of a symmetric n x n tensor, 1.0 on
+    the diagonal and 2.0 off it (the slot and its mirror), shape (slots, 1)."""
+    return np.where(slots // n == slots % n, 1.0, 2.0)[:, None]
+
+
+def _trace(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per point (column), the sum over rows of weights a b: the full
+    contraction of two symmetric tensors from their canonical slots.  The
+    sum is one np.add.reduceat, whose bits do not depend on the number of
+    columns."""
+    if not len(a):
+        return np.zeros(a.shape[1])
+    product = a * b
+    product *= weights
+    return np.add.reduceat(product, [0], axis=0)[0]
 
 
 def _block(table: np.ndarray, g_rows: np.ndarray, k: int) -> np.ndarray:
@@ -902,12 +931,13 @@ def _batch_plan(metric: MetricSpec) -> _BatchPlan:
 def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
     """The batch, computed slice by slice.  A slice's tape rows and table
     fit _CHUNK_BYTES, as do the product buffers of each narrower slice that
-    _contract runs, and the dense ginv and ricci that the scalar reads are
-    slice-sized scratch; the positive-definite check reads the g rows.
-    Every point's values depend on that point alone."""
-    count, n = pts.shape[0], metric.dim
+    _contract runs; the positive-definite check and the scalar read the
+    table's rows, and only a failing slice builds a dense g.  Every point's
+    values depend on that point alone."""
+    count = pts.shape[0]
     plan, program, taped, _ = _batch_plan(metric)
     (g_slots, _), (ginv_slots, _), (ricci_slots, _), (christoffel_slots, _) = program.fields
+    ginv_table, ricci_table, weights = program.scalar
     tensors = [np.empty((len(slots), count)) for slots, _ in program.fields]
     scalar = np.empty(count)
     step = max(1, _CHUNK_BYTES // (8 * (len(plan.jet_program.keys) + program.rows)))
@@ -920,8 +950,7 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
         _contract(program, table)
         for rows, (_, table_rows) in zip(tensors, program.fields):
             rows[:, columns] = table[table_rows]
-        scalar[columns] = np.einsum("nbd,nbd->n", _dense(tensors[1][:, columns], ginv_slots, n),
-                                    _dense(tensors[2][:, columns], ricci_slots, n))
+        scalar[columns] = _trace(table[ginv_table], table[ricci_table], weights)
     g_rows, ginv_rows, ricci_rows, christoffel_rows = tensors
     return CurvatureBatch(pts, g_rows, g_slots, ginv_rows, ginv_slots, christoffel_rows,
                           christoffel_slots, ricci_rows, ricci_slots, scalar)
@@ -1000,8 +1029,9 @@ def _field_jets(phi: Expr, metric: MetricSpec, pts: np.ndarray):
     The Hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi is formed
     from the batch's Christoffel rows, for i <= j only, over column slices
     whose product and gather buffers fit _CHUNK_BYTES, into the fresh
-    Hessian phi's plan hands out; the two traces read one dense g^-1,
-    dropped on return.  Inside a scope, at points it keeps, the traces are
+    Hessian phi's plan hands out.  The two traces contract the batch's g^-1
+    rows with the Hessian's and d phi's canonical slots (_trace), so no
+    dense g^-1 is built.  Inside a scope, at points it keeps, the traces are
     kept read-only per (phi, metric, points) and read by later calls.
     """
     _, grad, hess = _field_plan(phi, metric.chart.coords).jets(pts)
@@ -1019,8 +1049,9 @@ def _field_jets(phi: Expr, metric: MetricSpec, pts: np.ndarray):
     samples, key = _SAMPLES.get(), (phi, metric, id(pts))
     traces = None if samples is None else samples.traces.get(key)
     if traces is None:
-        ginv = batch.ginv
-        traces = -np.einsum("nij,nij->n", ginv, hess), np.einsum("nij,ni,nj->n", ginv, grad, grad)
+        i, j, weights = program.ginv_pairs
+        traces = (-_trace(batch.ginv_rows, flat[:, batch.ginv_slots].T, weights),
+                  _trace(batch.ginv_rows, grad.T[i] * grad.T[j], weights))
         if samples is not None and id(pts) in samples.keys:
             for array in traces:
                 array.flags.writeable = False

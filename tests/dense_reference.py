@@ -2,8 +2,10 @@
 
 The dense contractions that the structural-sparse path in `geometry`
 replaced: the metric jets are scattered into full (count, n, ..., n) arrays
-and every contraction is a batched matmul or einsum over all n^4 slots.
-Used by the tests as the reference the sparse path must match to round-off.
+and every contraction is a batched matmul or einsum over all n^4 slots;
+the scalar curvature and a field's two traces are einsums over dense
+(count, n, n) arrays.  Used by the tests as the reference the sparse path
+and its compact rows must match to round-off.
 """
 
 import numpy as np
@@ -61,4 +63,16 @@ def reference_batch(metric, points) -> dict[str, np.ndarray]:
     ginv, w, gamma = connection(g, dg)
     ric = ricci(ginv, dg, d2g, w, gamma)
     return {"ginv": ginv, "gamma": gamma, "ricci": ric,
-            "scalar": np.einsum("nbd,nbd->n", ginv, ric)}
+            "scalar": scalar(ginv, ric)}
+
+
+
+def scalar(ginv: np.ndarray, ricci: np.ndarray) -> np.ndarray:
+    """g^bd R_bd per point, over dense (count, n, n) arrays."""
+    return np.einsum("nbd,nbd->n", ginv, ricci)
+
+
+def field_traces(ginv: np.ndarray, hess: np.ndarray, grad: np.ndarray):
+    """lap(phi) = -g^ij (nabla d phi)_ij and |d phi|^2 = g^ij d_i phi d_j phi
+    per point, over a dense g^-1, covariant Hessian and gradient."""
+    return -np.einsum("nij,nij->n", ginv, hess), np.einsum("nij,ni,nj->n", ginv, grad, grad)

@@ -2,12 +2,16 @@
 
 `conformal_route_pairs` gives base metrics with conformal factors on which
 the two curvature routes must agree; `splitting_instances` gives joint
-factors on a flat product, tagged by whether they split across the factors.
+factors on a flat product, tagged by whether they split across the factors;
+`random_dense_metric` gives a metric with every slot of g, dg and d2g
+non-zero.
 """
+
+import numpy as np
 
 from confprod.catalog import builtin_metric
 from confprod.constructions import ConformalSpec, product
-from confprod.expressions import parse
+from confprod.expressions import Const, Coord, add, mul, parse
 from confprod.geometry import Chart, MetricSpec
 
 
@@ -63,3 +67,22 @@ def splitting_instances():
         ("square_of_sum", "(f0.x1 + f1.x1)^2", False),
     ]
     return block, [(tag, parse(text, coords), splits) for tag, text, splits in cases]
+
+
+def random_dense_metric(n=6, seed=5) -> MetricSpec:
+    """Quadratic entries with random coefficients: every slot of g, dg and
+    d2g is non-zero, and g is one component."""
+    rng = np.random.default_rng(seed)
+    coords = tuple(f"x{i}" for i in range(n))
+    x = [Coord(c) for c in coords]
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            e = Const(2.0 if i == j else float(rng.normal()) * 0.1)
+            for k in range(n):
+                e = add(e, mul(Const(float(rng.normal()) * 0.2), x[k]))
+                for m in range(k, n):
+                    e = add(e, mul(Const(float(rng.normal()) * 0.1), mul(x[k], x[m])))
+            rows[i][j] = rows[j][i] = e
+    chart = Chart(coords, ((-0.4, 0.4),) * n, singular_margin=0.0)
+    return MetricSpec(chart, tuple(tuple(row) for row in rows))

@@ -2,7 +2,8 @@
 
 `geometry._compute_batch` walks the points in slices whose second-derivative
 jets fit `geometry._CHUNK_BYTES`.  Every point's values depend on that point
-alone, so the slice size must not change a single bit of a batch, a singular
+alone, so the slice size must not change a single bit of a batch (its
+scalar curvature included) or of a field's Laplacian and |d phi|^2, a singular
 point in a later slice must still be the one reported, and the memory one
 batch needs must stay well below one full d2g array.  A batch keeps g,
 g^-1, its Christoffel symbols and Ricci as compact rows, so the batches a
@@ -21,8 +22,14 @@ from confprod.checkers import SamplePlan, sample
 from confprod.constructions import ConformalSpec, as_metric, conformal_metric, product
 from confprod.errors import SingularMetricError
 from confprod.expressions import parse
-from confprod.geometry import Chart, MetricSpec, curvature_batch
-from instances import conformal_route_pairs
+from confprod.geometry import (
+    Chart,
+    MetricSpec,
+    curvature_batch,
+    grad_norm_sq_batch,
+    laplacian_batch,
+)
+from instances import conformal_route_pairs, random_dense_metric
 
 FIELDS = tuple(f.name for f in dataclasses.fields(geometry.CurvatureBatch))
 
@@ -48,10 +55,24 @@ def _batches(inputs, budget, monkeypatch):
     return [curvature_batch(metric, points) for metric, points in inputs]
 
 
+def _traces(inputs, budget, monkeypatch):
+    """lap and |d phi|^2 of a field with cross terms on each input."""
+    monkeypatch.setattr(geometry, "_CHUNK_BYTES", budget)
+    out = []
+    for metric, points in inputs:
+        phi = parse(" * ".join(f"cos(0.3 * {c})" for c in metric.chart.coords),
+                    metric.chart.coords)
+        out.append(np.concatenate([laplacian_batch(phi, metric, points),
+                                   grad_norm_sq_batch(phi, metric, points)]))
+    return out
+
+
 def test_slice_size_does_not_change_a_bit(monkeypatch):
     inputs = [(m, sample(m.chart, SamplePlan(count=37))) for _, m in _route_pair_metrics()]
-    inputs += _catalog_inputs()
+    dense = random_dense_metric()    # 21 g^-1 and Ricci slots per point to sum
+    inputs += _catalog_inputs() + [(dense, sample(dense.chart, SamplePlan(count=37)))]
     assert any(m.dim >= 6 for m, _ in inputs)
+    assert "scalar" in FIELDS    # summed over the g^-1 and Ricci rows slice by slice
     default = _batches(inputs, geometry._CHUNK_BYTES, monkeypatch)
     one_point = _batches(inputs, 1, monkeypatch)            # a slice per point
     whole = _batches(inputs, 1 << 40, monkeypatch)          # one slice
@@ -59,6 +80,10 @@ def test_slice_size_does_not_change_a_bit(monkeypatch):
         for field in FIELDS:
             x, y, z = (getattr(batch, field) for batch in (a, b, c))
             assert x.tobytes() == y.tobytes() == z.tobytes(), field
+    # the field traces read the Hessian the Christoffel rows correct in slices
+    traces = [_traces(inputs, budget, monkeypatch) for budget in (1, 1 << 20, 1 << 40)]
+    for x, y, z in zip(*traces):
+        assert x.tobytes() == y.tobytes() == z.tobytes()
 
 
 def test_singular_point_in_a_later_slice_is_named(monkeypatch):

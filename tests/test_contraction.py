@@ -12,7 +12,10 @@ catalog builds, the path must form far fewer products than the dense one,
 and on the flat products of the dimension sweep, where every diagonal entry
 is the same expression, far fewer than one row per slot would.
 The covariant Hessian, contracted from a batch's compact Christoffel rows,
-must match the dense contraction with the reference's Gamma.  The
+must match the dense contraction with the reference's Gamma, and the
+scalar curvature and the Laplacian and |d phi|^2 traces, contracted from
+the compact g^-1 and Ricci rows, the dense einsums, with no dense array
+built on the way.  The
 positive-definite test a batch runs on its g rows must accept what the
 dense test accepts, and name the same point and eigenvalue when it fails.
 """
@@ -32,7 +35,7 @@ from confprod.constructions import (
     product,
 )
 from confprod.errors import SingularMetricError
-from confprod.expressions import Const, Coord, add, differentiate, mul, parse
+from confprod.expressions import Const, differentiate, parse
 from confprod.geometry import (
     Chart,
     MetricSpec,
@@ -44,10 +47,12 @@ from confprod.geometry import (
     _metric_plan,
     _slot_rows,
     curvature_batch,
+    grad_norm_sq_batch,
     hessian_lc_batch,
+    laplacian_batch,
 )
-from dense_reference import reference_batch
-from instances import conformal_route_pairs
+from dense_reference import field_traces, reference_batch, scalar
+from instances import conformal_route_pairs, random_dense_metric
 
 FIELDS = ("ginv", "gamma", "ricci", "scalar")
 
@@ -71,25 +76,6 @@ def _route_pair_inputs():
         for metric in (as_metric(spec.base), conformal_metric(spec)):
             out.append((metric, sample(metric.chart, SamplePlan(count=37))))
     return out
-
-
-def _random_dense_metric(n=6, seed=5):
-    """Quadratic entries with random coefficients: every slot of g, dg and
-    d2g is non-zero, and g is one component."""
-    rng = np.random.default_rng(seed)
-    coords = tuple(f"x{i}" for i in range(n))
-    x = [Coord(c) for c in coords]
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            e = Const(2.0 if i == j else float(rng.normal()) * 0.1)
-            for k in range(n):
-                e = add(e, mul(Const(float(rng.normal()) * 0.2), x[k]))
-                for m in range(k, n):
-                    e = add(e, mul(Const(float(rng.normal()) * 0.1), mul(x[k], x[m])))
-            rows[i][j] = rows[j][i] = e
-    chart = Chart(coords, ((-0.4, 0.4),) * n, singular_margin=0.0)
-    return MetricSpec(chart, tuple(tuple(row) for row in rows))
 
 
 # -(cos(x) - 4) has the constant derivative -0.0 in y and z; the off-diagonal
@@ -129,7 +115,7 @@ _INTERLEAVED = _metric(("x", "y", "z", "w"), (
 
 
 def _special_inputs():
-    dense = _random_dense_metric()
+    dense = random_dense_metric()
     return [(m, sample(m.chart, SamplePlan(count=37)))
             for m in (dense, _SIGNED_ZEROS, _TRAILING_ZERO, _BANDED, _INTERLEAVED)]
 
@@ -177,6 +163,78 @@ def test_hessian_from_christoffel_rows_matches_the_dense_contraction(inputs):
         assert np.array_equal(got, got.swapaxes(1, 2))
 
 
+def _scenario_inputs(name, params):
+    """(metric, batch) of every batch and (phi, metric, points, its lap and
+    |d phi|^2) of every field trace one run of the scenario computes."""
+    with geometry.evaluation_scope() as kept:
+        run_scenario(name, params=params, plan=SamplePlan(count=12))
+        samples = geometry._SAMPLES.get()
+        at = {id(p): p for p in samples.points.values()}
+        batches = [(metric, batch) for (metric, _, _), batch in kept.items()]
+        traces = [(phi, metric, at[points], kept_traces)
+                  for (phi, metric, points), kept_traces in samples.traces.items()]
+    return batches, traces
+
+
+def _assert_close(got, want, terms, tag):
+    """Equal up to the round-off of summing the terms in another order."""
+    assert float(np.abs(got - want).max()) <= 1e-13 * max(1.0, float(terms.max())), tag
+
+
+def _assert_traces_match(phi, metric, points, got):
+    ginv = curvature_batch(metric, points).ginv
+    hess = hessian_lc_batch(phi, metric, points)
+    _, grad, _ = _field_plan(phi, metric.chart.coords).jets(points)
+    terms = field_traces(np.abs(ginv), -np.abs(hess), np.abs(grad))
+    for value, want, size in zip(got, field_traces(ginv, hess, grad), terms):
+        _assert_close(value, want, size, metric.chart.coords)
+
+
+@pytest.mark.parametrize("name,n", [(name, None) for name in scenarios()] + [
+    (name, n) for name in ("flat_quadratic", "sphere_hyperbolic") for n in range(3, 9)])
+def test_scalar_and_field_traces_match_the_dense_einsums(name, n):
+    # the einsums read the batch's own g^-1, Ricci and covariant Hessian, so
+    # only the order of the sums differs; the sphere's g^ii reach 7e5 at
+    # n = 8, and the scalar cancels their terms to about 0
+    batches, traces = _scenario_inputs(name, None if n is None else {"n1": n, "n2": n})
+    assert batches
+    for metric, batch in batches:
+        ginv, ricci = batch.ginv, batch.ricci
+        _assert_close(batch.scalar, scalar(ginv, ricci), scalar(np.abs(ginv), np.abs(ricci)),
+                      metric.chart.coords)
+    for phi, metric, points, kept in traces:
+        _assert_traces_match(phi, metric, points, kept)
+    assert traces or name in ("doubly_twisted_einstein", "twisted_split")
+
+
+def test_field_traces_match_the_dense_einsums_off_the_diagonal():
+    # the catalog's g^-1 are diagonal; these metrics couple coordinates
+    for metric, points in _route_pair_inputs() + _special_inputs():
+        phi = _field(metric.chart.coords)
+        _assert_traces_match(phi, metric, points, (laplacian_batch(phi, metric, points),
+                                                   grad_norm_sq_batch(phi, metric, points)))
+
+
+def test_a_passing_batch_and_the_field_traces_build_no_dense_array(monkeypatch):
+    built = []
+    dense = geometry._dense
+
+    def recording(rows, slots, n, axes=2):
+        built.append((rows.shape[1], n, axes))
+        return dense(rows, slots, n, axes)
+
+    monkeypatch.setattr(geometry, "_dense", recording)
+    for metric, points in _route_pair_inputs() + _special_inputs():
+        phi = _field(metric.chart.coords)
+        curvature_batch(metric, points)
+        laplacian_batch(phi, metric, points)
+        grad_norm_sq_batch(phi, metric, points)
+        hessian_lc_batch(phi, metric, points)
+    assert built == []
+    curvature_batch(_SIGNED_ZEROS, sample(_SIGNED_ZEROS.chart, SamplePlan(count=3))).ginv
+    assert built == [(3, 3, 2)]    # on request only
+
+
 def test_inputs_cover_the_special_patterns():
     assert np.signbit(differentiate(_SIGNED_ZEROS.entries[0][0], "y").value)
     assert _components(_SIGNED_ZEROS) == ((0,), (1, 2))
@@ -184,7 +242,7 @@ def test_inputs_cover_the_special_patterns():
     assert keys[-1] is Const(-0.0)
     assert _batch_plan(_TRAILING_ZERO).taped == len(keys) - 1
     assert _components(_BANDED) == ((0, 1, 2), (3,))
-    dense = _random_dense_metric()
+    dense = random_dense_metric()
     assert _components(dense) == (tuple(range(6)),)
     assert (_slot_rows(_metric_plan(dense)) >= 0).all()
     skew = dict(conformal_route_pairs())["skew"]
@@ -237,7 +295,7 @@ def test_a_constant_one_by_one_metric_has_no_steps():
 def test_trace_intermediates_shrink_the_dense_ricci_step():
     # with the traces Gamma^a_ae and d_a g^al inside the Ricci step's n^4
     # products, a dense n = 6 metric formed 8 328 products a point
-    program = _program(_random_dense_metric())
+    program = _program(random_dense_metric())
     assert [len(step.a) for step in program.steps] == [1296, 756, 1656, 216, 126, 3144]
 
 
