@@ -11,11 +11,13 @@ slot-major table (see "structural-sparse contraction" below).  A product
 metric g1 + g2 needs no split: its cross-factor slots are structural zeros,
 so no product reads them and g is inverted one diagonal block at a time.
 A batch keeps g, g^-1, the Christoffel symbols and Ricci as that table's
-compact rows, one per canonical slot that can be non-zero, and the
-covariant Hessian contracts the Christoffel rows directly; dense arrays are
-built only on request (CurvatureBatch.g, .ginv, .ricci, .gamma).  The full
-Riemann tensor is dense algebra, built only for single-point queries
-(curvature()).
+compact rows, one per canonical slot that can be non-zero.  The
+positive-definite test, the scalar curvature, the covariant Hessian and a
+field's Laplacian and |d phi|^2 read those rows directly; dense arrays are
+built only on request (CurvatureBatch.g, .ginv, .ricci, .gamma) and on the
+error path, where a slice that fails the positive-definite test builds its
+dense g to name the point.  The full Riemann tensor is dense algebra, built
+only for single-point queries (curvature()).
 
 Index conventions, fixed here once:
 
@@ -348,26 +350,23 @@ def _components(metric: MetricSpec) -> tuple[tuple[int, ...], ...]:
                                    for j, e in enumerate(row) if not _is_zero(e)))
 
 
-def _positive_definite(tau: np.ndarray, ones: np.ndarray, blocks) -> bool:
-    """Whether every point's block-diagonal g has all eigenvalues above tau:
-    `ones` holds its 1x1 components, one row per component, each its own
-    eigenvalue; `blocks` yields its larger components, (count, k, k), read
-    lazily, and each passes when a Cholesky factorisation of block - tau I
-    exists."""
-    if not (ones > tau).all():
-        return False
+def _require_positive_definite(points: np.ndarray, tau: np.ndarray, ones: np.ndarray,
+                               blocks, dense: Callable[[], np.ndarray]) -> None:
+    """Raise SingularMetricError unless every point's block-diagonal g has
+    all its eigenvalues above tau.  `ones` holds g's 1x1 components, one row
+    each, each its own eigenvalue; `blocks` yields its larger components,
+    (count, k, k), read lazily, and each passes when a Cholesky
+    factorisation of block - tau I exists.  Only when some component fails
+    is the dense g built (dense()) and its eigenvalues computed, to name the
+    first bad point and its smallest eigenvalue."""
     try:
-        for block in blocks:
-            np.linalg.cholesky(block - tau[:, None, None] * np.eye(block.shape[1]))
+        if (ones > tau).all():
+            for block in blocks:
+                np.linalg.cholesky(block - tau[:, None, None] * np.eye(block.shape[1]))
+            return
     except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _name_singular_point(g: np.ndarray, points: np.ndarray, tau: np.ndarray) -> None:
-    """Raise SingularMetricError at the first point whose dense g has its
-    smallest eigenvalue at most tau, with that eigenvalue."""
-    eigenvalues = np.linalg.eigvalsh(g)
+        pass
+    eigenvalues = np.linalg.eigvalsh(dense())
     bad = eigenvalues[:, 0] <= tau
     if bad.any():
         where = int(np.argmax(bad))
@@ -378,18 +377,13 @@ def _check_positive_definite(g: np.ndarray, points: np.ndarray,
                              components: tuple[tuple[int, ...], ...]) -> None:
     """Raise SingularMetricError unless every point's smallest eigenvalue
     exceeds tau = 1e-12 max(1, max|g|), for a dense g (metric_values).
-
-    g is block diagonal over `components`, so each component is tested on
-    its own (_positive_definite).  Only when some component fails are the
-    eigenvalues of the whole g computed, to name the first bad point and
-    its smallest eigenvalue.  Curvature batches run the same test on their
-    compact g rows (_check_rows_positive_definite).
-    """
+    g is block diagonal over `components`, each tested on its own
+    (_require_positive_definite).  Curvature batches run the same test on
+    their compact g rows (_check_rows_positive_definite)."""
     tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
     ones = [c[0] for c in components if len(c) == 1]
-    if not _positive_definite(tau, g[:, ones, ones].T,
-                              (g[:, c][:, :, c] for c in components if len(c) > 1)):
-        _name_singular_point(g, points, tau)
+    _require_positive_definite(points, tau, g[:, ones, ones].T,
+                               (g[:, c][:, :, c] for c in components if len(c) > 1), lambda: g)
 
 
 def metric_values(metric: MetricSpec, points, check: bool = True) -> np.ndarray:
@@ -425,10 +419,11 @@ class CurvatureBatch:
     slot g_slots[r] = i n + j, i <= j, and likewise ginv_rows and ricci_rows;
     christoffel_rows[r, p] is Gamma^k_ij for the flat slot
     christoffel_slots[r] = (k n + i) n + j, i <= j.  The mirrored slot (j, i)
-    holds the same value, and every slot with no row is an exact zero.  The
-    dense arrays g, ginv, ricci and gamma are built from the rows anew on
-    each access and never kept, so a caller reads each one at most once per
-    call; einstein_residual reads the rows alone.
+    holds the same value, and every slot with no row is an exact zero.
+    scalar[p] = g^bd R_bd was summed over the canonical slots of the ginv
+    and Ricci rows, and einstein_residual reads the rows alone.  The dense
+    arrays g, ginv, ricci and gamma are built from the rows anew on each
+    access and never kept, so a caller reads each one at most once per call.
     """
     points: np.ndarray
     g_rows: np.ndarray
@@ -858,14 +853,14 @@ def _check_rows_positive_definite(program: _Contraction, table: np.ndarray,
     table's g rows: tau from their max (exact, so the same tau), each
     distinct 1x1 component through its g row, each distinct larger one
     built from its rows as _contract builds it for inversion.  A 1x1
-    component that is a structural zero fails.  Only a failing slice builds
-    its dense g, to name the point and the eigenvalue."""
+    component that is a structural zero has no row and fails as a row of
+    zeros.  Only a failing slice builds its dense g."""
     g_slots, g_table = program.fields[0]
     tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(table[g_table]).max(axis=0, initial=0.0))
-    if program.singular or not _positive_definite(
-            tau, table[program.reciprocals[0]],
-            (_block(table, g_rows, k) for k, g_rows, _, _ in program.blocks)):
-        _name_singular_point(_dense(table[g_table], g_slots, program.dim), points, tau)
+    ones = np.zeros((1, len(points))) if program.singular else table[program.reciprocals[0]]
+    _require_positive_definite(points, tau, ones,
+                               (_block(table, g_rows, k) for k, g_rows, _, _ in program.blocks),
+                               lambda: _dense(table[g_table], g_slots, program.dim))
 
 
 def _contract(program: _Contraction, table: np.ndarray) -> None:

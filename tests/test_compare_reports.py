@@ -2,7 +2,8 @@
 excepted, each moved leaf of a report listed, with each tree's src/ lines,
 computed batches, jet-tape rows, tape registers, kept batch bytes,
 contraction products, MetricSpec constructions, field jet passes, symbolic
-programs, their table rows and symbolic derivative calls counted."""
+programs, their table rows, symbolic derivative calls and dense scratch
+bytes counted, and a closing summary of the moves."""
 
 import importlib.util
 import json
@@ -67,22 +68,45 @@ def test_a_tree_matches_itself(capsys):
     # -0.0 had a row of its own: 72 rows; with a tape of its own per jet
     # program, the run created 306 tape registers, and with no field rows
     # kept by the scope every gradient or jet request ran its program: 14
-    # field jet passes
+    # field jet passes; while batches scattered a dense g for the
+    # positive-definite test and dense g^-1 and Ricci for the scalar, and the
+    # field traces a dense g^-1, the run built 66 560 dense scratch bytes
     assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 71 -> 71, "
             "tape registers 183 -> 183, "
             "kept batch bytes 11768 -> 11768, contraction products 248 -> 248, "
             "MetricSpec constructions 8 -> 8, field jet passes 5 -> 5, "
             "symbolic programs 6 -> 6, symbolic table rows 136 -> 136, "
-            "symbolic derivative calls 0 -> 0") in out
+            "symbolic derivative calls 0 -> 0, dense scratch bytes 23040 -> 23040") in out
+    assert out.endswith("summary: 0 moved leaves, 0 verdict/matched/expected moves, "
+                        "largest relative move of a constant 0\n")
 
 
 def test_moved_leaves_are_listed_and_verdicts_flagged():
     old = {"generated_at": "a", "s": [{"verdict": "pass", "sup": 2.0, "n": 3, "ok": True}]}
     new = {"generated_at": "b", "s": [{"verdict": "fail", "sup": 3.0, "n": 3, "ok": 1,
                                        "extra": None}]}
-    assert compare_reports.leaf_changes("r.json", json.dumps(old), json.dumps(new)) == [
+    tally = compare_reports.new_tally()
+    assert compare_reports.leaf_changes("r.json", json.dumps(old), json.dumps(new), tally) == [
         "MOVED r.json: s[0].verdict: 'pass' -> 'fail'\n",
         "r.json: s[0].sup: 2.0 -> 3.0 (abs 1, rel 0.5)\n",
         "r.json: s[0].ok: True -> 1\n",
         "r.json: s[0].extra: '(none)' -> None\n",
     ]
+    # a sup is not a constant
+    assert compare_reports.summary(tally) == (
+        "summary: 4 moved leaves, 1 verdict/matched/expected moves, "
+        "largest relative move of a constant 0\n")
+
+
+def test_summary_takes_the_largest_move_of_a_measured_constant():
+    old = {"scenarios": [{"measured": {"a1": 2.0, "b1": 0.0}, "matched": True,
+                          "constants": [{"measured": 4.0, "delta": 1e-16}]}]}
+    new = {"scenarios": [{"measured": {"a1": 2.0 + 4e-15, "b1": 0.0}, "matched": False,
+                          "constants": [{"measured": 4.0 + 4e-15, "delta": 3e-16}]}]}
+    tally = compare_reports.new_tally()
+    compare_reports.leaf_changes("r.json", json.dumps(old), json.dumps(new), tally)
+    # a1 moved the most; the delta's relative move, 2, is not a constant's
+    assert tally == {"leaves": 4, "flagged": 1, "constant": ((2.0 + 4e-15) - 2.0) / 2.0}
+    new["scenarios"][0]["measured"]["b1"] = 1e-17
+    compare_reports.leaf_changes("r.json", json.dumps(old), json.dumps(new), tally)
+    assert tally["constant"] == float("inf")

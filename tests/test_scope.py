@@ -405,6 +405,32 @@ def test_phi_values_are_evaluated_once_per_chart_and_points(monkeypatch):
     assert sorted(order for order, _ in phi_runs) == [0, 2]
 
 
+def test_summand_values_are_evaluated_once_per_factor(monkeypatch):
+    runs = _tape_evaluations(monkeypatch)
+    sc = catalog.get_scenario("sphere_hyperbolic")
+    inst, _ = sc.build(sc.parameters())
+    tested = []
+    spread = checkers.summand_spread
+
+    def recording(phi, metric, plan):
+        tested.append(phi)
+        return spread(phi, metric, plan)
+
+    monkeypatch.setattr(checkers, "summand_spread", recording)
+    monkeypatch.setattr(catalog, "summand_spread", recording)
+    run_scenario("sphere_hyperbolic", plan=PLAN)
+    # the two summand routes, the catalog's route choice and the factor
+    # identity each test phi2 for constancy on g2's points; its value
+    # program runs once, its jet program once for the summand routes, and
+    # every later test reads the rows the scope keeps
+    assert sum(phi is inst.phi2 for phi in tested) == 4
+    phi2_runs = [(order, points) for plan, order, points in runs
+                 if plan.shape == () and plan.entries[0][0] is inst.phi2]
+    assert [order for order, _ in phi2_runs] == [0, 2]
+    assert len({id(points) for _, points in phi2_runs}) == 1
+    assert phi2_runs[0][1].shape == (PLAN.count, inst.g2.dim)
+
+
 def test_conformal_connection_runs_one_jet_pass(monkeypatch):
     skew = dict(conformal_route_pairs())["skew"]
     pts = sample(skew.base.chart, PLAN)

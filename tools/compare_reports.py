@@ -14,7 +14,7 @@ file that differs, or a report whose leaves all hold but whose text moved,
 is printed as a unified diff.  The workload inputs come
 from this checkout's perfbench/, which is only imported.  Each tree's `src/`
 line count (newlines in its `.py` files, as `wc -l` counts them) is printed
-first, then ten counts per run for each tree:
+first, then eleven counts per run for each tree:
 
 - computed batches: calls of geometry._compute_batch, scope hits excluded;
 - jet-tape rows: the rows of every jet plan's second-order (jet) program,
@@ -35,7 +35,14 @@ first, then ten counts per run for each tree:
   geometry._contraction that miss its cache);
 - symbolic table rows: those programs' table rows (_Contraction.rows), summed;
 - symbolic derivative calls: calls of expressions.differentiate, its own
-  recursive calls included.
+  recursive calls included;
+- dense scratch bytes: the bytes of the dense arrays geometry._dense builds
+  from compact rows, summed over its calls.
+
+A closing summary line counts, over every seed, the moved leaves, the moved
+`verdict`, `matched` and `expected` flags, and the largest relative move of
+a constant: a scenario's `measured` values and each `constants` entry's
+`measured` (inf for a constant that leaves 0).
 
 The plan caches of geometry and the builder memo of constructions are
 cleared before each run, so a run builds its plans, tapes and metrics as a
@@ -63,8 +70,10 @@ WORKLOADS = ("catalog_2k", "dim_sweep")
 CATALOG_SAMPLES = {"full": 200, "tiny": 20}
 COUNTS = ("computed batches", "jet-tape rows", "tape registers", "kept batch bytes",
           "contraction products", "MetricSpec constructions", "field jet passes",
-          "symbolic programs", "symbolic table rows", "symbolic derivative calls")
+          "symbolic programs", "symbolic table rows", "symbolic derivative calls",
+          "dense scratch bytes")
 FLAGGED = ("verdict", "matched", "expected")
+_CONSTANT = re.compile(r"^scenarios\[\d+\]\.(measured\.[^.]+|constants\[\d+\]\.measured)$")
 _GENERATED_AT = re.compile(r'^\s*"generated_at": "[^"]*",\n', re.MULTILINE)
 
 
@@ -76,7 +85,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
 
     counts: dict = {}
     compute, program = geometry._compute_batch, geometry._JetPlan._program
-    contraction, contract = geometry._contraction, geometry._contract
+    contraction, contract, dense = geometry._contraction, geometry._contract, geometry._dense
     slices = []    # per _contract call of the batch being computed: products x points
     tapes = []     # every Tape of the run
     post_init, tape_init = geometry.MetricSpec.__post_init__, expressions.Tape.__init__
@@ -92,6 +101,11 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     def counting_products(built, table):
         slices.append(sum(len(step.a) for step in built.steps) * table.shape[1])
         return contract(built, table)
+
+    def counting_dense(*args, **kwargs):
+        built = dense(*args, **kwargs)
+        counts[name]["dense scratch bytes"] += built.nbytes
+        return built
 
     def counting_specs(spec):
         counts[name]["MetricSpec constructions"] += 1
@@ -146,6 +160,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     geometry._compute_batch = counting
     geometry._contraction = counting_programs
     geometry._contract = counting_products
+    geometry._dense = counting_dense
     geometry._JetPlan._program = counting_rows
     expressions.Tape.__init__ = counting_tapes
     geometry.MetricSpec.__post_init__ = counting_specs
@@ -197,28 +212,46 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def leaf_changes(name, old_text: str, new_text: str) -> list[str]:
-    """One line per leaf of two JSON reports that moved, `generated_at` excepted."""
+def new_tally() -> dict:
+    """The running totals of the summary line."""
+    return {"leaves": 0, "flagged": 0, "constant": 0.0}
+
+
+def summary(tally: dict) -> str:
+    return (f"summary: {tally['leaves']} moved leaves, {tally['flagged']} "
+            f"verdict/matched/expected moves, largest relative move of a constant "
+            f"{tally['constant']:.3g}\n")
+
+
+def leaf_changes(name, old_text: str, new_text: str, tally: dict | None = None) -> list[str]:
+    """One line per leaf of two JSON reports that moved, `generated_at`
+    excepted; each is also counted in `tally` when one is given."""
     old, new = dict(_leaves(json.loads(old_text))), dict(_leaves(json.loads(new_text)))
+    tally = new_tally() if tally is None else tally
     out = []
     for path in {**old, **new}:
         a, b = old.get(path, "(none)"), new.get(path, "(none)")
         if path == "generated_at" or repr(a) == repr(b):    # repr tells -0.0 from 0.0
             continue
+        tally["leaves"] += 1
         line = f"{name}: {path}: {a!r} -> {b!r}"
         if _number(a) and _number(b):
             change = b - a
-            line += f" (abs {change:.3g}, rel {abs(change) / abs(a) if a else math.inf:.3g})"
+            rel = abs(change) / abs(a) if a else math.inf
+            line += f" (abs {change:.3g}, rel {rel:.3g})"
+            if _CONSTANT.match(path):
+                tally["constant"] = max(tally["constant"], rel)
         if path.rsplit(".", 1)[-1] in FLAGGED:
+            tally["flagged"] += 1
             line = "MOVED " + line
         out.append(line + "\n")
     return out
 
 
-def diff_trees(old: Path, new: Path) -> list[str]:
+def diff_trees(old: Path, new: Path, tally: dict | None = None) -> list[str]:
     """Every moved leaf of each report that differs (a unified diff when no
     leaf moved), a unified diff of every other file that differs, and each
-    file on one side only."""
+    file on one side only; moved leaves are counted in `tally` when given."""
     names = sorted({p.relative_to(root) for root in (old, new)
                     for p in root.rglob("*") if p.is_file()})
     out = []
@@ -227,7 +260,7 @@ def diff_trees(old: Path, new: Path) -> list[str]:
         if not (a.is_file() and b.is_file()):
             out.append(f"only in {old if a.is_file() else new}: {name}\n")
         elif _deterministic(a) != _deterministic(b):
-            moved = (leaf_changes(name, a.read_text(), b.read_text())
+            moved = (leaf_changes(name, a.read_text(), b.read_text(), tally)
                      if name.suffix == ".json" else [])
             out += moved or list(difflib.unified_diff(_deterministic(a), _deterministic(b),
                                                       str(a), str(b), n=1))[:40]
@@ -248,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     print(f"src/ lines: {src_lines(args.old)} -> {src_lines(args.new)}")
-    differing = 0
+    differing, tally = 0, new_tally()
     with tempfile.TemporaryDirectory() as scratch:
         for seed in seeds:
             outs = []
@@ -260,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
                     check=True)
                 outs.append(out)
             counts = [json.loads((out / "counts.json").read_text()) for out in outs]
-            lines = diff_trees(*(out / "reports" for out in outs))
+            lines = diff_trees(*(out / "reports" for out in outs), tally)
             files = sum(1 for p in (outs[0] / "reports").rglob("*") if p.is_file())
             print(f"seed {seed}: {files} files, {'identical' if not lines else 'DIFFERENT'}")
             for name in counts[0]:
@@ -268,6 +301,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"{what} {counts[0][name][what]} -> {counts[1][name][what]}" for what in COUNTS))
             sys.stdout.writelines(lines)
             differing += bool(lines)
+    print(summary(tally), end="")
     return 1 if differing else 0
 
 
