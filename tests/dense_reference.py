@@ -66,7 +66,6 @@ def reference_batch(metric, points) -> dict[str, np.ndarray]:
             "scalar": scalar(ginv, ric)}
 
 
-
 def scalar(ginv: np.ndarray, ricci: np.ndarray) -> np.ndarray:
     """g^bd R_bd per point, over dense (count, n, n) arrays."""
     return np.einsum("nbd,nbd->n", ginv, ricci)

@@ -15,9 +15,9 @@ The covariant Hessian, contracted from a batch's compact Christoffel rows,
 must match the dense contraction with the reference's Gamma, and the
 scalar curvature and the Laplacian and |d phi|^2 traces, contracted from
 the compact g^-1 and Ricci rows, the dense einsums, with no dense array
-built on the way.  The
-positive-definite test a batch runs on its g rows must accept what the
-dense test accepts, and name the same point and eigenvalue when it fails.
+built on the way.  The positive-definite test a batch runs on its g rows
+must accept what the dense test accepts, and name the same point and
+eigenvalue when it fails.
 """
 
 import numpy as np
