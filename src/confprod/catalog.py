@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedDimError,
 )
 from .expressions import Const, Coord, Expr, add, div, evaluate, func, mul, neg, parse, powc, sub
-from .geometry import Chart, MetricSpec, evaluation_scope, metric_values
+from .geometry import Chart, MetricSpec, curvature_batch, evaluation_scope, metric_values
 
 
 # --- built-in metrics -------------------------------------------------------
@@ -345,9 +345,12 @@ def _run_twisted(inst: TwistedInstance, plan: SamplePlan, tolerance: float):
         twisted_metric(d.base, div(d.fiber_scale, d.base_scale), d.fiber),
         powc(d.base_scale, 2.0),
     )
-    delta = metric_values(g, pts) - metric_values(rebuilt, pts, check=False)
-    # both sides are the same entries in two presentations: equal to round-off
-    identity = _residual("twisted_identity", _entry_sup(delta), pts, 1e-12)
+    # both sides are the same entries in two presentations: equal to round-off;
+    # g's rows come from the batch einstein_check reads, which passed the
+    # positive-definite test
+    batch = curvature_batch(g, pts)
+    delta = _entry_sup(g.dim, (batch.g_rows, batch.g_slots), -metric_values(rebuilt, pts))
+    identity = _residual("twisted_identity", delta, pts, 1e-12)
 
     est = einstein_check(g, plan, tolerance).named("direct_einstein", inst.expect_einstein)
     measured["lambda_bar"] = est.details["lambda_hat"]

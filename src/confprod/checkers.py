@@ -52,6 +52,7 @@ from .expressions import (
 from .geometry import (
     Chart,
     MetricSpec,
+    combine,
     coordinate_hessian_batch,
     curvature_batch,
     evaluation_scope,
@@ -202,10 +203,14 @@ def _bound(name: str, value: float, tolerance: float) -> Check:
     return Check(name, sup=float(value), tolerance=tolerance)
 
 
-def _entry_sup(per_point_matrices: np.ndarray) -> np.ndarray:
-    """Per-point sup over matrix entries."""
-    n = per_point_matrices.shape[0]
-    return np.abs(per_point_matrices).reshape(n, -1).max(axis=1)
+def _entry_sup(n: int, *terms, unheld: float = 0.0, keep=None) -> np.ndarray:
+    """Per-point sup over the entries of a sum of symmetric n x n tensors
+    (geometry.combine, with its terms and keep).  An entry that no term
+    holds reads |unheld|: an exact zero, or nan for a non-finite lambda in
+    lambda g."""
+    rows, slots = combine(n, *terms, keep=keep)
+    initial = 0.0 if len(slots) == n * (n + 1) // 2 else abs(unheld)
+    return np.abs(rows).max(axis=0, initial=initial)
 
 
 def constancy(values: np.ndarray, tolerance: float) -> tuple[bool, float, float]:
@@ -257,7 +262,8 @@ def einstein_check(g: AnyMetric, plan: SamplePlan, tolerance: float = 1e-8) -> C
     batch = curvature_batch(m, pts)
     lam = batch.scalar / n
     lambda_hat = float(lam.mean())
-    per_point = batch.einstein_residual(lambda_hat)
+    per_point = _entry_sup(n, (batch.ricci_rows, batch.ricci_slots),
+                           (-lambda_hat * batch.g_rows, batch.g_slots), unheld=lambda_hat * 0.0)
     return Check("einstein", details={"lambda_hat": lambda_hat, "low_dim_warning": n <= 2},
                  parts=[_residual("residual", per_point, pts, tolerance),
                         _bound("lambda_spread", lam.max() - lam.min(), tolerance)])
@@ -288,7 +294,7 @@ def conformally_einstein_check(c: ConformalSpec, plan: SamplePlan,
         direct_verdict = direct.verdict
     residual = conformal_ricci_formula(c, pts, lambda_bar)
     report = _residual(
-        "conformally_einstein", _entry_sup(residual), pts, tolerance,
+        "conformally_einstein", _entry_sup(as_metric(c.base).dim, residual), pts, tolerance,
         lambda_bar=lambda_bar, **details,
     )
     if direct_verdict is not None:
@@ -307,14 +313,17 @@ def mixed_ricci_flat_check(b: BlockMetricSpec, phi: Expr, plan: SamplePlan,
     the check is cross-validated against the directly computed Ricci.
     """
     joint = b.metric
-    pts = sample(joint.chart, plan)
-    hess = coordinate_hessian_batch(phi, joint.chart, pts)
-    i0 = list(b.blocks[0])
-    i1 = list(b.blocks[1])
-    cross = hess[:, i0][:, :, i1]
-    per_point = _entry_sup(cross)
-    details: dict[str, float] = {}
     n = joint.dim
+    pts = sample(joint.chart, plan)
+    second = np.zeros(n, dtype=bool)
+    second[list(b.blocks[1])] = True
+
+    def cross(i, j):
+        return second[i] != second[j]
+
+    hess, slots = combine(n, coordinate_hessian_batch(phi, joint.chart, pts), keep=cross)
+    per_point = np.abs(hess).max(axis=0)
+    details: dict[str, float] = {}
     if n >= 3:
         spec = ConformalSpec(b, phi)
         try:
@@ -324,11 +333,12 @@ def mixed_ricci_flat_check(b: BlockMetricSpec, phi: Expr, plan: SamplePlan,
             # the rescaled-metric cross-check needs a positive factor
             details["identity_skipped"] = 1.0
         else:
-            ricci = curvature_batch(conformal_metric(spec), pts).ricci
-            direct_cross = ricci[:, i0][:, :, i1]
-            identity = direct_cross - (n - 2) * cross / phival[:, None, None]
-            details["direct_cross_sup"] = float(np.abs(direct_cross).max())
-            details["identity_residual_sup"] = float(np.abs(identity).max())
+            batch = curvature_batch(conformal_metric(spec), pts)
+            ricci = (batch.ricci_rows, batch.ricci_slots)
+            identity = ((2 - n) * hess / phival, slots)
+            details["direct_cross_sup"] = float(_entry_sup(n, ricci, keep=cross).max())
+            details["identity_residual_sup"] = float(
+                _entry_sup(n, ricci, identity, keep=cross).max())
     return _residual("mixed_ricci_flat", per_point, pts, tolerance, **details)
 
 
@@ -478,9 +488,10 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
     _, hess, lap, gns = _field_jets(w.warp, w.base, pts)
     scalar_eq = f * lap - (p - 1) * gns + lambda_fiber - lambda_bar * f**2
 
-    base_batch = curvature_batch(w.base, pts)
-    fcol = f[:, None, None]
-    base_eq = fcol**2 * base_batch.ricci - p * fcol * hess - lambda_bar * fcol**2 * base_batch.g
+    base = curvature_batch(w.base, pts)
+    base_eq = _entry_sup(w.base.dim, (f**2 * base.ricci_rows, base.ricci_slots),
+                         -p * f[:, None, None] * hess,
+                         (-lambda_bar * f**2 * base.g_rows, base.g_slots))
 
     report = Check("warped_einstein",
                    details={"lambda_fiber": lambda_fiber, "lambda_bar": lambda_bar},
@@ -488,7 +499,7 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
                        fiber_est.named("fiber"),
                        _residual("scalar_eq", scalar_eq, pts, tolerance,
                                  lambda_fiber=lambda_fiber, lambda_bar=lambda_bar),
-                       _residual("base_eq", _entry_sup(base_eq), pts, tolerance),
+                       _residual("base_eq", base_eq, pts, tolerance),
                        direct.named("direct", expected=None),
                    ])
     report.details["verdicts_agree"] = report.verdict == direct.verdict
@@ -528,18 +539,19 @@ def summand_hessian_check(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
     v1 = expr_values(phi1, g1.chart, pts1)
     v2 = expr_values(phi2, g2.chart, pts2)
     batch1 = curvature_batch(g1, pts1)
-    g2v = curvature_batch(g2, pts2).g
+    batch2 = curvature_batch(g2, pts2)
     _, h1, lap1, gns1 = _field_jets(phi1, g1, pts1)
     _, h2, _, gns2 = _field_jets(phi2, g2, pts2)
 
     trace1 = -lap1 / n1
-    prop1 = _residual("proportionality_1", _entry_sup(h1 - trace1[:, None, None] * batch1.g),
-                      pts1, tolerance)
+    prop1 = _residual("proportionality_1", _entry_sup(
+        n1, h1, (-trace1 * batch1.g_rows, batch1.g_slots)), pts1, tolerance)
     slope, intercept, _ = _affine_fit(v1, trace1)
     a_bar, b_bar = -slope, -intercept
 
-    hess2 = _residual("hessian_2", _entry_sup(h2 - (a_bar * v2 - b_bar)[:, None, None] * g2v),
-                      pts2, tolerance, a_bar=a_bar, b_bar=b_bar)
+    hess2 = _residual("hessian_2", _entry_sup(
+        n2, h2, (-(a_bar * v2 - b_bar) * batch2.g_rows, batch2.g_slots)),
+        pts2, tolerance, a_bar=a_bar, b_bar=b_bar)
 
     factor_1 = einstein_check(g1, plan, tolerance)
     factor_2 = einstein_check(g2, plan, tolerance)
@@ -612,11 +624,11 @@ def factor_hessian_check(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
     phival = require_positive_factor(ConformalSpec(block, phi), pts)
     batch = curvature_batch(block.metric, pts)
     _, hess, lap, gns = _field_jets(phi, block.metric, pts)
-    h1, g1v = hess[:, :n1, :n1], batch.g[:, :n1, :n1]
     coef = (lambda_bar / phival - lambda_1 * phival + lap
             + (n - 1) * gns / phival) / (n - 2)
-    identity = _residual("identity", _entry_sup(h1 - coef[:, None, None] * g1v), pts,
-                         tolerance, lambda_bar=lambda_bar, lambda_1=lambda_1)
+    first = _entry_sup(n, hess, (-coef * batch.g_rows, batch.g_slots), keep=lambda i, j: j < n1)
+    identity = _residual("identity", first, pts, tolerance,
+                         lambda_bar=lambda_bar, lambda_1=lambda_1)
     return Check("factor_hessian", details={"lambda_bar": lambda_bar},
                  parts=[factor_1.named("factor_1"), identity])
 

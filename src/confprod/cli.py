@@ -97,6 +97,14 @@ def _config_number(config: dict, key: str, default, kind=float):
     return number
 
 
+def _config_name(config: dict, key: str) -> Optional[str]:
+    """config[key], which must be a string when given."""
+    value = config.get(key)
+    if value is not None and not isinstance(value, str):
+        raise BadParameterError(f"config '{key}' must be a string, got {value!r}")
+    return value
+
+
 def _listed(value):
     """value, which must be a list; a string would split into its characters."""
     if isinstance(value, str):
@@ -182,7 +190,10 @@ def _print_scenario(rep: ScenarioReport, verbose: bool) -> None:
 def _cmd_check(args) -> int:
     config: dict = {}
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
+        try:
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise BadParameterError(f"config is not UTF-8 text: {exc}") from None
         if not isinstance(loaded, dict):
             raise BadParameterError("config must be a JSON object")
         config = loaded
@@ -190,14 +201,14 @@ def _cmd_check(args) -> int:
     margin = _config_number(config, "margin", 0.0) if args.margin is None else args.margin
     tolerance = _config_number(config, "tol", 1e-8) if args.tol is None else args.tol
     plan = SamplePlan(count=samples, margin=margin)
-    report_path = args.report or config.get("report")
+    report_path = args.report or _config_name(config, "report")
 
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise BadParameterError(f"config 'params' must be an object, got {params!r}")
     params = dict(params)
     params.update(_parse_params(args.param))
-    scenario = args.scenario or config.get("scenario")
+    scenario = args.scenario or _config_name(config, "scenario")
 
     if "factors" in config and scenario:
         raise BadParameterError("config cannot name a scenario and define factors")

@@ -42,6 +42,7 @@ from .expressions import (
 from .geometry import (
     Chart,
     MetricSpec,
+    combine,
     curvature_batch,
     expr_values,
     require_on_chart,
@@ -212,14 +213,16 @@ def require_positive_factor(c: ConformalSpec, points) -> np.ndarray:
     return values
 
 
-def conformal_ricci_formula(c: ConformalSpec, points, lambda_bar: float = 0.0) -> np.ndarray:
+def conformal_ricci_formula(c: ConformalSpec, points,
+                            lambda_bar: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Ricci of phi^-2 g minus lambda_bar phi^-2 g, from base curvature and
     jets of phi only:
 
     ric + (n-2) Hess(phi)/phi - (lambda_bar/phi^2 + lap(phi)/phi + (n-1) |dphi|^2/phi^2) g,
     with the geometer's Laplacian lap = -trace Hess.  At lambda_bar = 0 this
     is the rescaled Ricci tensor; it vanishes where phi^-2 g is Einstein with
-    constant lambda_bar.
+    constant lambda_bar.  Returned as (rows, slots), the layout of
+    CurvatureBatch.ricci_rows and ricci_slots (geometry.combine).
     """
     base = as_metric(c.base)
     n = base.dim
@@ -228,11 +231,8 @@ def conformal_ricci_formula(c: ConformalSpec, points, lambda_bar: float = 0.0) -
     batch = curvature_batch(base, pts)
     _, hess, lap, gns = _field_jets(c.phi, base, pts)
     coef = lambda_bar / phi**2 + lap / phi + (n - 1) * gns / phi**2
-    out = batch.ricci
-    out += (n - 2) * hess / phi[:, None, None]
-    del hess    # before the dense g is built, so the two are never held together
-    out -= coef[:, None, None] * batch.g
-    return out
+    return combine(n, (batch.ricci_rows, batch.ricci_slots), (n - 2) * hess / phi[:, None, None],
+                   (-coef * batch.g_rows, batch.g_slots))
 
 
 def conformal_scalar_formula(c: ConformalSpec, points) -> np.ndarray:

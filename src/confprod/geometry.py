@@ -13,11 +13,12 @@ so no product reads them and g is inverted one diagonal block at a time.
 A batch keeps g, g^-1, the Christoffel symbols and Ricci as that table's
 compact rows, one per canonical slot that can be non-zero.  The
 positive-definite test, the scalar curvature, the covariant Hessian and a
-field's Laplacian and |d phi|^2 read those rows directly; dense arrays are
-built only on request (CurvatureBatch.g, .ginv, .ricci, .gamma) and on the
-error path, where a slice that fails the positive-definite test builds its
-dense g to name the point.  The full Riemann tensor is dense algebra, built
-only for single-point queries (curvature()).
+field's Laplacian and |d phi|^2 read those rows directly, and the checks
+sum their tensor residuals on the rows (combine).  Dense arrays are built
+from rows only on request (CurvatureBatch.g, .ginv, .ricci, .gamma) and on
+the error path, where a slice that fails the positive-definite test builds
+its dense g to name the point.  The full Riemann tensor is dense algebra,
+built only for single-point queries (curvature()).
 
 Index conventions, fixed here once:
 
@@ -343,55 +344,10 @@ def _partition(n: int, links) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(part) for part in parts.values())
 
 
-@lru_cache(maxsize=128)
-def _components(metric: MetricSpec) -> tuple[tuple[int, ...], ...]:
-    """The diagonal blocks of g's pattern: coordinates no non-zero entry couples."""
-    return _partition(metric.dim, ((i, j) for i, row in enumerate(metric.entries)
-                                   for j, e in enumerate(row) if not _is_zero(e)))
-
-
-def _require_positive_definite(points: np.ndarray, tau: np.ndarray, ones: np.ndarray,
-                               blocks, dense: Callable[[], np.ndarray]) -> None:
-    """Raise SingularMetricError unless every point's block-diagonal g has
-    all its eigenvalues above tau.  `ones` holds g's 1x1 components, one row
-    each, each its own eigenvalue; `blocks` yields its larger components,
-    (count, k, k), read lazily, and each passes when a Cholesky
-    factorisation of block - tau I exists.  Only when some component fails
-    is the dense g built (dense()) and its eigenvalues computed, to name the
-    first bad point and its smallest eigenvalue."""
-    try:
-        if (ones > tau).all():
-            for block in blocks:
-                np.linalg.cholesky(block - tau[:, None, None] * np.eye(block.shape[1]))
-            return
-    except np.linalg.LinAlgError:
-        pass
-    eigenvalues = np.linalg.eigvalsh(dense())
-    bad = eigenvalues[:, 0] <= tau
-    if bad.any():
-        where = int(np.argmax(bad))
-        raise SingularMetricError(points[where], float(eigenvalues[where, 0]))
-
-
-def _check_positive_definite(g: np.ndarray, points: np.ndarray,
-                             components: tuple[tuple[int, ...], ...]) -> None:
-    """Raise SingularMetricError unless every point's smallest eigenvalue
-    exceeds tau = 1e-12 max(1, max|g|), for a dense g (metric_values).
-    g is block diagonal over `components`, each tested on its own
-    (_require_positive_definite).  Curvature batches run the same test on
-    their compact g rows (_check_rows_positive_definite)."""
-    tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
-    ones = [c[0] for c in components if len(c) == 1]
-    _require_positive_definite(points, tau, g[:, ones, ones].T,
-                               (g[:, c][:, :, c] for c in components if len(c) > 1), lambda: g)
-
-
-def metric_values(metric: MetricSpec, points, check: bool = True) -> np.ndarray:
-    pts = _as_points(metric.chart, points)
-    g = _metric_plan(metric).values(pts)
-    if check:
-        _check_positive_definite(g, pts, _components(metric))
-    return g
+def metric_values(metric: MetricSpec, points) -> np.ndarray:
+    """g at the points, dense (count, n, n) and unchecked: curvature_batch
+    runs the positive-definite test."""
+    return _metric_plan(metric).values(_as_points(metric.chart, points))
 
 
 # --- curvature --------------------------------------------------------------
@@ -410,6 +366,34 @@ def _dense(rows: np.ndarray, slots: np.ndarray, n: int, axes: int = 2) -> np.nda
     return dense.reshape((rows.shape[1],) + shape)
 
 
+def combine(n: int, *terms, keep=None) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of symmetric n x n tensors as (rows, slots) in CurvatureBatch's
+    layout, on the union of the terms' canonical slots (i, j), only those
+    where keep(i, j) holds when it is given.  A term is such a (rows, slots)
+    pair or a dense (count, n, n) array, read on those slots alone.  The
+    terms are added in order to zeros, so each entry has the bits of the
+    dense sum (up to the sign of a zero); an entry that no term holds is an
+    exact zero and has no row."""
+    i, j = np.divmod(np.arange(n * n), n)
+    wanted = i <= j if keep is None else (i <= j) & keep(i, j)
+    held = np.zeros(n * n, dtype=bool)
+    pairs = []
+    for term in terms:
+        if isinstance(term, np.ndarray):
+            slots = np.flatnonzero(wanted)
+            term = (term.reshape(len(term), -1)[:, slots].T, slots)
+        part, slots = term
+        if keep is not None:
+            part, slots = part[wanted[slots]], slots[wanted[slots]]
+        held[slots] = True
+        pairs.append((part, slots))
+    slots = np.flatnonzero(held)
+    rows = np.zeros((len(slots), pairs[0][0].shape[1]))
+    for part, part_slots in pairs:
+        rows[np.searchsorted(slots, part_slots)] += part
+    return rows, slots
+
+
 @dataclass(frozen=True)
 class CurvatureBatch:
     """Curvature at a batch of points: g, g^-1, Gamma and Ricci as compact rows.
@@ -421,9 +405,10 @@ class CurvatureBatch:
     christoffel_slots[r] = (k n + i) n + j, i <= j.  The mirrored slot (j, i)
     holds the same value, and every slot with no row is an exact zero.
     scalar[p] = g^bd R_bd was summed over the canonical slots of the ginv
-    and Ricci rows, and einstein_residual reads the rows alone.  The dense
+    and Ricci rows, and the checks read the rows (combine).  The dense
     arrays g, ginv, ricci and gamma are built from the rows anew on each
-    access and never kept, so a caller reads each one at most once per call.
+    access and never kept, for curvature(), _riemann, conformal_connection
+    and library callers, each of which reads one at most once per call.
     """
     points: np.ndarray
     g_rows: np.ndarray
@@ -456,22 +441,6 @@ class CurvatureBatch:
     def gamma(self) -> np.ndarray:
         """gamma[p, k, i, j] = Gamma^k_ij."""
         return _dense(self.christoffel_rows, self.christoffel_slots, self.dim, 3)
-
-    def einstein_residual(self, lam: float) -> np.ndarray:
-        """Per point, the sup over the entries of ricci - lam g, formed on the
-        rows: on the slots where either can be non-zero, and as 0 - lam 0
-        (nan for a non-finite lam) on every other entry."""
-        row = np.zeros(self.dim ** 2, dtype=np.intp)
-        row[self.ricci_slots] = row[self.g_slots] = 1
-        either = np.flatnonzero(row)
-        row[either] = np.arange(len(either))    # each slot's row in the residual
-        residual = np.zeros((len(either), len(self.points)))
-        residual[row[self.ricci_slots]] = self.ricci_rows
-        residual[row[self.g_slots]] -= lam * self.g_rows
-        per_point = np.abs(residual).max(axis=0)
-        if len(either) < self.dim * (self.dim + 1) // 2:
-            per_point = np.maximum(per_point, abs(lam * 0.0))
-        return per_point
 
     def normalized_scalar(self) -> np.ndarray:
         n = self.dim
@@ -849,18 +818,28 @@ def _block(table: np.ndarray, g_rows: np.ndarray, k: int) -> np.ndarray:
 
 def _check_rows_positive_definite(program: _Contraction, table: np.ndarray,
                                   points: np.ndarray) -> None:
-    """_check_positive_definite for one slice of points, read from the
-    table's g rows: tau from their max (exact, so the same tau), each
-    distinct 1x1 component through its g row, each distinct larger one
-    built from its rows as _contract builds it for inversion.  A 1x1
-    component that is a structural zero has no row and fails as a row of
-    zeros.  Only a failing slice builds its dense g."""
+    """Raise SingularMetricError unless g's eigenvalues exceed
+    tau = 1e-12 max(1, max|g|) at every point of a slice, tested from the
+    table's g rows per component of g's pattern: each distinct 1x1 one
+    through its g row (a structural zero has no row and fails as zeros),
+    each distinct larger one, built as _contract builds it for inversion, by
+    a Cholesky factorisation of block - tau I.  Only a failing slice builds
+    its dense g, whose eigenvalues name the first bad point."""
     g_slots, g_table = program.fields[0]
     tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(table[g_table]).max(axis=0, initial=0.0))
     ones = np.zeros((1, len(points))) if program.singular else table[program.reciprocals[0]]
-    _require_positive_definite(points, tau, ones,
-                               (_block(table, g_rows, k) for k, g_rows, _, _ in program.blocks),
-                               lambda: _dense(table[g_table], g_slots, program.dim))
+    try:
+        if (ones > tau).all():
+            for k, g_rows, _, _ in program.blocks:
+                np.linalg.cholesky(_block(table, g_rows, k) - tau[:, None, None] * np.eye(k))
+            return
+    except np.linalg.LinAlgError:
+        pass
+    eigenvalues = np.linalg.eigvalsh(_dense(table[g_table], g_slots, program.dim))
+    bad = eigenvalues[:, 0] <= tau
+    if bad.any():
+        where = int(np.argmax(bad))
+        raise SingularMetricError(points[where], float(eigenvalues[where, 0]))
 
 
 def _contract(program: _Contraction, table: np.ndarray) -> None:
@@ -1067,10 +1046,3 @@ def laplacian_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
 def grad_norm_sq_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
     """|d phi|^2 = g^ij d_i phi d_j phi."""
     return _field_jets(phi, metric, _as_points(metric.chart, points))[3]
-
-
-def gradient_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
-    """Raised gradient vector field g^ij d_j phi, with the curvature batch's g^-1."""
-    pts = _as_points(metric.chart, points)
-    _, grad, _ = _field_plan(phi, metric.chart.coords).jets(pts)
-    return np.einsum("nij,nj->ni", curvature_batch(metric, pts).ginv, grad)

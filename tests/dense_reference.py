@@ -1,16 +1,50 @@
-"""Dense batch connection and Ricci reference.
+"""Dense batch connection, Ricci and positive-definite reference.
 
 The dense contractions that the structural-sparse path in `geometry`
 replaced: the metric jets are scattered into full (count, n, ..., n) arrays
 and every contraction is a batched matmul or einsum over all n^4 slots;
 the scalar curvature and a field's two traces are einsums over dense
 (count, n, n) arrays.  Used by the tests as the reference the sparse path
-and its compact rows must match to round-off.
+and its compact rows must match to round-off.  The positive-definite test
+on a dense g, per component of the entry pattern, is the oracle that the
+test a batch runs on its g rows must agree with exactly.
 """
 
 import numpy as np
 
-from confprod.geometry import _metric_plan
+from confprod.errors import SingularMetricError
+from confprod.geometry import _PD_EIGENVALUE_TOL, _is_zero, _metric_plan, _partition
+
+
+def components(metric) -> tuple[tuple[int, ...], ...]:
+    """The diagonal blocks of g's pattern: coordinates no non-zero entry couples."""
+    return _partition(metric.dim, ((i, j) for i, row in enumerate(metric.entries)
+                                   for j, e in enumerate(row) if not _is_zero(e)))
+
+
+def check_positive_definite(g: np.ndarray, points: np.ndarray, blocks) -> None:
+    """Raise SingularMetricError unless every point's smallest eigenvalue
+    exceeds tau = 1e-12 max(1, max|g|), for a dense g block diagonal over
+    `blocks` (components()).  Each 1x1 block is its own eigenvalue, and
+    each larger one passes when a Cholesky factorisation of block - tau I
+    exists; only when some block fails are g's eigenvalues computed, to name
+    the first bad point and its smallest eigenvalue."""
+    tau = _PD_EIGENVALUE_TOL * np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+    ones = [c[0] for c in blocks if len(c) == 1]
+    try:
+        if (g[:, ones, ones].T > tau).all():
+            for c in blocks:
+                if len(c) > 1:
+                    block = g[:, c][:, :, c]
+                    np.linalg.cholesky(block - tau[:, None, None] * np.eye(len(c)))
+            return
+    except np.linalg.LinAlgError:
+        pass
+    eigenvalues = np.linalg.eigvalsh(g)
+    bad = eigenvalues[:, 0] <= tau
+    if bad.any():
+        where = int(np.argmax(bad))
+        raise SingularMetricError(points[where], float(eigenvalues[where, 0]))
 
 
 def connection(g: np.ndarray, dg: np.ndarray):

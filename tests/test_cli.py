@@ -402,6 +402,22 @@ def test_config_errors(tmp_path, capsys):
         assert code == 2 and message in err and out == "", message
 
 
+@pytest.mark.parametrize("content,message", [
+    (b'{"scenario": "flat_quadratic", "note": "\xff"}', "config is not UTF-8 text"),
+    (b'{"scenario": ["flat_quadratic"]}',
+     "config 'scenario' must be a string, got ['flat_quadratic']"),
+    (b'{"scenario": {"a": 1}}', "config 'scenario' must be a string, got {'a': 1}"),
+    (b'{"scenario": "flat_quadratic", "report": 5}', "config 'report' must be a string, got 5"),
+], ids=["not-utf8", "scenario-list", "scenario-object", "report-number"])
+def test_config_values_of_the_wrong_kind_exit_2_before_any_verdict(content, message,
+                                                                   tmp_path, capsys):
+    # exit 1 means a verdict did not match, so a bad config must not crash into it
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "check", "--config", str(path), *FAST)
+    assert code == 2 and message in err and out == "", err
+
+
 def test_config_with_a_zero_diagonal_entry_is_not_positive_definite(tmp_path, capsys):
     # the zero entry couples nothing, so it is a 1x1 component with no g row
     two = INLINE_FACTORS[1]

@@ -15,9 +15,10 @@ The covariant Hessian, contracted from a batch's compact Christoffel rows,
 must match the dense contraction with the reference's Gamma, and the
 scalar curvature and the Laplacian and |d phi|^2 traces, contracted from
 the compact g^-1 and Ricci rows, the dense einsums, with no dense array
-built on the way.  The positive-definite test a batch runs on its g rows
-must accept what the dense test accepts, and name the same point and
-eigenvalue when it fails.
+built on the way, nor by any check of the catalog.  The positive-definite
+test a batch runs on its g rows must accept what the dense test
+(`dense_reference`) accepts, and name the same point and eigenvalue when it
+fails.
 """
 
 import numpy as np
@@ -40,9 +41,7 @@ from confprod.geometry import (
     Chart,
     MetricSpec,
     _batch_plan,
-    _check_positive_definite,
     _check_rows_positive_definite,
-    _components,
     _field_plan,
     _metric_plan,
     _slot_rows,
@@ -51,7 +50,13 @@ from confprod.geometry import (
     hessian_lc_batch,
     laplacian_batch,
 )
-from dense_reference import field_traces, reference_batch, scalar
+from dense_reference import (
+    check_positive_definite,
+    components,
+    field_traces,
+    reference_batch,
+    scalar,
+)
 from instances import conformal_route_pairs, random_dense_metric
 
 FIELDS = ("ginv", "gamma", "ricci", "scalar")
@@ -219,34 +224,64 @@ def test_a_passing_batch_and_the_field_traces_build_no_dense_array(monkeypatch):
     built = []
     dense = geometry._dense
 
+    def raising(*args, **kwargs):
+        raise AssertionError("a dense array was built from compact rows")
+
     def recording(rows, slots, n, axes=2):
         built.append((rows.shape[1], n, axes))
         return dense(rows, slots, n, axes)
 
-    monkeypatch.setattr(geometry, "_dense", recording)
+    monkeypatch.setattr(geometry, "_dense", raising)
     for metric, points in _route_pair_inputs() + _special_inputs():
         phi = _field(metric.chart.coords)
         curvature_batch(metric, points)
         laplacian_batch(phi, metric, points)
         grad_norm_sq_batch(phi, metric, points)
         hessian_lc_batch(phi, metric, points)
-    assert built == []
+    # nor does any check of the catalog: every tensor residual is summed on rows
+    for name in scenarios():
+        assert run_scenario(name, plan=SamplePlan(count=12)).matched, name
+    monkeypatch.setattr(geometry, "_dense", recording)
     curvature_batch(_SIGNED_ZEROS, sample(_SIGNED_ZEROS.chart, SamplePlan(count=3))).ginv
     assert built == [(3, 3, 2)]    # on request only
 
 
+@pytest.mark.parametrize("inputs", [_catalog_inputs, _special_inputs],
+                         ids=["catalog", "dense-and-signed-zeros"])
+def test_combine_is_the_dense_sum_bit_for_bit(inputs):
+    # the checks' residuals, ric + Hess - lambda g and ric - lambda g, summed
+    # on rows must have the dense sum's bits on every entry, up to a zero's
+    # sign, and under a mask on the masked entries alone
+    for metric, points in inputs():
+        n, batch = metric.dim, curvature_batch(metric, points)
+        hess = hessian_lc_batch(_field(metric.chart.coords), metric, points)
+        ricci, g = (batch.ricci_rows, batch.ricci_slots), (-0.7 * batch.g_rows, batch.g_slots)
+        i, j = np.divmod(np.arange(n * n), n)
+        for terms, want, keep in (
+                ((ricci, hess, g), batch.ricci + hess - 0.7 * batch.g, None),
+                ((ricci, g), batch.ricci - 0.7 * batch.g, None),
+                ((ricci, hess, g), batch.ricci + hess - 0.7 * batch.g, lambda i, j: i + j > 2)):
+            rows, slots = geometry.combine(n, *terms, keep=keep)
+            got = np.zeros((len(points), n * n))
+            got[:, slots] = rows.T
+            wanted = np.flatnonzero((i <= j) & (True if keep is None else keep(i, j)))
+            assert set(slots) <= set(wanted)
+            assert np.array_equal(np.abs(got[:, wanted]),
+                                  np.abs(want.reshape(len(points), -1)[:, wanted]))
+
+
 def test_inputs_cover_the_special_patterns():
     assert np.signbit(differentiate(_SIGNED_ZEROS.entries[0][0], "y").value)
-    assert _components(_SIGNED_ZEROS) == ((0,), (1, 2))
+    assert components(_SIGNED_ZEROS) == ((0,), (1, 2))
     keys = _metric_plan(_TRAILING_ZERO).jet_program.keys
     assert keys[-1] is Const(-0.0)
     assert _batch_plan(_TRAILING_ZERO).taped == len(keys) - 1
-    assert _components(_BANDED) == ((0, 1, 2), (3,))
+    assert components(_BANDED) == ((0, 1, 2), (3,))
     dense = random_dense_metric()
-    assert _components(dense) == (tuple(range(6)),)
+    assert components(dense) == (tuple(range(6)),)
     assert (_slot_rows(_metric_plan(dense)) >= 0).all()
     skew = dict(conformal_route_pairs())["skew"]
-    assert _components(conformal_metric(skew)) == ((0, 1),)
+    assert components(conformal_metric(skew)) == ((0, 1),)
 
 
 # --- the count guard: products, not times --------------------------------------
@@ -345,7 +380,7 @@ _COUPLED = _metric(("x", "y", "z"), (
 
 
 def test_singular_two_by_two_component_names_the_point():
-    assert _components(_COUPLED) == ((0, 1), (2,))
+    assert components(_COUPLED) == ((0, 1), (2,))
     pts = np.array([[0.1 * k - 0.5, 0.3, 0.1 * k] for k in range(12)])
     pts[7] = (1.5, 0.25, -0.5)     # eigenvalues 1 -+ 1.5 of the (x, y) block
     pts[10] = (-1.25, 0.5, 0.5)
@@ -426,7 +461,7 @@ def test_row_check_accepts_what_the_dense_check_accepts(case):
     slots, table_rows = program.fields[0]
     table = np.zeros((program.rows, len(g)))
     table[table_rows] = g.reshape(len(g), -1)[:, slots].T
-    want = _failure(_check_positive_definite, g, points, _components(metric))
+    want = _failure(check_positive_definite, g, points, components(metric))
     got = _failure(_check_rows_positive_definite, program, table, points)
     assert got == want
 

@@ -13,7 +13,6 @@ from confprod.geometry import (
     _riemann,
     curvature,
     curvature_batch,
-    gradient_batch,
     grad_norm_sq_batch,
     hessian_lc_batch,
     laplacian_batch,
@@ -144,7 +143,7 @@ def test_product_scalar_adds_and_cross_ricci_vanishes():
     assert float(np.abs(data.ricci[2:, :2]).max()) < 1e-10
 
 
-# --- hessian, laplacian, gradient -------------------------------------------
+# --- hessian and laplacian --------------------------------------------------
 
 def test_flat_quadratic_hessian_and_laplacian():
     coords = ("x1", "x2", "x3")
@@ -157,7 +156,6 @@ def test_flat_quadratic_hessian_and_laplacian():
     # positive laplacian convention: minus the metric trace of the hessian
     assert np.allclose(laplacian_batch(phi, m, pts), -3.0, atol=1e-12)
     assert np.allclose(grad_norm_sq_batch(phi, m, pts), (pts**2).sum(axis=1), atol=1e-12)
-    assert np.allclose(gradient_batch(phi, m, pts), pts, atol=1e-12)
 
 
 def test_sphere_height_function_hessian():
@@ -228,12 +226,12 @@ def test_points_outside_domain_are_rejected():
 def test_indefinite_metric_is_reported():
     m = mk(("x",), ((-1.0, 1.0),), [["x"]], margin=0.0)
     with pytest.raises(SingularMetricError) as err:
-        metric_values(m, np.array([[-0.5]]))
+        curvature_batch(m, np.array([[-0.5]]))
     assert err.value.min_eigenvalue < 0.0
     message = str(err.value)
     assert "at (-0.5,)" in message and "np.float64" not in message
-    # check=False skips the guard for diagnostic use
-    vals = metric_values(m, np.array([[-0.5]]), check=False)
+    # metric_values is unchecked: it serves diagnostics and comparisons
+    vals = metric_values(m, np.array([[-0.5]]))
     assert vals[0, 0, 0] == pytest.approx(-0.5)
 
 

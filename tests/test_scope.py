@@ -37,7 +37,6 @@ from confprod.geometry import (
     evaluation_scope,
     expr_values,
     grad_norm_sq_batch,
-    gradient_batch,
     hessian_lc_batch,
     laplacian_batch,
 )
@@ -131,7 +130,7 @@ def test_scope_keeps_one_batch_per_metric_and_points():
 
 def test_field_helpers_agree_inside_and_outside_a_scope():
     # on the non-diagonal skew base, the helpers once inverted g themselves
-    # outside a scope: at 200 points gradient_batch differed by 5.6e-17 and
+    # outside a scope: at 200 points the raised gradient differed by 5.6e-17 and
     # grad_norm_sq_batch by 5.4e-20
     hyperbolic = builtin_metric("hyperbolic", 3)
     skew = dict(conformal_route_pairs())["skew"]
@@ -139,7 +138,7 @@ def test_field_helpers_agree_inside_and_outside_a_scope():
             (hyperbolic, parse("cosh(t) + 0.2 * sin(v1)", hyperbolic.chart.coords), PLAN),
             (skew.base, skew.phi, SamplePlan(count=200))):
         pts = sample(m.chart, plan)
-        helpers = (laplacian_batch, grad_norm_sq_batch, gradient_batch)
+        helpers = (laplacian_batch, grad_norm_sq_batch)
         plain = [h(phi, m, pts) for h in helpers]
         with evaluation_scope():
             curvature_batch(m, pts)
@@ -169,7 +168,6 @@ def test_tapes_and_kept_rows_are_dropped_with_the_outermost_scope(monkeypatch):
         with evaluation_scope():
             pts = sample(m.chart, PLAN)
             laplacian_batch(spec.phi, m, pts)
-            gradient_batch(spec.phi, m, pts)
             samples = geometry._SAMPLES.get()
             assert set(samples.tapes) == {m.chart.coords} and len(made) == 1
             kept = [weakref.ref(rows) for _, rows in samples.rows.values()]
@@ -200,7 +198,6 @@ def test_helpers_hand_out_fresh_or_read_only_arrays():
     helpers = {
         "hessian_lc_batch": lambda pts: hessian_lc_batch(phi, m, pts),
         "coordinate_hessian_batch": lambda pts: coordinate_hessian_batch(phi, m.chart, pts),
-        "gradient_batch": lambda pts: gradient_batch(phi, m, pts),
         "expr_values": lambda pts: expr_values(phi, m.chart, pts),
     }
     with evaluation_scope():
@@ -319,7 +316,8 @@ def test_formula_route_ignores_a_poisoned_rescaled_batch():
             real, christoffel_rows=np.full_like(real.christoffel_rows, np.nan),
             ricci_rows=np.full_like(real.ricci_rows, np.nan),
             scalar=np.full_like(real.scalar, np.nan))
-        assert np.array_equal(conformal_ricci_formula(spec, pts), want)
+        got = conformal_ricci_formula(spec, pts)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # --- reports do not depend on the scope --------------------------------------
@@ -436,7 +434,7 @@ def test_conformal_connection_runs_one_jet_pass(monkeypatch):
     pts = sample(skew.base.chart, PLAN)
     runs = _tape_evaluations(monkeypatch)
     conformal_connection(skew, 0, 1, pts)
-    # d phi, raised with the batch's g^-1; raising it through gradient_batch
+    # d phi, raised with the batch's g^-1; raising it through a helper of its own
     # ran a second pass
     assert _field_jet_passes(runs) == 1
 
