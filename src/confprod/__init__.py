@@ -1,9 +1,10 @@
 """Verification engine for conformally Einstein Riemannian product metrics.
 
-The package computes curvature of coordinate-chart metrics exactly (symbolic
-differentiation of metric entries, numeric pointwise evaluation) and checks
-the classical product / warped-product Einstein conditions as pointwise
-residuals over deterministically sampled charts.
+The package computes curvature of coordinate-chart metrics exactly (exact
+derivatives of the metric entries propagated forward on a jet tape and
+evaluated pointwise; a symbolic derivative only names a non-finite one) and
+checks the classical product / warped-product Einstein conditions as
+pointwise residuals over deterministically sampled charts.
 """
 
 __version__ = "0.1.0"

@@ -349,7 +349,7 @@ def _run_twisted(inst: TwistedInstance, plan: SamplePlan, tolerance: float):
     # g's rows come from the batch einstein_check reads, which passed the
     # positive-definite test
     batch = curvature_batch(g, pts)
-    delta = _entry_sup(g.dim, (batch.g_rows, batch.g_slots), -metric_values(rebuilt, pts))
+    delta = _entry_sup(g.dim, batch.g, -metric_values(rebuilt, pts))
     identity = _residual("twisted_identity", delta, pts, 1e-12)
 
     est = einstein_check(g, plan, tolerance).named("direct_einstein", inst.expect_einstein)
@@ -467,6 +467,10 @@ def _twisted_split(params: dict):
     amplitude = float(params["amplitude"])
     if not abs(amplitude) < 1.0:
         raise BadParameterError("amplitude must satisfy |amplitude| < 1")
+    # at rate 0 or amplitude 0 a scale is constant: the presentation is warped
+    for name, value in (("rate", rate), ("amplitude", amplitude)):
+        if value == 0.0:
+            raise BadParameterError(f"{name} must be non-zero, got {value}")
     base = builtin_metric("euclidean", 2)
     fib = builtin_metric("sphere", 2)
     joint = DoublyTwistedSpec(base, fib, Const(1.0), Const(1.0)).chart().coords

@@ -52,6 +52,7 @@ from .expressions import (
 from .geometry import (
     Chart,
     MetricSpec,
+    Rows,
     combine,
     coordinate_hessian_batch,
     curvature_batch,
@@ -204,10 +205,10 @@ def _bound(name: str, value: float, tolerance: float) -> Check:
 
 
 def _entry_sup(n: int, *terms, unheld: float = 0.0, keep=None) -> np.ndarray:
-    """Per-point sup over the entries of a sum of symmetric n x n tensors
-    (geometry.combine, with its terms and keep).  An entry that no term
-    holds reads |unheld|: an exact zero, or nan for a non-finite lambda in
-    lambda g."""
+    """Per-point sup over the entries of a sum of symmetric n x n tensors,
+    each a Rows or a dense array (geometry.combine, with its terms and
+    keep).  An entry that no term holds reads |unheld|: an exact zero, or
+    nan for a non-finite lambda in lambda g."""
     rows, slots = combine(n, *terms, keep=keep)
     initial = 0.0 if len(slots) == n * (n + 1) // 2 else abs(unheld)
     return np.abs(rows).max(axis=0, initial=initial)
@@ -262,8 +263,7 @@ def einstein_check(g: AnyMetric, plan: SamplePlan, tolerance: float = 1e-8) -> C
     batch = curvature_batch(m, pts)
     lam = batch.scalar / n
     lambda_hat = float(lam.mean())
-    per_point = _entry_sup(n, (batch.ricci_rows, batch.ricci_slots),
-                           (-lambda_hat * batch.g_rows, batch.g_slots), unheld=lambda_hat * 0.0)
+    per_point = _entry_sup(n, batch.ricci, batch.g.scaled(-lambda_hat), unheld=lambda_hat * 0.0)
     return Check("einstein", details={"lambda_hat": lambda_hat, "low_dim_warning": n <= 2},
                  parts=[_residual("residual", per_point, pts, tolerance),
                         _bound("lambda_spread", lam.max() - lam.min(), tolerance)])
@@ -334,11 +334,10 @@ def mixed_ricci_flat_check(b: BlockMetricSpec, phi: Expr, plan: SamplePlan,
             details["identity_skipped"] = 1.0
         else:
             batch = curvature_batch(conformal_metric(spec), pts)
-            ricci = (batch.ricci_rows, batch.ricci_slots)
-            identity = ((2 - n) * hess / phival, slots)
-            details["direct_cross_sup"] = float(_entry_sup(n, ricci, keep=cross).max())
+            identity = Rows((2 - n) * hess / phival, slots)
+            details["direct_cross_sup"] = float(_entry_sup(n, batch.ricci, keep=cross).max())
             details["identity_residual_sup"] = float(
-                _entry_sup(n, ricci, identity, keep=cross).max())
+                _entry_sup(n, batch.ricci, identity, keep=cross).max())
     return _residual("mixed_ricci_flat", per_point, pts, tolerance, **details)
 
 
@@ -489,9 +488,8 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
     scalar_eq = f * lap - (p - 1) * gns + lambda_fiber - lambda_bar * f**2
 
     base = curvature_batch(w.base, pts)
-    base_eq = _entry_sup(w.base.dim, (f**2 * base.ricci_rows, base.ricci_slots),
-                         -p * f[:, None, None] * hess,
-                         (-lambda_bar * f**2 * base.g_rows, base.g_slots))
+    base_eq = _entry_sup(w.base.dim, base.ricci.scaled(f**2), -p * f[:, None, None] * hess,
+                         base.g.scaled(-lambda_bar * f**2))
 
     report = Check("warped_einstein",
                    details={"lambda_fiber": lambda_fiber, "lambda_bar": lambda_bar},
@@ -544,14 +542,13 @@ def summand_hessian_check(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
     _, h2, _, gns2 = _field_jets(phi2, g2, pts2)
 
     trace1 = -lap1 / n1
-    prop1 = _residual("proportionality_1", _entry_sup(
-        n1, h1, (-trace1 * batch1.g_rows, batch1.g_slots)), pts1, tolerance)
+    prop1 = _residual("proportionality_1", _entry_sup(n1, h1, batch1.g.scaled(-trace1)),
+                      pts1, tolerance)
     slope, intercept, _ = _affine_fit(v1, trace1)
     a_bar, b_bar = -slope, -intercept
 
-    hess2 = _residual("hessian_2", _entry_sup(
-        n2, h2, (-(a_bar * v2 - b_bar) * batch2.g_rows, batch2.g_slots)),
-        pts2, tolerance, a_bar=a_bar, b_bar=b_bar)
+    hess2 = _residual("hessian_2", _entry_sup(n2, h2, batch2.g.scaled(-(a_bar * v2 - b_bar))),
+                      pts2, tolerance, a_bar=a_bar, b_bar=b_bar)
 
     factor_1 = einstein_check(g1, plan, tolerance)
     factor_2 = einstein_check(g2, plan, tolerance)
@@ -626,7 +623,7 @@ def factor_hessian_check(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
     _, hess, lap, gns = _field_jets(phi, block.metric, pts)
     coef = (lambda_bar / phival - lambda_1 * phival + lap
             + (n - 1) * gns / phival) / (n - 2)
-    first = _entry_sup(n, hess, (-coef * batch.g_rows, batch.g_slots), keep=lambda i, j: j < n1)
+    first = _entry_sup(n, hess, batch.g.scaled(-coef), keep=lambda i, j: j < n1)
     identity = _residual("identity", first, pts, tolerance,
                          lambda_bar=lambda_bar, lambda_1=lambda_1)
     return Check("factor_hessian", details={"lambda_bar": lambda_bar},

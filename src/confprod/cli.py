@@ -201,7 +201,9 @@ def _cmd_check(args) -> int:
     margin = _config_number(config, "margin", 0.0) if args.margin is None else args.margin
     tolerance = _config_number(config, "tol", 1e-8) if args.tol is None else args.tol
     plan = SamplePlan(count=samples, margin=margin)
-    report_path = args.report or _config_name(config, "report")
+    report_path = _config_name(config, "report") if args.report is None else args.report
+    if report_path == "":
+        raise BadParameterError("report path is empty")
 
     params = config.get("params", {})
     if not isinstance(params, dict):

@@ -42,6 +42,7 @@ from .expressions import (
 from .geometry import (
     Chart,
     MetricSpec,
+    Rows,
     combine,
     curvature_batch,
     expr_values,
@@ -213,16 +214,14 @@ def require_positive_factor(c: ConformalSpec, points) -> np.ndarray:
     return values
 
 
-def conformal_ricci_formula(c: ConformalSpec, points,
-                            lambda_bar: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def conformal_ricci_formula(c: ConformalSpec, points, lambda_bar: float = 0.0) -> Rows:
     """Ricci of phi^-2 g minus lambda_bar phi^-2 g, from base curvature and
     jets of phi only:
 
     ric + (n-2) Hess(phi)/phi - (lambda_bar/phi^2 + lap(phi)/phi + (n-1) |dphi|^2/phi^2) g,
     with the geometer's Laplacian lap = -trace Hess.  At lambda_bar = 0 this
     is the rescaled Ricci tensor; it vanishes where phi^-2 g is Einstein with
-    constant lambda_bar.  Returned as (rows, slots), the layout of
-    CurvatureBatch.ricci_rows and ricci_slots (geometry.combine).
+    constant lambda_bar.  Returned as Rows, summed by geometry.combine.
     """
     base = as_metric(c.base)
     n = base.dim
@@ -231,8 +230,7 @@ def conformal_ricci_formula(c: ConformalSpec, points,
     batch = curvature_batch(base, pts)
     _, hess, lap, gns = _field_jets(c.phi, base, pts)
     coef = lambda_bar / phi**2 + lap / phi + (n - 1) * gns / phi**2
-    return combine(n, (batch.ricci_rows, batch.ricci_slots), (n - 2) * hess / phi[:, None, None],
-                   (-coef * batch.g_rows, batch.g_slots))
+    return combine(n, batch.ricci, (n - 2) * hess / phi[:, None, None], batch.g.scaled(-coef))
 
 
 def conformal_scalar_formula(c: ConformalSpec, points) -> np.ndarray:
@@ -253,15 +251,16 @@ def conformal_connection(c: ConformalSpec, i: int, j: int, points) -> np.ndarray
                     + g_ij grad(phi)^k / phi
     """
     base = as_metric(c.base)
+    n = base.dim
     pts = _as_points(base.chart, points)
     phi = require_positive_factor(c, pts)
     batch = curvature_batch(base, pts)
     _, dphi, _ = _field_plan(c.phi, base.chart.coords).jets(pts)
-    grad = np.einsum("nij,nj->ni", batch.ginv, dphi)
-    out = batch.gamma[:, :, i, j].copy()
+    grad = np.einsum("nij,nj->ni", batch.ginv.dense(n), dphi)
+    out = batch.christoffel.dense(n, 3)[:, :, i, j].copy()
     out[:, j] -= dphi[:, i] / phi
     out[:, i] -= dphi[:, j] / phi
-    out += batch.g[:, i, j, None] * grad / phi[:, None]
+    out += batch.g.dense(n)[:, i, j, None] * grad / phi[:, None]
     return out
 
 

@@ -11,13 +11,14 @@ slot-major table (see "structural-sparse contraction" below).  A product
 metric g1 + g2 needs no split: its cross-factor slots are structural zeros,
 so no product reads them and g is inverted one diagonal block at a time.
 A batch keeps g, g^-1, the Christoffel symbols and Ricci as that table's
-compact rows, one per canonical slot that can be non-zero.  The
-positive-definite test, the scalar curvature, the covariant Hessian and a
-field's Laplacian and |d phi|^2 read those rows directly, and the checks
-sum their tensor residuals on the rows (combine).  Dense arrays are built
-from rows only on request (CurvatureBatch.g, .ginv, .ricci, .gamma) and on
-the error path, where a slice that fails the positive-definite test builds
-its dense g to name the point.  The full Riemann tensor is dense algebra,
+compact rows, one per canonical slot that can be non-zero, each tensor one
+Rows value.  The positive-definite test, the scalar curvature, the
+covariant Hessian and a field's Laplacian and |d phi|^2 read those rows
+directly, and the checks sum their tensor residuals on the rows (combine,
+which returns Rows too).  Rows.dense is the one place a dense array is
+built from rows: for curvature() and conformal_connection, and on the
+error path, where a slice that fails the positive-definite test builds its
+dense g to name the point.  The full Riemann tensor is dense algebra,
 built only for single-point queries (curvature()).
 
 Index conventions, fixed here once:
@@ -352,28 +353,37 @@ def metric_values(metric: MetricSpec, points) -> np.ndarray:
 
 # --- curvature --------------------------------------------------------------
 
-def _dense(rows: np.ndarray, slots: np.ndarray, n: int, axes: int = 2) -> np.ndarray:
-    """The dense (count,) + (n,) * axes array of a tensor symmetric in its
-    last two indices, from its compact rows: rows[r, p] is the value at point
-    p of the flat slot slots[r] (last two indices in order) and of its mirror
-    with those two swapped; every other slot is zero."""
-    shape = (n,) * axes
-    index = np.unravel_index(slots, shape)
-    mirror = np.ravel_multi_index(index[:-2] + (index[-1], index[-2]), shape)
-    dense = np.zeros((rows.shape[1], n ** axes))
-    dense[:, slots] = rows.T
-    dense[:, mirror] = rows.T
-    return dense.reshape((rows.shape[1],) + shape)
+class Rows(NamedTuple):
+    """A tensor symmetric in its last two indices, as compact rows: rows[r, p]
+    is its value at point p on the flat slot slots[r] (last two indices in
+    order) and on that slot's mirror, with those two swapped; every slot
+    with no row is an exact zero."""
+    rows: np.ndarray
+    slots: np.ndarray
+
+    def dense(self, n: int, axes: int = 2) -> np.ndarray:
+        """The dense (count,) + (n,) * axes array, fresh: the one place a
+        dense array is built from rows."""
+        shape = (n,) * axes
+        index = np.unravel_index(self.slots, shape)
+        mirror = np.ravel_multi_index(index[:-2] + (index[-1], index[-2]), shape)
+        dense = np.zeros((self.rows.shape[1], n ** axes))
+        dense[:, self.slots] = self.rows.T
+        dense[:, mirror] = self.rows.T
+        return dense.reshape((self.rows.shape[1],) + shape)
+
+    def scaled(self, c) -> Rows:
+        """c times the tensor, c a number or one value per point."""
+        return Rows(c * self.rows, self.slots)
 
 
-def combine(n: int, *terms, keep=None) -> tuple[np.ndarray, np.ndarray]:
-    """The sum of symmetric n x n tensors as (rows, slots) in CurvatureBatch's
-    layout, on the union of the terms' canonical slots (i, j), only those
-    where keep(i, j) holds when it is given.  A term is such a (rows, slots)
-    pair or a dense (count, n, n) array, read on those slots alone.  The
-    terms are added in order to zeros, so each entry has the bits of the
-    dense sum (up to the sign of a zero); an entry that no term holds is an
-    exact zero and has no row."""
+def combine(n: int, *terms, keep=None) -> Rows:
+    """The sum of symmetric n x n tensors as Rows, on the union of the
+    terms' canonical slots (i, j), only those where keep(i, j) holds when
+    it is given.  A term is a Rows or a dense (count, n, n) array, read on
+    those slots alone.  The terms are added in order to zeros, so each
+    entry has the bits of the dense sum (up to the sign of a zero); an entry
+    that no term holds is an exact zero and has no row."""
     i, j = np.divmod(np.arange(n * n), n)
     wanted = i <= j if keep is None else (i <= j) & keep(i, j)
     held = np.zeros(n * n, dtype=bool)
@@ -391,56 +401,33 @@ def combine(n: int, *terms, keep=None) -> tuple[np.ndarray, np.ndarray]:
     rows = np.zeros((len(slots), pairs[0][0].shape[1]))
     for part, part_slots in pairs:
         rows[np.searchsorted(slots, part_slots)] += part
-    return rows, slots
+    return Rows(rows, slots)
 
 
 @dataclass(frozen=True)
 class CurvatureBatch:
-    """Curvature at a batch of points: g, g^-1, Gamma and Ricci as compact rows.
+    """Curvature at a batch of points: g, g^-1, Gamma and Ricci as Rows.
 
     Each tensor keeps one row per canonical slot that can be non-zero, in
-    the order of the slots: g_rows[r, p] is g_ij at point p for the flat
-    slot g_slots[r] = i n + j, i <= j, and likewise ginv_rows and ricci_rows;
-    christoffel_rows[r, p] is Gamma^k_ij for the flat slot
-    christoffel_slots[r] = (k n + i) n + j, i <= j.  The mirrored slot (j, i)
-    holds the same value, and every slot with no row is an exact zero.
-    scalar[p] = g^bd R_bd was summed over the canonical slots of the ginv
-    and Ricci rows, and the checks read the rows (combine).  The dense
-    arrays g, ginv, ricci and gamma are built from the rows anew on each
-    access and never kept, for curvature(), _riemann, conformal_connection
-    and library callers, each of which reads one at most once per call.
+    the order of the slots: g.rows[r, p] is g_ij at point p for the flat
+    slot g.slots[r] = i n + j, i <= j, and likewise ginv and ricci;
+    christoffel.rows[r, p] is Gamma^k_ij for the flat slot
+    christoffel.slots[r] = (k n + i) n + j, i <= j.  scalar[p] = g^bd R_bd
+    was summed over the canonical slots of the ginv and Ricci rows, and the
+    checks sum their residuals on the rows (combine).  A dense array comes
+    only from Rows.dense, built anew on each call: christoffel.dense(n, 3)
+    is gamma[p, k, i, j] = Gamma^k_ij.
     """
     points: np.ndarray
-    g_rows: np.ndarray
-    g_slots: np.ndarray
-    ginv_rows: np.ndarray
-    ginv_slots: np.ndarray
-    christoffel_rows: np.ndarray
-    christoffel_slots: np.ndarray
-    ricci_rows: np.ndarray
-    ricci_slots: np.ndarray
+    g: Rows
+    ginv: Rows
+    christoffel: Rows
+    ricci: Rows
     scalar: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def g(self) -> np.ndarray:
-        return _dense(self.g_rows, self.g_slots, self.dim)
-
-    @property
-    def ginv(self) -> np.ndarray:
-        return _dense(self.ginv_rows, self.ginv_slots, self.dim)
-
-    @property
-    def ricci(self) -> np.ndarray:
-        return _dense(self.ricci_rows, self.ricci_slots, self.dim)
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """gamma[p, k, i, j] = Gamma^k_ij."""
-        return _dense(self.christoffel_rows, self.christoffel_slots, self.dim, 3)
 
     def normalized_scalar(self) -> np.ndarray:
         n = self.dim
@@ -835,7 +822,7 @@ def _check_rows_positive_definite(program: _Contraction, table: np.ndarray,
             return
     except np.linalg.LinAlgError:
         pass
-    eigenvalues = np.linalg.eigvalsh(_dense(table[g_table], g_slots, program.dim))
+    eigenvalues = np.linalg.eigvalsh(Rows(table[g_table], g_slots).dense(program.dim))
     bad = eigenvalues[:, 0] <= tau
     if bad.any():
         where = int(np.argmax(bad))
@@ -910,7 +897,6 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
     values depend on that point alone."""
     count = pts.shape[0]
     plan, program, taped, _ = _batch_plan(metric)
-    (g_slots, _), (ginv_slots, _), (ricci_slots, _), (christoffel_slots, _) = program.fields
     ginv_table, ricci_table, weights = program.scalar
     tensors = [np.empty((len(slots), count)) for slots, _ in program.fields]
     scalar = np.empty(count)
@@ -925,9 +911,9 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
         for rows, (_, table_rows) in zip(tensors, program.fields):
             rows[:, columns] = table[table_rows]
         scalar[columns] = _trace(table[ginv_table], table[ricci_table], weights)
-    g_rows, ginv_rows, ricci_rows, christoffel_rows = tensors
-    return CurvatureBatch(pts, g_rows, g_slots, ginv_rows, ginv_slots, christoffel_rows,
-                          christoffel_slots, ricci_rows, ricci_slots, scalar)
+    g, ginv, ricci, christoffel = (Rows(rows, slots)
+                                   for rows, (slots, _) in zip(tensors, program.fields))
+    return CurvatureBatch(pts, g, ginv, christoffel, ricci, scalar)
 
 
 def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
@@ -939,22 +925,18 @@ def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
     batch = kept.get(key)
     if batch is None:
         batch = kept[key] = _compute_batch(metric, pts)
-        for array in (batch.g_rows, batch.ginv_rows, batch.christoffel_rows, batch.ricci_rows,
+        for array in (batch.g.rows, batch.ginv.rows, batch.christoffel.rows, batch.ricci.rows,
                       batch.scalar):
             array.flags.writeable = False
     return batch
 
 
-def _riemann(metric: MetricSpec, points, ginv: Optional[np.ndarray] = None,
-             gamma: Optional[np.ndarray] = None) -> np.ndarray:
-    """Full (1,3) tensor riemann[n, a, b, c, d] = R^a_bcd, for single-point
-    queries; ginv and gamma, when not given, come from the curvature batch
-    at the points."""
-    pts = _as_points(metric.chart, points)
-    if ginv is None or gamma is None:
-        batch = curvature_batch(metric, pts)
-        ginv, gamma = batch.ginv, batch.gamma
-    _, dg, d2g = _metric_plan(metric).jets(pts)
+def _riemann(metric: MetricSpec, batch: CurvatureBatch) -> np.ndarray:
+    """Full (1,3) tensor riemann[n, a, b, c, d] = R^a_bcd at the points of
+    the metric's batch, for single-point queries."""
+    n = metric.dim
+    ginv, gamma = batch.ginv.dense(n), batch.christoffel.dense(n, 3)
+    _, dg, d2g = _metric_plan(metric).jets(batch.points)
     w = dg + dg.swapaxes(2, 3) - dg.transpose(0, 3, 1, 2)
     dginv = -np.einsum("nac,ncdm,ndb->nabm", ginv, dg, ginv)
     dw = (np.einsum("njlim->nlijm", d2g) + np.einsum("niljm->nlijm", d2g)
@@ -968,15 +950,14 @@ def _riemann(metric: MetricSpec, points, ginv: Optional[np.ndarray] = None,
 
 
 def curvature(metric: MetricSpec, point) -> CurvatureData:
-    batch = curvature_batch(metric, [point])
-    ginv, gamma = batch.ginv, batch.gamma
+    batch, n = curvature_batch(metric, [point]), metric.dim
     return CurvatureData(
         point=tuple(float(x) for x in point),
-        metric=batch.g[0],
-        inverse_metric=ginv[0],
-        christoffel=gamma[0],
-        riemann=_riemann(metric, batch.points, ginv, gamma)[0],
-        ricci=batch.ricci[0],
+        metric=batch.g.dense(n)[0],
+        inverse_metric=batch.ginv.dense(n)[0],
+        christoffel=batch.christoffel.dense(n, 3)[0],
+        riemann=_riemann(metric, batch)[0],
+        ricci=batch.ricci.dense(n)[0],
         scalar=float(batch.scalar[0]),
         normalized_scalar=float(batch.normalized_scalar()[0]),
     )
@@ -1017,15 +998,15 @@ def _field_jets(phi: Expr, metric: MetricSpec, pts: np.ndarray):
         step = max(1, _CHUNK_BYTES // (16 * len(a)))
         for start in range(0, len(pts), step):
             columns = slice(start, start + step)
-            product = batch.christoffel_rows[a, columns] * grad[columns, k].T
+            product = batch.christoffel.rows[a, columns] * grad[columns, k].T
             flat[columns, out] -= np.add.reduceat(product, starts, axis=0).T
         flat[:, mirror] = flat[:, out]
     samples, key = _SAMPLES.get(), (phi, metric, id(pts))
     traces = None if samples is None else samples.traces.get(key)
     if traces is None:
         i, j, weights = program.ginv_pairs
-        traces = (-_trace(batch.ginv_rows, flat[:, batch.ginv_slots].T, weights),
-                  _trace(batch.ginv_rows, grad.T[i] * grad.T[j], weights))
+        traces = (-_trace(batch.ginv.rows, flat[:, batch.ginv.slots].T, weights),
+                  _trace(batch.ginv.rows, grad.T[i] * grad.T[j], weights))
         if samples is not None and id(pts) in samples.keys:
             for array in traces:
                 array.flags.writeable = False

@@ -46,7 +46,7 @@ def test_criterion_1_space_form_curvature():
         for dim in (2, 3, 4):
             m = builtin_metric(kind, dim)
             batch = curvature_batch(m, sample(m.chart, PLAN))
-            residual = batch.ricci - sign * (dim - 1) * batch.g
+            residual = batch.ricci.dense(dim) - sign * (dim - 1) * batch.g.dense(dim)
             worst = max(worst, float(np.abs(residual).max()))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-9 and elapsed < 5.0
@@ -69,7 +69,7 @@ def test_criterion_2_conformal_route_agreement():
         direct = curvature_batch(gbar, pts)
         # each route's rows from its own metric, compared on the union of their slots
         ric_gap, _ = combine(gbar.dim, conformal_ricci_formula(spec, pts),
-                             (-direct.ricci_rows, direct.ricci_slots))
+                             direct.ricci.scaled(-1.0))
         ric_gap = np.abs(ric_gap).max(initial=0.0)
         s_gap = np.abs(conformal_scalar_formula(spec, pts) - direct.scalar).max()
         worst = max(worst, float(ric_gap), float(s_gap))

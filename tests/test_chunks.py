@@ -34,6 +34,12 @@ from instances import conformal_route_pairs, random_dense_metric
 FIELDS = tuple(f.name for f in dataclasses.fields(geometry.CurvatureBatch))
 
 
+def _held(batch):
+    """Every array a batch holds, field by field: a tensor's rows and slots."""
+    return [a for value in vars(batch).values()
+            for a in (value if isinstance(value, geometry.Rows) else (value,))]
+
+
 def _route_pair_metrics():
     """Base and rescaled metric of every conformal route pair, skew included."""
     out = []
@@ -77,9 +83,8 @@ def test_slice_size_does_not_change_a_bit(monkeypatch):
     one_point = _batches(inputs, 1, monkeypatch)            # a slice per point
     whole = _batches(inputs, 1 << 40, monkeypatch)          # one slice
     for a, b, c in zip(default, one_point, whole):
-        for field in FIELDS:
-            x, y, z = (getattr(batch, field) for batch in (a, b, c))
-            assert x.tobytes() == y.tobytes() == z.tobytes(), field
+        for x, y, z in zip(_held(a), _held(b), _held(c)):
+            assert x.tobytes() == y.tobytes() == z.tobytes()
     # the field traces read the Hessian the Christoffel rows correct in slices
     traces = [_traces(inputs, budget, monkeypatch) for budget in (1, 1 << 20, 1 << 40)]
     for x, y, z in zip(*traces):
@@ -122,13 +127,13 @@ def test_kept_batches_hold_no_dense_christoffel_array():
     # deterministic array sizes, not RSS: cosh_cylinder's batches at 2000 points
     with geometry.evaluation_scope() as kept:
         run_scenario("cosh_cylinder", plan=SamplePlan(count=2000))
-        arrays = {id(a): a for batch in kept.values() for a in vars(batch).values()}
+        arrays = {id(a): a for batch in kept.values() for a in _held(batch)}
         arrays.update((id(a), a) for a in geometry._SAMPLES.get().points.values())
         assert kept and all(isinstance(a, np.ndarray) for a in arrays.values())
         for (metric, shape, _), batch in kept.items():
             if metric.dim > 1:    # at n = 1, count x n^3 is the scalar's size
                 dense = shape[0] * metric.dim**3
-                assert all(a.size != dense for a in vars(batch).values()), metric.chart.coords
+                assert all(a.size != dense for a in _held(batch)), metric.chart.coords
         total = sum(a.nbytes for a in arrays.values())
     assert total <= 12e6, total    # 27.3 MB with a dense count x n^3 gamma
 
@@ -140,13 +145,12 @@ def test_kept_batches_hold_no_dense_square_array():
     try:
         with geometry.evaluation_scope() as kept:
             run_scenario("cosh_cylinder", plan=SamplePlan(count=2000))
-            arrays = {id(a): a for batch in kept.values() for a in vars(batch).values()}
+            arrays = {id(a): a for batch in kept.values() for a in _held(batch)}
             arrays.update((id(a), a) for a in geometry._SAMPLES.get().points.values())
             for (metric, shape, _), batch in kept.items():
                 if metric.dim > 1:    # at n = 1, count x n^2 is the scalar's size
                     dense = shape[0] * metric.dim**2
-                    assert all(a.size != dense for a in vars(batch).values()), \
-                        metric.chart.coords
+                    assert all(a.size != dense for a in _held(batch)), metric.chart.coords
             total = sum(a.nbytes for a in arrays.values())
         _, peak = tracemalloc.get_traced_memory()
     finally:

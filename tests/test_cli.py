@@ -103,9 +103,10 @@ def test_check_parameter_override(capsys):
 
 
 def test_check_reports_a_mismatch(capsys):
-    # zero amplitude degenerates the twist, so the warped-form claim flips
+    # an amplitude below the tolerance leaves the twist warped to within it,
+    # so the warped-form claim flips (amplitude 0 is rejected)
     code, out, _ = run(capsys, "check", "--scenario", "twisted_split",
-                       "--param", "amplitude=0", *FAST)
+                       "--param", "amplitude=1e-12", *FAST)
     assert code == 1
     assert "FAIL twisted_split (verdict fail, expected pass)" in out
 
@@ -167,13 +168,25 @@ def test_check_rejects_bad_sample_plan(flag, value, message, tmp_path, capsys):
     (["--param", "n2=33"], "n2 must be at most 32, got 33"),
     (["--samples", "1000001"], "samples must be at most 1000000, got 1000001"),
     (["--param", "R=1e100"], "phi^-2 = 0 (underflow)"),
-], ids=["dim-1e9", "dim-33", "samples-above-max", "factor-underflow"])
+    # the later --scenario wins; at rate 0 or amplitude 0 the twisted
+    # presentation is warped, against the scenario's claim
+    (["--scenario", "twisted_split", "--param", "rate=0"], "rate must be non-zero, got 0.0"),
+    (["--scenario", "twisted_split", "--param", "amplitude=0"],
+     "amplitude must be non-zero, got 0.0"),
+], ids=["dim-1e9", "dim-33", "samples-above-max", "factor-underflow", "twisted-rate-0",
+        "twisted-amplitude-0"])
 def test_check_rejects_out_of_range_inputs(argv, message, tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, err = run(capsys, "check", "--scenario", "flat_quadratic", "--samples", "20",
                          *argv, "--report", str(report))
     assert code == 2 and message in err
     assert out == "" and not report.exists()
+
+
+def test_an_empty_report_path_exits_2_before_any_verdict(capsys):
+    code, out, err = run(capsys, "check", "--scenario", "flat_quadratic", "--report", "",
+                         *FAST)
+    assert code == 2 and "report path is empty" in err and out == ""
 
 
 def test_large_offset_conformal_factor_fits(capsys):
@@ -408,7 +421,8 @@ def test_config_errors(tmp_path, capsys):
      "config 'scenario' must be a string, got ['flat_quadratic']"),
     (b'{"scenario": {"a": 1}}', "config 'scenario' must be a string, got {'a': 1}"),
     (b'{"scenario": "flat_quadratic", "report": 5}', "config 'report' must be a string, got 5"),
-], ids=["not-utf8", "scenario-list", "scenario-object", "report-number"])
+    (b'{"scenario": "flat_quadratic", "report": ""}', "report path is empty"),
+], ids=["not-utf8", "scenario-list", "scenario-object", "report-number", "report-empty"])
 def test_config_values_of_the_wrong_kind_exit_2_before_any_verdict(content, message,
                                                                    tmp_path, capsys):
     # exit 1 means a verdict did not match, so a bad config must not crash into it

@@ -113,9 +113,8 @@ def test_conformal_ricci_formula_matches_direct(tag, spec):
     pts = _pts(gbar)
     direct = curvature_batch(gbar, pts)
     # the two routes' rows, compared on the union of their slots
-    gap, _ = combine(gbar.dim, conformal_ricci_formula(spec, pts),
-                     (-direct.ricci_rows, direct.ricci_slots))
-    scale = 1.0 + float(np.abs(direct.ricci_rows).max(initial=0.0))
+    gap, _ = combine(gbar.dim, conformal_ricci_formula(spec, pts), direct.ricci.scaled(-1.0))
+    scale = 1.0 + float(np.abs(direct.ricci.rows).max(initial=0.0))
     assert float(np.abs(gap).max(initial=0.0)) <= 1e-9 * scale
     s = conformal_scalar_formula(spec, pts)
     sscale = 1.0 + float(np.abs(direct.scalar).max())
@@ -127,8 +126,8 @@ def test_conformal_connection_matches_direct(tag):
     spec = dict(conformal_route_pairs())[tag]
     gbar = conformal_metric(spec)
     pts = _pts(gbar)
-    gamma = curvature_batch(gbar, pts).gamma
     n = gbar.dim
+    gamma = curvature_batch(gbar, pts).christoffel.dense(n, 3)
     for i in range(n):
         for j in range(n):
             got = conformal_connection(spec, i, j, pts)
@@ -238,8 +237,9 @@ def test_scaled_by_a_constant_is_exact_and_homothety_invariant():
     b0 = curvature_batch(m, pts)
     b1 = curvature_batch(homothetic, pts)
     # connection and (1,3) curvature are scale free; scalar drops by 1/k^2
-    assert float(np.abs(b1.gamma - b0.gamma).max()) < 1e-12
-    assert float(np.abs(_riemann(homothetic, pts) - _riemann(m, pts)).max()) < 1e-12
+    gamma0, gamma1 = (b.christoffel.dense(m.dim, 3) for b in (b0, b1))
+    assert float(np.abs(gamma1 - gamma0).max()) < 1e-12
+    assert float(np.abs(_riemann(homothetic, b1) - _riemann(m, b0)).max()) < 1e-12
     assert float(np.abs(b1.scalar - b0.scalar / k2).max()) < 1e-12
 
 

@@ -59,9 +59,6 @@ from dense_reference import (
 )
 from instances import conformal_route_pairs, random_dense_metric
 
-FIELDS = ("ginv", "gamma", "ricci", "scalar")
-
-
 def _metric(coords, rows, box=1.5):
     chart = Chart(coords, ((-box, box),) * len(coords), singular_margin=0.0)
     return MetricSpec(chart, tuple(
@@ -130,10 +127,10 @@ def _program(metric):
 
 
 def _assert_matches_reference(metric, points):
-    batch = curvature_batch(metric, points)
+    batch, n = curvature_batch(metric, points), metric.dim
     want = reference_batch(metric, points)
-    for field in FIELDS:
-        got = getattr(batch, field)
+    for field, got in (("ginv", batch.ginv.dense(n)), ("gamma", batch.christoffel.dense(n, 3)),
+                       ("ricci", batch.ricci.dense(n)), ("scalar", batch.scalar)):
         scale = max(1.0, float(np.abs(want[field]).max()))
         assert float(np.abs(got - want[field]).max()) <= 1e-12 * scale, \
             (metric.chart.coords, field)
@@ -187,7 +184,7 @@ def _assert_close(got, want, terms, tag):
 
 
 def _assert_traces_match(phi, metric, points, got):
-    ginv = curvature_batch(metric, points).ginv
+    ginv = curvature_batch(metric, points).ginv.dense(metric.dim)
     hess = hessian_lc_batch(phi, metric, points)
     _, grad, _ = _field_plan(phi, metric.chart.coords).jets(points)
     terms = field_traces(np.abs(ginv), -np.abs(hess), np.abs(grad))
@@ -204,7 +201,7 @@ def test_scalar_and_field_traces_match_the_dense_einsums(name, n):
     batches, traces = _scenario_inputs(name, None if n is None else {"n1": n, "n2": n})
     assert batches
     for metric, batch in batches:
-        ginv, ricci = batch.ginv, batch.ricci
+        ginv, ricci = batch.ginv.dense(metric.dim), batch.ricci.dense(metric.dim)
         _assert_close(batch.scalar, scalar(ginv, ricci), scalar(np.abs(ginv), np.abs(ricci)),
                       metric.chart.coords)
     for phi, metric, points, kept in traces:
@@ -222,16 +219,16 @@ def test_field_traces_match_the_dense_einsums_off_the_diagonal():
 
 def test_a_passing_batch_and_the_field_traces_build_no_dense_array(monkeypatch):
     built = []
-    dense = geometry._dense
+    dense = geometry.Rows.dense
 
     def raising(*args, **kwargs):
         raise AssertionError("a dense array was built from compact rows")
 
-    def recording(rows, slots, n, axes=2):
-        built.append((rows.shape[1], n, axes))
-        return dense(rows, slots, n, axes)
+    def recording(tensor, n, axes=2):
+        built.append((tensor.rows.shape[1], n, axes))
+        return dense(tensor, n, axes)
 
-    monkeypatch.setattr(geometry, "_dense", raising)
+    monkeypatch.setattr(geometry.Rows, "dense", raising)
     for metric, points in _route_pair_inputs() + _special_inputs():
         phi = _field(metric.chart.coords)
         curvature_batch(metric, points)
@@ -241,8 +238,8 @@ def test_a_passing_batch_and_the_field_traces_build_no_dense_array(monkeypatch):
     # nor does any check of the catalog: every tensor residual is summed on rows
     for name in scenarios():
         assert run_scenario(name, plan=SamplePlan(count=12)).matched, name
-    monkeypatch.setattr(geometry, "_dense", recording)
-    curvature_batch(_SIGNED_ZEROS, sample(_SIGNED_ZEROS.chart, SamplePlan(count=3))).ginv
+    monkeypatch.setattr(geometry.Rows, "dense", recording)
+    curvature_batch(_SIGNED_ZEROS, sample(_SIGNED_ZEROS.chart, SamplePlan(count=3))).ginv.dense(3)
     assert built == [(3, 3, 2)]    # on request only
 
 
@@ -255,12 +252,13 @@ def test_combine_is_the_dense_sum_bit_for_bit(inputs):
     for metric, points in inputs():
         n, batch = metric.dim, curvature_batch(metric, points)
         hess = hessian_lc_batch(_field(metric.chart.coords), metric, points)
-        ricci, g = (batch.ricci_rows, batch.ricci_slots), (-0.7 * batch.g_rows, batch.g_slots)
+        ricci, g = batch.ricci, batch.g.scaled(-0.7)
+        dense_sum = batch.ricci.dense(n) + hess - 0.7 * batch.g.dense(n)
         i, j = np.divmod(np.arange(n * n), n)
         for terms, want, keep in (
-                ((ricci, hess, g), batch.ricci + hess - 0.7 * batch.g, None),
-                ((ricci, g), batch.ricci - 0.7 * batch.g, None),
-                ((ricci, hess, g), batch.ricci + hess - 0.7 * batch.g, lambda i, j: i + j > 2)):
+                ((ricci, hess, g), dense_sum, None),
+                ((ricci, g), batch.ricci.dense(n) - 0.7 * batch.g.dense(n), None),
+                ((ricci, hess, g), dense_sum, lambda i, j: i + j > 2)):
             rows, slots = geometry.combine(n, *terms, keep=keep)
             got = np.zeros((len(points), n * n))
             got[:, slots] = rows.T
@@ -323,8 +321,8 @@ def test_a_constant_one_by_one_metric_has_no_steps():
     assert program.rows == 2 and program.steps == () and program.most == 0
     assert [len(slots) for slots, _ in program.fields] == [1, 1, 0, 0]
     batch = curvature_batch(metric, np.array([[0.5], [-0.25]]))
-    assert np.array_equal(batch.ginv_rows, [[0.5, 0.5]])
-    assert not batch.ricci_rows.size and not batch.christoffel_rows.size
+    assert np.array_equal(batch.ginv.rows, [[0.5, 0.5]])
+    assert not batch.ricci.rows.size and not batch.christoffel.rows.size
 
 
 def test_trace_intermediates_shrink_the_dense_ricci_step():

@@ -31,6 +31,7 @@ from confprod.expressions import Const, Coord, add, mul, parse
 from confprod.geometry import (
     Chart,
     MetricSpec,
+    Rows,
     _riemann,
     coordinate_hessian_batch,
     curvature_batch,
@@ -61,9 +62,9 @@ def _catalog_batches():
 
 def _assert_ricci_is_riemann_trace(metric, points):
     batch = curvature_batch(metric, points)
-    traced = np.einsum("nabad->nbd", _riemann(metric, points))
+    traced = np.einsum("nabad->nbd", _riemann(metric, batch))
     scale = max(1.0, float(np.abs(traced).max()))
-    assert float(np.abs(batch.ricci - traced).max()) <= 1e-12 * scale
+    assert float(np.abs(batch.ricci.dense(metric.dim) - traced).max()) <= 1e-12 * scale
 
 
 # --- the contracted Ricci tensor ---------------------------------------------
@@ -105,7 +106,7 @@ def test_outside_a_scope_every_call_computes():
     pts = sample(m.chart, PLAN)
     first, second = curvature_batch(m, pts), curvature_batch(m, pts)
     assert first is not second
-    assert first.ricci_rows.flags.writeable
+    assert first.ricci.rows.flags.writeable
 
 
 def test_scope_keeps_one_batch_per_metric_and_points():
@@ -119,10 +120,11 @@ def test_scope_keeps_one_batch_per_metric_and_points():
             assert inner is kept
             assert curvature_batch(m, pts) is first
         assert len(kept) == 2
-        rows = {"g_rows", "ginv_rows", "christoffel_rows", "ricci_rows"}
-        slots = {name.replace("rows", "slots") for name in rows}
-        assert rows | slots | {"points", "scalar"} == set(vars(first))
-        assert not any(getattr(first, name).flags.writeable for name in rows | slots | {"scalar"})
+        tensors = [first.g, first.ginv, first.christoffel, first.ricci]
+        assert list(vars(first)) == ["points", "g", "ginv", "christoffel", "ricci", "scalar"]
+        assert all(isinstance(t, Rows) for t in tensors)
+        assert not any(a.flags.writeable for t in tensors for a in t)
+        assert not first.scalar.flags.writeable
         assert pts.flags.writeable    # the caller's points stay the caller's
     assert geometry._SCOPE.get() is None
     assert curvature_batch(m, pts) is not first
@@ -313,8 +315,9 @@ def test_formula_route_ignores_a_poisoned_rescaled_batch():
     with evaluation_scope() as kept:
         real = curvature_batch(rescaled, pts)
         kept[geometry._scope_key(rescaled, pts)] = dataclasses.replace(
-            real, christoffel_rows=np.full_like(real.christoffel_rows, np.nan),
-            ricci_rows=np.full_like(real.ricci_rows, np.nan),
+            real, christoffel=Rows(np.full_like(real.christoffel.rows, np.nan),
+                                   real.christoffel.slots),
+            ricci=Rows(np.full_like(real.ricci.rows, np.nan), real.ricci.slots),
             scalar=np.full_like(real.scalar, np.nan))
         got = conformal_ricci_formula(spec, pts)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))

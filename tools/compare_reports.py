@@ -36,8 +36,9 @@ first, then eleven counts per run for each tree:
 - symbolic table rows: those programs' table rows (_Contraction.rows), summed;
 - symbolic derivative calls: calls of expressions.differentiate, its own
   recursive calls included;
-- dense scratch bytes: the bytes of the dense arrays geometry._dense builds
-  from compact rows, summed over its calls.
+- dense scratch bytes: the bytes of the dense arrays geometry.Rows.dense,
+  the one dense builder, builds from compact rows, summed over its calls
+  (geometry._dense in a tree from before Rows).
 
 A closing summary line counts, over every seed, the moved leaves, the moved
 `verdict`, `matched` and `expected` flags, and the largest relative move of
@@ -85,7 +86,11 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
 
     counts: dict = {}
     compute, program = geometry._compute_batch, geometry._JetPlan._program
-    contraction, contract, dense = geometry._contraction, geometry._contract, geometry._dense
+    contraction, contract = geometry._contraction, geometry._contract
+    # a tree from before Rows builds its dense arrays in geometry._dense
+    dense_owner, dense_name = ((geometry.Rows, "dense") if hasattr(geometry, "Rows")
+                               else (geometry, "_dense"))
+    dense = getattr(dense_owner, dense_name)
     slices = []    # per _contract call of the batch being computed: products x points
     tapes = []     # every Tape of the run
     post_init, tape_init = geometry.MetricSpec.__post_init__, expressions.Tape.__init__
@@ -150,7 +155,9 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
             try:
                 yield kept
             finally:
-                arrays = {id(a): a for batch in kept.values() for a in vars(batch).values()}
+                # a batch's tensors are Rows, (rows, slots) tuples, in a tree that has them
+                arrays = {id(a): a for batch in kept.values() for value in vars(batch).values()
+                          for a in (value if isinstance(value, tuple) else (value,))}
                 total = sum(a.nbytes for a in arrays.values())
                 counts[name]["kept batch bytes"] = max(counts[name]["kept batch bytes"], total)
 
@@ -160,7 +167,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     geometry._compute_batch = counting
     geometry._contraction = counting_programs
     geometry._contract = counting_products
-    geometry._dense = counting_dense
+    setattr(dense_owner, dense_name, counting_dense)
     geometry._JetPlan._program = counting_rows
     expressions.Tape.__init__ = counting_tapes
     geometry.MetricSpec.__post_init__ = counting_specs
