@@ -2,7 +2,7 @@
 
 The package computes curvature of coordinate-chart metrics exactly (exact
 derivatives of the metric entries propagated forward on a jet tape and
-evaluated pointwise; a symbolic derivative only names a non-finite one) and
+evaluated pointwise; the tape names the node of a non-finite one) and
 checks the classical product / warped-product Einstein conditions as
 pointwise residuals over deterministically sampled charts.
 """

@@ -16,16 +16,15 @@ Grammar (version 1):
 '^' binds tighter than unary minus, so -x^2 parses as -(x^2).  Expressions
 are immutable trees over a closed node set: constants, coordinates, the
 unary operations above plus negation, the four arithmetic operations, and
-powers with a constant real exponent.  Symbolic differentiation is closed
-over this node set.  Simplification is deliberately light: constant folding
-and 0/1 identities only, applied by the smart constructors.
+powers with a constant real exponent.  Simplification is deliberately
+light: constant folding and 0/1 identities only, applied by the smart
+constructors.
 
 Nodes are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006): each distinct expression is one object for the life
 of the process, so equal expressions are identical and compare and hash by
-identity.  Derivatives and free coordinates are memoised per node for the
-life of the process too.  These tables hold expressions only, never
-arrays.
+identity.  Free coordinates are memoised per node for the life of the
+process too.  These two tables hold expressions only, never arrays.
 
 The canonical printer (format_expr) emits text this parser accepts;
 parsing the printed form reproduces an expression that evaluates
@@ -35,10 +34,11 @@ tape accepts: compile_expr rejects it.)
 A Tape is a straight-line program of numpy calls over an array of points,
 value-numbered so that a value several outputs share is computed once; it
 propagates exact first and second derivatives forward with the values,
-without building derivative expressions.  compile_expr compiles a built
-tape for some of its registers, the same program whatever else the tape
-carries, or an expression or a list of them onto a new one (the order-0
-use).
+without building derivative expressions, and records for each register
+the node whose value or derivative it is, so that a non-finite row is
+named by the node the user wrote.  compile_expr compiles a built tape for
+some of its registers, the same program whatever else the tape carries,
+or an expression or a list of them onto a new one (the order-0 use).
 """
 
 from __future__ import annotations
@@ -49,15 +49,14 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
+from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError, _plain_point
 
 
 # --- nodes ------------------------------------------------------------------
 
 # process-lifetime tables, expressions only: every node built, by key
-# (_Node); derivatives by (node, coordinate); free coordinates by node
+# (_Node); free coordinates by node
 _INTERNED: dict = {}
-_DERIVATIVES: dict = {}
 _FREE_COORDS: dict = {}
 
 
@@ -69,8 +68,8 @@ class _Node:
     the children are interned nodes themselves, so two nodes are equal
     exactly when they are the same object.  Equality and hashing are
     therefore object's own (by identity, in C), and nodes are cheap keys
-    for the derivative memo, tapes and jet-plan caches.  Pickling goes
-    through the constructor, so an unpickled node is the interned one.
+    for the tapes and jet-plan caches.  Pickling goes through the
+    constructor, so an unpickled node is the interned one.
     """
 
     __slots__ = ()
@@ -554,61 +553,6 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
         raise DomainError("power outside its domain", format_expr(e)) from None
 
 
-# --- differentiation --------------------------------------------------------
-
-def differentiate(e: Expr, coord: str) -> Expr:
-    """Exact symbolic derivative, closed over the node set.
-
-    Derivatives are memoised for the life of the process, by (node,
-    coordinate): each distinct subtree is differentiated once, and every
-    later call for it returns the same node.
-    """
-    key = (e, coord)
-    d = _DERIVATIVES.get(key)
-    if d is not None:
-        return d
-    if isinstance(e, Const):
-        d = ZERO
-    elif isinstance(e, Coord):
-        d = ONE if e.name == coord else ZERO
-    elif isinstance(e, Unary):
-        inner = differentiate(e.arg, coord)
-        if e.op == "neg":
-            d = neg(inner)
-        elif _is_const(inner, 0.0):
-            d = ZERO
-        else:
-            u = e.arg
-            outer = {
-                "sin": lambda: func("cos", u),
-                "cos": lambda: neg(func("sin", u)),
-                "tan": lambda: add(ONE, powc(func("tan", u), 2.0)),
-                "sinh": lambda: func("cosh", u),
-                "cosh": lambda: func("sinh", u),
-                "tanh": lambda: sub(ONE, powc(func("tanh", u), 2.0)),
-                "exp": lambda: func("exp", u),
-                "log": lambda: div(ONE, u),
-                "sqrt": lambda: div(ONE, mul(Const(2.0), func("sqrt", u))),
-            }[e.op]()
-            d = mul(outer, inner)
-    elif isinstance(e, Binary):
-        da = differentiate(e.left, coord)
-        db = differentiate(e.right, coord)
-        if e.op == "add":
-            d = add(da, db)
-        elif e.op == "sub":
-            d = sub(da, db)
-        elif e.op == "mul":
-            d = add(mul(da, e.right), mul(e.left, db))
-        else:
-            d = div(sub(mul(da, e.right), mul(e.left, db)), powc(e.right, 2.0))
-    else:
-        dbase = differentiate(e.base, coord)
-        d = mul(mul(Const(e.exponent), powc(e.base, e.exponent - 1.0)), dbase)
-    _DERIVATIVES[key] = d
-    return d
-
-
 # --- tapes: vectorized values and forward-propagated derivatives ------------
 
 _BINARY_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
@@ -637,6 +581,11 @@ class Tape:
     expression is built.  Derivative steps fold as the smart constructors
     do (constants, 0 and 1), and one that folds to a zero constant of either
     sign is left out: a structural +0.0, None below.
+
+    origins[r] is the node whose value register r holds, or else the node
+    whose derivative step built it, and derived[r] says which (a register
+    that holds some node's value records that node); compile_expr names a
+    non-finite row by them.  Both lists hold existing objects only.
     """
 
     def __init__(self, coords: Sequence[str]):
@@ -644,6 +593,8 @@ class Tape:
         self.column = {name: k for k, name in enumerate(coords)}
         self.keys: list = list(coords)
         self.template: list = [None] * self.dim     # the constants' values
+        self.origins: list = [*map(Coord, coords)]
+        self.derived: list = [False] * self.dim
         self.registers: dict = {}                   # key -> register
         self.constants: dict = {}                   # non-zero value -> register
         self.values: dict = {}                      # node -> register of its value
@@ -656,15 +607,20 @@ class Tape:
             reg = self.registers[key] = len(self.keys)
             self.keys.append(key)
             self.template.append(value)
+            self.origins.append(self.node)
+            self.derived.append(True)
         return reg
 
     def value(self, node: Expr, parent: Expr | None = None) -> int:
         """The register of node's value; a non-finite constant is a
-        DomainError naming its parent (node itself at the top)."""
+        DomainError naming its parent (node itself at the top), and a
+        coordinate the tape has no column for one naming the coordinate."""
         reg = self.values.get(node)
         if reg is None:
             if isinstance(node, Coord):
-                reg = self.column[node.name]
+                reg = self.column.get(node.name)
+                if reg is None:
+                    raise DomainError(f"unbound coordinate '{node.name}'", node.name)
             elif isinstance(node, Const):
                 if not math.isfinite(node.value):
                     raise DomainError(f"non-finite constant {node.value!r} (overflow)",
@@ -681,6 +637,7 @@ class Tape:
                 reg = self._register((np.power, self.value(node.base, node),
                                       self.value(Const(node.exponent), node)))
             self.values[node] = reg
+            self.origins[reg], self.derived[reg] = node, False
         return reg
 
     def _const(self, value: float) -> int | None:
@@ -858,31 +815,33 @@ class Tape:
 
 
 def compile_expr(e: Expr | Sequence[Expr] | Tape, coords: Sequence[str] = (), *,
-                 outputs: Sequence[int] = (), expression: Callable[[int], Expr] | None = None,
-                 ) -> Callable[[np.ndarray], np.ndarray]:
+                 outputs: Sequence[int] = ()) -> Callable[[np.ndarray], np.ndarray]:
     """Compile to a callable over an (N, dim) point array.
 
     A single expression gives its (N,) values.  A sequence of expressions
     is compiled onto one shared tape and gives a (len(e), N) array whose
     rows are the expressions' values.  A Tape already built gives the
-    (len(outputs), N) array of its output registers' values, expression(row)
-    being the expression of a row.  The compile walks from the outputs to
-    the steps they need and numbers those registers afresh, depth first, so
-    the compiled program, its cost to compile included, depends on the
-    outputs alone and not on what else the tape carries; the callable's
-    `steps` are its (register, ufunc, arguments) on that numbering and its
-    `keys` its rows' keys.  Each register is freed after its last reader.
-    A non-finite constant is a DomainError at compile time.  When a
-    computed value is non-finite, the first such row's expression is
-    evaluated by the scalar evaluator at the row's first bad point, to
-    raise a DomainError naming the offending node.
+    (len(outputs), N) array of its output registers' values.  The compile
+    walks from the outputs to the steps they need and numbers those
+    registers afresh, depth first, so the compiled program, its cost to
+    compile included, depends on the outputs alone and not on what else the
+    tape carries; the callable's `steps` are its (register, ufunc,
+    arguments) on that numbering and its `keys` its rows' keys.  Each
+    register is freed after its last reader.  A non-finite constant is a
+    DomainError at compile time.
+
+    When a computed value is non-finite, the first such row is named at its
+    first bad point by the node the tape records for it: a value row's node
+    is evaluated by the scalar evaluator, to raise its DomainError (else
+    "non-finite value"); for a derivative row, the first non-finite step
+    the row reads, run again at that point, names its node the same way
+    (else "non-finite derivative at (point)").
     """
     if not isinstance(e, Tape):
         single = isinstance(e, Expr)
         exprs = (e,) if single else tuple(e)
         tape = Tape(coords)
-        run = compile_expr(tape, outputs=[tape.value(x, x) for x in exprs],
-                           expression=exprs.__getitem__)
+        run = compile_expr(tape, outputs=[tape.value(x, x) for x in exprs])
         return (lambda points: run(points)[0]) if single else run
     dim, names = e.dim, list(e.column)
     # depth first, each register numbered once its arguments are (every step
@@ -891,6 +850,7 @@ def compile_expr(e: Expr | Sequence[Expr] | Tape, coords: Sequence[str] = (), *,
     tape_keys, tape_template = e.keys, e.template
     number = [*range(dim), *[-1] * (len(tape_keys) - dim)]
     template, steps = [None] * dim, []
+    origins, derived = e.origins[:dim], e.derived[:dim]     # copied: the tape is not held
     stack = outputs[::-1]
     while stack:
         reg = stack.pop()
@@ -913,6 +873,8 @@ def compile_expr(e: Expr | Sequence[Expr] | Tape, coords: Sequence[str] = (), *,
             steps.append((len(template), key[0], args))
         number[reg] = len(template)
         template.append(value)
+        origins.append(e.origins[reg])
+        derived.append(e.derived[reg])
     keys = tuple(tape_keys[r] if tape_template[r] is not None or r < dim else
                  (tape_keys[r][0], *[number[a] for a in tape_keys[r][1:]]) for r in outputs)
     outputs = [number[r] for r in outputs]
@@ -928,25 +890,40 @@ def compile_expr(e: Expr | Sequence[Expr] | Tape, coords: Sequence[str] = (), *,
         frees.append(free)
     frees.reverse()
 
-    def evaluate_batch(points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
+    def run(points: np.ndarray, freed: Sequence[tuple]) -> list:
         regs = template.copy()
         regs[:dim] = [points[:, k] for k in range(dim)]
-        out = np.empty((len(outputs), points.shape[0]))
         with np.errstate(all="ignore"):
-            for (reg, op, args), free in zip(steps, frees):
+            for (reg, op, args), free in zip(steps, freed):
                 regs[reg] = op(*[regs[a] for a in args])
                 for a in free:
                     regs[a] = None
-            for row, reg in enumerate(outputs):
-                out[row] = regs[reg]
+        return regs
+
+    def evaluate_batch(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        regs = run(points, frees)
+        out = np.empty((len(outputs), points.shape[0]))
+        for row, reg in enumerate(outputs):
+            out[row] = regs[reg]
         bad = ~np.isfinite(out)
         if bad.any():
             row = int(np.argmax(bad.any(axis=1)))
-            x = expression(row)
-            # raises, naming the node
-            evaluate(x, dict(zip(names, points[int(np.argmax(bad[row]))])))
-            raise DomainError("non-finite value", format_expr(x))
+            at = int(np.argmax(bad[row]))
+            reg = outputs[row]
+            if derived[reg]:
+                # the first bad step the row reads, run again at that point
+                reads = {reg}
+                for r, _, args in reversed(steps):
+                    if r in reads:
+                        reads.update(args)
+                regs = run(points[at:at + 1], [()] * len(steps))
+                reg = next((r for r, _, _ in steps
+                            if r in reads and not np.isfinite(regs[r]).all()), reg)
+            node = origins[reg]
+            evaluate(node, dict(zip(names, points[at])))    # raises for a bad value of node
+            raise DomainError(f"non-finite derivative at {_plain_point(points[at])}"
+                              if derived[reg] else "non-finite value", format_expr(node))
         return out
 
     evaluate_batch.steps, evaluate_batch.keys = steps, keys

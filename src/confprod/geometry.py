@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import OutsideDomainError, SingularMetricError, UnsupportedDimError
-from .expressions import ZERO, Const, Expr, Tape, compile_expr, differentiate, free_coords
+from .expressions import ZERO, Const, Expr, Tape, compile_expr, free_coords
 
 _PD_EIGENVALUE_TOL = 1e-12
 # a curvature batch is computed in slices of sample points whose tape rows
@@ -195,8 +195,8 @@ class _JetPlan:
         derivatives, then (order 2) the second derivatives (k, l >= k); a
         gradient program leaves out the steps no first derivative needs.
         A tape row sits where its first slot does, so the first non-finite
-        row is the first bad slot's; that slot's expression alone is then
-        differentiated symbolically, to name the offending node."""
+        row is the first bad slot's, and compile_expr names it by the node
+        the tape records for it."""
         n = len(self.coords)
         samples = _SAMPLES.get()
         tapes = {} if samples is None else samples.tapes
@@ -204,14 +204,10 @@ class _JetPlan:
             tapes[self.coords] = Tape(self.coords)
         tape = tapes[self.coords]
         rows: dict = {}                                 # register -> tape row
-        firsts: list = []                               # per row: its first slot's (expr, k, l)
         scatter = [([], []) for _ in range(order + 1)]  # per output: tape rows, columns
 
-        def put(out: int, reg: int, columns: list[int], *slot):
-            row = rows.get(reg)
-            if row is None:
-                row = rows[reg] = len(rows)
-                firsts.append(slot)
+        def put(out: int, reg: int, columns: list[int]):
+            row = rows.setdefault(reg, len(rows))
             scatter[out][0].extend([row] * len(columns))
             scatter[out][1].extend(columns)
 
@@ -220,26 +216,20 @@ class _JetPlan:
             groups.setdefault(e, []).extend(places)
         for e, places in groups.items():
             if e is not ZERO:
-                put(0, tape.value(e), places, e)
+                put(0, tape.value(e), places)
             if order == 0 or isinstance(e, Const):
                 continue
             _, d1, d2 = tape.jets(e)
             for k in sorted(d1):
-                put(1, d1[k], [p * n + k for p in places], e, k)
+                put(1, d1[k], [p * n + k for p in places])
             for kl in sorted(d2) if order == 2 else ():
                 k, l = divmod(kl, n)
                 columns = [p * n * n + kl for p in places]
                 if l != k:
                     columns += [p * n * n + l * n + k for p in places]
-                put(2, d2[kl], columns, e, k, l)
+                put(2, d2[kl], columns)
 
-        def expression(row: int) -> Expr:
-            e, *along = firsts[row]
-            for k in along:
-                e = differentiate(e, self.coords[k])
-            return e
-
-        fn = compile_expr(tape, outputs=list(rows), expression=expression)
+        fn = compile_expr(tape, outputs=list(rows))
         return _Program(fn.keys, fn, tuple(
             (np.array(tape_rows, dtype=np.intp), np.array(cols, dtype=np.intp))
             for tape_rows, cols in scatter))

@@ -229,6 +229,41 @@ def test_inline_run_of_a_scenario_instance_matches_the_scenario(name):
         assert json.dumps(inline[key], sort_keys=True) == json.dumps(scenario[key], sort_keys=True)
 
 
+# --- metamorphic relations ------------------------------------------------------
+
+# Swapping the factors, read from the constants' definitions: each factor's
+# own Laplacian fit and Einstein constant go with it, so a1, b1, lambda_1 and
+# a2, b2, lambda_2 trade places.  Hess(phi1) = -(a_bar phi1 + b_bar) g1 and
+# Hess(phi2) = (a_bar phi2 - b_bar) g2, so with the factors swapped a_bar
+# changes sign and b_bar stays, and c_bar_1 and c_bar_2 trade places.  The
+# rescaled metric is the same one with its coordinates reordered, so
+# lambda_bar, rho_bar and lambda_fiber stay.
+_SWAPPED = {"a1": ("a2", 1.0), "a2": ("a1", 1.0), "b1": ("b2", 1.0), "b2": ("b1", 1.0),
+            "lambda_1": ("lambda_2", 1.0), "lambda_2": ("lambda_1", 1.0),
+            "c_bar_1": ("c_bar_2", 1.0), "c_bar_2": ("c_bar_1", 1.0), "a_bar": ("a_bar", -1.0)}
+
+
+@pytest.mark.parametrize("name,params", [
+    ("sphere_hyperbolic", {"n1": 3, "n2": 2}),
+    ("sphere_hyperbolic", {"n1": 4, "n2": 3}),
+    ("flat_quadratic", {"n1": 2, "n2": 3}),
+    ("flat_quadratic", {"n1": 1, "n2": 3}),
+    ("warped_sphere", {}),
+])
+def test_swapping_the_factors_keeps_the_verdict_and_maps_the_constants(name, params):
+    sc = get_scenario(name)
+    inst, _ = sc.build({**sc.parameters(), **params})
+    plan = SamplePlan(count=200)
+    report = run_inline(inst.g1, inst.g2, phi1=inst.phi1, phi2=inst.phi2, plan=plan)
+    swapped = run_inline(inst.g2, inst.g1, phi1=inst.phi2, phi2=inst.phi1, plan=plan)
+    assert swapped.verdict == report.verdict
+    assert swapped.measured.keys() == report.measured.keys()
+    for key, value in swapped.measured.items():
+        partner, sign = _SWAPPED.get(key, (key, 1.0))
+        want = sign * report.measured[partner]
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (key, value, want)
+
+
 # --- fixed instance sets ------------------------------------------------------
 
 def test_conformal_route_pairs_are_usable():

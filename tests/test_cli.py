@@ -444,6 +444,19 @@ def test_config_with_a_zero_diagonal_entry_is_not_positive_definite(tmp_path, ca
     assert "metric not positive definite at (" in err and "(min eigenvalue 0.000e+00)" in err
 
 
+def test_config_with_a_non_finite_derivative_names_the_entry_node(tmp_path, capsys):
+    # the entry's values are finite on the box and its second derivative
+    # overflows; the error names the node the user wrote and the point
+    path = _write(tmp_path, "overflow.json", {
+        "factors": [{"coords": ["x"], "domain": [[700, 709]], "entries": [["2 + sin(exp(x))"]]},
+                    {"coords": ["y"], "domain": [[-1, 1]], "entries": [["1"]]}],
+        "phi1": "1 + x/1000", "phi2": "1 + y^2",
+    })
+    code, out, err = run(capsys, "check", "--config", path)
+    assert code == 2 and out == "", err
+    assert "non-finite derivative at (" in err and err.rstrip().endswith("'sin(exp(f0.x))'")
+
+
 def test_config_rejects_a_string_where_a_list_is_needed(tmp_path, capsys):
     two = INLINE_FACTORS[1]
     for factor, message in [

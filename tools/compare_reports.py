@@ -35,7 +35,8 @@ first, then eleven counts per run for each tree:
   geometry._contraction that miss its cache);
 - symbolic table rows: those programs' table rows (_Contraction.rows), summed;
 - symbolic derivative calls: calls of expressions.differentiate, its own
-  recursive calls included;
+  recursive calls included (0 in a tree without one: the symbolic
+  differentiator is now the tests' oracle, tests/symbolic.py);
 - dense scratch bytes: the bytes of the dense arrays geometry.Rows.dense,
   the one dense builder, builds from compact rows, summed over its calls
   (geometry._dense in a tree from before Rows).
@@ -129,7 +130,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
         return built
 
     counting_programs.cache_clear = contraction.cache_clear
-    differentiate = expressions.differentiate
+    differentiate = getattr(expressions, "differentiate", None)
 
     def counting_derivatives(e, coord):
         counts[name]["symbolic derivative calls"] += 1
@@ -162,7 +163,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
                 counts[name]["kept batch bytes"] = max(counts[name]["kept batch bytes"], total)
 
     for module in (expressions, geometry, checkers):
-        if getattr(module, "differentiate", None) is differentiate:
+        if differentiate is not None and getattr(module, "differentiate", None) is differentiate:
             module.differentiate = counting_derivatives
     geometry._compute_batch = counting
     geometry._contraction = counting_programs
