@@ -38,7 +38,8 @@ without building derivative expressions, and records for each register
 the node whose value or derivative it is, so that a non-finite row is
 named by the node the user wrote.  compile_expr compiles a built tape for
 some of its registers, the same program whatever else the tape carries,
-or an expression or a list of them onto a new one (the order-0 use).
+or an expression or a list of them onto a new one, for values alone
+(geometry.metric_values compiles a metric's entries so).
 """
 
 from __future__ import annotations
@@ -820,7 +821,8 @@ def compile_expr(e: Expr | Sequence[Expr] | Tape, coords: Sequence[str] = (), *,
 
     A single expression gives its (N,) values.  A sequence of expressions
     is compiled onto one shared tape and gives a (len(e), N) array whose
-    rows are the expressions' values.  A Tape already built gives the
+    rows are the expressions' values; geometry.metric_values reads a
+    metric's upper-triangle entries so, with no derivative formed.  A Tape already built gives the
     (len(outputs), N) array of its output registers' values.  The compile
     walks from the outputs to the steps they need and numbers those
     registers afresh, depth first, so the compiled program, its cost to

@@ -142,10 +142,7 @@ class CurvatureData:
 class _Program(NamedTuple):
     keys: tuple              # each tape row's key (expressions.Tape), in order of first slot
     fn: Callable             # the compiled tape
-    scatter: tuple           # per output array: (tape rows, columns)
-
-
-_PROGRAMS = ("value_program", "gradient_program", "jet_program")
+    scatter: tuple           # per order 0, 1, 2: (tape rows, columns)
 
 
 class _JetPlan:
@@ -161,15 +158,15 @@ class _JetPlan:
     derivatives on every diagonal entry) or the same constant read one row.
     Derivatives are exact, propagated forward on the tape with the values,
     and a derivative that folds to a zero constant is a structural +0.0.
-    Each program, of the values, of values and gradients, or of full jets,
-    is built on the first call that needs it.  Inside an evaluation scope it
-    records its steps on the scope's one tape for its coordinates, so the
-    plans of one chart derive each shared node's registers once; outside
-    one, on a tape of its own.  Either way compile_expr gives the same
-    program.  Each program computes its own values, and the output arrays
-    are scattered fresh on every call; inside a scope, a scalar field's
-    tape rows at points the scope keeps are kept, read-only, for its later
-    calls there (see _run).
+    A plan has one program, its jets, built on the first call; values(),
+    gradients() and jets() scatter orders 0..k from its rows.  Inside an
+    evaluation scope the program records its steps on the scope's one tape
+    for its coordinates, so the plans of one chart derive each shared
+    node's registers once; outside one, on a tape of its own.  Either way
+    compile_expr gives the same program.  Each plan computes its own
+    values, and the output arrays are scattered fresh on every call; inside
+    a scope, a scalar field's tape rows at points the scope keeps are kept,
+    read-only, for its later calls there (see _run).
     """
 
     def __init__(self, shape: tuple[int, ...], entries, coords: tuple[str, ...]):
@@ -178,25 +175,13 @@ class _JetPlan:
         self.coords = coords
 
     @cached_property
-    def value_program(self) -> _Program:
-        return self._program(0)
-
-    @cached_property
-    def gradient_program(self) -> _Program:
-        return self._program(1)
-
-    @cached_property
     def jet_program(self) -> _Program:
-        return self._program(2)
-
-    def _program(self, order: int) -> _Program:
         """Slots are laid out expression by expression, each distinct one
         at its first entry, with all its places: the value, the n first
-        derivatives, then (order 2) the second derivatives (k, l >= k); a
-        gradient program leaves out the steps no first derivative needs.
-        A tape row sits where its first slot does, so the first non-finite
-        row is the first bad slot's, and compile_expr names it by the node
-        the tape records for it."""
+        derivatives, then the second derivatives (k, l >= k).  A tape row
+        sits where its first slot does, so the first non-finite row is the
+        first bad slot's, and compile_expr names it by the node the tape
+        records for it."""
         n = len(self.coords)
         samples = _SAMPLES.get()
         tapes = {} if samples is None else samples.tapes
@@ -204,12 +189,12 @@ class _JetPlan:
             tapes[self.coords] = Tape(self.coords)
         tape = tapes[self.coords]
         rows: dict = {}                                 # register -> tape row
-        scatter = [([], []) for _ in range(order + 1)]  # per output: tape rows, columns
+        scatter = [([], []) for _ in range(3)]          # per order: tape rows, columns
 
-        def put(out: int, reg: int, columns: list[int]):
+        def put(order: int, reg: int, columns: list[int]):
             row = rows.setdefault(reg, len(rows))
-            scatter[out][0].extend([row] * len(columns))
-            scatter[out][1].extend(columns)
+            scatter[order][0].extend([row] * len(columns))
+            scatter[order][1].extend(columns)
 
         groups: dict = {}                               # each distinct expression's places
         for e, places in self.entries:
@@ -217,12 +202,12 @@ class _JetPlan:
         for e, places in groups.items():
             if e is not ZERO:
                 put(0, tape.value(e), places)
-            if order == 0 or isinstance(e, Const):
+            if isinstance(e, Const):
                 continue
             _, d1, d2 = tape.jets(e)
             for k in sorted(d1):
                 put(1, d1[k], [p * n + k for p in places])
-            for kl in sorted(d2) if order == 2 else ():
+            for kl in sorted(d2):
                 k, l = divmod(kl, n)
                 columns = [p * n * n + kl for p in places]
                 if l != k:
@@ -236,22 +221,19 @@ class _JetPlan:
 
     def _run(self, order: int, points: np.ndarray) -> list[np.ndarray]:
         """The output arrays of orders 0..order, scattered fresh from the
-        tape rows of a program of at least that order.  Inside a scope, a
-        scalar field's rows at points the scope keeps are kept read-only,
-        those of the richest program run there so far (jets, gradients,
-        values), and a call that they cover reads them."""
+        jet program's tape rows.  Inside a scope, a scalar field's rows at
+        points the scope keeps are kept read-only, and every later call
+        there reads them."""
         samples = _SAMPLES.get()
         keep = samples is not None and not self.shape and id(points) in samples.keys
         kept = samples.rows if keep else {}
-        program, rows = kept.get((self, id(points)), (None, None))
-        if program is None or len(program.scatter) <= order:
-            program = getattr(self, _PROGRAMS[order])
-            rows = program.fn(points)
+        rows = kept.get((self, id(points)))
+        if rows is None:
+            rows = kept[self, id(points)] = self.jet_program.fn(points)
             rows.flags.writeable = False
-            kept[self, id(points)] = program, rows
         count, n = points.shape[0], len(self.coords)
         outs = []
-        for k, (tape_rows, cols) in enumerate(program.scatter[:order + 1]):
+        for k, (tape_rows, cols) in enumerate(self.jet_program.scatter[:order + 1]):
             out = np.zeros((count,) + self.shape + (n,) * k)
             out.reshape(count, -1)[:, cols] = rows[tape_rows].T    # +0.0 slots stay zero
             outs.append(out)
@@ -337,8 +319,14 @@ def _partition(n: int, links) -> tuple[tuple[int, ...], ...]:
 
 def metric_values(metric: MetricSpec, points) -> np.ndarray:
     """g at the points, dense (count, n, n) and unchecked: curvature_batch
-    runs the positive-definite test."""
-    return _metric_plan(metric).values(_as_points(metric.chart, points))
+    runs the positive-definite test.  The upper-triangle entries are
+    compiled as values alone, so no derivative is formed."""
+    pts, n = _as_points(metric.chart, points), metric.dim
+    i, j = np.triu_indices(n)
+    g = np.empty((len(pts), n, n))
+    g[:, i, j] = g[:, j, i] = compile_expr(
+        [metric.entries[a][b] for a, b in zip(i, j)], metric.chart.coords)(pts).T
+    return g
 
 
 # --- curvature --------------------------------------------------------------
@@ -428,12 +416,12 @@ class CurvatureBatch:
 
 class _Samples(NamedTuple):
     """What an evaluation scope keeps beside its batches: sample points,
-    one jet tape per chart, and read-only field rows."""
+    one jet tape per chart, and each scalar field's jet rows, read-only."""
     points: dict   # sample key -> read-only points
     inside: dict   # id of kept points -> the charts whose boxes they passed
     keys: dict     # id of kept points -> their (shape, bytes), for _scope_key
     tapes: dict    # coordinate tuple -> the Tape its jet programs record on
-    rows: dict     # (field plan, id of kept points) -> (its richest program run, its tape rows)
+    rows: dict     # (field plan, id of kept points) -> its jet program's tape rows
     traces: dict   # (phi, metric, id of kept points) -> _field_jets' lap and |dphi|^2
 
 
@@ -453,14 +441,14 @@ def evaluation_scope():
     each other's entries.  Sample points are kept apart from the batches
     (scoped_points).  Every jet program built in the scope records on one
     Tape per coordinate tuple, so each node's value and derivative
-    registers are derived once per chart; a scalar field's tape rows at
-    kept points, and _field_jets' lap and |dphi|^2 per (phi, metric, kept
-    points), are kept for later calls.  Only symbolic registers pass
-    between the routes: the rescaled metric's program and phi's share tape
-    registers, but each computes its own values.  A scope opened inside
-    another one shares the outer one's; the outermost scope drops all of it
-    when it closes.  Kept arrays are read-only.  Yields the mapping from
-    keys to batches.
+    registers are derived once per chart; a scalar field's jet rows at
+    kept points, which serve its values, gradients and jets alike, and
+    _field_jets' lap and |dphi|^2 per (phi, metric, kept points), are kept
+    for later calls.  Only symbolic registers pass between the routes: the
+    rescaled metric's program and phi's share tape registers, but each
+    computes its own values.  A scope opened inside another one shares the
+    outer one's; the outermost scope drops all of it when it closes.  Kept
+    arrays are read-only.  Yields the mapping from keys to batches.
     """
     kept = _SCOPE.get()
     if kept is not None:

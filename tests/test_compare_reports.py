@@ -1,9 +1,9 @@
 """tools/compare_reports.py: reports compared byte for byte, the timestamp
 excepted, each moved leaf of a report listed, with each tree's src/ lines,
 computed batches, jet-tape rows, tape registers, kept batch bytes,
-contraction products, MetricSpec constructions, field jet passes, symbolic
-programs, their table rows, symbolic derivative calls and dense scratch
-bytes counted, and a closing summary of the moves."""
+contraction products, MetricSpec constructions, field programs, field tape
+passes, symbolic programs, their table rows, symbolic derivative calls and
+dense scratch bytes counted, and a closing summary of the moves."""
 
 import importlib.util
 import json
@@ -72,11 +72,16 @@ def test_a_tree_matches_itself(capsys):
     # positive-definite test and dense g^-1 and Ricci for the scalar, and the
     # field traces a dense g^-1, the run built 66 560 dense scratch bytes, and
     # 23 040 while the checks scattered dense g and Ricci from the rows to form
-    # their residuals; a passing run now builds none
-    assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 71 -> 71, "
+    # their residuals; a passing run now builds none.  While a plan built a
+    # value, a gradient and a jet program apart, only the jet programs' 71
+    # rows were counted, the fields had 14 programs, and their 14 tape passes
+    # counted 5 gradient or jet passes ("field jet passes"); every plan's one
+    # program is now its jets
+    assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 85 -> 85, "
             "tape registers 183 -> 183, "
             "kept batch bytes 11768 -> 11768, contraction products 248 -> 248, "
-            "MetricSpec constructions 8 -> 8, field jet passes 5 -> 5, "
+            "MetricSpec constructions 8 -> 8, field programs 9 -> 9, "
+            "field tape passes 9 -> 9, "
             "symbolic programs 6 -> 6, symbolic table rows 136 -> 136, "
             "symbolic derivative calls 0 -> 0, dense scratch bytes 0 -> 0") in out
     assert out.endswith("summary: 0 moved leaves, 0 verdict/matched/expected moves, "

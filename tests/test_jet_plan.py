@@ -10,6 +10,7 @@ derivative is named by the node of the entry whose derivative it is, and
 the oracle must find that node's derivative bad at the same point.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -18,14 +19,15 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from confprod import geometry
 from confprod.catalog import get_scenario, run_scenario, scenarios
-from confprod.checkers import SamplePlan, sample, warped_presentation_check
+from confprod.checkers import SamplePlan
 from confprod.constructions import ConformalSpec, conformal_metric, joint_sum, product
 from confprod.errors import DomainError
 from confprod.expressions import (
     ZERO, Const, Coord, add, compile_expr, div, evaluate, format_expr, func, mul, neg, parse,
     powc, sub)
 from confprod.geometry import (
-    Chart, MetricSpec, _field_plan, _metric_plan, _slot_rows, evaluation_scope)
+    Chart, MetricSpec, _field_plan, _metric_plan, _slot_rows, evaluation_scope, expr_values,
+    metric_values)
 from symbolic import differentiate
 
 
@@ -113,8 +115,8 @@ def _assert_field_matches_the_oracle(e, plan, pts):
 def _plans_built_in_scope(name, params=None):
     """(metric or field, fresh plan, points) for every metric and scalar
     field one run of the scenario evaluates at kept points.  Each plan's
-    three programs are built inside the run's scope after the scenario's
-    own plans, so on tapes that already carry their registers and others."""
+    program is built inside the run's scope after the scenario's own
+    plans, so on a tape that already carries its registers and others."""
     geometry._field_plan.cache_clear()    # every field plan the run reads is built anew
     with evaluation_scope() as kept:
         run_scenario(name, params=params, plan=SamplePlan(count=5))
@@ -126,9 +128,8 @@ def _plans_built_in_scope(name, params=None):
         built += [(plan.entries[0][0], _field_plan.__wrapped__(plan.entries[0][0], plan.coords),
                    at[points]) for plan, points in samples.rows]
         for _, plan, _ in built:
-            for program in geometry._PROGRAMS:
-                getattr(plan, program)
-            # the chart's tape carries steps the plan's programs do not read
+            plan.jet_program    # built before the tape is read below
+            # the chart's tape carries steps the plan's program does not read
             tape = samples.tapes[plan.coords]
             assert len(tape.keys) > tape.dim + len(plan.jet_program.fn.steps)
     return built
@@ -137,14 +138,13 @@ def _plans_built_in_scope(name, params=None):
 def _assert_same_program_as_on_a_private_tape(plan, pts):
     """Outside any scope, a plan built anew records on a tape of its own."""
     assert geometry._SAMPLES.get() is None
-    private = type(plan)(plan.shape, plan.entries, plan.coords)
-    for name in geometry._PROGRAMS:
-        a, b = getattr(plan, name), getattr(private, name)
-        assert a.keys == b.keys and a.fn.steps == b.fn.steps, (name, plan.coords)
-        assert len(a.scatter) == len(b.scatter)
-        for (rows_a, cols_a), (rows_b, cols_b) in zip(a.scatter, b.scatter):
-            assert np.array_equal(rows_a, rows_b) and np.array_equal(cols_a, cols_b)
-        assert a.fn(pts).tobytes() == b.fn(pts).tobytes()
+    a = plan.jet_program
+    b = type(plan)(plan.shape, plan.entries, plan.coords).jet_program
+    assert a.keys == b.keys and a.fn.steps == b.fn.steps, plan.coords
+    assert len(a.scatter) == len(b.scatter) == 3
+    for (rows_a, cols_a), (rows_b, cols_b) in zip(a.scatter, b.scatter):
+        assert np.array_equal(rows_a, rows_b) and np.array_equal(cols_a, cols_b)
+    assert a.fn(pts).tobytes() == b.fn(pts).tobytes()
 
 
 def _assert_scope_plans_match(name, params=None):
@@ -212,30 +212,6 @@ def test_field_plan_matches_reference_including_signed_zeros():
     assert not np.signbit(grad[:, 1]).any()
 
 
-def test_gradient_program_gives_the_jet_gradients_on_a_shorter_tape():
-    coords = ("x", "y")
-    plan = _field_plan.__wrapped__(parse("exp(0.3 * x) * (1 + 0.25 * cos(y))", coords), coords)
-    pts = np.array([[0.3, -0.2], [-0.7, 0.9]])
-    assert plan.gradients(pts).tobytes() == plan.jets(pts)[1].tobytes()
-    assert len(plan.gradient_program.keys) == 3 < len(plan.jet_program.keys)
-
-
-def test_warped_presentation_reads_gradients_only(monkeypatch):
-    orders = []
-    program = geometry._JetPlan._program
-
-    def recording(plan, order):
-        orders.append((plan.shape, order))
-        return program(plan, order)
-
-    monkeypatch.setattr(geometry._JetPlan, "_program", recording)
-    geometry._field_plan.cache_clear()
-    sc = get_scenario("doubly_twisted_einstein")
-    inst, _ = sc.build(sc.parameters())
-    warped_presentation_check(inst.spec, SamplePlan(count=5))
-    assert orders and all(order == 1 for shape, order in orders if shape == ())
-
-
 @pytest.mark.parametrize("text00,text11,node,along", [
     # the (0, 0) entry's second derivative in x is bad at x = 0, the (1, 1)
     # entry's first derivative at y = 0: the (0, 0) entry comes first
@@ -260,8 +236,39 @@ def test_non_finite_derivative_raises_the_reference_error(text00, text11, node, 
         d = differentiate(d, c)
     with pytest.raises(DomainError):
         evaluate(d, {"x": 0.0, "y": 0.0})
-    # the value-only path never differentiates, so it sees nothing wrong
-    assert np.isfinite(_metric_plan.__wrapped__(metric).values(pts)).all()
+    # a metric's plain values form no derivative, so they see nothing wrong
+    assert np.isfinite(metric_values(metric, pts)).all()
+
+
+def test_field_values_raise_for_a_non_finite_derivative():
+    # a field's values are read from its jet rows, so a derivative that is
+    # non-finite where the value is finite raises: d/dx (x^2)^0.75 is 0 inf
+    # at x = 0 (while a field had a value program of its own, its values
+    # were [2.353553390593274, 2.0] here)
+    chart = Chart(coords=("x",), domain=((-1.0, 1.0),), singular_margin=0.0)
+    e = parse("2 + (x^2)^0.75", chart.coords)
+    with pytest.raises(DomainError) as got:
+        expr_values(e, chart, np.array([[0.5], [0.0]]))
+    assert str(got.value) == "non-finite derivative at (0.0,) in '(x^2)^0.75'"
+    assert got.value.node_text == "(x^2)^0.75"
+
+
+def _zero_signed_metric():
+    """A metric whose off-diagonal entry is the constant -0.0."""
+    coords = ("x", "y")
+    chart = Chart(coords=coords, domain=((-1.0, 1.0), (-1.0, 1.0)), singular_margin=0.0)
+    entries = ((parse("2 + x^2", coords), Const(-0.0)), (Const(-0.0), parse("1 + cos(y)", coords)))
+    return MetricSpec(chart, entries), np.array([[0.5, 0.25], [-0.3, 0.9]])
+
+
+def test_metric_values_are_the_plans_value_rows():
+    # metric_values compiles the entries as values alone; its g must be the
+    # jet plan's value scatter, bit for bit, signs of zeros included
+    for metric, pts in [*_catalog_metrics(), _zero_signed_metric()]:
+        want = _metric_plan(metric).values(pts)
+        assert metric_values(metric, pts).tobytes() == want.tobytes(), metric.chart.coords
+    metric, pts = _zero_signed_metric()
+    assert np.signbit(metric_values(metric, pts)[:, 0, 1]).all()
 
 
 def test_non_finite_constant_is_rejected_when_the_plan_is_built():
@@ -301,26 +308,28 @@ def test_constant_slots_stay_off_the_tape():
 
 @pytest.mark.parametrize("n,rows", [(3, 43), (5, 87), (8, 183)])
 def test_flat_quadratic_tapes_hold_each_expression_once(monkeypatch, n, rows):
-    # the rescaled flat metric repeats phi^-2 and its derivatives on every
-    # diagonal entry; one slot per tape row would make these 179, 677, 2474
-    # without the constants, and with the constants written beside the tape
-    # they were 39, 83, 179; while batches were computed per product factor,
-    # each one-coordinate factor of a flat base had a tape of its own that
-    # held the constant 1.0: 50, 100, 205
+    # `rows` counts the programs of the metrics and of the fields read for
+    # their derivatives: the rescaled flat metric repeats phi^-2 and its
+    # derivatives on every diagonal entry; one slot per tape row would make
+    # these 179, 677, 2474 without the constants, and with the constants
+    # written beside the tape they were 39, 83, 179; while batches were
+    # computed per product factor, each one-coordinate factor of a flat base
+    # had a tape of its own that held the constant 1.0: 50, 100, 205.  Each
+    # plan's one program is its jets, so the two shifted summands that the
+    # checks read for values alone hold n + 2 rows each (value, gradient and
+    # the constant Hessian 1.0): 53, 101, 203 in all.  While those had value
+    # programs, only the jet programs were counted, 43, 87, 183
     built = []
-    program = geometry._JetPlan._program
-
-    def recording(plan, order):
-        built.append((order, program(plan, order)))
-        return built[-1][1]
-
-    monkeypatch.setattr(geometry._JetPlan, "_program", recording)
+    build = geometry._JetPlan.jet_program.func
+    recording = functools.cached_property(lambda plan: built.append(build(plan)) or built[-1])
+    recording.__set_name__(geometry._JetPlan, "jet_program")
+    monkeypatch.setattr(geometry._JetPlan, "jet_program", recording)
     for cached in vars(geometry).values():
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
     run_scenario("flat_quadratic", params={"n1": n, "n2": n}, plan=SamplePlan(count=5))
-    assert sum(len(p.keys) for order, p in built if order == 2) == rows
-    assert all(len(set(p.keys)) == len(p.keys) for _, p in built)
+    assert sum(len(p.keys) for p in built) == rows + 2 * (n + 2)
+    assert all(len(set(p.keys)) == len(p.keys) for p in built)
 
 
 # --- the forward jets against differentiate, on random trees ------------------

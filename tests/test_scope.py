@@ -8,6 +8,7 @@ depend on whether the scope shares anything.
 
 import contextlib
 import dataclasses
+import functools
 import gc
 import json
 import weakref
@@ -172,7 +173,7 @@ def test_tapes_and_kept_rows_are_dropped_with_the_outermost_scope(monkeypatch):
             laplacian_batch(spec.phi, m, pts)
             samples = geometry._SAMPLES.get()
             assert set(samples.tapes) == {m.chart.coords} and len(made) == 1
-            kept = [weakref.ref(rows) for _, rows in samples.rows.values()]
+            kept = [weakref.ref(rows) for rows in samples.rows.values()]
             kept += [weakref.ref(a) for arrays in samples.traces.values() for a in arrays]
             assert len(kept) == 3    # phi's jet rows, its lap and |dphi|^2
         # an inner scope shares the outer one's, and leaves it in place
@@ -213,7 +214,7 @@ def test_helpers_hand_out_fresh_or_read_only_arrays():
         for trace in (laplacian_batch(phi, m, pts), grad_norm_sq_batch(phi, m, pts)):
             assert not trace.flags.writeable
         samples = geometry._SAMPLES.get()
-        kept = [rows for _, rows in samples.rows.values()]
+        kept = [rows for rows in samples.rows.values()]
         kept += [a for arrays in samples.traces.values() for a in arrays]
         assert len(kept) == 3 and not any(a.flags.writeable for a in kept)
 
@@ -352,30 +353,32 @@ def test_inline_report_is_identical_without_the_scope(monkeypatch):
 # --- work done once per run ----------------------------------------------------
 
 def _tape_evaluations(monkeypatch) -> list:
-    """(plan, program order, points) of each jet-program evaluation from
-    here on, in order; the plan caches are cleared, so every program is
-    built, and counted, anew."""
+    """(plan, points) of each jet-program evaluation from here on, in
+    order; the plan caches are cleared, so every program is built, and
+    counted, anew."""
     runs = []
-    program = geometry._JetPlan._program
+    build = geometry._JetPlan.jet_program.func
 
-    def recording(plan, order):
-        built = program(plan, order)
+    def recording(plan):
+        built = build(plan)
         fn = built.fn
 
         def evaluating(points):
-            runs.append((plan, order, points))
+            runs.append((plan, points))
             return fn(points)
 
         return built._replace(fn=evaluating)
 
-    monkeypatch.setattr(geometry._JetPlan, "_program", recording)
+    program = functools.cached_property(recording)
+    program.__set_name__(geometry._JetPlan, "jet_program")
+    monkeypatch.setattr(geometry._JetPlan, "jet_program", program)
     _clear_plan_caches()
     return runs
 
 
-def _field_jet_passes(runs) -> int:
-    """Tape evaluations of a scalar field's gradient or jet program."""
-    return sum(1 for plan, order, _ in runs if plan.shape == () and order > 0)
+def _field_tape_passes(runs) -> int:
+    """Tape evaluations of a scalar field's program."""
+    return sum(1 for plan, _ in runs if plan.shape == ())
 
 
 def test_field_consumers_run_one_jet_pass_each(monkeypatch):
@@ -384,9 +387,12 @@ def test_field_consumers_run_one_jet_pass_each(monkeypatch):
     # one each for phi at the joint points and phi1, phi2 at the factors'
     # points: the conformal formula, the mixed-Ricci partials and the factor
     # identity read phi's kept jet rows, and the two summand routes phi1's
-    # and phi2's; with a pass per consumer this was 7, and with one pass
-    # per field helper call 13
-    assert _field_jet_passes(runs) == 3
+    # and phi2's; two more for the shifted summands that the checks read
+    # for values alone.  With a pass per consumer this was 7 jet passes, with
+    # one pass per field helper call 13, and while a field read for values
+    # had a value program apart from its jets, 8 tape passes (3 of them jet
+    # passes)
+    assert _field_tape_passes(runs) == 5
 
 
 def test_phi_values_are_evaluated_once_per_chart_and_points(monkeypatch):
@@ -395,15 +401,15 @@ def test_phi_values_are_evaluated_once_per_chart_and_points(monkeypatch):
     inst, _ = sc.build(sc.parameters())
     phi = joint_sum(product(inst.g1, inst.g2, inst.labels), inst.phi1, inst.phi2)
     run_scenario("sphere_hyperbolic", plan=PLAN)
-    phi_runs = [(order, id(points)) for plan, order, points in runs
+    phi_runs = [id(points) for plan, points in runs
                 if plan.shape == () and plan.entries[0][0] is phi]
     # the catalog's route choice, the conformal formula, the mixed-Ricci
     # cross-check and the factor identity read phi's values at the joint
     # points, and three consumers its jets (five value passes and three jet
-    # passes before the scope kept field rows): its value program runs
-    # once, and its jet program once, whose rows then serve every later read
-    assert len({at for _, at in phi_runs}) == 1
-    assert sorted(order for order, _ in phi_runs) == [0, 2]
+    # passes before the scope kept field rows; a value pass and then a jet
+    # pass while a field had a value program apart from its jets): its jet
+    # program runs once, whose rows serve every read
+    assert len(phi_runs) == 1
 
 
 def test_summand_values_are_evaluated_once_per_factor(monkeypatch):
@@ -421,15 +427,15 @@ def test_summand_values_are_evaluated_once_per_factor(monkeypatch):
     monkeypatch.setattr(catalog, "summand_spread", recording)
     run_scenario("sphere_hyperbolic", plan=PLAN)
     # the two summand routes, the catalog's route choice and the factor
-    # identity each test phi2 for constancy on g2's points; its value
-    # program runs once, its jet program once for the summand routes, and
-    # every later test reads the rows the scope keeps
+    # identity each test phi2 for constancy on g2's points; its jet program
+    # runs once, and every later test and the summand routes read the rows
+    # the scope keeps (while a field had a value program apart from its
+    # jets, that ran once and the jet program once: two passes)
     assert sum(phi is inst.phi2 for phi in tested) == 4
-    phi2_runs = [(order, points) for plan, order, points in runs
+    phi2_runs = [points for plan, points in runs
                  if plan.shape == () and plan.entries[0][0] is inst.phi2]
-    assert [order for order, _ in phi2_runs] == [0, 2]
-    assert len({id(points) for _, points in phi2_runs}) == 1
-    assert phi2_runs[0][1].shape == (PLAN.count, inst.g2.dim)
+    assert len(phi2_runs) == 1
+    assert phi2_runs[0].shape == (PLAN.count, inst.g2.dim)
 
 
 def test_conformal_connection_runs_one_jet_pass(monkeypatch):
@@ -437,9 +443,13 @@ def test_conformal_connection_runs_one_jet_pass(monkeypatch):
     pts = sample(skew.base.chart, PLAN)
     runs = _tape_evaluations(monkeypatch)
     conformal_connection(skew, 0, 1, pts)
-    # d phi, raised with the batch's g^-1; raising it through a helper of its own
-    # ran a second pass
-    assert _field_jet_passes(runs) == 1
+    # d phi, raised with the batch's g^-1, comes from one jet pass; raising
+    # it through a helper of its own ran a second one.  Outside a scope no
+    # field rows are kept, so require_positive_factor's values are a pass of
+    # their own: 2.  While a field had a value program apart from its jets,
+    # this counted gradient and jet passes alone and read 1, beside one
+    # value pass
+    assert _field_tape_passes(runs) == 2
 
 
 def test_custom_labels_compute_the_same_batches(monkeypatch):

@@ -14,7 +14,7 @@ file that differs, or a report whose leaves all hold but whose text moved,
 is printed as a unified diff.  The workload inputs come
 from this checkout's perfbench/, which is only imported.  Each tree's `src/`
 line count (newlines in its `.py` files, as `wc -l` counts them) is printed
-first, then eleven counts per run for each tree:
+first, then twelve counts per run for each tree:
 
 - computed batches: calls of geometry._compute_batch, scope hits excluded;
 - jet-tape rows: the rows of every jet plan's second-order (jet) program,
@@ -29,8 +29,10 @@ first, then eleven counts per run for each tree:
   summed over its program's steps, weighted by its slice's share of the
   batch's points);
 - MetricSpec constructions;
-- field jet passes: tape evaluations of a scalar field's gradient or jet
-  program (reads of the rows a scope keeps do not count);
+- field programs: the programs built for scalar fields' jet plans, of
+  any order;
+- field tape passes: tape evaluations of a scalar field's program, of any
+  order (reads of the rows a scope keeps do not count);
 - symbolic programs: the programs the symbolic phase builds (calls of
   geometry._contraction that miss its cache);
 - symbolic table rows: those programs' table rows (_Contraction.rows), summed;
@@ -48,7 +50,10 @@ a constant: a scenario's `measured` values and each `constants` entry's
 
 The plan caches of geometry and the builder memo of constructions are
 cleared before each run, so a run builds its plans, tapes and metrics as a
-fresh `confprod` command does.
+fresh `confprod` command does.  The jet programs are counted where the
+tree builds them: in the `jet_program` property of geometry._JetPlan, the
+plan's one program, or in `_JetPlan._program(order)` in a tree from
+before that, which built a plan's value, gradient and jet programs apart.
 
 Exit code 0 when every file is identical, 1 otherwise.
 """
@@ -58,6 +63,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import functools
 import io
 import json
 import math
@@ -71,9 +77,9 @@ HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog_2k", "dim_sweep")
 CATALOG_SAMPLES = {"full": 200, "tiny": 20}
 COUNTS = ("computed batches", "jet-tape rows", "tape registers", "kept batch bytes",
-          "contraction products", "MetricSpec constructions", "field jet passes",
-          "symbolic programs", "symbolic table rows", "symbolic derivative calls",
-          "dense scratch bytes")
+          "contraction products", "MetricSpec constructions", "field programs",
+          "field tape passes", "symbolic programs", "symbolic table rows",
+          "symbolic derivative calls", "dense scratch bytes")
 FLAGGED = ("verdict", "matched", "expected")
 _CONSTANT = re.compile(r"^scenarios\[\d+\]\.(measured\.[^.]+|constants\[\d+\]\.measured)$")
 _GENERATED_AT = re.compile(r'^\s*"generated_at": "[^"]*",\n', re.MULTILINE)
@@ -86,7 +92,11 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     from confprod import catalog, checkers, cli, constructions, expressions, geometry
 
     counts: dict = {}
-    compute, program = geometry._compute_batch, geometry._JetPlan._program
+    compute, jet_plan = geometry._compute_batch, geometry._JetPlan
+    # a tree from before one program per plan builds each order's program
+    # in _JetPlan._program
+    per_order = hasattr(jet_plan, "_program")
+    build = jet_plan._program if per_order else jet_plan.jet_program.func
     contraction, contract = geometry._contraction, geometry._contract
     # a tree from before Rows builds its dense arrays in geometry._dense
     dense_owner, dense_name = ((geometry.Rows, "dense") if hasattr(geometry, "Rows")
@@ -136,15 +146,16 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
         counts[name]["symbolic derivative calls"] += 1
         return differentiate(e, coord)
 
-    def counting_rows(plan, order):
-        built = program(plan, order)
+    def counting_rows(plan, order=2):
+        built = build(plan, order) if per_order else build(plan)
         if order == 2:
             counts[name]["jet-tape rows"] += len(built.keys)
-        if plan.shape == () and order > 0:
+        if plan.shape == ():
+            counts[name]["field programs"] += 1
             fn = built.fn
 
             def counting_passes(points):
-                counts[name]["field jet passes"] += 1
+                counts[name]["field tape passes"] += 1
                 return fn(points)
 
             built = built._replace(fn=counting_passes)
@@ -169,7 +180,11 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     geometry._contraction = counting_programs
     geometry._contract = counting_products
     setattr(dense_owner, dense_name, counting_dense)
-    geometry._JetPlan._program = counting_rows
+    if per_order:
+        jet_plan._program = counting_rows
+    else:
+        jet_plan.jet_program = functools.cached_property(counting_rows)
+        jet_plan.jet_program.__set_name__(jet_plan, "jet_program")
     expressions.Tape.__init__ = counting_tapes
     geometry.MetricSpec.__post_init__ = counting_specs
     catalog.evaluation_scope = measuring_scope
