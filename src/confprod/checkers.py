@@ -269,6 +269,7 @@ def einstein_check(g: AnyMetric, plan: SamplePlan, tolerance: float = 1e-8) -> C
                         _bound("lambda_spread", lam.max() - lam.min(), tolerance)])
 
 
+@evaluation_scope()
 def conformally_einstein_check(c: ConformalSpec, plan: SamplePlan,
                                lambda_bar: Optional[float] = None,
                                tolerance: float = 1e-8) -> Check:
@@ -304,6 +305,7 @@ def conformally_einstein_check(c: ConformalSpec, plan: SamplePlan,
 
 # --- product structure checks -----------------------------------------------
 
+@evaluation_scope()
 def mixed_ricci_flat_check(b: BlockMetricSpec, phi: Expr, plan: SamplePlan,
                            tolerance: float = 1e-8) -> Check:
     """Sup of cross-block second partials of phi.
@@ -397,6 +399,7 @@ def require_nonconstant(phi: Expr, m: MetricSpec, plan: SamplePlan, label: str) 
         )
 
 
+@evaluation_scope()
 def summand_laplacian_fit(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
                           plan: SamplePlan, *, tolerance: float = 1e-8) -> Check:
     """Affine fits lap(phi_i) = a_i phi_i + b_i on the factors g1, g2 of
@@ -461,6 +464,7 @@ def summand_laplacian_fit(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
 
 # --- warped route -----------------------------------------------------------
 
+@evaluation_scope()
 def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
                           tolerance: float = 1e-8) -> Check:
     """The three conditions for g_B + f^2 g_F to be Einstein.

@@ -10,9 +10,9 @@ live here side by side:
 
   * conformal_metric builds the rescaled entries phi^-2 g_ij as expressions,
     so geometry.curvature differentiates the rescaled metric directly;
-  * conformal_ricci_formula / conformal_scalar_formula / conformal_connection
-    evaluate the classical transformation formulas from curvature of the base
-    metric plus jets of phi, never touching the rescaled entries.
+  * conformal_ricci_formula evaluates the classical transformation formula
+    for Ricci from curvature of the base metric plus jets of phi, never
+    touching the rescaled entries.
 
 Checks compare the two routes; nothing here may collapse them into one.
 """
@@ -45,11 +45,11 @@ from .geometry import (
     Rows,
     combine,
     curvature_batch,
+    evaluation_scope,
     expr_values,
     require_on_chart,
     _as_points,
     _field_jets,
-    _field_plan,
 )
 
 _FLOAT = np.finfo(float)
@@ -214,6 +214,7 @@ def require_positive_factor(c: ConformalSpec, points) -> np.ndarray:
     return values
 
 
+@evaluation_scope()
 def conformal_ricci_formula(c: ConformalSpec, points, lambda_bar: float = 0.0) -> Rows:
     """Ricci of phi^-2 g minus lambda_bar phi^-2 g, from base curvature and
     jets of phi only:
@@ -231,37 +232,6 @@ def conformal_ricci_formula(c: ConformalSpec, points, lambda_bar: float = 0.0) -
     _, hess, lap, gns = _field_jets(c.phi, base, pts)
     coef = lambda_bar / phi**2 + lap / phi + (n - 1) * gns / phi**2
     return combine(n, batch.ricci, (n - 2) * hess / phi[:, None, None], batch.g.scaled(-coef))
-
-
-def conformal_scalar_formula(c: ConformalSpec, points) -> np.ndarray:
-    """Scalar curvature of phi^-2 g: phi^2 s - 2(n-1) phi lap(phi) - n(n-1)|dphi|^2."""
-    base = as_metric(c.base)
-    n = base.dim
-    pts = _as_points(base.chart, points)
-    phi = require_positive_factor(c, pts)
-    scalar = curvature_batch(base, pts).scalar
-    _, _, lap, gns = _field_jets(c.phi, base, pts)
-    return phi**2 * scalar - 2 * (n - 1) * phi * lap - n * (n - 1) * gns
-
-
-def conformal_connection(c: ConformalSpec, i: int, j: int, points) -> np.ndarray:
-    """Components of the rescaled Levi-Civita connection on coordinate fields.
-
-    Gammabar^k_ij = Gamma^k_ij - (d_i phi delta^k_j + d_j phi delta^k_i)/phi
-                    + g_ij grad(phi)^k / phi
-    """
-    base = as_metric(c.base)
-    n = base.dim
-    pts = _as_points(base.chart, points)
-    phi = require_positive_factor(c, pts)
-    batch = curvature_batch(base, pts)
-    _, dphi, _ = _field_plan(c.phi, base.chart.coords).jets(pts)
-    grad = np.einsum("nij,nj->ni", batch.ginv.dense(n), dphi)
-    out = batch.christoffel.dense(n, 3)[:, :, i, j].copy()
-    out[:, j] -= dphi[:, i] / phi
-    out[:, i] -= dphi[:, j] / phi
-    out += batch.g.dense(n)[:, i, j, None] * grad / phi[:, None]
-    return out
 
 
 # --- warped and twisted products --------------------------------------------

@@ -16,10 +16,10 @@ Rows value.  The positive-definite test, the scalar curvature, the
 covariant Hessian and a field's Laplacian and |d phi|^2 read those rows
 directly, and the checks sum their tensor residuals on the rows (combine,
 which returns Rows too).  Rows.dense is the one place a dense array is
-built from rows: for curvature() and conformal_connection, and on the
-error path, where a slice that fails the positive-definite test builds its
-dense g to name the point.  The full Riemann tensor is dense algebra,
-built only for single-point queries (curvature()).
+built from rows: for curvature(), and on the error path, where a slice
+that fails the positive-definite test builds its dense g to name the
+point.  The full Riemann tensor is dense algebra, built only for
+single-point queries (curvature()).
 
 Index conventions, fixed here once:
 
@@ -415,8 +415,9 @@ class CurvatureBatch:
 
 
 class _Samples(NamedTuple):
-    """What an evaluation scope keeps beside its batches: sample points,
+    """What an evaluation scope keeps: curvature batches, sample points,
     one jet tape per chart, and each scalar field's jet rows, read-only."""
+    batches: dict  # (metric, points.shape, points bytes) -> CurvatureBatch
     points: dict   # sample key -> read-only points
     inside: dict   # id of kept points -> the charts whose boxes they passed
     keys: dict     # id of kept points -> their (shape, bytes), for _scope_key
@@ -425,9 +426,7 @@ class _Samples(NamedTuple):
     traces: dict   # (phi, metric, id of kept points) -> _field_jets' lap and |dphi|^2
 
 
-# (metric, points.shape, points bytes) -> CurvatureBatch, while a scope is open
-_SCOPE: ContextVar[dict | None] = ContextVar("confprod_evaluation_scope", default=None)
-_SAMPLES: ContextVar[_Samples | None] = ContextVar("confprod_scope_samples", default=None)
+_SAMPLES: ContextVar[_Samples | None] = ContextVar("confprod_evaluation_scope", default=None)
 
 
 @contextmanager
@@ -435,7 +434,7 @@ def evaluation_scope():
     """Share curvature batches, sample points and jets between the checks of one run.
 
     Inside the scope, curvature_batch returns the batch it already computed
-    for the same metric at the same points, and the field helpers take the
+    for the same metric at the same points, and _field_jets takes the
     inverse metric from it.  The key is the metric itself, so the direct
     route (rescaled metric) and the formula route (base metric) never read
     each other's entries.  Sample points are kept apart from the batches
@@ -450,17 +449,16 @@ def evaluation_scope():
     outer one's; the outermost scope drops all of it when it closes.  Kept
     arrays are read-only.  Yields the mapping from keys to batches.
     """
-    kept = _SCOPE.get()
+    kept = _SAMPLES.get()
     if kept is not None:
-        yield kept
+        yield kept.batches
         return
-    token = _SCOPE.set({})
-    samples = _SAMPLES.set(_Samples({}, {}, {}, {}, {}, {}))
+    kept = _Samples({}, {}, {}, {}, {}, {}, {})
+    token = _SAMPLES.set(kept)
     try:
-        yield _SCOPE.get()
+        yield kept.batches
     finally:
-        _SAMPLES.reset(samples)
-        _SCOPE.reset(token)
+        _SAMPLES.reset(token)
 
 
 def scoped_points(key, compute: Callable[[], np.ndarray]) -> np.ndarray:
@@ -896,13 +894,13 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
 
 def curvature_batch(metric: MetricSpec, points) -> CurvatureBatch:
     pts = _as_points(metric.chart, points)
-    kept = _SCOPE.get()
-    if kept is None:
+    samples = _SAMPLES.get()
+    if samples is None:
         return _compute_batch(metric, pts)
     key = _scope_key(metric, pts)
-    batch = kept.get(key)
+    batch = samples.batches.get(key)
     if batch is None:
-        batch = kept[key] = _compute_batch(metric, pts)
+        batch = samples.batches[key] = _compute_batch(metric, pts)
         for array in (batch.g.rows, batch.ginv.rows, batch.christoffel.rows, batch.ricci.rows,
                       batch.scalar):
             array.flags.writeable = False
@@ -990,18 +988,3 @@ def _field_jets(phi: Expr, metric: MetricSpec, pts: np.ndarray):
                 array.flags.writeable = False
             samples.traces[key] = traces
     return (grad, hess, *traces)
-
-
-def hessian_lc_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
-    """Covariant hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
-    return _field_jets(phi, metric, _as_points(metric.chart, points))[1]
-
-
-def laplacian_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
-    """Geometer's Laplacian: minus the metric trace of the covariant hessian."""
-    return _field_jets(phi, metric, _as_points(metric.chart, points))[2]
-
-
-def grad_norm_sq_batch(phi: Expr, metric: MetricSpec, points) -> np.ndarray:
-    """|d phi|^2 = g^ij d_i phi d_j phi."""
-    return _field_jets(phi, metric, _as_points(metric.chart, points))[3]

@@ -56,11 +56,8 @@ def test_criterion_1_space_form_curvature():
 
 
 def test_criterion_2_conformal_route_agreement():
-    from confprod.constructions import (
-        as_metric,
-        conformal_ricci_formula,
-        conformal_scalar_formula,
-    )
+    from confprod.constructions import as_metric, conformal_ricci_formula
+    from formulas import conformal_scalar_formula
 
     worst = 0.0
     for tag, spec in conformal_route_pairs():

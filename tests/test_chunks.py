@@ -26,9 +26,8 @@ from confprod.geometry import (
     Chart,
     MetricSpec,
     curvature_batch,
-    grad_norm_sq_batch,
-    laplacian_batch,
 )
+from formulas import field_jets
 from instances import conformal_route_pairs, random_dense_metric
 
 FIELDS = tuple(f.name for f in dataclasses.fields(geometry.CurvatureBatch))
@@ -68,8 +67,7 @@ def _traces(inputs, budget, monkeypatch):
     for metric, points in inputs:
         phi = parse(" * ".join(f"cos(0.3 * {c})" for c in metric.chart.coords),
                     metric.chart.coords)
-        out.append(np.concatenate([laplacian_batch(phi, metric, points),
-                                   grad_norm_sq_batch(phi, metric, points)]))
+        out.append(np.concatenate(field_jets(phi, metric, points)[2:]))
     return out
 
 

@@ -1,9 +1,9 @@
 """tools/compare_reports.py: reports compared byte for byte, the timestamp
-excepted, each moved leaf of a report listed, with each tree's src/ lines,
-computed batches, jet-tape rows, tape registers, kept batch bytes,
-contraction products, MetricSpec constructions, field programs, field tape
-passes, symbolic programs, their table rows, symbolic derivative calls and
-dense scratch bytes counted, and a closing summary of the moves."""
+excepted, each moved leaf of a report listed, with each tree's src/ and
+tests/ lines, computed batches, jet-tape rows, tape registers, kept batch
+bytes, contraction products, MetricSpec constructions, field programs,
+field tape passes, symbolic programs, their table rows, symbolic derivative
+calls and dense scratch bytes counted, and a closing summary of the moves."""
 
 import importlib.util
 import json
@@ -51,8 +51,9 @@ def test_a_tree_matches_itself(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "identical" in out and "catalog_2k: computed batches" in out
-    lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
-    assert out.startswith(f"src/ lines: {lines} -> {lines}\n")
+    src, tests = (sum(len(p.read_text().splitlines()) for p in (ROOT / where).rglob("*.py"))
+                  for where in ("src", "tests"))
+    assert out.startswith(f"src/ lines: {src} -> {src}, tests/ lines: {tests} -> {tests}\n")
     # each jet tape holds each distinct expression once; one row per slot,
     # as before the tapes were deduplicated, gave 115 rows here; the kept
     # batches held 24 816 bytes with dense g, ginv and ricci; with each check

@@ -8,10 +8,8 @@ from confprod.constructions import (
     block_metric,
     DoublyTwistedSpec,
     WarpedSpec,
-    conformal_connection,
     conformal_metric,
     conformal_ricci_formula,
-    conformal_scalar_formula,
     doubly_twisted_metric,
     joint_chart,
     joint_sum,
@@ -25,6 +23,7 @@ from confprod.constructions import (
 from confprod.errors import DomainError, NonPositiveConformalFactorError, UnsupportedDimError
 from confprod.expressions import ONE, Const, parse, powc, rename_coords
 from confprod.geometry import Chart, MetricSpec, _riemann, combine, curvature_batch, metric_values
+from formulas import conformal_connection, conformal_scalar_formula
 from instances import conformal_route_pairs
 
 PLAN = SamplePlan(count=40)

@@ -46,9 +46,6 @@ from confprod.geometry import (
     _metric_plan,
     _slot_rows,
     curvature_batch,
-    grad_norm_sq_batch,
-    hessian_lc_batch,
-    laplacian_batch,
 )
 from dense_reference import (
     check_positive_definite,
@@ -57,6 +54,7 @@ from dense_reference import (
     reference_batch,
     scalar,
 )
+from formulas import field_jets
 from instances import conformal_route_pairs, random_dense_metric
 from symbolic import differentiate
 
@@ -160,7 +158,7 @@ def test_hessian_from_christoffel_rows_matches_the_dense_contraction(inputs):
         phi = _field(metric.chart.coords)
         _, grad, hess = _field_plan(phi, metric.chart.coords).jets(points)
         want = hess - np.einsum("nkij,nk->nij", reference_batch(metric, points)["gamma"], grad)
-        got = hessian_lc_batch(phi, metric, points)
+        got = field_jets(phi, metric, points)[1]
         scale = max(1.0, float(np.abs(want).max()))
         assert float(np.abs(got - want).max()) <= 1e-13 * scale, metric.chart.coords
         assert np.array_equal(got, got.swapaxes(1, 2))
@@ -186,7 +184,7 @@ def _assert_close(got, want, terms, tag):
 
 def _assert_traces_match(phi, metric, points, got):
     ginv = curvature_batch(metric, points).ginv.dense(metric.dim)
-    hess = hessian_lc_batch(phi, metric, points)
+    hess = field_jets(phi, metric, points)[1]
     _, grad, _ = _field_plan(phi, metric.chart.coords).jets(points)
     terms = field_traces(np.abs(ginv), -np.abs(hess), np.abs(grad))
     for value, want, size in zip(got, field_traces(ginv, hess, grad), terms):
@@ -214,8 +212,7 @@ def test_field_traces_match_the_dense_einsums_off_the_diagonal():
     # the catalog's g^-1 are diagonal; these metrics couple coordinates
     for metric, points in _route_pair_inputs() + _special_inputs():
         phi = _field(metric.chart.coords)
-        _assert_traces_match(phi, metric, points, (laplacian_batch(phi, metric, points),
-                                                   grad_norm_sq_batch(phi, metric, points)))
+        _assert_traces_match(phi, metric, points, field_jets(phi, metric, points)[2:])
 
 
 def test_a_passing_batch_and_the_field_traces_build_no_dense_array(monkeypatch):
@@ -233,9 +230,7 @@ def test_a_passing_batch_and_the_field_traces_build_no_dense_array(monkeypatch):
     for metric, points in _route_pair_inputs() + _special_inputs():
         phi = _field(metric.chart.coords)
         curvature_batch(metric, points)
-        laplacian_batch(phi, metric, points)
-        grad_norm_sq_batch(phi, metric, points)
-        hessian_lc_batch(phi, metric, points)
+        field_jets(phi, metric, points)
     # nor does any check of the catalog: every tensor residual is summed on rows
     for name in scenarios():
         assert run_scenario(name, plan=SamplePlan(count=12)).matched, name
@@ -252,7 +247,7 @@ def test_combine_is_the_dense_sum_bit_for_bit(inputs):
     # sign, and under a mask on the masked entries alone
     for metric, points in inputs():
         n, batch = metric.dim, curvature_batch(metric, points)
-        hess = hessian_lc_batch(_field(metric.chart.coords), metric, points)
+        hess = field_jets(_field(metric.chart.coords), metric, points)[1]
         ricci, g = batch.ricci, batch.g.scaled(-0.7)
         dense_sum = batch.ricci.dense(n) + hess - 0.7 * batch.g.dense(n)
         i, j = np.divmod(np.arange(n * n), n)

@@ -13,12 +13,10 @@ from confprod.geometry import (
     _riemann,
     curvature,
     curvature_batch,
-    grad_norm_sq_batch,
-    hessian_lc_batch,
-    laplacian_batch,
     metric_values,
 )
 import fd_reference as fd
+from formulas import field_jets
 
 
 def mk(coords, domain, rows, margin=0.1):
@@ -152,24 +150,22 @@ def test_flat_quadratic_hessian_and_laplacian():
            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], margin=0.0)
     phi = parse("0.5 * (x1^2 + x2^2 + x3^2)", coords)
     pts = np.array([[0.3, -0.4, 1.0], [1.1, 0.2, -0.9]])
-    hess = hessian_lc_batch(phi, m, pts)
+    _, hess, lap, gns = field_jets(phi, m, pts)
     assert np.allclose(hess, np.eye(3)[None], atol=1e-12)
     # positive laplacian convention: minus the metric trace of the hessian
-    assert np.allclose(laplacian_batch(phi, m, pts), -3.0, atol=1e-12)
-    assert np.allclose(grad_norm_sq_batch(phi, m, pts), (pts**2).sum(axis=1), atol=1e-12)
+    assert np.allclose(lap, -3.0, atol=1e-12)
+    assert np.allclose(gns, (pts**2).sum(axis=1), atol=1e-12)
 
 
 def test_sphere_height_function_hessian():
     phi = parse("cos(u1)", SPHERE2.chart.coords)
     pts = np.array([[0.7, 1.0], [2.0, 5.5], [1.4, 3.0]])
-    hess = hessian_lc_batch(phi, SPHERE2, pts)
+    _, hess, lap, gns = field_jets(phi, SPHERE2, pts)
     g = metric_values(SPHERE2, pts)
     want = -np.cos(pts[:, 0])[:, None, None] * g
     assert float(np.abs(hess - want).max()) < 1e-10
-    lap = laplacian_batch(phi, SPHERE2, pts)
     assert np.allclose(lap, 2.0 * np.cos(pts[:, 0]), atol=1e-10)
-    assert np.allclose(grad_norm_sq_batch(phi, SPHERE2, pts),
-                       np.sin(pts[:, 0]) ** 2, atol=1e-10)
+    assert np.allclose(gns, np.sin(pts[:, 0]) ** 2, atol=1e-10)
 
 
 # --- validation -------------------------------------------------------------

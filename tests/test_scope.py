@@ -6,7 +6,6 @@ must still never read each other's batches, and a run's report must not
 depend on whether the scope shares anything.
 """
 
-import contextlib
 import dataclasses
 import functools
 import gc
@@ -21,7 +20,6 @@ from confprod.catalog import builtin_metric, run_inline, run_scenario, scenarios
 from confprod.checkers import SamplePlan, conformally_einstein_check, sample
 from confprod.constructions import (
     ConformalSpec,
-    conformal_connection,
     conformal_metric,
     conformal_ricci_formula,
     joint_sum,
@@ -38,10 +36,8 @@ from confprod.geometry import (
     curvature_batch,
     evaluation_scope,
     expr_values,
-    grad_norm_sq_batch,
-    hessian_lc_batch,
-    laplacian_batch,
 )
+from formulas import field_jets
 from instances import conformal_route_pairs
 
 PLAN = SamplePlan(count=24)
@@ -127,26 +123,25 @@ def test_scope_keeps_one_batch_per_metric_and_points():
         assert not any(a.flags.writeable for t in tensors for a in t)
         assert not first.scalar.flags.writeable
         assert pts.flags.writeable    # the caller's points stay the caller's
-    assert geometry._SCOPE.get() is None
+    assert geometry._SAMPLES.get() is None
     assert curvature_batch(m, pts) is not first
 
 
 def test_field_helpers_agree_inside_and_outside_a_scope():
     # on the non-diagonal skew base, the helpers once inverted g themselves
     # outside a scope: at 200 points the raised gradient differed by 5.6e-17 and
-    # grad_norm_sq_batch by 5.4e-20
+    # |dphi|^2 by 5.4e-20
     hyperbolic = builtin_metric("hyperbolic", 3)
     skew = dict(conformal_route_pairs())["skew"]
     for m, phi, plan in (
             (hyperbolic, parse("cosh(t) + 0.2 * sin(v1)", hyperbolic.chart.coords), PLAN),
             (skew.base, skew.phi, SamplePlan(count=200))):
         pts = sample(m.chart, plan)
-        helpers = (laplacian_batch, grad_norm_sq_batch)
-        plain = [h(phi, m, pts) for h in helpers]
+        plain = field_jets(phi, m, pts)[2:]
         with evaluation_scope():
             curvature_batch(m, pts)
-            for h, want in zip(helpers, plain):
-                assert np.array_equal(h(phi, m, pts), want), (m.chart.coords, h.__name__)
+            for name, got, want in zip(("lap", "|dphi|^2"), field_jets(phi, m, pts)[2:], plain):
+                assert np.array_equal(got, want), (m.chart.coords, name)
 
 
 def _clear_plan_caches():
@@ -170,7 +165,7 @@ def test_tapes_and_kept_rows_are_dropped_with_the_outermost_scope(monkeypatch):
     with evaluation_scope():
         with evaluation_scope():
             pts = sample(m.chart, PLAN)
-            laplacian_batch(spec.phi, m, pts)
+            field_jets(spec.phi, m, pts)
             samples = geometry._SAMPLES.get()
             assert set(samples.tapes) == {m.chart.coords} and len(made) == 1
             kept = [weakref.ref(rows) for rows in samples.rows.values()]
@@ -188,18 +183,18 @@ def test_tapes_and_kept_rows_are_dropped_with_the_outermost_scope(monkeypatch):
     # compiled program holds on to, and no rows are kept
     made.clear()
     _clear_plan_caches()
-    first = laplacian_batch(spec.phi, m, pts)
+    first = field_jets(spec.phi, m, pts)[2]
     assert len(made) == 2 and first.flags.writeable    # phi's jets and the metric's
     gc.collect()
     assert all(ref() is None for ref in made)
-    assert laplacian_batch(spec.phi, m, pts) is not first and len(made) == 2
+    assert field_jets(spec.phi, m, pts)[2] is not first and len(made) == 2
 
 
 def test_helpers_hand_out_fresh_or_read_only_arrays():
     m = builtin_metric("hyperbolic", 3)
     phi = parse("cosh(t) + 0.2 * sin(v1) * t", m.chart.coords)
     helpers = {
-        "hessian_lc_batch": lambda pts: hessian_lc_batch(phi, m, pts),
+        "covariant hessian": lambda pts: field_jets(phi, m, pts)[1],
         "coordinate_hessian_batch": lambda pts: coordinate_hessian_batch(phi, m.chart, pts),
         "expr_values": lambda pts: expr_values(phi, m.chart, pts),
     }
@@ -211,7 +206,7 @@ def test_helpers_hand_out_fresh_or_read_only_arrays():
             first[...] = np.nan    # a caller may write into what it was handed
             assert np.array_equal(helper(pts), want), name
         # the traces are the kept rows themselves, so they are read-only
-        for trace in (laplacian_batch(phi, m, pts), grad_norm_sq_batch(phi, m, pts)):
+        for trace in field_jets(phi, m, pts)[2:]:
             assert not trace.flags.writeable
         samples = geometry._SAMPLES.get()
         kept = [rows for rows in samples.rows.values()]
@@ -280,13 +275,13 @@ def test_scope_checks_kept_points_against_each_chart():
             # a kept sample, a copy of it and user input: each checked on this chart
             for points in (pts, pts.copy(), np.array([[0.25, -0.25], [0.75, 0.1]])):
                 with pytest.raises(OutsideDomainError) as err:
-                    laplacian_batch(phi, narrow, points)
+                    field_jets(phi, narrow, points)
                 assert str(err.value).endswith(
                     f"outside open box {narrow.chart.domain}"), str(err.value)
-            laplacian_batch(phi, wide, pts)
+            field_jets(phi, wide, pts)
         assert geometry._SAMPLES.get().inside[id(pts)] == {wide.chart}
         with pytest.raises(OutsideDomainError) as err:
-            laplacian_batch(phi, wide, np.array([[0.0, 0.5], [3.0, 0.25]]))
+            field_jets(phi, wide, np.array([[0.0, 0.5], [3.0, 0.25]]))
         assert str(err.value) == "point (3.0, 0.25) outside open box ((-2.0, 2.0), (-2.0, 2.0))"
 
 
@@ -330,10 +325,24 @@ def _report_text(rep) -> str:
     return json.dumps(rep.to_dict(), sort_keys=True)
 
 
+class _NoScope:
+    """Stands in for geometry's one scope variable: every scope, the run's
+    and each check's own, opens and closes, and nothing is ever kept."""
+
+    def get(self):
+        return None
+
+    def set(self, value):
+        return None
+
+    def reset(self, token):
+        pass
+
+
 @pytest.mark.parametrize("name", sorted(scenarios()))
 def test_scenario_report_is_identical_without_the_scope(name, monkeypatch):
     shared = _report_text(run_scenario(name, plan=PLAN))
-    monkeypatch.setattr(catalog, "evaluation_scope", contextlib.nullcontext)
+    monkeypatch.setattr(geometry, "_SAMPLES", _NoScope())
     assert _report_text(run_scenario(name, plan=PLAN)) == shared
 
 
@@ -346,7 +355,7 @@ def test_inline_report_is_identical_without_the_scope(monkeypatch):
             phi2=parse("0.5 * (x1^2 + x2^2) + 0.25", g2.chart.coords), plan=PLAN))
 
     shared = run()
-    monkeypatch.setattr(catalog, "evaluation_scope", contextlib.nullcontext)
+    monkeypatch.setattr(geometry, "_SAMPLES", _NoScope())
     assert run() == shared
 
 
@@ -438,18 +447,29 @@ def test_summand_values_are_evaluated_once_per_factor(monkeypatch):
     assert phi2_runs[0].shape == (PLAN.count, inst.g2.dim)
 
 
-def test_conformal_connection_runs_one_jet_pass(monkeypatch):
-    skew = dict(conformal_route_pairs())["skew"]
-    pts = sample(skew.base.chart, PLAN)
+def test_the_library_example_computes_each_batch_and_field_once(monkeypatch):
+    # README's "Library use" example, outside any scope of the caller's
+    block = product(builtin_metric("euclidean", 2), builtin_metric("euclidean", 2))
+    phi = parse("0.5*(f0.x1^2 + f0.x2^2 + f1.x1^2 + f1.x2^2) + 0.25",
+                block.metric.chart.coords)
+    computed = []
+    compute = geometry._compute_batch
+
+    def recording(metric, pts):
+        computed.append(metric)
+        return compute(metric, pts)
+
+    monkeypatch.setattr(geometry, "_compute_batch", recording)
     runs = _tape_evaluations(monkeypatch)
-    conformal_connection(skew, 0, 1, pts)
-    # d phi, raised with the batch's g^-1, comes from one jet pass; raising
-    # it through a helper of its own ran a second one.  Outside a scope no
-    # field rows are kept, so require_positive_factor's values are a pass of
-    # their own: 2.  While a field had a value program apart from its jets,
-    # this counted gradient and jet passes alone and read 1, beside one
-    # value pass
-    assert _field_tape_passes(runs) == 2
+    report = conformally_einstein_check(ConformalSpec(block.metric, phi), SamplePlan(count=120))
+    assert report.verdict and abs(report.details["lambda_bar"] - 1.5) < 1e-12
+    # the check opens a scope of its own: one batch each for the rescaled
+    # and the base metric, and one jet pass of phi that the positivity test
+    # and the formula route share.  Without it, the formula route computed
+    # the base metric's batch a second time for phi's Hessian, and each
+    # reader of phi ran its program: 3 batches and 3 passes
+    assert computed == [conformal_metric(ConformalSpec(block.metric, phi)), block.metric]
+    assert _field_tape_passes(runs) == 1
 
 
 def test_custom_labels_compute_the_same_batches(monkeypatch):

@@ -13,8 +13,9 @@ is, with a moved `verdict`, `matched` or `expected` flagged MOVED; any other
 file that differs, or a report whose leaves all hold but whose text moved,
 is printed as a unified diff.  The workload inputs come
 from this checkout's perfbench/, which is only imported.  Each tree's `src/`
-line count (newlines in its `.py` files, as `wc -l` counts them) is printed
-first, then twelve counts per run for each tree:
+and `tests/` line counts (newlines in their `.py` files, as `wc -l` counts
+them) are printed first, side by side, so code moved from the library to the
+tests shows as a move; then twelve counts per run for each tree:
 
 - computed batches: calls of geometry._compute_batch, scope hits excluded;
 - jet-tape rows: the rows of every jet plan's second-order (jet) program,
@@ -210,9 +211,9 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     (Path(out) / "counts.json").write_text(json.dumps(counts))
 
 
-def src_lines(tree: str | Path) -> int:
-    """Lines of the Python files under the tree's src/."""
-    return sum(p.read_bytes().count(b"\n") for p in (Path(tree) / "src").rglob("*.py"))
+def py_lines(tree: str | Path, where: str) -> int:
+    """Lines of the Python files under the tree's directory `where`."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(tree) / where).rglob("*.py"))
 
 
 def _deterministic(path: Path) -> list[str]:
@@ -303,7 +304,8 @@ def main(argv: list[str] | None = None) -> int:
         _run_tree(*args.run_tree, seeds[0], args.size)
         return 0
 
-    print(f"src/ lines: {src_lines(args.old)} -> {src_lines(args.new)}")
+    print(", ".join(f"{where}/ lines: {py_lines(args.old, where)} -> {py_lines(args.new, where)}"
+                    for where in ("src", "tests")))
     differing, tally = 0, new_tally()
     with tempfile.TemporaryDirectory() as scratch:
         for seed in seeds:
