@@ -349,7 +349,7 @@ def _run_twisted(inst: TwistedInstance, plan: SamplePlan, tolerance: float):
     # g's rows come from the batch einstein_check reads, which passed the
     # positive-definite test
     batch = curvature_batch(g, pts)
-    delta = _entry_sup(g.dim, batch.g, -metric_values(rebuilt, pts))
+    delta = _entry_sup(g.dim, batch.g, metric_values(rebuilt, pts).scaled(-1.0))
     identity = _residual("twisted_identity", delta, pts, 1e-12)
 
     est = einstein_check(g, plan, tolerance).named("direct_einstein", inst.expect_einstein)

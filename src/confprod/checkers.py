@@ -206,9 +206,9 @@ def _bound(name: str, value: float, tolerance: float) -> Check:
 
 def _entry_sup(n: int, *terms, unheld: float = 0.0, keep=None) -> np.ndarray:
     """Per-point sup over the entries of a sum of symmetric n x n tensors,
-    each a Rows or a dense array (geometry.combine, with its terms and
-    keep).  An entry that no term holds reads |unheld|: an exact zero, or
-    nan for a non-finite lambda in lambda g."""
+    each a Rows (geometry.combine, with its terms and keep).  An entry that
+    no term holds reads |unheld|: an exact zero, or nan for a non-finite
+    lambda in lambda g."""
     rows, slots = combine(n, *terms, keep=keep)
     initial = 0.0 if len(slots) == n * (n + 1) // 2 else abs(unheld)
     return np.abs(rows).max(axis=0, initial=initial)
@@ -324,7 +324,7 @@ def mixed_ricci_flat_check(b: BlockMetricSpec, phi: Expr, plan: SamplePlan,
         return second[i] != second[j]
 
     hess, slots = combine(n, coordinate_hessian_batch(phi, joint.chart, pts), keep=cross)
-    per_point = np.abs(hess).max(axis=0)
+    per_point = np.abs(hess).max(axis=0, initial=0.0)    # phi may have no cross partial
     details: dict[str, float] = {}
     if n >= 3:
         spec = ConformalSpec(b, phi)
@@ -431,9 +431,9 @@ def summand_laplacian_fit(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
     pts2 = sample(g2.chart, plan)
     v1 = expr_values(phi1, g1.chart, pts1)
     v2 = expr_values(phi2, g2.chart, pts2)
-    _, _, lap1, gns1 = _field_jets(phi1, g1, pts1)
+    _, lap1, gns1 = _field_jets(phi1, g1, pts1)
     a1, b1, res1 = _affine_fit(v1, lap1)
-    _, _, lap2, gns2 = _field_jets(phi2, g2, pts2)
+    _, lap2, gns2 = _field_jets(phi2, g2, pts2)
     a2, b2, res2 = _affine_fit(v2, lap2)
 
     c1_spread, c1 = _spread(
@@ -488,11 +488,11 @@ def warped_einstein_check(w: WarpedSpec, plan: SamplePlan,
     if (f <= 0.0).any():
         k = int(np.argmin(f))
         raise NonPositiveConformalFactorError(pts[k], f[k])
-    _, hess, lap, gns = _field_jets(w.warp, w.base, pts)
+    hess, lap, gns = _field_jets(w.warp, w.base, pts)
     scalar_eq = f * lap - (p - 1) * gns + lambda_fiber - lambda_bar * f**2
 
     base = curvature_batch(w.base, pts)
-    base_eq = _entry_sup(w.base.dim, base.ricci.scaled(f**2), -p * f[:, None, None] * hess,
+    base_eq = _entry_sup(w.base.dim, base.ricci.scaled(f**2), hess.scaled(-p * f),
                          base.g.scaled(-lambda_bar * f**2))
 
     report = Check("warped_einstein",
@@ -542,8 +542,8 @@ def summand_hessian_check(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
     v2 = expr_values(phi2, g2.chart, pts2)
     batch1 = curvature_batch(g1, pts1)
     batch2 = curvature_batch(g2, pts2)
-    _, h1, lap1, gns1 = _field_jets(phi1, g1, pts1)
-    _, h2, _, gns2 = _field_jets(phi2, g2, pts2)
+    h1, lap1, gns1 = _field_jets(phi1, g1, pts1)
+    h2, _, gns2 = _field_jets(phi2, g2, pts2)
 
     trace1 = -lap1 / n1
     prop1 = _residual("proportionality_1", _entry_sup(n1, h1, batch1.g.scaled(-trace1)),
@@ -624,7 +624,7 @@ def factor_hessian_check(block: BlockMetricSpec, phi1: Expr, phi2: Expr,
     pts = sample(block.metric.chart, plan)
     phival = require_positive_factor(ConformalSpec(block, phi), pts)
     batch = curvature_batch(block.metric, pts)
-    _, hess, lap, gns = _field_jets(phi, block.metric, pts)
+    hess, lap, gns = _field_jets(phi, block.metric, pts)
     coef = (lambda_bar / phival - lambda_1 * phival + lap
             + (n - 1) * gns / phival) / (n - 2)
     first = _entry_sup(n, hess, batch.g.scaled(-coef), keep=lambda i, j: j < n1)

@@ -84,12 +84,17 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     return out
 
 
+def _number(value, kind=float):
+    """kind(value); a JSON boolean would read as 0 or 1, so it raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"needs a number, got {value!r}")
+    return kind(value)
+
+
 def _config_number(config: dict, key: str, default, kind=float):
     value = config.get(key, default)
     try:
-        if isinstance(value, bool):  # JSON true would read as 1
-            raise TypeError
-        number = kind(value)
+        number = _number(value, kind)
     except (TypeError, ValueError, OverflowError):
         raise BadParameterError(f"config '{key}' needs a number, got {value!r}") from None
     if kind is int and isinstance(value, float) and number != value:  # int() truncates
@@ -115,11 +120,13 @@ def _listed(value):
 def _metric_from_config(obj: dict, which: str) -> MetricSpec:
     key = "coords"
     try:
-        coords = tuple(str(c) for c in _listed(obj[key]))
+        coords = tuple(_listed(obj[key]))
+        if not all(isinstance(c, str) for c in coords):    # no expression can name `1`
+            raise TypeError(f"needs names, got {list(coords)!r}")
         key = "domain"
-        domain = tuple((float(lo), float(hi)) for lo, hi in map(_listed, _listed(obj[key])))
+        domain = tuple((_number(lo), _number(hi)) for lo, hi in map(_listed, _listed(obj[key])))
         key = "margin"
-        margin = float(obj.get(key, 0.0))
+        margin = _number(obj.get(key, 0.0))
         key = "entries"
         rows = tuple(tuple(str(text) for text in _listed(row)) for row in _listed(obj[key]))
     except KeyError:

@@ -229,9 +229,10 @@ def conformal_ricci_formula(c: ConformalSpec, points, lambda_bar: float = 0.0) -
     pts = _as_points(base.chart, points)
     phi = require_positive_factor(c, pts)
     batch = curvature_batch(base, pts)
-    _, hess, lap, gns = _field_jets(c.phi, base, pts)
+    hess, lap, gns = _field_jets(c.phi, base, pts)
     coef = lambda_bar / phi**2 + lap / phi + (n - 1) * gns / phi**2
-    return combine(n, batch.ricci, (n - 2) * hess / phi[:, None, None], batch.g.scaled(-coef))
+    return combine(n, batch.ricci, Rows((n - 2) * hess.rows / phi, hess.slots),
+                   batch.g.scaled(-coef))
 
 
 # --- warped and twisted products --------------------------------------------

@@ -12,14 +12,13 @@ metric g1 + g2 needs no split: its cross-factor slots are structural zeros,
 so no product reads them and g is inverted one diagonal block at a time.
 A batch keeps g, g^-1, the Christoffel symbols and Ricci as that table's
 compact rows, one per canonical slot that can be non-zero, each tensor one
-Rows value.  The positive-definite test, the scalar curvature, the
-covariant Hessian and a field's Laplacian and |d phi|^2 read those rows
-directly, and the checks sum their tensor residuals on the rows (combine,
-which returns Rows too).  Rows.dense is the one place a dense array is
-built from rows: for curvature(), and on the error path, where a slice
-that fails the positive-definite test builds its dense g to name the
-point.  The full Riemann tensor is dense algebra, built only for
-single-point queries (curvature()).
+Rows value, as are a field's Hessian and a metric's values and d2g.  The
+positive-definite test, the scalar curvature, the covariant Hessian and a
+field's Laplacian and |d phi|^2 read rows, and the checks sum their tensor
+residuals on rows (combine takes and returns Rows only).  Rows.dense is
+the one place a dense array is built from rows: for curvature(), whose
+Riemann tensor is dense algebra for single-point queries, and on the error
+path, where a slice failing the positive-definite test names its point.
 
 Index conventions, fixed here once:
 
@@ -142,7 +141,7 @@ class CurvatureData:
 class _Program(NamedTuple):
     keys: tuple              # each tape row's key (expressions.Tape), in order of first slot
     fn: Callable             # the compiled tape
-    scatter: tuple           # per order 0, 1, 2: (tape rows, columns)
+    scatter: tuple           # per order 0, 1, 2: (tape rows, read-only columns)
 
 
 class _JetPlan:
@@ -159,14 +158,14 @@ class _JetPlan:
     Derivatives are exact, propagated forward on the tape with the values,
     and a derivative that folds to a zero constant is a structural +0.0.
     A plan has one program, its jets, built on the first call; values(),
-    gradients() and jets() scatter orders 0..k from its rows.  Inside an
-    evaluation scope the program records its steps on the scope's one tape
-    for its coordinates, so the plans of one chart derive each shared
-    node's registers once; outside one, on a tape of its own.  Either way
-    compile_expr gives the same program.  Each plan computes its own
-    values, and the output arrays are scattered fresh on every call; inside
-    a scope, a scalar field's tape rows at points the scope keeps are kept,
-    read-only, for its later calls there (see _run).
+    gradients() and jets() read orders 0..k from its rows, d_k d_l (k <= l)
+    as Rows.  Inside an evaluation scope the program records its steps on
+    the scope's one tape for its coordinates, so the plans of one chart
+    derive each shared node's registers once; outside one, on a tape of its
+    own.  Either way compile_expr gives the same program.  Each plan
+    computes its own values, and its outputs are formed fresh on every
+    call; inside a scope, a scalar field's tape rows at points the scope
+    keeps are kept, read-only, for its later calls there (see _run).
     """
 
     def __init__(self, shape: tuple[int, ...], entries, coords: tuple[str, ...]):
@@ -208,20 +207,18 @@ class _JetPlan:
             for k in sorted(d1):
                 put(1, d1[k], [p * n + k for p in places])
             for kl in sorted(d2):
-                k, l = divmod(kl, n)
-                columns = [p * n * n + kl for p in places]
-                if l != k:
-                    columns += [p * n * n + l * n + k for p in places]
-                put(2, d2[kl], columns)
+                put(2, d2[kl], [p * n * n + kl for p in places])
 
         fn = compile_expr(tape, outputs=list(rows))
-        return _Program(fn.keys, fn, tuple(
-            (np.array(tape_rows, dtype=np.intp), np.array(cols, dtype=np.intp))
-            for tape_rows, cols in scatter))
+        scatter = tuple((np.array(tape_rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+                        for tape_rows, cols in scatter)
+        for _, cols in scatter:
+            cols.flags.writeable = False    # the Hessian's Rows hand these out
+        return _Program(fn.keys, fn, scatter)
 
-    def _run(self, order: int, points: np.ndarray) -> list[np.ndarray]:
-        """The output arrays of orders 0..order, scattered fresh from the
-        jet program's tape rows.  Inside a scope, a scalar field's rows at
+    def _run(self, order: int, points: np.ndarray) -> list:
+        """The outputs of orders 0..order, fresh from the jet program's tape
+        rows, order 2 as Rows.  Inside a scope, a scalar field's rows at
         points the scope keeps are kept read-only, and every later call
         there reads them."""
         samples = _SAMPLES.get()
@@ -234,6 +231,9 @@ class _JetPlan:
         count, n = points.shape[0], len(self.coords)
         outs = []
         for k, (tape_rows, cols) in enumerate(self.jet_program.scatter[:order + 1]):
+            if k == 2:
+                outs.append(Rows(rows[tape_rows], cols))
+                continue
             out = np.zeros((count,) + self.shape + (n,) * k)
             out.reshape(count, -1)[:, cols] = rows[tape_rows].T    # +0.0 slots stay zero
             outs.append(out)
@@ -248,7 +248,7 @@ class _JetPlan:
         return self._run(1, points)[1]
 
     def jets(self, points: np.ndarray):
-        """(value, gradient, hessian); gradient[..., k] = d_k, hessian[..., k, l] = d_k d_l."""
+        """(value, gradient, hessian); gradient[..., k] = d_k, hessian Rows of d_k d_l."""
         return tuple(self._run(2, points))
 
 
@@ -317,16 +317,16 @@ def _partition(n: int, links) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(part) for part in parts.values())
 
 
-def metric_values(metric: MetricSpec, points) -> np.ndarray:
-    """g at the points, dense (count, n, n) and unchecked: curvature_batch
-    runs the positive-definite test.  The upper-triangle entries are
-    compiled as values alone, so no derivative is formed."""
+def metric_values(metric: MetricSpec, points) -> Rows:
+    """g at the points as Rows on every upper-triangle slot, unchecked:
+    curvature_batch runs the positive-definite test.  The upper-triangle
+    entries are compiled as values alone, so no derivative is formed."""
     pts, n = _as_points(metric.chart, points), metric.dim
     i, j = np.triu_indices(n)
-    g = np.empty((len(pts), n, n))
-    g[:, i, j] = g[:, j, i] = compile_expr(
-        [metric.entries[a][b] for a, b in zip(i, j)], metric.chart.coords)(pts).T
-    return g
+    slots = i * n + j
+    slots.flags.writeable = False
+    return Rows(compile_expr([metric.entries[a][b] for a, b in zip(i, j)],
+                             metric.chart.coords)(pts), slots)
 
 
 # --- curvature --------------------------------------------------------------
@@ -335,7 +335,7 @@ class Rows(NamedTuple):
     """A tensor symmetric in its last two indices, as compact rows: rows[r, p]
     is its value at point p on the flat slot slots[r] (last two indices in
     order) and on that slot's mirror, with those two swapped; every slot
-    with no row is an exact zero."""
+    with no row is an exact zero.  Every symmetric batch tensor takes this form."""
     rows: np.ndarray
     slots: np.ndarray
 
@@ -356,26 +356,21 @@ class Rows(NamedTuple):
 
 
 def combine(n: int, *terms, keep=None) -> Rows:
-    """The sum of symmetric n x n tensors as Rows, on the union of the
-    terms' canonical slots (i, j), only those where keep(i, j) holds when
-    it is given.  A term is a Rows or a dense (count, n, n) array, read on
-    those slots alone.  The terms are added in order to zeros, so each
-    entry has the bits of the dense sum (up to the sign of a zero); an entry
-    that no term holds is an exact zero and has no row."""
-    i, j = np.divmod(np.arange(n * n), n)
-    wanted = i <= j if keep is None else (i <= j) & keep(i, j)
+    """The sum of symmetric n x n tensors, each a Rows, as Rows on the union
+    of the terms' slots (i, j), i <= j, only those where keep(i, j) holds
+    when it is given.  The terms are added in order to zeros, so each entry
+    has the bits of the dense sum (up to the sign of a zero); an entry that
+    no term holds is an exact zero and has no row."""
+    wanted = None if keep is None else keep(*np.divmod(np.arange(n * n), n))
     held = np.zeros(n * n, dtype=bool)
     pairs = []
-    for term in terms:
-        if isinstance(term, np.ndarray):
-            slots = np.flatnonzero(wanted)
-            term = (term.reshape(len(term), -1)[:, slots].T, slots)
-        part, slots = term
-        if keep is not None:
+    for part, slots in terms:
+        if wanted is not None:
             part, slots = part[wanted[slots]], slots[wanted[slots]]
         held[slots] = True
         pairs.append((part, slots))
     slots = np.flatnonzero(held)
+    slots.flags.writeable = False
     rows = np.zeros((len(slots), pairs[0][0].shape[1]))
     for part, part_slots in pairs:
         rows[np.searchsorted(slots, part_slots)] += part
@@ -831,7 +826,6 @@ class _BatchPlan(NamedTuple):
     plan: _JetPlan
     program: _Contraction
     taped: int             # table rows 0, 1, ... are the tape rows the slots read
-    mirror: np.ndarray     # per Hessian output (i, j), i <= j: its flat slot (j, i)
 
 
 def _slot_rows(plan: _JetPlan) -> np.ndarray:
@@ -839,13 +833,15 @@ def _slot_rows(plan: _JetPlan) -> np.ndarray:
     gradient's and the Hessian's; -1 for a zero slot (one whose row is a
     constant zero of either sign, or none).  Slots that the plan writes from
     one tape row (paired entries, paired derivatives, equal expressions,
-    equal constants) read the same row."""
+    equal constants, a second derivative's (k, l) and (l, k)) read one row."""
     program, n = plan.jet_program, len(plan.coords)
     zero = np.array([_is_zero(key) for key in program.keys], dtype=bool)
     sizes = [math.prod(plan.shape) * n ** order for order in range(len(program.scatter))]
     rows = np.full(sum(sizes), -1, dtype=np.intp)
     for first, (tape_rows, cols) in zip(np.cumsum([0] + sizes[:-1]), program.scatter):
         rows[first + cols] = np.where(zero[tape_rows], -1, tape_rows)
+    hessian = rows[-sizes[2]:].reshape(-1, n, n)    # laid out for k <= l only
+    hessian[:] = np.maximum(hessian, hessian.swapaxes(1, 2))
     return rows
 
 
@@ -859,10 +855,7 @@ def _batch_plan(metric: MetricSpec) -> _BatchPlan:
     nonzero = source >= 0
     program = _contraction(n, np.packbits(nonzero).tobytes(),
                            source[nonzero].astype(np.int32).tobytes())
-    out = program.hessian[3]
-    mirror = out % n * n + out // n
-    mirror.flags.writeable = False
-    return _BatchPlan(plan, program, int(source.max(initial=-1)) + 1, mirror)
+    return _BatchPlan(plan, program, int(source.max(initial=-1)) + 1)
 
 
 def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
@@ -872,7 +865,7 @@ def _compute_batch(metric: MetricSpec, pts: np.ndarray) -> CurvatureBatch:
     table's rows, and only a failing slice builds a dense g.  Every point's
     values depend on that point alone."""
     count = pts.shape[0]
-    plan, program, taped, _ = _batch_plan(metric)
+    plan, program, taped = _batch_plan(metric)
     ginv_table, ricci_table, weights = program.scalar
     tensors = [np.empty((len(slots), count)) for slots, _ in program.fields]
     scalar = np.empty(count)
@@ -913,6 +906,7 @@ def _riemann(metric: MetricSpec, batch: CurvatureBatch) -> np.ndarray:
     n = metric.dim
     ginv, gamma = batch.ginv.dense(n), batch.christoffel.dense(n, 3)
     _, dg, d2g = _metric_plan(metric).jets(batch.points)
+    d2g = d2g.dense(n, 4)
     w = dg + dg.swapaxes(2, 3) - dg.transpose(0, 3, 1, 2)
     dginv = -np.einsum("nac,ncdm,ndb->nabm", ginv, dg, ginv)
     dw = (np.einsum("njlim->nlijm", d2g) + np.einsum("niljm->nlijm", d2g)
@@ -942,49 +936,47 @@ def curvature(metric: MetricSpec, point) -> CurvatureData:
 # --- scalar fields on a metric ----------------------------------------------
 
 def expr_values(e: Expr, chart: Chart, points) -> np.ndarray:
-    pts = _as_points(chart, points)
-    return _field_plan(e, chart.coords).values(pts)
+    return _field_plan(e, chart.coords).values(_as_points(chart, points))
 
 
-def coordinate_hessian_batch(e: Expr, chart: Chart, points) -> np.ndarray:
-    """Plain second partials d_i d_j e, shape (count, dim, dim); no connection."""
-    pts = _as_points(chart, points)
-    _, _, hess = _field_plan(e, chart.coords).jets(pts)
-    return hess
+def coordinate_hessian_batch(e: Expr, chart: Chart, points) -> Rows:
+    """Plain second partials d_i d_j e as Rows (slots i <= j); no connection."""
+    return _field_plan(e, chart.coords).jets(_as_points(chart, points))[2]
 
 
 def _field_jets(phi: Expr, metric: MetricSpec, pts: np.ndarray):
-    """(d phi, covariant Hessian, lap(phi), |d phi|^2) at the points, from
+    """(covariant Hessian as Rows, lap(phi), |d phi|^2) at the points, from
     one jet pass of phi and the metric's curvature batch.
 
-    The Hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi is formed
-    from the batch's Christoffel rows, for i <= j only, over column slices
-    whose product and gather buffers fit _CHUNK_BYTES, into the fresh
-    Hessian phi's plan hands out.  The two traces contract the batch's g^-1
-    rows with the Hessian's and d phi's canonical slots (_trace), so no
-    dense g^-1 is built.  Inside a scope, at points it keeps, the traces are
-    kept read-only per (phi, metric, points) and read by later calls.
+    The Hessian (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi combines
+    phi's Hessian rows with those of Gamma^k_ij d_k phi, formed from the
+    batch's Christoffel rows over column slices whose product and gather
+    buffers fit _CHUNK_BYTES.  The traces contract the batch's g^-1 rows
+    with the Hessian's on the slots both hold, and with d phi's (_trace),
+    so no dense array is built.  Inside a scope, at points it keeps, the
+    traces are kept read-only per (phi, metric, points) for later calls.
     """
     _, grad, hess = _field_plan(phi, metric.chart.coords).jets(pts)
     batch = curvature_batch(metric, pts)
-    _, program, _, mirror = _batch_plan(metric)
+    program = _batch_plan(metric).program
     a, k, starts, out = program.hessian
-    flat = hess.reshape(len(pts), -1)
+    connection = np.empty((len(out), len(pts)))    # -Gamma^k_ij d_k phi
     if len(a):
         step = max(1, _CHUNK_BYTES // (16 * len(a)))
         for start in range(0, len(pts), step):
             columns = slice(start, start + step)
             product = batch.christoffel.rows[a, columns] * grad[columns, k].T
-            flat[columns, out] -= np.add.reduceat(product, starts, axis=0).T
-        flat[:, mirror] = flat[:, out]
+            connection[:, columns] = -np.add.reduceat(product, starts, axis=0)
+    hess = combine(metric.dim, hess, Rows(connection, out))
     samples, key = _SAMPLES.get(), (phi, metric, id(pts))
     traces = None if samples is None else samples.traces.get(key)
     if traces is None:
         i, j, weights = program.ginv_pairs
-        traces = (-_trace(batch.ginv.rows, flat[:, batch.ginv.slots].T, weights),
+        _, g, h = np.intersect1d(batch.ginv.slots, hess.slots, return_indices=True)
+        traces = (-_trace(batch.ginv.rows[g], hess.rows[h], weights[g]),
                   _trace(batch.ginv.rows, grad.T[i] * grad.T[j], weights))
         if samples is not None and id(pts) in samples.keys:
             for array in traces:
                 array.flags.writeable = False
             samples.traces[key] = traces
-    return (grad, hess, *traces)
+    return (hess, *traces)

@@ -94,6 +94,7 @@ def ricci(ginv, dg, d2g, w, gamma) -> np.ndarray:
 def reference_batch(metric, points) -> dict[str, np.ndarray]:
     """ginv, gamma, ricci and scalar of the whole metric, densely."""
     g, dg, d2g = _metric_plan(metric).jets(points)
+    d2g = d2g.dense(metric.dim, 4)
     ginv, w, gamma = connection(g, dg)
     ric = ricci(ginv, dg, d2g, w, gamma)
     return {"ginv": ginv, "gamma": gamma, "ricci": ric,

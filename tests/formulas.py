@@ -16,7 +16,7 @@ from confprod.geometry import _as_points, _field_jets, _field_plan, curvature_ba
 
 
 def field_jets(phi, metric, points):
-    """(d phi, covariant Hessian, lap(phi), |d phi|^2) at the points.
+    """(covariant Hessian as Rows, lap(phi), |d phi|^2) at the points.
 
     (nabla d phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi; the Laplacian is
     the geometer's, minus the metric trace of the Hessian, and
@@ -31,7 +31,7 @@ def conformal_scalar_formula(c, points) -> np.ndarray:
     pts = _as_points(base.chart, points)
     phi = require_positive_factor(c, pts)
     scalar = curvature_batch(base, pts).scalar
-    _, _, lap, gns = _field_jets(c.phi, base, pts)
+    _, lap, gns = _field_jets(c.phi, base, pts)
     return phi**2 * scalar - 2 * (n - 1) * phi * lap - n * (n - 1) * gns
 
 

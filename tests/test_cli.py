@@ -471,6 +471,21 @@ def test_config_rejects_a_string_where_a_list_is_needed(tmp_path, capsys):
         assert code == 2 and message in err and out == "", message
 
 
+@pytest.mark.parametrize("factor,message", [
+    ({"domain": [[False, True]]}, "bad first factor 'domain': needs a number, got False"),
+    ({"margin": True}, "bad first factor 'margin': needs a number, got True"),
+    ({"coords": [1]}, "bad first factor 'coords': needs names, got [1]"),
+], ids=["boolean-bounds", "boolean-margin", "number-coordinate"])
+def test_config_rejects_booleans_and_non_names_in_a_factor(factor, message, tmp_path, capsys):
+    # a boolean would read as 0 or 1, and no expression can name a coordinate 1
+    path = _write(tmp_path, "factor.json", {
+        "factors": [{**INLINE_FACTORS[0], **factor}, INLINE_FACTORS[1]],
+        "phi1": "1 + 0.5 * x1^2", "phi2": "1 + 0.5 * x1^2", "samples": 60,
+    })
+    code, out, err = run(capsys, "check", "--config", path)
+    assert code == 2 and message in err and out == "", err
+
+
 @pytest.mark.parametrize("tol,message", [
     (float("nan"), "tolerance must be a finite positive number, got nan"),
     (-1.0, "tolerance must be a finite positive number, got -1.0"),

@@ -3,7 +3,8 @@ excepted, each moved leaf of a report listed, with each tree's src/ and
 tests/ lines, computed batches, jet-tape rows, tape registers, kept batch
 bytes, contraction products, MetricSpec constructions, field programs,
 field tape passes, symbolic programs, their table rows, symbolic derivative
-calls and dense scratch bytes counted, and a closing summary of the moves."""
+calls, dense scratch bytes and dense jet bytes counted, and a closing summary
+of the moves."""
 
 import importlib.util
 import json
@@ -77,14 +78,17 @@ def test_a_tree_matches_itself(capsys):
     # value, a gradient and a jet program apart, only the jet programs' 71
     # rows were counted, the fields had 14 programs, and their 14 tape passes
     # counted 5 gradient or jet passes ("field jet passes"); every plan's one
-    # program is now its jets
+    # program is now its jets.  While a field's Hessian was scattered dense,
+    # the run's jet plans handed out 20 480 dense jet bytes here; a Hessian
+    # is now Rows
     assert ("dim_sweep: computed batches 7 -> 7, jet-tape rows 85 -> 85, "
             "tape registers 183 -> 183, "
             "kept batch bytes 11768 -> 11768, contraction products 248 -> 248, "
             "MetricSpec constructions 8 -> 8, field programs 9 -> 9, "
             "field tape passes 9 -> 9, "
             "symbolic programs 6 -> 6, symbolic table rows 136 -> 136, "
-            "symbolic derivative calls 0 -> 0, dense scratch bytes 0 -> 0") in out
+            "symbolic derivative calls 0 -> 0, dense scratch bytes 0 -> 0, "
+            "dense jet bytes 0 -> 0") in out
     assert out.endswith("summary: 0 moved leaves, 0 verdict/matched/expected moves, "
                         "largest relative move of a constant 0\n")
 

@@ -178,7 +178,9 @@ def test_warped_metric_is_a_conformal_product():
     alt = conformal_metric(ConformalSpec(prod, phi))
 
     pts = sample(warped.chart, SamplePlan(count=30))
-    assert float(np.abs(metric_values(warped, pts) - metric_values(alt, pts)).max()) < 1e-12
+    n = warped.dim
+    assert float(np.abs(metric_values(warped, pts).dense(n)
+                        - metric_values(alt, pts).dense(n)).max()) < 1e-12
 
 
 def test_doubly_twisted_metric_factors_through_a_single_twist():
@@ -195,7 +197,9 @@ def test_doubly_twisted_metric_factors_through_a_single_twist():
     alt = scaled(twisted_metric(g1, ratio, g2), powc(b, 2.0))
 
     pts = sample(chart, SamplePlan(count=30))
-    assert float(np.abs(metric_values(direct, pts) - metric_values(alt, pts)).max()) < 1e-12
+    n = direct.dim
+    assert float(np.abs(metric_values(direct, pts).dense(n)
+                        - metric_values(alt, pts).dense(n)).max()) < 1e-12
 
 
 def test_twisted_metric_rejects_off_chart_function():
@@ -230,8 +234,8 @@ def test_scaled_by_a_constant_is_exact_and_homothety_invariant():
     k2 = 49.0
     homothetic = scaled(m, Const(k2))
     pts = _pts(m)
-    g0 = metric_values(m, pts)
-    g1 = metric_values(homothetic, pts)
+    g0 = metric_values(m, pts).dense(m.dim)
+    g1 = metric_values(homothetic, pts).dense(m.dim)
     assert np.array_equal(g1, k2 * g0)
     b0 = curvature_batch(m, pts)
     b1 = curvature_batch(homothetic, pts)
@@ -247,6 +251,6 @@ def test_scaled_by_a_function_values():
     factor = parse("exp(x1)", m.chart.coords)
     rescaled = scaled(m, powc(factor, 2.0))  # factor^2 g
     pts = _pts(m)
-    got = metric_values(rescaled, pts)
-    want = np.exp(2.0 * pts[:, 0])[:, None, None] * metric_values(m, pts)
+    got = metric_values(rescaled, pts).dense(m.dim)
+    want = np.exp(2.0 * pts[:, 0])[:, None, None] * metric_values(m, pts).dense(m.dim)
     assert float(np.abs(got - want).max()) < 1e-12

@@ -156,9 +156,11 @@ def _field(coords):
 def test_hessian_from_christoffel_rows_matches_the_dense_contraction(inputs):
     for metric, points in inputs():
         phi = _field(metric.chart.coords)
+        n = metric.dim
         _, grad, hess = _field_plan(phi, metric.chart.coords).jets(points)
-        want = hess - np.einsum("nkij,nk->nij", reference_batch(metric, points)["gamma"], grad)
-        got = field_jets(phi, metric, points)[1]
+        want = hess.dense(n) - np.einsum("nkij,nk->nij", reference_batch(metric, points)["gamma"],
+                                         grad)
+        got = field_jets(phi, metric, points)[0].dense(n)
         scale = max(1.0, float(np.abs(want).max()))
         assert float(np.abs(got - want).max()) <= 1e-13 * scale, metric.chart.coords
         assert np.array_equal(got, got.swapaxes(1, 2))
@@ -184,7 +186,7 @@ def _assert_close(got, want, terms, tag):
 
 def _assert_traces_match(phi, metric, points, got):
     ginv = curvature_batch(metric, points).ginv.dense(metric.dim)
-    hess = field_jets(phi, metric, points)[1]
+    hess = field_jets(phi, metric, points)[0].dense(metric.dim)
     _, grad, _ = _field_plan(phi, metric.chart.coords).jets(points)
     terms = field_traces(np.abs(ginv), -np.abs(hess), np.abs(grad))
     for value, want, size in zip(got, field_traces(ginv, hess, grad), terms):
@@ -212,7 +214,7 @@ def test_field_traces_match_the_dense_einsums_off_the_diagonal():
     # the catalog's g^-1 are diagonal; these metrics couple coordinates
     for metric, points in _route_pair_inputs() + _special_inputs():
         phi = _field(metric.chart.coords)
-        _assert_traces_match(phi, metric, points, field_jets(phi, metric, points)[2:])
+        _assert_traces_match(phi, metric, points, field_jets(phi, metric, points)[1:])
 
 
 def test_a_passing_batch_and_the_field_traces_build_no_dense_array(monkeypatch):
@@ -247,9 +249,9 @@ def test_combine_is_the_dense_sum_bit_for_bit(inputs):
     # sign, and under a mask on the masked entries alone
     for metric, points in inputs():
         n, batch = metric.dim, curvature_batch(metric, points)
-        hess = field_jets(_field(metric.chart.coords), metric, points)[1]
+        hess = field_jets(_field(metric.chart.coords), metric, points)[0]
         ricci, g = batch.ricci, batch.g.scaled(-0.7)
-        dense_sum = batch.ricci.dense(n) + hess - 0.7 * batch.g.dense(n)
+        dense_sum = batch.ricci.dense(n) + hess.dense(n) - 0.7 * batch.g.dense(n)
         i, j = np.divmod(np.arange(n * n), n)
         for terms, want, keep in (
                 ((ricci, hess, g), dense_sum, None),

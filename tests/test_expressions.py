@@ -163,6 +163,7 @@ def test_jet2_matches_symbolic_derivatives():
     e = parse("exp(x) * sin(y) + x^2 * y", XY)
     p = (0.4, -0.8)
     value, gradient, hessian = _field_plan(e, XY).jets(np.array([p]))
+    hessian = hessian.dense(2)
     env = dict(zip(XY, p))
     assert value[0] == pytest.approx(evaluate(e, env), rel=1e-12)
     for k, c in enumerate(XY):

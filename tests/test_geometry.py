@@ -10,13 +10,16 @@ from confprod.expressions import Const, parse
 from confprod.geometry import (
     Chart,
     MetricSpec,
+    Rows,
     _riemann,
+    coordinate_hessian_batch,
     curvature,
     curvature_batch,
     metric_values,
 )
 import fd_reference as fd
 from formulas import field_jets
+from instances import random_dense_metric
 
 
 def mk(coords, domain, rows, margin=0.1):
@@ -150,8 +153,8 @@ def test_flat_quadratic_hessian_and_laplacian():
            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], margin=0.0)
     phi = parse("0.5 * (x1^2 + x2^2 + x3^2)", coords)
     pts = np.array([[0.3, -0.4, 1.0], [1.1, 0.2, -0.9]])
-    _, hess, lap, gns = field_jets(phi, m, pts)
-    assert np.allclose(hess, np.eye(3)[None], atol=1e-12)
+    hess, lap, gns = field_jets(phi, m, pts)
+    assert np.allclose(hess.dense(3), np.eye(3)[None], atol=1e-12)
     # positive laplacian convention: minus the metric trace of the hessian
     assert np.allclose(lap, -3.0, atol=1e-12)
     assert np.allclose(gns, (pts**2).sum(axis=1), atol=1e-12)
@@ -160,12 +163,33 @@ def test_flat_quadratic_hessian_and_laplacian():
 def test_sphere_height_function_hessian():
     phi = parse("cos(u1)", SPHERE2.chart.coords)
     pts = np.array([[0.7, 1.0], [2.0, 5.5], [1.4, 3.0]])
-    _, hess, lap, gns = field_jets(phi, SPHERE2, pts)
-    g = metric_values(SPHERE2, pts)
+    hess, lap, gns = field_jets(phi, SPHERE2, pts)
+    g = metric_values(SPHERE2, pts).dense(2)
     want = -np.cos(pts[:, 0])[:, None, None] * g
-    assert float(np.abs(hess - want).max()) < 1e-10
+    assert float(np.abs(hess.dense(2) - want).max()) < 1e-10
     assert np.allclose(lap, 2.0 * np.cos(pts[:, 0]), atol=1e-10)
     assert np.allclose(gns, np.sin(pts[:, 0]) ** 2, atol=1e-10)
+
+
+def test_hessians_and_metric_values_are_rows_on_sorted_canonical_slots():
+    # a symmetric tensor is handed out once per slot (i, j), i <= j, never
+    # as a dense array; a plain Hessian has no row for a structural zero
+    dense = random_dense_metric(n=4)
+    for m, phi in ((SPHERE2, parse("cos(u1) + sin(th)", SPHERE2.chart.coords)),
+                   (SKEW, parse("x^2 * sin(y)", SKEW.chart.coords)),
+                   (dense, parse(" * ".join(f"cos({c})" for c in dense.chart.coords),
+                                 dense.chart.coords))):
+        pts, n = sample(m.chart, SamplePlan(count=7)), m.dim
+        for name, got in (("coordinate hessian", coordinate_hessian_batch(phi, m.chart, pts)),
+                          ("covariant hessian", field_jets(phi, m, pts)[0]),
+                          ("metric_values", metric_values(m, pts))):
+            assert isinstance(got, Rows), name
+            i, j = np.divmod(got.slots, n)
+            assert (i <= j).all() and (np.diff(got.slots) > 0).all(), (name, got.slots)
+            assert got.rows.shape == (len(got.slots), len(pts)), name
+    phi = parse("cos(u1) + sin(th)", SPHERE2.chart.coords)
+    hess = coordinate_hessian_batch(phi, SPHERE2.chart, np.array([[1.0, 1.0]]))
+    assert hess.slots.tolist() == [0, 3]
 
 
 # --- validation -------------------------------------------------------------
@@ -228,7 +252,7 @@ def test_indefinite_metric_is_reported():
     message = str(err.value)
     assert "at (-0.5,)" in message and "np.float64" not in message
     # metric_values is unchecked: it serves diagnostics and comparisons
-    vals = metric_values(m, np.array([[-0.5]]))
+    vals = metric_values(m, np.array([[-0.5]])).dense(1)
     assert vals[0, 0, 0] == pytest.approx(-0.5)
 
 
@@ -254,5 +278,5 @@ def test_metrics_differing_in_a_zero_sign_keep_their_own_zero(first):
              for zero in (first, -first)]
     assert built[0][1] != built[1][1]
     for zero, metric in built:    # in build order, so `first` is evaluated first
-        g = metric_values(metric, pts)
+        g = metric_values(metric, pts).dense(2)
         assert np.signbit(g[:, 0, 1]).all() == (math.copysign(1.0, zero) < 0), zero

@@ -88,7 +88,8 @@ def _symbolic_zeros(metric):
 
 def _assert_matches_the_oracle(metric, pts, plan=None):
     plan = plan or _metric_plan(metric)
-    got = plan.jets(pts)
+    g, dg, d2g = plan.jets(pts)
+    got = (g, dg, d2g.dense(metric.dim, 4))
     want = _reference_jets(metric, pts)
     assert got[0].tobytes() == want[0].tobytes()    # bit for bit, signs of zeros too
     assert plan.values(pts).tobytes() == got[0].tobytes()
@@ -101,6 +102,7 @@ def _assert_matches_the_oracle(metric, pts, plan=None):
 def _assert_field_matches_the_oracle(e, plan, pts):
     coords = plan.coords
     value, grad, hess = plan.jets(pts)
+    hess = hess.dense(len(coords))
     assert value.tobytes() == compile_expr(e, coords)(pts).tobytes()
     assert plan.values(pts).tobytes() == value.tobytes()
     for k, c in enumerate(coords):
@@ -202,6 +204,7 @@ def test_field_plan_matches_reference_including_signed_zeros():
     assert np.signbit(differentiate(e, "y").value)
     pts = np.array([[0.3, -0.2], [-0.7, 0.9]])
     value, grad, hess = _field_plan(e, coords).jets(pts)
+    hess = hess.dense(2)
     assert value.tobytes() == compile_expr(e, coords)(pts).tobytes()
     for k, c in enumerate(coords):
         d = differentiate(e, c)
@@ -237,7 +240,7 @@ def test_non_finite_derivative_raises_the_reference_error(text00, text11, node, 
     with pytest.raises(DomainError):
         evaluate(d, {"x": 0.0, "y": 0.0})
     # a metric's plain values form no derivative, so they see nothing wrong
-    assert np.isfinite(metric_values(metric, pts)).all()
+    assert np.isfinite(metric_values(metric, pts).rows).all()
 
 
 def test_field_values_raise_for_a_non_finite_derivative():
@@ -266,9 +269,10 @@ def test_metric_values_are_the_plans_value_rows():
     # jet plan's value scatter, bit for bit, signs of zeros included
     for metric, pts in [*_catalog_metrics(), _zero_signed_metric()]:
         want = _metric_plan(metric).values(pts)
-        assert metric_values(metric, pts).tobytes() == want.tobytes(), metric.chart.coords
+        got = metric_values(metric, pts).dense(metric.dim)
+        assert got.tobytes() == want.tobytes(), metric.chart.coords
     metric, pts = _zero_signed_metric()
-    assert np.signbit(metric_values(metric, pts)[:, 0, 1]).all()
+    assert np.signbit(metric_values(metric, pts).dense(2)[:, 0, 1]).all()
 
 
 def test_non_finite_constant_is_rejected_when_the_plan_is_built():
@@ -377,5 +381,5 @@ def test_forward_jets_match_differentiate_on_random_trees(e, p):
         assume(False)
     assume(all(np.isfinite(w).all() for w in want))
     _, grad, hess = _field_plan(e, _XY).jets(np.array([p]))    # never raises here
-    for got, w in zip((grad[0], hess[0]), want):
+    for got, w in zip((grad[0], hess.dense(2)[0]), want):
         assert np.all(np.abs(got - w) <= 1e-10 * (1.0 + np.abs(w))), (format_expr(e), p)

@@ -36,6 +36,7 @@ from confprod.geometry import (
     curvature_batch,
     evaluation_scope,
     expr_values,
+    metric_values,
 )
 from formulas import field_jets
 from instances import conformal_route_pairs
@@ -137,10 +138,10 @@ def test_field_helpers_agree_inside_and_outside_a_scope():
             (hyperbolic, parse("cosh(t) + 0.2 * sin(v1)", hyperbolic.chart.coords), PLAN),
             (skew.base, skew.phi, SamplePlan(count=200))):
         pts = sample(m.chart, plan)
-        plain = field_jets(phi, m, pts)[2:]
+        plain = field_jets(phi, m, pts)[1:]
         with evaluation_scope():
             curvature_batch(m, pts)
-            for name, got, want in zip(("lap", "|dphi|^2"), field_jets(phi, m, pts)[2:], plain):
+            for name, got, want in zip(("lap", "|dphi|^2"), field_jets(phi, m, pts)[1:], plain):
                 assert np.array_equal(got, want), (m.chart.coords, name)
 
 
@@ -183,30 +184,36 @@ def test_tapes_and_kept_rows_are_dropped_with_the_outermost_scope(monkeypatch):
     # compiled program holds on to, and no rows are kept
     made.clear()
     _clear_plan_caches()
-    first = field_jets(spec.phi, m, pts)[2]
+    first = field_jets(spec.phi, m, pts)[1]
     assert len(made) == 2 and first.flags.writeable    # phi's jets and the metric's
     gc.collect()
     assert all(ref() is None for ref in made)
-    assert field_jets(spec.phi, m, pts)[2] is not first and len(made) == 2
+    assert field_jets(spec.phi, m, pts)[1] is not first and len(made) == 2
 
 
 def test_helpers_hand_out_fresh_or_read_only_arrays():
     m = builtin_metric("hyperbolic", 3)
     phi = parse("cosh(t) + 0.2 * sin(v1) * t", m.chart.coords)
     helpers = {
-        "covariant hessian": lambda pts: field_jets(phi, m, pts)[1],
+        "covariant hessian": lambda pts: field_jets(phi, m, pts)[0],
         "coordinate_hessian_batch": lambda pts: coordinate_hessian_batch(phi, m.chart, pts),
+        "metric_values": lambda pts: metric_values(m, pts),
         "expr_values": lambda pts: expr_values(phi, m.chart, pts),
     }
     with evaluation_scope():
         pts = sample(m.chart, PLAN)
         for name, helper in helpers.items():
             first = helper(pts)
-            want = first.copy()
-            first[...] = np.nan    # a caller may write into what it was handed
-            assert np.array_equal(helper(pts), want), name
+            tensor = isinstance(first, Rows)
+            values = first.rows if tensor else first
+            want = values.copy()
+            values[...] = np.nan    # a caller may write into what it was handed
+            again = helper(pts)
+            assert np.array_equal(again.rows if tensor else again, want), name
+            # a tensor's slots may be shared with later calls, so they are read-only
+            assert not (tensor and first.slots.flags.writeable), name
         # the traces are the kept rows themselves, so they are read-only
-        for trace in field_jets(phi, m, pts)[2:]:
+        for trace in field_jets(phi, m, pts)[1:]:
             assert not trace.flags.writeable
         samples = geometry._SAMPLES.get()
         kept = [rows for rows in samples.rows.values()]

@@ -15,7 +15,7 @@ is printed as a unified diff.  The workload inputs come
 from this checkout's perfbench/, which is only imported.  Each tree's `src/`
 and `tests/` line counts (newlines in their `.py` files, as `wc -l` counts
 them) are printed first, side by side, so code moved from the library to the
-tests shows as a move; then twelve counts per run for each tree:
+tests shows as a move; then thirteen counts per run for each tree:
 
 - computed batches: calls of geometry._compute_batch, scope hits excluded;
 - jet-tape rows: the rows of every jet plan's second-order (jet) program,
@@ -42,7 +42,11 @@ tests shows as a move; then twelve counts per run for each tree:
   differentiator is now the tests' oracle, tests/symbolic.py);
 - dense scratch bytes: the bytes of the dense arrays geometry.Rows.dense,
   the one dense builder, builds from compact rows, summed over its calls
-  (geometry._dense in a tree from before Rows).
+  (geometry._dense in a tree from before Rows);
+- dense jet bytes: the bytes of every array with more than two axes that a
+  jet plan hands out (geometry._JetPlan._run, whose outputs serve values(),
+  gradients() and jets()), summed: a dense field Hessian or metric
+  derivative, where a tree scatters one; a Rows has no axes of its own.
 
 A closing summary line counts, over every seed, the moved leaves, the moved
 `verdict`, `matched` and `expected` flags, and the largest relative move of
@@ -80,7 +84,7 @@ CATALOG_SAMPLES = {"full": 200, "tiny": 20}
 COUNTS = ("computed batches", "jet-tape rows", "tape registers", "kept batch bytes",
           "contraction products", "MetricSpec constructions", "field programs",
           "field tape passes", "symbolic programs", "symbolic table rows",
-          "symbolic derivative calls", "dense scratch bytes")
+          "symbolic derivative calls", "dense scratch bytes", "dense jet bytes")
 FLAGGED = ("verdict", "matched", "expected")
 _CONSTANT = re.compile(r"^scenarios\[\d+\]\.(measured\.[^.]+|constants\[\d+\]\.measured)$")
 _GENERATED_AT = re.compile(r'^\s*"generated_at": "[^"]*",\n', re.MULTILINE)
@@ -103,6 +107,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     dense_owner, dense_name = ((geometry.Rows, "dense") if hasattr(geometry, "Rows")
                                else (geometry, "_dense"))
     dense = getattr(dense_owner, dense_name)
+    run = jet_plan._run
     slices = []    # per _contract call of the batch being computed: products x points
     tapes = []     # every Tape of the run
     post_init, tape_init = geometry.MetricSpec.__post_init__, expressions.Tape.__init__
@@ -123,6 +128,12 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
         built = dense(*args, **kwargs)
         counts[name]["dense scratch bytes"] += built.nbytes
         return built
+
+    def counting_jets(plan, order, points):
+        outs = run(plan, order, points)
+        counts[name]["dense jet bytes"] += sum(out.nbytes for out in outs
+                                               if getattr(out, "ndim", 0) > 2)
+        return outs
 
     def counting_specs(spec):
         counts[name]["MetricSpec constructions"] += 1
@@ -181,6 +192,7 @@ def _run_tree(tree: str, out: str, seed: int, size: str) -> None:
     geometry._contraction = counting_programs
     geometry._contract = counting_products
     setattr(dense_owner, dense_name, counting_dense)
+    jet_plan._run = counting_jets
     if per_order:
         jet_plan._program = counting_rows
     else:
